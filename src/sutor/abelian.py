@@ -7,7 +7,7 @@ d_1 | d_2 | ... with every d_i >= 2.  Elements are exponent vectors
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .words import Generator, Word
 
@@ -152,48 +152,43 @@ def _smith(data: List[List[int]], m: int, n: int):
                     piv = (i, j)
         if piv is None:
             break
-        while True:
-            piv = None
-            for i in range(t, m):
-                for j in range(t, n):
-                    if A[i][j] != 0 and (piv is None or abs(A[i][j]) < abs(A[piv[0]][piv[1]])):
-                        piv = (i, j)
-            if piv[0] != t:
-                row_swap(t, piv[0])
-            if piv[1] != t:
-                col_swap(t, piv[1])
-            if A[t][t] < 0:
-                row_neg(t)
-            p = A[t][t]
-            dirty = False
-            for i in range(m):
-                if i != t and A[i][t] != 0:
-                    q = A[i][t] // p
-                    if q:
-                        row_add(i, t, -q)
-                    if A[i][t] != 0:
-                        dirty = True
-            for j in range(n):
-                if j != t and A[t][j] != 0:
-                    q = A[t][j] // p
-                    if q:
-                        col_add(j, t, -q)
-                    if A[t][j] != 0:
-                        dirty = True
-            if dirty:
-                continue
-            bad = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if A[i][j] % p != 0:
-                        bad = i
-                        break
-                if bad is not None:
+        if piv[0] != t:
+            row_swap(t, piv[0])
+        if piv[1] != t:
+            col_swap(t, piv[1])
+        if A[t][t] < 0:
+            row_neg(t)
+        p = A[t][t]
+        dirty = False
+        for i in range(m):
+            if i != t and A[i][t] != 0:
+                q = A[i][t] // p
+                if q:
+                    row_add(i, t, -q)
+                if A[i][t] != 0:
+                    dirty = True
+        for j in range(n):
+            if j != t and A[t][j] != 0:
+                q = A[t][j] // p
+                if q:
+                    col_add(j, t, -q)
+                if A[t][j] != 0:
+                    dirty = True
+        if dirty:
+            continue
+        bad = None
+        for i in range(t + 1, m):
+            for j in range(t + 1, n):
+                if A[i][j] % p != 0:
+                    bad = i
                     break
-            if bad is None:
+            if bad is not None:
                 break
+        if bad is None:
+            t += 1
+        else:
+            # fold a row the pivot does not divide into row t and pivot again
             row_add(t, bad, 1)
-        t += 1
     return U, Ui, A, V
 
 
@@ -254,6 +249,15 @@ def ab_scale(G: AbelianGroup, x: AbElement, k: int) -> AbElement:
     )
 
 
+def _combine(G: AbelianGroup, pairs: Iterable[Tuple[int, AbElement]]) -> AbElement:
+    """The sum of c * img over the (c, img) pairs, in G."""
+    out = zero_element(G)
+    for c, img in pairs:
+        if c:
+            out = ab_add(G, out, ab_scale(G, img, c))
+    return out
+
+
 def element(G: AbelianGroup, free: Sequence[int] = (), tor: Sequence[int] = ()) -> AbElement:
     free = tuple(free) + (0,) * (G.rank - len(free))
     tor = tuple(tor) + (0,) * (len(G.torsion) - len(tor))
@@ -284,11 +288,7 @@ class Cokernel:
         return tuple(v)
 
     def from_vector(self, v: Sequence[int]) -> AbElement:
-        out = zero_element(self.group)
-        for c, img in zip(v, self.gen_images):
-            if c:
-                out = ab_add(self.group, out, ab_scale(self.group, img, c))
-        return out
+        return _combine(self.group, zip(v, self.gen_images))
 
 
 def cokernel(rel_rows: Sequence[Sequence[int]], m: int, n: int) -> Cokernel:
@@ -321,10 +321,7 @@ def abelianize(alphabet: Sequence[Generator], relators: Sequence[Word]) -> Coker
 
 def word_image(ck: Cokernel, w: Word) -> AbElement:
     """phi extended multiplicatively to words."""
-    out = zero_element(ck.group)
-    for g, e in w.letters:
-        out = ab_add(ck.group, out, ab_scale(ck.group, ck.gen_images[g], e))
-    return out
+    return _combine(ck.group, ((e, ck.gen_images[g]) for g, e in w.letters))
 
 
 @dataclass(frozen=True)
@@ -334,12 +331,7 @@ class Projection:
     images: Tuple[AbElement, ...]  # image of each canonical source factor (free then torsion)
 
     def __call__(self, x: AbElement) -> AbElement:
-        out = zero_element(self.target)
-        coords = list(x.free) + list(x.tor)
-        for c, img in zip(coords, self.images):
-            if c:
-                out = ab_add(self.target, out, ab_scale(self.target, img, c))
-        return out
+        return _combine(self.target, zip(x.free + x.tor, self.images))
 
 
 def quotient(H: AbelianGroup, killed: Sequence[AbElement]) -> Projection:

@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional, Sequence
 
@@ -83,28 +82,6 @@ def _load_input(path: str) -> E.SuturedInput:
 
 def _compute(path: str) -> E.TorsionResult:
     return E.torsion(_load_input(path))
-
-
-def _run_report(path: str) -> dict:
-    t0 = time.perf_counter()
-    inp = _load_input(path)
-    diags = E.validate(inp)
-    result = E.torsion(inp)
-    ev = E.evaluation_check(inp, result)
-    au = E.augmentation_order_check(inp, result)
-    return {
-        "name": result.input.name or path,
-        "H": {"rank": result.H.rank, "torsion": list(result.H.torsion)},
-        "tau": GR.to_records(result.tau),
-        "diagnostics": [
-            {"code": d.code, "message": d.message, "blocking": d.blocking} for d in diags
-        ],
-        "checks": {
-            "evaluation": ev.passed,
-            "augmentation_order": au.passed,
-        },
-        "timing_ms": round((time.perf_counter() - t0) * 1000.0, 3),
-    }
 
 
 def cmd_compute(args) -> int:

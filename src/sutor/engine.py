@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import words as W
 from .abelian import (
@@ -27,7 +27,6 @@ from .fox import fox_matrix
 from .groupring import (
     GroupRingElement,
     augmentation,
-    map_terms,
     normalize,
     push_forward,
     sim_equal,
@@ -196,22 +195,21 @@ def tietze_add_generator(inp: SuturedInput, w: Word, name: Optional[str] = None)
     return replace(inp, alphabet=alphabet, relators=inp.relators + (relator,))
 
 
-def induced_hom(old: TorsionResult, new: TorsionResult) -> Callable[[AbElement], AbElement]:
+def induced_hom(old: TorsionResult, new: TorsionResult) -> Projection:
     """The canonical map H_old -> H_new for presentations sharing their first
-    generators (e.g. after a Tietze extension): lift to exponent vectors over
-    the old generators, then map through the new abelianization."""
+    generators (e.g. after a Tietze extension): each canonical factor of
+    H_old lifts to an exponent vector over the old generators, which maps
+    through the new abelianization."""
     old_ab, new_ab = old.abelianization, new.abelianization
-
-    def hom(x: AbElement) -> AbElement:
-        v = old_ab.lift(x)
-        return new_ab.from_vector(v + (0,) * (len(new_ab.gen_images) - len(v)))
-
-    return hom
+    pad = (0,) * (len(new_ab.gen_images) - len(old_ab.gen_images))
+    return Projection(old.H, new.H, tuple(
+        new_ab.from_vector(col + pad) for col in old_ab.lift_free + old_ab.lift_tor
+    ))
 
 
 def transport_tau(old: TorsionResult, new: TorsionResult) -> GroupRingElement:
     """old raw determinant pushed into the new H via the canonical map."""
-    return map_terms(old.raw_det, induced_hom(old, new), new.H)
+    return push_forward(old.raw_det, induced_hom(old, new))
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +229,24 @@ def input_to_dict(inp: SuturedInput) -> dict:
     return d
 
 
+def _string_list(key: str, value) -> List[str]:
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise ValueError(f"{key!r} must be a list of strings")
+    return value
+
+
 def input_from_dict(d: dict) -> SuturedInput:
-    alphabet = W.make_alphabet(d["generators"])
+    """Build an input from its JSON object; raises ValueError (or KeyError for
+    missing generators) on a malformed shape."""
+    if not isinstance(d, dict):
+        raise ValueError("input must be a JSON object")
+    alphabet = W.make_alphabet(_string_list("generators", d["generators"]))
+    relators = _string_list("relators", d.get("relators", []))
+    rminus = _string_list("rminus", d.get("rminus", []))
     return SuturedInput(
         alphabet=alphabet,
-        relators=tuple(W.parse_word(s, alphabet) for s in d.get("relators", [])),
-        rminus=tuple(W.parse_word(s, alphabet) for s in d.get("rminus", [])),
+        relators=tuple(W.parse_word(s, alphabet) for s in relators),
+        rminus=tuple(W.parse_word(s, alphabet) for s in rminus),
         name=d.get("name"),
         notes=d.get("notes"),
         claimed_irreducible=bool(d.get("claimed_irreducible", True)),

@@ -25,9 +25,9 @@ from .groupring import (
     neg,
     one,
 )
+from .polytope import _Z, cyclic_sum
 from .words import Generator, Word, make_alphabet
 
-_Z = AbelianGroup(1, ())
 _Z2 = AbelianGroup(2, ())
 
 
@@ -48,10 +48,6 @@ def solid_torus(p: int) -> SuturedInput:
         rminus=(_letters((0, p)),),
         name=f"solid_torus_{p}",
     )
-
-
-def cyclic_sum(p: int) -> GroupRingElement:
-    return GroupRingElement(_Z, {AbElement((j,), ()): 1 for j in range(p)})
 
 
 def twisted_band_expected(p: int, n: int) -> GroupRingElement:

@@ -17,7 +17,6 @@ from .abelian import (
     Projection,
     ab_add,
     ab_neg,
-    ab_scale,
     direct_sum,
     zero_element,
 )
@@ -88,16 +87,29 @@ def _check(p: GroupRingElement, q: GroupRingElement):
         raise GroupMismatchError(f"{p.group} vs {q.group}")
 
 
-def add(p: GroupRingElement, q: GroupRingElement) -> GroupRingElement:
-    _check(p, q)
-    out = dict(p.terms)
-    for h, c in q.terms.items():
-        nc = out.get(h, 0) + c
+def _accumulate(out: Dict, pairs: Iterable[Tuple[object, int]]) -> Dict:
+    """Add each (key, coefficient) pair into out, dropping a key as soon as
+    its coefficient sums to 0; the one accumulation loop of the package."""
+    get = out.get
+    for h, c in pairs:
+        nc = get(h, 0) + c
         if nc:
             out[h] = nc
         else:
             out.pop(h, None)
-    return GroupRingElement(p.group, out)
+    return out
+
+
+def _products(G: AbelianGroup, p: Dict[AbElement, int], q: Dict[AbElement, int],
+              sign: int = 1):
+    """The (h1 + h2, sign * c1 * c2) terms of sign * p * q, uncollected."""
+    return ((ab_add(G, h1, h2), sign * c1 * c2)
+            for h1, c1 in p.items() for h2, c2 in q.items())
+
+
+def add(p: GroupRingElement, q: GroupRingElement) -> GroupRingElement:
+    _check(p, q)
+    return GroupRingElement(p.group, _accumulate(dict(p.terms), q.terms.items()))
 
 
 def neg(p: GroupRingElement) -> GroupRingElement:
@@ -112,17 +124,7 @@ def scalar_mul(k: int, p: GroupRingElement) -> GroupRingElement:
 
 def mul(p: GroupRingElement, q: GroupRingElement) -> GroupRingElement:
     _check(p, q)
-    G = p.group
-    out: Dict[AbElement, int] = {}
-    for h1, c1 in p.terms.items():
-        for h2, c2 in q.terms.items():
-            h = ab_add(G, h1, h2)
-            nc = out.get(h, 0) + c1 * c2
-            if nc:
-                out[h] = nc
-            else:
-                out.pop(h, None)
-    return GroupRingElement(G, out)
+    return GroupRingElement(p.group, _accumulate({}, _products(p.group, p.terms, q.terms)))
 
 
 def augmentation(p: GroupRingElement) -> int:
@@ -169,13 +171,8 @@ def exact_div(p: GroupRingElement, q: GroupRingElement) -> GroupRingElement:
             raise NotDivisibleError("no exact quotient")
         c = cr // cq
         quot[mono] = c
-        for e, ce in Q.items():
-            k = tuple(a + d for a, d in zip(mono, e))
-            nc = R.get(k, 0) - c * ce
-            if nc:
-                R[k] = nc
-            else:
-                R.pop(k, None)
+        _accumulate(R, ((tuple(a + d for a, d in zip(mono, e)), -c * ce)
+                        for e, ce in Q.items()))
     offset = tuple(a - c for a, c in zip(pmin, qmin))
     return GroupRingElement(
         p.group,
@@ -204,56 +201,41 @@ class GRMatrix:
 
 
 def determinant(A: GRMatrix) -> GroupRingElement:
-    """Cofactor expansion along the sparsest row or column, memoized on the
-    surviving (row-set, column-set)."""
+    """Cofactor expansion along the sparsest row, or along a column when one
+    is strictly sparser (lowest index on ties), memoized on the surviving
+    (row-set, column-set)."""
     if A.rows != A.cols:
         raise ValueError("determinant of non-square matrix")
     if A.rows == 0:
         raise ValueError("empty matrix")
     G = A.group
-    memo: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], GroupRingElement] = {}
+    E = A.entries
+    memo: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Dict[AbElement, int]] = {}
 
-    def det(rows: Tuple[int, ...], cols: Tuple[int, ...]) -> GroupRingElement:
+    def det(rows: Tuple[int, ...], cols: Tuple[int, ...]) -> Dict[AbElement, int]:
         if len(rows) == 1:
-            return A.entries[rows[0]][cols[0]]
+            return E[rows[0]][cols[0]].terms
         key = (rows, cols)
         if key in memo:
             return memo[key]
-        best_row = min(
-            range(len(rows)),
-            key=lambda ri: sum(1 for c in cols if A.entries[rows[ri]][c].terms),
-        )
-        best_col = min(
-            range(len(cols)),
-            key=lambda ci: sum(1 for r in rows if A.entries[r][cols[ci]].terms),
-        )
-        nz_row = sum(1 for c in cols if A.entries[rows[best_row]][c].terms)
-        nz_col = sum(1 for r in rows if A.entries[r][cols[best_col]].terms)
-        acc = zero(G)
-        if nz_row <= nz_col:
-            ri = best_row
-            sub_rows = rows[:ri] + rows[ri + 1:]
-            for ci in range(len(cols)):
-                e = A.entries[rows[ri]][cols[ci]]
-                if not e.terms:
-                    continue
-                minor = det(sub_rows, cols[:ci] + cols[ci + 1:])
-                term = mul(e, minor)
-                acc = add(acc, term if (ri + ci) % 2 == 0 else neg(term))
+        row_nz = [sum(1 for c in cols if E[r][c].terms) for r in rows]
+        col_nz = [sum(1 for r in rows if E[r][c].terms) for c in cols]
+        ri = min(range(len(rows)), key=row_nz.__getitem__)
+        ci = min(range(len(cols)), key=col_nz.__getitem__)
+        if row_nz[ri] <= col_nz[ci]:
+            line = [(ri, j) for j in range(len(cols))]
         else:
-            ci = best_col
-            sub_cols = cols[:ci] + cols[ci + 1:]
-            for ri in range(len(rows)):
-                e = A.entries[rows[ri]][cols[ci]]
-                if not e.terms:
-                    continue
-                minor = det(rows[:ri] + rows[ri + 1:], sub_cols)
-                term = mul(e, minor)
-                acc = add(acc, term if (ri + ci) % 2 == 0 else neg(term))
-        memo[key] = acc
+            line = [(i, ci) for i in range(len(rows))]
+        products = []
+        for i, j in line:
+            e = E[rows[i]][cols[j]].terms
+            if e:
+                minor = det(rows[:i] + rows[i + 1:], cols[:j] + cols[j + 1:])
+                products.append(_products(G, e, minor, -1 if (i + j) % 2 else 1))
+        memo[key] = acc = _accumulate({}, itertools.chain.from_iterable(products))
         return acc
 
-    return det(tuple(range(A.rows)), tuple(range(A.cols)))
+    return GroupRingElement(G, det(tuple(range(A.rows)), tuple(range(A.cols))))
 
 
 def normalize(p: GroupRingElement) -> GroupRingElement:
@@ -290,28 +272,8 @@ def push_forward(p: GroupRingElement, proj: Projection) -> GroupRingElement:
     """Apply a group homomorphism to every term, collecting coefficients."""
     if proj.source != p.group:
         raise GroupMismatchError("projection source does not match element group")
-    out: Dict[AbElement, int] = {}
-    for h, c in p.terms.items():
-        k = proj(h)
-        nc = out.get(k, 0) + c
-        if nc:
-            out[k] = nc
-        else:
-            out.pop(k, None)
-    return GroupRingElement(proj.target, out)
-
-
-def map_terms(p: GroupRingElement, f, target: AbelianGroup) -> GroupRingElement:
-    """push_forward for an arbitrary callable AbElement -> AbElement."""
-    out: Dict[AbElement, int] = {}
-    for h, c in p.terms.items():
-        k = f(h)
-        nc = out.get(k, 0) + c
-        if nc:
-            out[k] = nc
-        else:
-            out.pop(k, None)
-    return GroupRingElement(target, out)
+    terms = _accumulate({}, ((proj(h), c) for h, c in p.terms.items()))
+    return GroupRingElement(proj.target, terms)
 
 
 def sum_of_all_elements(G: AbelianGroup) -> GroupRingElement:
@@ -327,17 +289,8 @@ def sum_of_all_elements(G: AbelianGroup) -> GroupRingElement:
 
 def external_product(p: GroupRingElement, q: GroupRingElement) -> GroupRingElement:
     """Bilinear product into the direct sum of the two groups."""
-    G, i1, i2 = direct_sum(p.group, q.group)
-    out: Dict[AbElement, int] = {}
-    for h1, c1 in p.terms.items():
-        for h2, c2 in q.terms.items():
-            h = ab_add(G, i1(h1), i2(h2))
-            nc = out.get(h, 0) + c1 * c2
-            if nc:
-                out[h] = nc
-            else:
-                out.pop(h, None)
-    return GroupRingElement(G, out)
+    _, i1, i2 = direct_sum(p.group, q.group)
+    return mul(push_forward(p, i1), push_forward(q, i2))
 
 
 def sorted_terms(p: GroupRingElement) -> List[Tuple[AbElement, int]]:

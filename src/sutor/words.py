@@ -30,6 +30,10 @@ class UnknownGeneratorError(WordError):
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
+# Parenthesis nesting the recursive-descent parser accepts; deeper input
+# would exhaust the interpreter's recursion limit.
+_MAX_DEPTH = 200
+
 
 @dataclass(frozen=True)
 class Generator:
@@ -100,12 +104,12 @@ def invert(w: Word) -> Word:
 def power(w: Word, k: int) -> Word:
     if k == 0:
         return IDENTITY
+    if len(w.letters) == 1:
+        g, e = w.letters[0]
+        return Word(((g, e * k),))
     if k < 0:
-        return power(invert(w), -k)
-    out = IDENTITY
-    for _ in range(k):
-        out = concat(out, w)
-    return out
+        w, k = invert(w), -k
+    return free_reduce(w.letters * k)
 
 
 def parse_word(text: str, alphabet: Sequence[Generator]) -> Word:
@@ -128,20 +132,22 @@ def parse_word(text: str, alphabet: Sequence[Generator]) -> Word:
         while pos < n and text[pos] in " \t":
             pos += 1
 
-    def parse_sequence() -> Word:
+    def parse_sequence(depth: int) -> Word:
         nonlocal pos
         out = IDENTITY
         while True:
             skip_ws()
             if pos >= n or text[pos] == ")":
                 return out
-            out = concat(out, parse_factor())
+            out = concat(out, parse_factor(depth))
 
-    def parse_factor() -> Word:
+    def parse_factor(depth: int) -> Word:
         nonlocal pos
         if text[pos] == "(":
+            if depth == _MAX_DEPTH:
+                raise ParseError(f"parentheses nested deeper than {_MAX_DEPTH}", pos)
             pos += 1
-            inner = parse_sequence()
+            inner = parse_sequence(depth + 1)
             if pos >= n or text[pos] != ")":
                 raise ParseError("expected ')'", pos)
             pos += 1
@@ -164,7 +170,7 @@ def parse_word(text: str, alphabet: Sequence[Generator]) -> Word:
             return power(atom, int(m.group(0)))
         return atom
 
-    word = parse_sequence()
+    word = parse_sequence(0)
     if pos < n:
         raise ParseError(f"unexpected character {text[pos]!r}", pos)
     return word

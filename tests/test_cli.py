@@ -71,6 +71,22 @@ def test_compute_stdin(tmp_path, capsys, monkeypatch):
     assert "tau ~ 1 + t + t^2" in out
 
 
+@pytest.mark.parametrize("payload", [
+    "[1, 2]",
+    json.dumps({"generators": ["a"], "rminus": [3]}),
+    json.dumps({"generators": ["a"], "rminus": ["(" * 3000 + "a" + ")" * 3000]}),
+    json.dumps({"generators": "ab", "rminus": ["a", "b"]}),
+], ids=["top-level-list", "non-string-word", "deep-nesting", "string-generators"])
+def test_compute_stdin_malformed_exits_1(payload, capsys, monkeypatch):
+    import io
+    import sys
+    monkeypatch.setattr(sys, "stdin", io.StringIO(payload))
+    code, out, err = run(capsys, "compute", "-")
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_polytope_output(capsys):
     code, out, err = run(capsys, "polytope", fx("pretzel_even_1_1_1.json"),
                          "--alpha", "1,0", "--alpha", "0,1", "--diff")

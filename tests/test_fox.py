@@ -62,13 +62,26 @@ def test_inverse_rule_example():
 
 
 def test_fundamental_identity_example():
-    # sum_x (phi(x) - 1) * dw/dx = phi(w) - 1
-    w = parse_word("a^2 b a^-1 b^-3", AB)
-    acc = zero(H)
-    for g in (0, 1):
-        factor = add(monomial(H, FREE.gen_images[g]), neg(one(H)))
-        acc = add(acc, mul(factor, fox_derivative(w, g, FREE)))
-    assert equal(acc, add(phi(w), neg(one(H))))
+    # sum_x (phi(x) - 1) * dw/dx = phi(w) - 1, for every column w of the Fox matrix
+    presentations = [
+        (["a", "b"], [], ["a^2 b a^-1 b^-3"]),
+        # H = Z + Z/2: a = -4b, 2b = 0
+        (["a", "b", "c"], ["a^2 b^3 a^-1 b", "b^2 c b^-2 c^-1 b^2"], ["a c^2 b^-1 a^3 c^-1"]),
+    ]
+    for names, relators, words in presentations:
+        alphabet = make_alphabet(names)
+        rels = [parse_word(r, alphabet) for r in relators]
+        cols = rels + [parse_word(w, alphabet) for w in words]
+        ab = abelianize(alphabet, rels)
+        G = ab.group
+        assert bool(G.torsion) == bool(relators)
+        A = fox_matrix(alphabet, cols, ab)
+        for j, w in enumerate(cols):
+            acc = zero(G)
+            for g in alphabet:
+                factor = add(monomial(G, ab.gen_images[g.index]), neg(one(G)))
+                acc = add(acc, mul(factor, A.entries[g.index][j]))
+            assert equal(acc, add(monomial(G, word_image(ab, w)), neg(one(G)))), (names, j)
 
 
 def test_derivative_sees_quotient_group():

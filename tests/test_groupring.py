@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -140,6 +143,53 @@ def test_determinant_column_swap_antisymmetry():
     A = GRMatrix.from_rows(rows)
     B = GRMatrix.from_rows([[r[1], r[0], r[2]] for r in rows])
     assert equal(determinant(B), neg(determinant(A)))
+
+
+def _leibniz(A):
+    """Independent oracle: the signed sum over all permutations."""
+    n = A.rows
+    acc = zero(A.group)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = one(A.group)
+        for i in range(n):
+            term = mul(term, A.entries[i][perm[i]])
+        acc = add(acc, neg(term) if inversions % 2 else term)
+    return acc
+
+
+@pytest.mark.parametrize("G", [Z2, AbelianGroup(1, (3,))], ids=["Z^2", "Z x Z/3"])
+def test_determinant_matches_leibniz(G):
+    rng = random.Random(31)
+
+    def entry(density):
+        if rng.random() >= density:
+            return zero(G)
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            h = AbElement(tuple(rng.randint(-2, 2) for _ in range(G.rank)),
+                          tuple(rng.randrange(d) for d in G.torsion))
+            terms[h] = rng.choice([-2, -1, 1, 2])
+        return element(G, terms)
+
+    column_cases = 0
+    for n in range(1, 6):
+        for trial in range(8):
+            rows = [[entry(0.5) for _ in range(n)] for _ in range(n)]
+            if n >= 3 and trial % 2:
+                # dense rows, one column with a single entry: a column is the sparsest line
+                rows = [[entry(1.0) for _ in range(n)] for _ in range(n)]
+                c, keep = rng.randrange(n), rng.randrange(n)
+                for r in range(n):
+                    if r != keep:
+                        rows[r][c] = zero(G)
+                row_nz = min(sum(1 for e in row if e) for row in rows)
+                col_nz = min(sum(1 for row in rows if row[j]) for j in range(n))
+                assert col_nz < row_nz
+                column_cases += 1
+            A = GRMatrix.from_rows(rows)
+            assert equal(determinant(A), _leibniz(A)), (n, trial)
+    assert column_cases == 12
 
 
 def test_sum_of_all_elements():

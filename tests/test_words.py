@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -66,6 +68,27 @@ def test_concat_invert_power():
     assert power(u, 2) == parse_word("a b a b", AB)
 
 
+def test_power_matches_repeated_concat():
+    def oracle(w, k):  # the former definition: |k| repeated concats
+        if k < 0:
+            w, k = invert(w), -k
+        out = IDENTITY
+        for _ in range(k):
+            out = concat(out, w)
+        return out
+
+    rng = random.Random(2024)
+    for _ in range(300):
+        w = free_reduce((rng.randrange(3), rng.choice([-2, -1, 1, 2]))
+                        for _ in range(rng.randint(0, 6)))
+        for k in range(-5, 6):
+            assert power(w, k) == oracle(w, k), (w, k)
+
+
+def test_power_of_one_syllable_is_direct():
+    assert parse_word("a^100000000", AB) == Word(((0, 100000000),))
+
+
 def test_parse_basic():
     assert parse_word("1", AB) == IDENTITY
     assert parse_word("  1  ", AB) == IDENTITY
@@ -100,6 +123,9 @@ def test_parse_errors():
         parse_word("a )", AB)
     with pytest.raises(ParseError):
         parse_word("*", AB)
+    with pytest.raises(ParseError):
+        parse_word("(" * 3000 + "a" + ")" * 3000, AB)
+    assert parse_word("(" * 200 + "a" + ")" * 200, AB) == Word(((0, 1),))
 
 
 def test_render_round_trip():
