@@ -123,6 +123,17 @@ def _run_report_from(result: E.TorsionResult) -> dict:
     }
 
 
+def _covector(alpha: str, dim: int) -> tuple:
+    """Parse an --alpha value: dim comma-separated integers."""
+    try:
+        vec = tuple(int(x) for x in alpha.split(","))
+    except ValueError:
+        raise ValueError(f"--alpha {alpha!r} is not comma-separated integers") from None
+    if len(vec) != dim:
+        raise ValueError(f"--alpha {alpha!r} has {len(vec)} entries; H1(M) has rank {dim}")
+    return vec
+
+
 def cmd_polytope(args) -> int:
     try:
         result = _compute(args.path)
@@ -137,12 +148,18 @@ def cmd_polytope(args) -> int:
     except UnsupportedTorsionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    names = free_var_names(result)
+    if not S.points:
+        print("error: tau is 0, so it has no support polytope", file=sys.stderr)
+        return 3
+    try:
+        covectors = [(alpha, _covector(alpha, S.dim)) for alpha in args.alpha or []]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     verts = P.vertices(S)
     print(f"support: {len(S.points)} points in dimension {S.dim}")
     print("hull vertices: " + " ".join(str(v) for v in verts))
-    for alpha in args.alpha or []:
-        vec = tuple(int(x) for x in alpha.split(","))
+    for alpha, vec in covectors:
         print(f"width[{alpha}] = {P.width(S, vec)}")
     sym = P.is_centrally_symmetric(S)
     print(f"centrally symmetric: {'yes' if sym else 'no'}")
@@ -170,7 +187,7 @@ def _load_tau_or_input(path: str):
     """A path may hold a SuturedInput or a serialized group-ring element."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    if "terms" in obj and "group" in obj:
+    if isinstance(obj, dict) and "terms" in obj and "group" in obj:
         return GR.from_records(obj), None
     inp = E.input_from_dict(obj)
     result = E.torsion(inp)
@@ -178,6 +195,9 @@ def _load_tau_or_input(path: str):
 
 
 def cmd_check(args) -> int:
+    if args.disk is not None and args.disk < 1:
+        print(f"error: --disk needs P_MAX >= 1, got {args.disk}", file=sys.stderr)
+        return 1
     try:
         tau, result = _load_tau_or_input(args.path)
     except E.ValidationError as exc:
@@ -208,7 +228,7 @@ def cmd_check(args) -> int:
     if args.disk is not None:
         ran_any = True
         try:
-            report = P.disk_obstruction_report(GR.normalize(tau), args.disk)
+            report = P.disk_obstruction_report(tau, args.disk)
         except (ValueError, UnsupportedTorsionError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3
@@ -259,6 +279,20 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _manifest_entries(manifest) -> list:
+    """The entries of a manifest (a list, or an object with an "entries"
+    list), each a path string or an object with a string "path"."""
+    entries = manifest.get("entries") if isinstance(manifest, dict) else manifest
+    if not isinstance(entries, list):
+        raise ValueError('manifest must be a list or an object with an "entries" list')
+    for i, entry in enumerate(entries):
+        if isinstance(entry, str):
+            continue
+        if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
+            raise ValueError(f'manifest entry {i} is not a path or an object with a "path"')
+    return entries
+
+
 def _batch_entry(base: str, entry) -> str:
     if isinstance(entry, str):
         entry = {"path": entry}
@@ -268,14 +302,15 @@ def _batch_entry(base: str, entry) -> str:
     label = entry.get("name") or entry["path"]
     try:
         result = _compute(path)
+        expected = (GR.normalize(GR.from_records(entry["expected_tau"]))
+                    if "expected_tau" in entry else None)
     except Exception as exc:  # per-entry failure must not kill the batch
         return f"FAIL {label}: {exc}"
     ev = E.evaluation_check(result.input, result)
     au = E.augmentation_order_check(result.input, result)
     ok = ev.passed and au.passed
     note = f"eval={'ok' if ev.passed else 'FAIL'} aug={'ok' if au.passed else 'FAIL'}"
-    if "expected_tau" in entry:
-        expected = GR.normalize(GR.from_records(entry["expected_tau"]))
+    if expected is not None:
         match = GR.equal(result.tau, expected)
         ok &= match
         note += f" expected={'ok' if match else 'MISMATCH'}"
@@ -287,11 +322,10 @@ def _batch_entry(base: str, entry) -> str:
 def cmd_batch(args) -> int:
     try:
         with open(args.manifest, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
+            entries = _manifest_entries(json.load(fh))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    entries = manifest["entries"] if isinstance(manifest, dict) else manifest
     base = os.path.dirname(os.path.abspath(args.manifest))
     if args.parallel > 1:
         with ThreadPoolExecutor(max_workers=args.parallel) as pool:

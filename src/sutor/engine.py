@@ -24,14 +24,7 @@ from .abelian import (
     word_image,
 )
 from .fox import fox_matrix
-from .groupring import (
-    GroupRingElement,
-    augmentation,
-    normalize,
-    push_forward,
-    sim_equal,
-    sum_of_all_elements,
-)
+from .groupring import GroupRingElement
 from . import groupring as GR
 from .words import Generator, Word
 
@@ -113,7 +106,7 @@ def torsion(inp: SuturedInput) -> TorsionResult:
     ab = abelianize(inp.alphabet, inp.relators)
     A = fox_matrix(inp.alphabet, list(inp.relators) + list(inp.rminus), ab)
     raw = GR.determinant(A)
-    return TorsionResult(ab.group, ab.gen_images, normalize(raw), raw, ab, inp)
+    return TorsionResult(ab.group, ab.gen_images, GR.normalize(raw), raw, ab, inp)
 
 
 @dataclass(frozen=True)
@@ -130,11 +123,14 @@ def rminus_quotient(result: TorsionResult) -> Projection:
 
 
 def evaluation_check(inp: SuturedInput, result: TorsionResult) -> EvalCheck:
-    """p_*(tau) must equal +-I_G for G = H_1(M, R_-)."""
+    """p_*(tau) must equal +-I_G for G = H_1(M, R_-).  Comparing with +-I_G
+    by equality is exact: h*I_G = I_G when G is finite, and I_G = 0 when G
+    has positive rank."""
     proj = rminus_quotient(result)
-    lhs = push_forward(result.raw_det, proj)
-    rhs = sum_of_all_elements(proj.target)
-    return EvalCheck(proj.target, lhs, rhs, sim_equal(lhs, rhs))
+    lhs = GR.push_forward(result.raw_det, proj)
+    rhs = GR.sum_of_all_elements(proj.target)
+    passed = GR.equal(lhs, rhs) or GR.equal(GR.neg(lhs), rhs)
+    return EvalCheck(proj.target, lhs, rhs, passed)
 
 
 @dataclass(frozen=True)
@@ -147,7 +143,7 @@ class AugOrderCheck:
 def augmentation_order_check(inp: SuturedInput, result: TorsionResult) -> AugOrderCheck:
     """|eps(tau)| must equal |G|, with |G| = 0 read as INFINITE."""
     proj = rminus_quotient(result)
-    aug = abs(augmentation(result.raw_det))
+    aug = abs(GR.augmentation(result.raw_det))
     o = order(proj.target)
     passed = (aug == 0) if o is INFINITE else (aug == o)
     return AugOrderCheck(aug, o, passed)
@@ -209,7 +205,7 @@ def induced_hom(old: TorsionResult, new: TorsionResult) -> Projection:
 
 def transport_tau(old: TorsionResult, new: TorsionResult) -> GroupRingElement:
     """old raw determinant pushed into the new H via the canonical map."""
-    return push_forward(old.raw_det, induced_hom(old, new))
+    return GR.push_forward(old.raw_det, induced_hom(old, new))
 
 
 # ---------------------------------------------------------------------------

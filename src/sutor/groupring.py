@@ -2,14 +2,15 @@
 
 Elements are finite integer-coefficient maps on group elements.  The unit
 ambiguity +-h is handled by normalize(), which picks a canonical orbit
-representative: translate so the lex-least support point is the origin with
-positive coefficient, then take the lexicographically least term sequence.
+representative: translate a support point with the lex-least free part to the
+origin, make its coefficient positive, and take the lexicographically least
+term sequence.  A target already in this form is compared with equal().
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .abelian import (
     AbElement,
@@ -239,26 +240,22 @@ def determinant(A: GRMatrix) -> GroupRingElement:
 
 
 def normalize(p: GroupRingElement) -> GroupRingElement:
-    """Canonical representative of the orbit {+-h*p : h in H}."""
+    """Canonical representative of the orbit {+-h*p : h in H}.  The only
+    shifts tried move a support point h0 with the least free part to the
+    origin: torsion residues lie in [0, d), so h0 then becomes the lex-least
+    key, while a point with a larger free part never does."""
     if not p.terms:
         return p
     G = p.group
-    origin = (zero_element(G).free, zero_element(G).tor)
-    tor_space = list(itertools.product(*[range(d) for d in G.torsion]))
-    best: Optional[Tuple] = None
-    for h0 in p.terms:
-        for tt in tor_space:
-            shift = ab_neg(G, AbElement(h0.free, tt))
-            q = mul(monomial(G, shift), p)
-            items = sorted((_key(h), c) for h, c in q.terms.items())
-            if items[0][0] != origin:
-                continue
-            if items[0][1] < 0:
-                items = [(k, -c) for k, c in items]
-            sig = tuple(items)
-            if best is None or sig < best:
-                best = sig
-    assert best is not None
+
+    def signature(h0: AbElement) -> Tuple:
+        shift = ab_neg(G, h0)
+        items = sorted((_key(ab_add(G, h, shift)), c) for h, c in p.terms.items())
+        sign = -1 if items[0][1] < 0 else 1
+        return tuple((k, sign * c) for k, c in items)
+
+    low = min(h.free for h in p.terms)
+    best = min(signature(h0) for h0 in p.terms if h0.free == low)
     return GroupRingElement(G, {AbElement(k[0], k[1]): c for k, c in best})
 
 
@@ -308,12 +305,29 @@ def to_records(p: GroupRingElement) -> dict:
     }
 
 
+def _int_list(value, what: str) -> Tuple[int, ...]:
+    if not isinstance(value, list) or not all(isinstance(x, int) for x in value):
+        raise ValueError(f"{what} must be a list of integers")
+    return tuple(value)
+
+
 def from_records(obj: dict) -> GroupRingElement:
-    G = AbelianGroup(obj["group"]["rank"], tuple(obj["group"]["torsion"]))
-    terms = {
-        AbElement(tuple(t["free"]), tuple(t["tor"])): int(t["coeff"])
-        for t in obj["terms"]
-    }
-    if any(len(h.free) != G.rank or len(h.tor) != len(G.torsion) for h in terms):
-        raise ValueError("term coordinates do not match group")
-    return element(G, terms)
+    """Inverse of to_records; raises ValueError when obj does not have its
+    shape.  Torsion coordinates are read modulo their divisors."""
+    group = obj.get("group") if isinstance(obj, dict) else None
+    records = obj.get("terms") if isinstance(obj, dict) else None
+    if not isinstance(group, dict) or not isinstance(group.get("rank"), int):
+        raise ValueError("records need a group with an integer rank")
+    if not isinstance(records, list) or not all(isinstance(t, dict) for t in records):
+        raise ValueError("records need a list of term objects")
+    G = AbelianGroup(group["rank"], _int_list(group.get("torsion"), "torsion"))
+    terms: Dict[AbElement, int] = {}
+    for t in records:
+        free, tor = _int_list(t.get("free"), "free"), _int_list(t.get("tor"), "tor")
+        if len(free) != G.rank or len(tor) != len(G.torsion):
+            raise ValueError("term coordinates do not match group")
+        if not isinstance(t.get("coeff"), int):
+            raise ValueError("coeff must be an integer")
+        h = AbElement(free, tuple(x % d for x, d in zip(tor, G.torsion)))
+        _accumulate(terms, [(h, t["coeff"])])
+    return GroupRingElement(G, terms)

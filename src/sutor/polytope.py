@@ -16,10 +16,9 @@ from .groupring import (
     GroupRingElement,
     NotDivisibleError,
     UnsupportedTorsionError,
+    equal,
     exact_div,
-    monomial,
     normalize,
-    sim_equal,
 )
 
 Point = Tuple[int, ...]
@@ -216,26 +215,22 @@ def disk_obstruction_report(tau: GroupRingElement, p_max: int) -> DiskReport:
     cap = min(p_max, auto_cap)
 
     def analyze(label: str, cand: GroupRingElement) -> DiskCandidate:
-        single = None
-        product = None
-        for p in range(1, cap + 1):
-            if sim_equal(cand, cyclic_sum(p)):
-                single = p
-                break
-        if single is None:
-            nc = normalize(cand)
-            for p1 in range(1, cap + 1):
-                try:
-                    q = exact_div(nc, cyclic_sum(p1))
-                except NotDivisibleError:
-                    continue
-                for p2 in range(p1, cap + 1):
-                    if sim_equal(q, cyclic_sum(p2)):
-                        product = (p1, p2)
-                        break
-                if product:
-                    break
-        return DiskCandidate(label, cand, single, product)
+        # cyclic_sum(p) is its own canonical form, and so is the quotient of
+        # two canonical rank-1 elements (both start at t^0 with a positive
+        # coefficient), so each match is one equality test.
+        nc = normalize(cand)
+        n = len(nc.terms)
+        if n <= cap and equal(nc, cyclic_sum(n)):
+            return DiskCandidate(label, cand, n, None)
+        for p1 in range(1, cap + 1):
+            try:
+                q = exact_div(nc, cyclic_sum(p1))
+            except NotDivisibleError:
+                continue
+            p2 = len(q.terms)
+            if p1 <= p2 <= cap and equal(q, cyclic_sum(p2)):
+                return DiskCandidate(label, cand, None, (p1, p2))
+        return DiskCandidate(label, cand, None, None)
 
     cands = (
         analyze("tau", tau),

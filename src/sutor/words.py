@@ -133,13 +133,15 @@ def parse_word(text: str, alphabet: Sequence[Generator]) -> Word:
             pos += 1
 
     def parse_sequence(depth: int) -> Word:
-        nonlocal pos
-        out = IDENTITY
+        # Free reduction is confluent, so reducing all factors' letters once
+        # gives the word that concatenating factor by factor would, in time
+        # linear in the letters.
+        letters: List[Tuple[int, int]] = []
         while True:
             skip_ws()
             if pos >= n or text[pos] == ")":
-                return out
-            out = concat(out, parse_factor(depth))
+                return free_reduce(letters)
+            letters.extend(parse_factor(depth).letters)
 
     def parse_factor(depth: int) -> Word:
         nonlocal pos

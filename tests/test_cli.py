@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sutor.cli import format_element, main
 from sutor.abelian import AbElement, AbelianGroup
@@ -83,6 +86,28 @@ def test_compute_stdin_malformed_exits_1(payload, capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(payload))
     code, out, err = run(capsys, "compute", "-")
     assert code == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, payload, exit_code", [
+    (["polytope", fx("solid_torus_3.json"), "--alpha", "1,2"], None, 1),
+    (["polytope", fx("solid_torus_3.json"), "--alpha", "x"], None, 1),
+    (["polytope", "{file}"], {"generators": ["a", "b"], "rminus": ["a", "a"]}, 3),
+    (["batch", "{file}"], {"foo": 1}, 1),
+    (["batch", "{file}"], [1], 1),
+    (["batch", "{file}"], {"entries": [{"name": "x"}]}, 1),
+    (["check", "{file}", "--disk", "3"], {"terms": 5, "group": 3}, 1),
+    (["check", fx("solid_torus_3.json"), "--disk", "0"], None, 1),
+    (["check", fx("solid_torus_3.json"), "--disk", "-1"], None, 1),
+], ids=["alpha-wrong-rank", "alpha-not-integers", "polytope-of-zero-tau",
+        "manifest-without-entries", "manifest-int-entry", "manifest-entry-without-path",
+        "records-wrong-shape", "disk-zero", "disk-negative"])
+def test_malformed_arguments_exit_with_error(argv, payload, exit_code, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, *[a.format(file=path) for a in argv])
+    assert code == exit_code
     assert err.startswith("error: ")
     assert "Traceback" not in err
 
@@ -208,3 +233,44 @@ def test_batch_parallel_determinism(capsys):
     code8, out8, err8 = run(capsys, "batch", fx("manifest.json"), "--parallel", "8")
     assert code1 == code8 == 0
     assert out1 == out8
+
+
+# Small JSON values: exponents and coordinates stay tiny so no example does
+# heavy work, and a few real fixture paths let batch entries compute.
+json_leaf = st.none() | st.booleans() | st.integers(-3, 3) | st.sampled_from(
+    ["", "a", "a^2 b", "x y", "terms", fx("solid_torus_3.json"), fx("trefoil.json")])
+json_value = st.recursive(
+    json_leaf,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["entries", "path", "name", "expected_tau", "group", "terms",
+                         "rank", "torsion", "coeff", "free", "tor", "generators",
+                         "rminus"]), inner, max_size=4),
+    max_leaves=12,
+)
+record_term = st.fixed_dictionaries({"coeff": json_value, "free": json_value,
+                                     "tor": json_value})
+records = st.fixed_dictionaries({
+    "group": st.fixed_dictionaries({"rank": json_value, "torsion": json_value}) | json_value,
+    "terms": st.lists(record_term, max_size=3) | json_value,
+})
+manifest_entry = json_value | st.fixed_dictionaries(
+    {"path": st.sampled_from([fx("solid_torus_3.json"), "missing.json"])},
+    optional={"name": json_value, "expected_tau": records | json_value})
+
+
+def _exit_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@given(manifest=json_value | st.lists(manifest_entry, max_size=3)
+       | st.fixed_dictionaries({"entries": st.lists(manifest_entry, max_size=3)}),
+       checked=json_value | records)
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_manifests_and_records_exit_cleanly(tmp_path_factory, manifest, checked):
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "m.json").write_text(json.dumps(manifest))
+    (d / "r.json").write_text(json.dumps(checked))
+    assert _exit_code(["batch", str(d / "m.json")]) in (0, 1, 2, 3)
+    for flags in (["--disk", "3"], ["--eval", "--aug"]):
+        assert _exit_code(["check", str(d / "r.json"), *flags]) in (0, 1, 2, 3)

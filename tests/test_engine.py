@@ -1,10 +1,13 @@
+import dataclasses
+import itertools
 import json
 
+import legacy_canonical
 import pytest
 
 from sutor import engine as E
 from sutor import words as W
-from sutor.abelian import INFINITE, AbelianGroup
+from sutor.abelian import INFINITE, AbElement, AbelianGroup
 from sutor.engine import (
     SuturedInput,
     ValidationError,
@@ -21,7 +24,8 @@ from sutor.engine import (
     validate,
 )
 from sutor.families import cantwell_conlon, pretzel_odd, solid_torus
-from sutor.groupring import augmentation, equal, normalize, sim_equal
+from sutor.groupring import augmentation, element, equal, normalize, sim_equal
+from sutor.polytope import cyclic_sum
 from sutor.words import make_alphabet, parse_word
 
 
@@ -82,6 +86,46 @@ def test_evaluation_check_pass_and_mutation():
     assert ev.passed
     assert ev.G == AbelianGroup(0, (4,))
     assert sim_equal(ev.lhs, ev.rhs)
+
+
+def _eval_with_lhs(inp, coeffs):
+    """evaluation_check on a result whose raw determinant pushes forward to
+    sum(coeffs[i] * g_i) over G = H_1(M, R_-), g_i its elements in order of
+    first appearance among the images of a box of exponent vectors in H."""
+    res = torsion(inp)
+    proj = E.rminus_quotient(res)
+    lifts = {}
+    for v in itertools.product(range(-3, 4), repeat=res.H.rank):
+        lifts.setdefault(proj(AbElement(v, ())), AbElement(v, ()))
+    hs = list(lifts.values())
+    raw = element(res.H, {hs[i]: c for i, c in enumerate(coeffs)})
+    return evaluation_check(inp, dataclasses.replace(res, raw_det=raw))
+
+
+@pytest.mark.parametrize("rminus, coeffs, passed", [
+    (["a^6", "b"], [1] * 6, True),
+    (["a^6", "b"], [-1] * 6, True),
+    (["a^6", "b"], [2] * 6, False),
+    (["a^6", "b"], [1] * 5 + [-1], False),
+    (["a^6", "b"], [], False),
+    (["a^6", "b"], [1], False),
+    (["a^2", "b^2"], [1] * 4, True),
+    (["a^2", "b^2"], [-1] * 4, True),
+    (["a^2", "b^2"], [-1] + [1] * 3, False),
+    (["a b a^-1 b^-1", "a^2 b a^-2 b^-1"], [], True),
+    (["a b a^-1 b^-1", "a^2 b a^-2 b^-1"], [1], False),
+    (["a b a^-1 b^-1", "a^2 b a^-2 b^-1"], [1, -1], False),
+])
+def test_evaluation_check_matches_sim_equal(rminus, coeffs, passed):
+    ev = _eval_with_lhs(simple_input(rminus), coeffs)
+    assert len(ev.lhs.terms) == len(coeffs)
+    assert ev.passed == legacy_canonical.sim_equal(ev.lhs, ev.rhs) == passed
+
+
+def test_solid_torus_2000_torsion_and_eval():
+    res = torsion(solid_torus(2000))
+    assert equal(res.tau, cyclic_sum(2000))
+    assert evaluation_check(res.input, res).passed
 
 
 def test_augmentation_order_check():

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import legacy_canonical
 from sutor.abelian import AbElement, AbelianGroup, zero_element
 from sutor.groupring import (
     GRMatrix,
@@ -124,6 +125,35 @@ def test_normalize_with_torsion_translates():
         assert equal(normalize(neg(shifted)), normalize(p))
 
 
+def _random_element(rng, G):
+    """Up to 8 terms with free coordinates in [-1, 1], so that several
+    support points often share the least free part."""
+    terms = {}
+    for _ in range(rng.randint(1, 8)):
+        h = AbElement(tuple(rng.randint(-1, 1) for _ in range(G.rank)),
+                      tuple(rng.randrange(d) for d in G.torsion))
+        terms[h] = rng.choice([-3, -2, -1, 1, 2, 3])
+    return element(G, terms)
+
+
+@pytest.mark.parametrize("G", [
+    AbelianGroup(0, (2,)), AbelianGroup(0, (6,)), AbelianGroup(0, (2, 4)),
+    AbelianGroup(0, (3, 3)), Z, Z2, AbelianGroup(1, (2,)), AbelianGroup(1, (6,)),
+    AbelianGroup(2, (2, 4)), AbelianGroup(1, (3, 3)),
+], ids=str)
+def test_normalize_matches_exhaustive_shift_search(G):
+    rng = random.Random(G.rank * 100 + sum(G.torsion))
+    negative_lead = ties = 0
+    for _ in range(150):
+        p = _random_element(rng, G)
+        low = min(h.free for h in p.terms)
+        ties += sum(h.free == low for h in p.terms) > 1
+        negative_lead += sorted_terms(p)[0][1] < 0
+        assert equal(normalize(p), legacy_canonical.normalize(p)), p
+    assert negative_lead
+    assert ties or not G.torsion  # distinct points of Z^b have distinct free parts
+
+
 def test_sim_equal():
     assert sim_equal(poly((0, 1), (1, 1)), mul(t(4), poly((0, 1), (1, 1))))
     assert sim_equal(poly((0, 1)), neg(poly((7, 1))))
@@ -227,6 +257,29 @@ def test_records_round_trip():
     with pytest.raises(ValueError):
         from_records({"group": {"rank": 2, "torsion": []},
                       "terms": [{"coeff": 1, "free": [1], "tor": []}]})
+
+
+def test_records_reduce_torsion_and_collect():
+    G = AbelianGroup(0, (3,))
+    rec = {"group": {"rank": 0, "torsion": [3]},
+           "terms": [{"coeff": 2, "free": [], "tor": [4]},
+                     {"coeff": -1, "free": [], "tor": [1]},
+                     {"coeff": 5, "free": [], "tor": [-1]}]}
+    assert equal(from_records(rec), element(G, {AbElement((), (1,)): 1,
+                                                AbElement((), (2,)): 5}))
+
+
+@pytest.mark.parametrize("obj", [
+    [1], "terms group", {"terms": 5, "group": 3}, {"terms": [], "group": {"rank": "1"}},
+    {"terms": [], "group": {"rank": 1}}, {"terms": [], "group": {"rank": 0, "torsion": [1.5]}},
+    {"terms": [1], "group": {"rank": 0, "torsion": []}},
+    {"terms": [{"coeff": 1, "free": "a", "tor": []}], "group": {"rank": 1, "torsion": []}},
+    {"terms": [{"coeff": 1.0, "free": [0], "tor": []}], "group": {"rank": 1, "torsion": []}},
+    {"terms": [{"free": [0], "tor": []}], "group": {"rank": 1, "torsion": []}},
+])
+def test_from_records_rejects_malformed_shapes(obj):
+    with pytest.raises(ValueError):
+        from_records(obj)
 
 
 def test_sorted_terms_deterministic():

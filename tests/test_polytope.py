@@ -1,3 +1,6 @@
+import itertools
+
+import legacy_canonical
 import pytest
 
 from sutor import engine as E
@@ -105,6 +108,33 @@ def test_disk_report_respects_p_max():
     assert rep.candidates[0].single_match is None
     with pytest.raises(ValueError):
         P.disk_obstruction_report(one(Z2), 5)
+
+
+def _cyclic_products():
+    """Products of one to three cyclic sums, with spans up to 6."""
+    for k, top in ((1, 7), (2, 5), (3, 3)):
+        for ps in itertools.combinations_with_replacement(range(1, top), k):
+            prod = one(Z)
+            for p in ps:
+                prod = mul(prod, P.cyclic_sum(p))
+            yield prod
+
+
+def test_disk_report_matches_legacy_search():
+    shift = poly1((3, -1))  # a unit: -t^3
+    nudge = poly1((1, 1))
+    unmatched = obstructed = 0
+    for prod in _cyclic_products():
+        for tau in (prod, prod + nudge, mul(shift, prod), mul(shift, prod + nudge),
+                    2 * prod):
+            # past the degree span a larger cap changes only p_max
+            span = max(h.free[0] for h in tau.terms) - min(h.free[0] for h in tau.terms)
+            for cap in sorted({*range(1, span + 3), 12}):
+                rep = P.disk_obstruction_report(tau, cap)
+                assert rep == legacy_canonical.disk_obstruction_report(tau, cap), (tau, cap)
+                unmatched += sum(not c.matched for c in rep.candidates)
+                obstructed += rep.obstructed
+    assert unmatched and obstructed
 
 
 def test_cyclic_sum():

@@ -128,6 +128,38 @@ def test_parse_errors():
     assert parse_word("(" * 200 + "a" + ")" * 200, AB) == Word(((0, 1),))
 
 
+def test_parse_many_factors_is_linear():
+    ab = make_alphabet(["a", "b"])
+    assert parse_word("a b " * 20000, ab) == Word(((0, 1), (1, 1)) * 20000)
+
+
+def _random_word_text(rng, depth):
+    """Random text in the word grammar, with parentheses and powers, and the
+    word it denotes by the former parser's rule: fold concat over the
+    factors of each sequence."""
+    parts, out = [], IDENTITY
+    for _ in range(rng.randint(0, 5)):
+        if depth < 3 and rng.random() < 0.3:
+            inner_text, atom = _random_word_text(rng, depth + 1)
+            text = f"({inner_text})"
+        else:
+            g = rng.randrange(3)
+            text, atom = AB[g].name, Word(((g, 1),))
+        if rng.random() < 0.5:
+            k = rng.randint(-3, 3)
+            text, atom = f"{text}^{k}", power(atom, k)
+        parts.append(text)
+        out = concat(out, atom)
+    return rng.choice([" ", "  ", "\t"]).join(parts), out
+
+
+def test_parse_matches_concat_fold():
+    rng = random.Random(7)
+    for _ in range(500):
+        text, expected = _random_word_text(rng, 0)
+        assert parse_word(text, AB) == expected, text
+
+
 def test_render_round_trip():
     for text in ["1", "a", "a^-1", "a^3 b^-2 c", "a b a^-1"]:
         w = parse_word(text, AB)
