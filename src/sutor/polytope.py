@@ -2,8 +2,10 @@
 difference polytope, symmetry, extremal faces, and the disk-decomposability
 obstruction.
 
-Vertex and membership tests use exact rational linear feasibility (a small
-phase-1 simplex over Fraction); dimensions here stay tiny.
+Hulls are exact and integer: in dimension <= 1 the extreme points, in
+dimension 2 the monotone chain.  From dimension 3 on, and for
+point_in_hull in any dimension, vertex and membership tests use exact
+rational linear feasibility (a small phase-1 simplex over Fraction).
 """
 from __future__ import annotations
 
@@ -112,8 +114,38 @@ def point_in_hull(v: Point, pts: Sequence[Point]) -> bool:
     return _lp_feasible(A, b)
 
 
-def hull_vertices(points: Sequence[Point]) -> List[Point]:
+def convex_hull_2d(points: Sequence[Point]) -> List[Point]:
+    """Andrew monotone chain; counterclockwise vertex order, integer exact."""
     pts = sorted(set(points))
+    if len(pts) <= 2:
+        return list(pts)
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower: List[Point] = []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper: List[Point] = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return lower[:-1] + upper[:-1]
+
+
+def hull_vertices(points: Sequence[Point]) -> List[Point]:
+    """Sorted vertex set of conv(points), by the method the dimension allows:
+    the two extreme points on a line, the monotone chain in the plane, one
+    exact LP per point against the others from dimension 3 on."""
+    pts = sorted(set(points))
+    dim = len(pts[0]) if pts else 0
+    if dim <= 1:
+        return pts if len(pts) <= 1 else [pts[0], pts[-1]]
+    if dim == 2:
+        return sorted(convex_hull_2d(pts))
     out = []
     for i, p in enumerate(pts):
         others = pts[:i] + pts[i + 1:]
@@ -129,11 +161,11 @@ def vertices(S: Support) -> List[Point]:
 
 
 def difference_polytope(S: Support) -> List[Point]:
-    """Vertex set of conv{x - y : x, y in support}; centrally symmetric."""
-    if not S.points:
-        raise ValueError("empty support")
-    pts = list(S.points)
-    diffs = {tuple(a - b for a, b in zip(x, y)) for x in pts for y in pts}
+    """Vertex set of conv{x - y : x, y in support}; centrally symmetric.
+    Every vertex of P + (-P) is a difference of two vertices of P
+    (Gritzmann-Sturmfels), so only the k^2 vertex differences are hulled."""
+    verts = vertices(S)
+    diffs = {tuple(a - b for a, b in zip(x, y)) for x in verts for y in verts}
     return hull_vertices(list(diffs))
 
 
@@ -164,6 +196,8 @@ def extremal_part(tau: GroupRingElement, alpha: Sequence[int]) -> GroupRingEleme
         raise UnsupportedTorsionError("extremal part needs a torsion-free group")
     if not tau.terms:
         raise ValueError("zero element has no extremal part")
+    if len(alpha) != tau.group.rank:
+        raise ValueError("covector length does not match dimension")
     vals = {h: sum(a * x for a, x in zip(alpha, h.free)) for h in tau.terms}
     top = max(vals.values())
     return GroupRingElement(tau.group, {h: c for h, c in tau.terms.items() if vals[h] == top})
@@ -250,28 +284,6 @@ def to_tsv(S: Support) -> str:
     for p in sorted(S.points):
         lines.append(" ".join(str(x) for x in p) + "\t" + str(S.points[p]))
     return "\n".join(lines) + "\n"
-
-
-def convex_hull_2d(points: Sequence[Point]) -> List[Point]:
-    """Andrew monotone chain; counterclockwise vertex order, integer exact."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return list(pts)
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: List[Point] = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: List[Point] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
 
 
 def edge_lengths_2d(hull: Sequence[Point]) -> List[Tuple[Tuple[int, int], int]]:

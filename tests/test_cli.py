@@ -3,9 +3,12 @@ import io
 import json
 import os
 
+import legacy_polytope
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sutor import engine as E
+from sutor import polytope as P
 from sutor.cli import format_element, main
 from sutor.abelian import AbElement, AbelianGroup
 from sutor.groupring import element
@@ -137,6 +140,33 @@ def test_polytope_three_vars_svg_refused(capsys, tmp_path):
     code, out, err = run(capsys, "polytope", fx("cc.json"),
                          "--svg", str(tmp_path / "x.svg"))
     assert code == 3
+
+
+def test_polytope_diff_in_low_dimension_solves_no_lp(capsys, monkeypatch, tmp_path):
+    def no_lp(A, b):
+        raise AssertionError("hull in dimension <= 2 reached the LP")
+
+    monkeypatch.setattr(P, "_lp_feasible", no_lp)
+    code, out, err = run(capsys, "gen", "solid-torus", "200")
+    assert code == 0
+    path = tmp_path / "solid_torus_200.json"
+    path.write_text(out)
+    code, out, err = run(capsys, "polytope", str(path), "--diff")
+    assert code == 0
+    assert out.splitlines() == [
+        "support: 200 points in dimension 1",
+        "hull vertices: (0,) (199,)",
+        "centrally symmetric: yes",
+        "difference polytope: 2 vertices: (-199,) (199,)",
+    ]
+    code, out, err = run(capsys, "polytope", fx("pretzel_odd_3_3_3.json"), "--diff")
+    assert code == 0
+    assert out.splitlines() == [
+        "support: 37 points in dimension 2",
+        "hull vertices: (0, 0) (0, 3) (3, -3) (3, 3) (6, -3) (6, 0)",
+        "centrally symmetric: yes",
+        "difference polytope: 6 vertices: (-6, 0) (-6, 6) (0, -6) (0, 6) (6, -6) (6, 0)",
+    ]
 
 
 def test_check_eval_and_aug(capsys):
@@ -274,3 +304,39 @@ def test_fuzzed_manifests_and_records_exit_cleanly(tmp_path_factory, manifest, c
     assert _exit_code(["batch", str(d / "m.json")]) in (0, 1, 2, 3)
     for flags in (["--disk", "3"], ["--eval", "--aug"]):
         assert _exit_code(["check", str(d / "r.json"), *flags]) in (0, 1, 2, 3)
+
+
+@st.composite
+def presentations(draw):
+    """1-3 generators, words of at most three syllables, a square Fox matrix."""
+    gens = ["a", "b", "c"][:draw(st.integers(1, 3))]
+    syllable = st.tuples(st.sampled_from(gens), st.sampled_from([-2, -1, 1, 2]))
+    word = st.lists(syllable, min_size=1, max_size=3).map(
+        lambda syls: " ".join(f"{g}^{k}" for g, k in syls))
+    words = draw(st.lists(word, min_size=len(gens), max_size=len(gens)))
+    k = draw(st.integers(0, len(gens) - 1))  # relators; the rest are R- words
+    return {"generators": gens, "relators": words[:k], "rminus": words[k:]}
+
+
+def _hull_line(points) -> str:
+    return " ".join(str(v) for v in points)
+
+
+@given(inp=presentations())
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_presentations_polytope_matches_legacy_hull(tmp_path_factory, inp):
+    path = tmp_path_factory.mktemp("poly") / "in.json"
+    path.write_text(json.dumps(inp))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["polytope", str(path), "--diff"])
+    assert code in (0, 1, 2, 3)
+    if code != 0:
+        return
+    S = P.support(E.torsion(E.input_from_dict(inp)).tau)
+    lines = out.getvalue().splitlines()
+    verts = legacy_polytope.hull_vertices(list(S.points))
+    assert lines[1] == "hull vertices: " + _hull_line(verts)
+    if len(S.points) <= 8:  # the legacy difference hull runs one LP per difference
+        dverts = legacy_polytope.difference_polytope(S)
+        assert lines[3] == f"difference polytope: {len(dverts)} vertices: " + _hull_line(dverts)

@@ -1,12 +1,14 @@
 import itertools
+import random
 
 import legacy_canonical
+import legacy_polytope
 import pytest
 
 from sutor import engine as E
 from sutor import polytope as P
 from sutor.abelian import AbElement, AbelianGroup
-from sutor.families import cantwell_conlon, goda_tau, pretzel_even
+from sutor.families import cantwell_conlon, goda_tau, pretzel_even, pretzel_odd, solid_torus
 from sutor.groupring import UnsupportedTorsionError, element, monomial, mul, one
 
 Z = AbelianGroup(1)
@@ -64,6 +66,62 @@ def test_difference_polytope_symmetric():
     assert all(tuple(-x for x in v) in dv for v in dv)
 
 
+def _random_point_sets(rng):
+    """Seeded point sets in dimensions 1-3 with small coordinates (so points
+    repeat), one- and two-point sets, collinear sets in the plane and
+    coplanar sets in space."""
+    for dim in (1, 2, 3):
+        for n in (1, 2, 3, 4, 6, 8, 10):
+            for _ in range(4):
+                yield [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(n)]
+    for n in (2, 3, 5, 8):
+        for _ in range(4):
+            base = (rng.randint(-3, 3), rng.randint(-3, 3))
+            step = (rng.randint(-2, 2), rng.randint(-2, 2))
+            ks = [rng.randint(-3, 3) for _ in range(n)]
+            yield [(base[0] + k * step[0], base[1] + k * step[1]) for k in ks]
+    for n in (3, 5, 8, 10):
+        for _ in range(4):
+            base, u, w = ([rng.randint(-2, 2) for _ in range(3)] for _ in range(3))
+            ijs = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(n)]
+            yield [tuple(b + i * x + j * y for b, x, y in zip(base, u, w)) for i, j in ijs]
+
+
+def test_hull_matches_legacy_lp_hull():
+    repeated = segments = 0
+    for pts in _random_point_sets(random.Random(20261018)):
+        hull = P.hull_vertices(pts)
+        assert hull == legacy_polytope.hull_vertices(pts), pts
+        if len(pts) <= 4:
+            S = P.Support(len(pts[0]), dict.fromkeys(pts, 1))
+            assert P.difference_polytope(S) == legacy_polytope.difference_polytope(S), pts
+        repeated += len(set(pts)) < len(pts)
+        segments += len(set(pts)) > 2 and len(hull) == 2
+    assert repeated and segments
+    assert P.hull_vertices([]) == legacy_polytope.hull_vertices([]) == []
+
+
+@pytest.mark.parametrize("family", [pretzel_odd, pretzel_even])
+def test_pretzel_polytopes_match_legacy(family):
+    for r, s, t in itertools.product(range(1, 4), repeat=3):
+        S = P.support(E.torsion(family(r, s, t)).tau)
+        diffs = {tuple(a - b for a, b in zip(x, y)) for x in S.points for y in S.points}
+        # every vertex of P + (-P) is a difference of two vertices of P
+        assert P.difference_polytope(S) == P.hull_vertices(list(diffs))
+        if r <= s <= t:
+            assert P.vertices(S) == legacy_polytope.hull_vertices(list(S.points))
+            if len(S.points) <= 12:
+                assert P.difference_polytope(S) == legacy_polytope.difference_polytope(S)
+
+
+def test_solid_torus_polytopes_match_legacy():
+    for p in (1, 2, 3, 5, 10, 20):
+        S = P.support(E.torsion(solid_torus(p)).tau)
+        expected = sorted({(0,), (p - 1,)})
+        assert P.vertices(S) == legacy_polytope.hull_vertices(list(S.points)) == expected
+        assert P.difference_polytope(S) == legacy_polytope.difference_polytope(S)
+
+
 def test_is_centrally_symmetric():
     assert P.is_centrally_symmetric(P.support(poly1((0, 1), (1, 1))))
     assert P.is_centrally_symmetric(P.support(poly1((0, 1), (1, -1))))  # global sign -1
@@ -78,6 +136,10 @@ def test_extremal_part():
     assert top.terms == {AbElement((3,), ()): 5}
     bot = P.extremal_part(p, (-1,))
     assert bot.terms == {AbElement((0,), ()): 1}
+    tau = E.torsion(pretzel_odd(1, 1, 1)).tau  # rank 2
+    for alpha in ((1,), (1, 5, 7)):
+        with pytest.raises(ValueError, match="covector length does not match dimension"):
+            P.extremal_part(tau, alpha)
 
 
 def test_disk_report_single_match():
