@@ -1,9 +1,9 @@
 """Builtin fixture generators and independent expected-value oracles.
 
 Families: twisted solid tori, odd and even pretzel surface complements, the
-Cantwell-Conlon handlebody, Wirtinger presentations of knots, Murasugi
-(external) products for two-bridge knots, and the Goda handlebody torsion
-literal.
+Cantwell-Conlon handlebody, Wirtinger presentations of knots (with T(2, n)
+PD codes and their Alexander polynomials), Murasugi (external) products for
+two-bridge knots, and the Goda handlebody torsion literal.
 """
 from __future__ import annotations
 
@@ -170,6 +170,21 @@ def goda_input_from_words(alpha: str, beta: str) -> SuturedInput:
 TREFOIL_PD = ((1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3))
 FIGURE_EIGHT_PD = ((4, 2, 5, 1), (8, 6, 1, 5), (6, 3, 7, 4), (2, 7, 3, 8))
 UNKNOT3_PD = ((1, 2, 2, 3), (3, 4, 4, 5), (5, 6, 6, 1))
+
+
+def torus_2n_pd(n: int) -> Tuple[Tuple[int, int, int, int], ...]:
+    """PD code of the torus knot T(2, n), the closure of sigma_1^n, for odd
+    n >= 3: crossing j is (a, a + n, a + 1, a + n + 1) with a = 2j + 1 and
+    labels read in 1..2n (n = 3 gives TREFOIL_PD)."""
+    if n < 3 or n % 2 == 0:
+        raise ValueError("T(2, n) is a knot with at least 3 crossings only for odd n >= 3")
+    return tuple(tuple((2 * j + s) % (2 * n) + 1 for s in (0, n, 1, n + 1))
+                 for j in range(n))
+
+
+def torus_2n_expected(n: int) -> GroupRingElement:
+    """Alexander polynomial of T(2, n): 1 - t + t^2 - ... + t^(n-1)."""
+    return element(_Z, {AbElement((i,), ()): (-1) ** i for i in range(n)})
 
 
 class PDError(ValueError):

@@ -15,9 +15,11 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 from .abelian import (
     AbElement,
     AbelianGroup,
+    IntMatrix,
     Projection,
     ab_add,
     ab_neg,
+    det_int,
     direct_sum,
     zero_element,
 )
@@ -202,13 +204,78 @@ class GRMatrix:
 
 
 def determinant(A: GRMatrix) -> GroupRingElement:
-    """Cofactor expansion along the sparsest row, or along a column when one
-    is strictly sparser (lowest index on ties), memoized on the surviving
-    (row-set, column-set)."""
+    """det A in Z[H].  A 1x1 matrix is its entry.  When H has at most one
+    generator (trivial, Z or Z/d) the entries are Laurent polynomials in one
+    variable t and det is exact integer arithmetic (Kronecker substitution):
+    shift each row into non-negative degrees, substitute t = 2^k, take the
+    fraction-free Bareiss det_int of the integer matrix and read its balanced
+    base-2^k digits back, folding exponents mod d.  On |t| = 1 every entry is
+    at most its sum of |coefficients|, so Hadamard's inequality bounds |det|
+    there, and with it every coefficient of det, by
+    B = prod_rows sqrt(sum_entries (sum |coefficients|)^2); k is chosen with
+    2^(k-1) > B.  Any other H keeps the sparse cofactor expansion."""
     if A.rows != A.cols:
         raise ValueError("determinant of non-square matrix")
     if A.rows == 0:
         raise ValueError("empty matrix")
+    if A.rows == 1:
+        return A.entries[0][0]
+    G = A.group
+    if G.rank + len(G.torsion) > 1:
+        return _cofactor(A)
+
+    def exponent(h: AbElement) -> int:  # the one coordinate, or 0 when H = 1
+        return sum(h.free) + sum(h.tor)
+
+    def monomial_at(e: int) -> AbElement:
+        return AbElement((e,) * G.rank, tuple(e % d for d in G.torsion))
+
+    rows, shift, bound2, slots = [], 0, 1, 1
+    for row in A.entries:
+        lifted = [{exponent(h): c for h, c in e.terms.items()} for e in row]
+        xs = [x for p in lifted for x in p]
+        if not xs:
+            return zero(G)
+        lo = min(xs)
+        shift += lo
+        slots += max(xs) - lo
+        bound2 *= sum(sum(abs(c) for c in p.values()) ** 2 for p in lifted)
+        rows.append((lo, lifted))
+    k = (bound2.bit_length() + 1) // 2 + 1  # 4^(k-1) > bound2 = B^2
+    ints = [[_pack([p.get(x, 0) for x in range(lo, max(p) + 1)], k) if p else 0
+             for p in lifted] for lo, lifted in rows]
+    digits = _unpack(det_int(IntMatrix.from_rows(ints)), k, slots)
+    return GroupRingElement(G, _accumulate({}, (
+        (monomial_at(shift + x), c) for x, c in enumerate(digits) if c)))
+
+
+def _pack(digits: List[int], k: int) -> int:
+    """sum(d * 2^(k*i)) over the digits, lowest first, by halving, so the
+    work is near-linear in the bit length rather than quadratic."""
+    if len(digits) == 1:
+        return digits[0]
+    m = len(digits) // 2
+    return _pack(digits[:m], k) + (_pack(digits[m:], k) << (k * m))
+
+
+def _unpack(D: int, k: int, n: int) -> List[int]:
+    """The n balanced base-2^k digits of D, lowest first; each must lie in
+    (-2^(k-1), 2^(k-1)).  Inverse of _pack."""
+    if n == 1:
+        return [D]
+    m = n // 2
+    low = D & ((1 << (k * m)) - 1)
+    high = D >> (k * m)
+    if low >> (k * m - 1):
+        low -= 1 << (k * m)
+        high += 1
+    return _unpack(low, k, m) + _unpack(high, k, n - m)
+
+
+def _cofactor(A: GRMatrix) -> GroupRingElement:
+    """Cofactor expansion along the sparsest row, or along a column when one
+    is strictly sparser (lowest index on ties), memoized on the surviving
+    (row-set, column-set)."""
     G = A.group
     E = A.entries
     memo: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Dict[AbElement, int]] = {}

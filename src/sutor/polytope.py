@@ -161,10 +161,14 @@ def vertices(S: Support) -> List[Point]:
 
 
 def difference_polytope(S: Support) -> List[Point]:
-    """Vertex set of conv{x - y : x, y in support}; centrally symmetric.
-    Every vertex of P + (-P) is a difference of two vertices of P
-    (Gritzmann-Sturmfels), so only the k^2 vertex differences are hulled."""
-    verts = vertices(S)
+    """Vertex set of conv{x - y : x, y in support}; centrally symmetric."""
+    return difference_vertices(vertices(S))
+
+
+def difference_vertices(verts: Sequence[Point]) -> List[Point]:
+    """Vertex set of P + (-P) from the vertices of P.  Every vertex of
+    P + (-P) is a difference of two vertices of P (Gritzmann-Sturmfels),
+    so only the k^2 vertex differences are hulled."""
     diffs = {tuple(a - b for a, b in zip(x, y)) for x in verts for y in verts}
     return hull_vertices(list(diffs))
 

@@ -11,7 +11,8 @@ from sutor import engine as E
 from sutor import polytope as P
 from sutor.cli import format_element, main
 from sutor.abelian import AbElement, AbelianGroup
-from sutor.groupring import element
+from sutor.fox import fox_matrix
+from sutor.groupring import _cofactor, element, normalize, to_records
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -340,3 +341,35 @@ def test_fuzzed_presentations_polytope_matches_legacy_hull(tmp_path_factory, inp
     if len(S.points) <= 8:  # the legacy difference hull runs one LP per difference
         dverts = legacy_polytope.difference_polytope(S)
         assert lines[3] == f"difference polytope: {len(dverts)} vertices: " + _hull_line(dverts)
+
+
+@given(inp=presentations())
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_presentations_compute_matches_cofactor(tmp_path_factory, inp):
+    path = tmp_path_factory.mktemp("compute") / "in.json"
+    path.write_text(json.dumps(inp))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["compute", str(path), "--json"])
+    assert code in (0, 1, 2, 3)
+    if code != 0:
+        return
+    res = E.torsion(E.input_from_dict(inp))
+    if res.H.rank + len(res.H.torsion) > 1:
+        return
+    words = list(res.input.relators) + list(res.input.rminus)
+    A = fox_matrix(res.input.alphabet, words, res.abelianization)
+    assert json.loads(out.getvalue())["tau"] == to_records(normalize(_cofactor(A)))
+
+
+def test_polytope_diff_hulls_the_support_once(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"generators": ["a", "b", "c"], "relators": [],
+                                "rminus": ["a b^-1", "b^2 c", "c a^2"]}))
+    calls = []
+    hull = P.hull_vertices
+    monkeypatch.setattr(P, "hull_vertices", lambda pts: calls.append(len(pts)) or hull(pts))
+    code, out, _ = run(capsys, "polytope", str(path), "--diff")
+    assert code == 0
+    assert out.splitlines()[0] == "support: 4 points in dimension 3"
+    assert calls == [4, 13]  # the support, then the distinct differences of its 4 vertices

@@ -105,6 +105,17 @@ def test_wirtinger_meridian_choice_invariance():
         assert sim_equal(other.tau, base.tau)
 
 
+def test_torus_2n_matches_alternating_oracle():
+    assert F.torus_2n_pd(3) == F.TREFOIL_PD
+    for n in range(3, 62, 2):
+        expected = F.torus_2n_expected(n)
+        assert sorted(expected.terms.values()) == [-1] * (n // 2) + [1] * (n // 2 + 1)
+        assert sim_equal(E.torsion(F.wirtinger_knot(F.torus_2n_pd(n))).tau, expected), n
+    for n in (-3, 0, 1, 2, 4, 10):
+        with pytest.raises(ValueError):
+            F.torus_2n_pd(n)
+
+
 def test_pd_validation():
     with pytest.raises(F.PDError):
         F.wirtinger_knot(((1, 2, 2, 1),))  # too few crossings

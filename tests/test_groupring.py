@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import legacy_canonical
+from sutor import groupring
 from sutor.abelian import AbElement, AbelianGroup, zero_element
 from sutor.groupring import (
     GRMatrix,
@@ -12,6 +14,7 @@ from sutor.groupring import (
     GroupRingElement,
     NotDivisibleError,
     UnsupportedTorsionError,
+    _cofactor,
     add,
     augmentation,
     determinant,
@@ -188,7 +191,9 @@ def _leibniz(A):
     return acc
 
 
-@pytest.mark.parametrize("G", [Z2, AbelianGroup(1, (3,))], ids=["Z^2", "Z x Z/3"])
+@pytest.mark.parametrize(
+    "G", [Z2, AbelianGroup(1, (3,)), AbelianGroup(0), Z, AbelianGroup(0, (6,))],
+    ids=["Z^2", "Z x Z/3", "1", "Z", "Z/6"])
 def test_determinant_matches_leibniz(G):
     rng = random.Random(31)
 
@@ -220,6 +225,84 @@ def test_determinant_matches_leibniz(G):
             A = GRMatrix.from_rows(rows)
             assert equal(determinant(A), _leibniz(A)), (n, trial)
     assert column_cases == 12
+
+
+def _cyclic(G, x):
+    """t^x in Z[G] for G = 1, Z or Z/d."""
+    return AbElement((x,) * G.rank, tuple(x % d for d in G.torsion))
+
+
+@pytest.mark.parametrize(
+    "G", [AbelianGroup(0), Z, AbelianGroup(0, (2,)), AbelianGroup(0, (6,))],
+    ids=["1", "Z", "Z/2", "Z/6"])
+def test_one_variable_determinant_matches_cofactor(G, monkeypatch):
+    """The Kronecker/Bareiss path for H with at most one generator against
+    the cofactor expansion that every other H still uses."""
+    rng = random.Random(53)
+    seen = collections.Counter()
+    det_int = groupring.det_int
+
+    def spy(M):
+        seen["det_int"] += 1
+        if M.at(0, 0) == 0 and any(M.at(i, 0) for i in range(M.rows)):
+            seen["leading_swap"] += 1
+        return det_int(M)
+
+    monkeypatch.setattr(groupring, "det_int", spy)
+
+    def entry(density, cmax):
+        if rng.random() >= density:
+            return zero(G)
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            x = rng.randint(-3, 3)
+            seen["negative_exponent"] += x < 0 and G.rank == 1
+            terms[_cyclic(G, x)] = rng.choice([-1, 1]) * rng.randint(1, cmax)
+        return element(G, terms)
+
+    expected_calls = 0
+    widest = 0
+    for n in range(2, 11):
+        for trial in range(6):
+            cmax = 1000 if trial % 2 else 2
+            rows = [[entry(0.45, cmax) for _ in range(n)] for _ in range(n)]
+            if trial == 1:
+                rows[rng.randrange(n)] = [zero(G)] * n
+                seen["zero_row"] += 1
+            elif trial == 2:
+                rows[0][0] = zero(G)
+                rows[rng.randrange(1, n)][0] = entry(1.0, cmax)
+            if all(any(row) for row in rows):
+                expected_calls += 1
+            A = GRMatrix.from_rows(rows)
+            d = determinant(A)
+            assert equal(d, _cofactor(A)), (n, trial)
+            seen["nonzero"] += bool(d)
+            widest = max([widest] + [abs(c) for c in d.terms.values()])
+    # Sylvester's 8x8 Hadamard matrix, entry (i, j) times t^(i+j): |det| is
+    # the coefficient bound itself, 8^4 = 4096, at t^56
+    H = [[1]]
+    for _ in range(3):
+        H = [r + r for r in H] + [r + [-x for x in r] for r in H]
+    A = GRMatrix.from_rows([[monomial(G, _cyclic(G, i + j), H[i][j]) for j in range(8)]
+                            for i in range(8)])
+    expected_calls += 1
+    assert equal(determinant(A), monomial(G, _cyclic(G, 56), 4096))
+    assert equal(_cofactor(A), monomial(G, _cyclic(G, 56), 4096))
+    assert seen["det_int"] == expected_calls
+    assert seen["leading_swap"] >= 6 and seen["zero_row"] == 9 and seen["nonzero"] >= 25
+    assert (seen["negative_exponent"] > 0) == (G.rank == 1)
+    assert widest > 10 ** 12  # many base-2^k digits wider than 40 bits
+
+
+def test_one_variable_determinant_of_long_entries():
+    """An entry with tens of thousands of terms, as the Fox derivative of a^N
+    has, and a row spanning N degrees: packing and reading the digits stay
+    near-linear in the degree."""
+    N = 30001
+    run = element(Z, {AbElement((x,), ()): 1 for x in range(N)})
+    A = GRMatrix.from_rows([[run, t(5, 2)], [t(-N), poly((0, 1), (1, -1))]])
+    assert equal(determinant(A), poly((0, 1), (N, -1), (5 - N, -2)))
 
 
 def test_sum_of_all_elements():
