@@ -91,12 +91,33 @@ def det_int(M: IntMatrix) -> int:
                     break
             else:
                 return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
+        # column k below the pivot is never read again, so it is left stale
+        bareiss_pivot(a, k, k, prev, k + 1, k + 1)
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def bareiss_pivot(rows: List[List[int]], k: int, c: int, den: int,
+                  first: int = 0, lo: int = 0) -> None:
+    """One fraction-free pivot on p = rows[k][c] (Edmonds 1967, Bareiss 1968).
+
+    Every row i >= first other than k becomes
+    (rows[i] * p - rows[i][c] * rows[k]) // den on the columns from lo on,
+    rows with a 0 in column c included; the pivot row stays as it is.  den
+    is the previous pivot (1 before the first).  The updated entries are
+    minors of the starting matrix, so every division is exact, and they
+    equal the rational elimination's entries times p."""
+    pr = rows[k]
+    p = pr[c]
+    tail = pr[lo:]
+    for i in range(first, len(rows)):
+        if i != k:
+            row = rows[i]
+            f = row[c]
+            if f:
+                row[lo:] = [(v * p - f * w) // den for v, w in zip(row[lo:], tail)]
+            else:
+                row[lo:] = [v * p // den for v in row[lo:]]
 
 
 def _smith(data: List[List[int]], m: int, n: int):

@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional, Sequence
 
 from . import __version__, families
@@ -328,6 +327,10 @@ def cmd_batch(args) -> int:
         return 1
     base = os.path.dirname(os.path.abspath(args.manifest))
     if args.parallel > 1:
+        # imported here: the executor brings in threading and logging, which
+        # no other subcommand needs
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=args.parallel) as pool:
             lines = list(pool.map(lambda e: _batch_entry(base, e), entries))
     else:

@@ -96,7 +96,7 @@ def _m2(i: int, j: int, c: int = 1) -> GroupRingElement:
 
 
 def pretzel_odd_expected(r: int, s: int, t: int) -> GroupRingElement:
-    """Independent oracle: build the cleared-fractions identity
+    """Independent oracle: build the cleared-denominator identity
 
         (1-a)(1-b)(1-ab^-1) tau = (1-a^r)(1-b^(t+1))(1-ab^-1)
                                 + a^r (1-(ab^-1)^(s+1))(1-b^(t+1))(1-a)

@@ -5,15 +5,15 @@ obstruction.
 Hulls are exact and integer: in dimension <= 1 the extreme points, in
 dimension 2 the monotone chain.  From dimension 3 on, and for
 point_in_hull in any dimension, vertex and membership tests use exact
-rational linear feasibility (a small phase-1 simplex over Fraction).
+linear feasibility: a small phase-1 simplex on an integer tableau with
+fraction-free pivots, the elimination step of abelian.det_int.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .abelian import AbElement, AbelianGroup
+from .abelian import AbElement, AbelianGroup, bareiss_pivot
 from .groupring import (
     GroupRingElement,
     NotDivisibleError,
@@ -50,64 +50,52 @@ def width(S: Support, alpha: Sequence[int]) -> int:
 
 
 def _lp_feasible(A: List[List[int]], b: List[int]) -> bool:
-    """Exact feasibility of {x >= 0 : Ax = b} by phase-1 simplex, Bland's rule."""
+    """Exact feasibility of {x >= 0 : Ax = b} by phase-1 simplex, Bland's rule.
+
+    The tableau holds integers over one common positive denominator den:
+    each pivot is abelian.bareiss_pivot, after which den is the pivot, so
+    every sign and every ratio reads as it would over the rationals.  The
+    last row is the reduced-cost row for minimizing the sum of artificials."""
     m = len(A)
     n = len(A[0]) if m else 0
-    T: List[List[Fraction]] = []
-    for i in range(m):
-        row = [Fraction(v) for v in A[i]]
-        rhs = Fraction(b[i])
-        if rhs < 0:
-            row = [-v for v in row]
-            rhs = -rhs
-        T.append(row + [Fraction(1) if j == i else Fraction(0) for j in range(m)] + [rhs])
-    basis = [n + i for i in range(m)]
     total = n + m
-    # reduced costs for minimizing the sum of artificials
-    z = [Fraction(0)] * (total + 1)
+    T: List[List[int]] = []
     for i in range(m):
-        for j in range(total + 1):
-            z[j] += T[i][j]
-    for j in range(n, total):
-        z[j] -= 1
+        s = -1 if b[i] < 0 else 1
+        T.append([s * v for v in A[i]] + [int(j == i) for j in range(m)] + [s * b[i]])
+    # the artificial columns' reduced costs are 1 - 1 = 0
+    T.append([sum(row[j] for row in T) for j in range(n)] + [0] * m
+             + [sum(row[total] for row in T)])
+    basis = list(range(n, total))
+    den = 1
     while True:
-        enter = -1
-        for j in range(total):
-            if z[j] > 0:
-                enter = j
-                break
+        enter = next((j for j in range(total) if T[m][j] > 0), -1)
         if enter < 0:
-            break
+            return T[m][total] == 0
+        # least ratio T[i][rhs] / T[i][enter] by cross multiplication, ties
+        # to the least basic index
         leave = -1
-        best: Optional[Fraction] = None
         for i in range(m):
-            if T[i][enter] > 0:
-                ratio = T[i][total] / T[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+            a = T[i][enter]
+            if a > 0 and (leave < 0 or (T[i][total] * T[leave][enter], basis[i])
+                          < (T[leave][total] * a, basis[leave])):
+                leave = i
         if leave < 0:
             # unbounded phase-1 cannot happen; treat defensively
             return False
-        piv = T[leave][enter]
-        T[leave] = [v / piv for v in T[leave]]
-        for i in range(m):
-            if i != leave and T[i][enter]:
-                f = T[i][enter]
-                T[i] = [v - f * w for v, w in zip(T[i], T[leave])]
-        if z[enter]:
-            f = z[enter]
-            z = [v - f * w for v, w in zip(z, T[leave])]
+        bareiss_pivot(T, leave, enter, den)
+        den = T[leave][enter]
         basis[leave] = enter
-    return z[total] == 0
 
 
 def point_in_hull(v: Point, pts: Sequence[Point]) -> bool:
-    """Is v a convex combination of pts?  Exact rational test."""
+    """Is v a convex combination of pts?  Exact integer test."""
     pts = list(pts)
     if not pts:
         return False
     d = len(v)
+    if any(len(p) != d for p in pts):
+        raise ValueError("point dimension does not match the hull points")
     A = [[p[k] for p in pts] for k in range(d)]
     A.append([1] * len(pts))
     b = list(v) + [1]
@@ -139,7 +127,8 @@ def convex_hull_2d(points: Sequence[Point]) -> List[Point]:
 def hull_vertices(points: Sequence[Point]) -> List[Point]:
     """Sorted vertex set of conv(points), by the method the dimension allows:
     the two extreme points on a line, the monotone chain in the plane, one
-    exact LP per point against the others from dimension 3 on."""
+    fraction-free integer LP per point against the others from dimension 3
+    on."""
     pts = sorted(set(points))
     dim = len(pts[0]) if pts else 0
     if dim <= 1:
@@ -291,11 +280,14 @@ def to_tsv(S: Support) -> str:
 
 
 def edge_lengths_2d(hull: Sequence[Point]) -> List[Tuple[Tuple[int, int], int]]:
-    """(direction, lattice length) per hull edge, in hull order."""
+    """(direction, lattice length) per hull edge, in hull order; a
+    one-point hull has no edges."""
     from math import gcd
 
     out = []
     k = len(hull)
+    if k < 2:
+        return out
     for i in range(k):
         a, b = hull[i], hull[(i + 1) % k]
         dx, dy = b[0] - a[0], b[1] - a[1]

@@ -1,11 +1,81 @@
 """Test-only oracles: the vertex and difference-polytope computations as they
 were before hull_vertices chose its method by dimension and
 difference_polytope hulled only vertex differences.  One exact LP per point
-against all others, over every pairwise difference of the support.  The
-faster code must agree with these on every input."""
-from typing import List, Sequence
+against all others, over every pairwise difference of the support.  The LP
+is the phase-1 simplex over Fraction that the integer tableau of
+sutor.polytope replaced, kept here verbatim so that the oracle shares no
+arithmetic with the code under test.  The faster code must agree with these
+on every input."""
+from fractions import Fraction
+from typing import List, Optional, Sequence
 
-from sutor.polytope import Point, Support, point_in_hull
+from sutor.polytope import Point, Support
+
+
+def _lp_feasible(A: List[List[int]], b: List[int]) -> bool:
+    """Exact feasibility of {x >= 0 : Ax = b} by phase-1 simplex, Bland's rule."""
+    m = len(A)
+    n = len(A[0]) if m else 0
+    T: List[List[Fraction]] = []
+    for i in range(m):
+        row = [Fraction(v) for v in A[i]]
+        rhs = Fraction(b[i])
+        if rhs < 0:
+            row = [-v for v in row]
+            rhs = -rhs
+        T.append(row + [Fraction(1) if j == i else Fraction(0) for j in range(m)] + [rhs])
+    basis = [n + i for i in range(m)]
+    total = n + m
+    # reduced costs for minimizing the sum of artificials
+    z = [Fraction(0)] * (total + 1)
+    for i in range(m):
+        for j in range(total + 1):
+            z[j] += T[i][j]
+    for j in range(n, total):
+        z[j] -= 1
+    while True:
+        enter = -1
+        for j in range(total):
+            if z[j] > 0:
+                enter = j
+                break
+        if enter < 0:
+            break
+        leave = -1
+        best: Optional[Fraction] = None
+        for i in range(m):
+            if T[i][enter] > 0:
+                ratio = T[i][total] / T[i][enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            # unbounded phase-1 cannot happen; treat defensively
+            return False
+        piv = T[leave][enter]
+        T[leave] = [v / piv for v in T[leave]]
+        for i in range(m):
+            if i != leave and T[i][enter]:
+                f = T[i][enter]
+                T[i] = [v - f * w for v, w in zip(T[i], T[leave])]
+        if z[enter]:
+            f = z[enter]
+            z = [v - f * w for v, w in zip(z, T[leave])]
+        basis[leave] = enter
+    return z[total] == 0
+
+
+def point_in_hull(v: Point, pts: Sequence[Point]) -> bool:
+    """Is v a convex combination of pts?  Exact rational test."""
+    pts = list(pts)
+    if not pts:
+        return False
+    d = len(v)
+    A = [[p[k] for p in pts] for k in range(d)]
+    A.append([1] * len(pts))
+    b = list(v) + [1]
+    return _lp_feasible(A, b)
+
 
 
 def hull_vertices(points: Sequence[Point]) -> List[Point]:

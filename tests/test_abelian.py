@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,7 @@ from sutor.abelian import (
     ab_neg,
     ab_scale,
     abelianize,
+    bareiss_pivot,
     cokernel,
     det_int,
     direct_sum,
@@ -34,6 +36,52 @@ def test_int_matrix_basics():
     assert M.diagonal() == [1, 4]
     with pytest.raises(ValueError):
         IntMatrix.from_rows([[1, 2], [3]])
+
+
+def test_bareiss_pivot_matches_fraction_elimination():
+    """After each fraction-free pivot every updated entry is the rational
+    elimination's entry times den (the last pivot): over the whole matrix
+    when every other row is eliminated (the LP's Gauss-Jordan step), over
+    the trailing block when only the rows below are (det_int's step)."""
+    rng = random.Random(6)
+    zero_rows = 0
+    for _ in range(60):
+        m, n = rng.randint(2, 6), rng.randint(2, 8)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        # Gauss-Jordan: pivot rows are normalized over Q, left as they are over Z
+        T = [list(r) for r in rows]
+        F = [[Fraction(v) for v in r] for r in rows]
+        den, free = 1, list(range(m))
+        for c in rng.sample(range(n), n):
+            cand = [r for r in free if T[r][c]]
+            if not cand:
+                continue
+            k = rng.choice(cand)
+            free.remove(k)
+            zero_rows += sum(1 for i in range(m) if i != k and T[i][c] == 0)
+            bareiss_pivot(T, k, c, den)
+            den = T[k][c]
+            F[k] = [v / F[k][c] for v in F[k]]
+            for i in range(m):
+                if i != k:
+                    F[i] = [v - F[i][c] * w for v, w in zip(F[i], F[k])]
+            assert T == [[v * den for v in r] for r in F], rows
+        # Bareiss: rows below k, columns right of k; column k is left stale
+        T = [list(r) for r in rows]
+        F = [[Fraction(v) for v in r] for r in rows]
+        den = 1
+        for k in range(min(m, n) - 1):
+            if T[k][k] == 0:
+                break
+            above = [list(r) for r in T[:k + 1]]
+            bareiss_pivot(T, k, k, den, k + 1, k + 1)
+            den = T[k][k]
+            for i in range(k + 1, m):
+                F[i] = [v - F[i][k] / F[k][k] * w for v, w in zip(F[i], F[k])]
+            assert T[:k + 1] == above
+            for i in range(k + 1, m):
+                assert T[i][k + 1:] == [v * den for v in F[i][k + 1:]], rows
+    assert zero_rows > 50
 
 
 def test_det_int():

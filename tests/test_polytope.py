@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import legacy_canonical
 import legacy_polytope
@@ -47,6 +50,106 @@ def test_point_in_hull():
     assert P.point_in_hull((0, 0), square)
     assert not P.point_in_hull((3, 1), square)
     assert not P.point_in_hull((1, 1), [])
+
+
+def test_point_in_hull_rejects_dimension_mismatch():
+    with pytest.raises(ValueError, match="dimension"):
+        P.point_in_hull((1, 2, 3), [(0, 0), (1, 1)])
+    with pytest.raises(ValueError, match="dimension"):
+        P.point_in_hull((1, 1), [(0, 0), (1, 1, 1)])
+
+
+def _lp_targets(rng, dim):
+    """Seeded point sets in dimensions 3-5, doubled so that midpoints stay
+    integral, with targets on a vertex, on a segment between two points,
+    at the centroid, inside, outside and with negative coordinates.  Sets
+    are random, with repeated points, or coplanar."""
+    for kind in ("random", "repeated", "coplanar"):
+        for n in (1, 2, 4, 6, 9):
+            if kind == "coplanar":
+                base, u, w = ([rng.randint(-2, 2) for _ in range(dim)] for _ in range(3))
+                ijs = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(n)]
+                pts = [tuple(b + i * x + j * y for b, x, y in zip(base, u, w))
+                       for i, j in ijs]
+            else:
+                pts = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(n)]
+                if kind == "repeated":
+                    pts += rng.choices(pts, k=n)
+            pts = [tuple(2 * x for x in p) for p in pts]
+            a, b = rng.choice(pts), rng.choice(pts)
+            mid = tuple((x + y) // 2 for x, y in zip(a, b))
+            centroid = tuple(sum(c) // len(pts) for c in zip(*pts))
+            far = tuple(x + rng.choice((-9, 9)) for x in a)
+            near = tuple(x + rng.randint(-1, 1) for x in mid)
+            shift = tuple(-x - rng.randint(1, 3) for x in a)
+            for v in (a, mid, centroid, far, near, shift):
+                yield pts, v
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5])
+def test_integer_lp_matches_legacy_fraction_lp(dim):
+    seen = {True: 0, False: 0}
+    negative = 0
+    for pts, v in _lp_targets(random.Random(1000 + dim), dim):
+        A = [[p[k] for p in pts] for k in range(dim)] + [[1] * len(pts)]
+        b = list(v) + [1]
+        got = P._lp_feasible(A, b)
+        assert got == legacy_polytope._lp_feasible(A, b), (pts, v)
+        assert P.point_in_hull(v, pts) == got
+        if v in pts:
+            assert got
+        seen[got] += 1
+        negative += min(v) < 0
+    assert min(seen.values()) > 20 and negative > 20
+
+
+def test_lp_divides_by_the_previous_pivot(monkeypatch):
+    """Each pivot divides by the one before it (1 at the start), which keeps
+    every tableau entry a minor of the input instead of a product of
+    pivots."""
+    pivot = P.bareiss_pivot
+    last = []
+    count = 0
+
+    def spy(T, k, c, den, *rest):
+        nonlocal count
+        assert den == (T[last[-1][0]][last[-1][1]] if last else 1)
+        pivot(T, k, c, den, *rest)
+        last.append((k, c))
+        count += 1
+
+    monkeypatch.setattr(P, "bareiss_pivot", spy)
+    for pts, v in _lp_targets(random.Random(7), 4):
+        last.clear()
+        P.point_in_hull(v, pts)
+    assert count > 100
+
+
+def test_point_in_hull_edge_and_face_targets():
+    cube = [tuple(2 * x for x in p) for p in itertools.product((0, 1), repeat=3)]
+    assert P.point_in_hull((2, 2, 2), cube)  # vertex
+    assert P.point_in_hull((1, 0, 0), cube)  # edge midpoint
+    assert P.point_in_hull((1, 1, 2), cube)  # face center
+    assert P.point_in_hull((1, 1, 1), cube)  # center
+    assert not P.point_in_hull((3, 1, 1), cube)
+    assert not P.point_in_hull((-1, 0, 0), cube)  # negative right-hand side
+    shifted = [tuple(x - 5 for x in p) for p in cube]
+    assert P.point_in_hull((-4, -5, -3), shifted)
+    assert not P.point_in_hull((-6, -4, -4), shifted)
+
+
+def test_import_leaves_fractions_out():
+    """All arithmetic is integer, and only `batch --parallel` needs an
+    executor, so importing the package loads neither."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, sutor, sutor.cli, sutor.polytope; "
+            "print('fractions' in sys.modules, 'concurrent.futures' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
 
 
 def test_hull_vertices_drops_interior():
@@ -227,6 +330,13 @@ def test_edge_lengths_2d():
     assert sorted(g for _, g in lengths) == [2, 2, 2]
     dirs = [d for d, _ in lengths]
     assert (1, 0) in dirs and (-1, 1) in dirs and (0, -1) in dirs
+
+
+def test_edge_lengths_2d_degenerate_hulls():
+    assert P.edge_lengths_2d([(0, 0)]) == []
+    assert P.edge_lengths_2d([]) == []
+    assert P.edge_lengths_2d(P.convex_hull_2d([(3, 3), (3, 3)])) == []
+    assert P.edge_lengths_2d([(0, 0), (2, 4)]) == [((1, 2), 2), ((-1, -2), 2)]
 
 
 def test_to_svg_smoke():
