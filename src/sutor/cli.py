@@ -86,7 +86,7 @@ def _compute(path: str) -> E.TorsionResult:
 def cmd_compute(args) -> int:
     try:
         inp = _load_input(args.path)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     diags = E.validate(inp)
@@ -139,7 +139,7 @@ def cmd_polytope(args) -> int:
     except E.ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
@@ -202,25 +202,22 @@ def cmd_check(args) -> int:
     except E.ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    if (args.eval or args.aug) and result is None:
+        print("error: --eval/--aug need a presentation input", file=sys.stderr)
         return 1
     all_ok = True
     ran_any = False
     if args.eval:
         ran_any = True
-        if result is None:
-            print("error: --eval needs a presentation input", file=sys.stderr)
-            return 1
         ev = E.evaluation_check(result.input, result)
         all_ok &= ev.passed
         print(f"{_mark(ev.passed)} eval: G = {ev.G.describe()}, "
               f"p_*(tau) {'=' if ev.passed else '!='} +-I_G")
     if args.aug:
         ran_any = True
-        if result is None:
-            print("error: --aug needs a presentation input", file=sys.stderr)
-            return 1
         au = E.augmentation_order_check(result.input, result)
         all_ok &= au.passed
         print(f"{_mark(au.passed)} aug: |eps(tau)| = {au.aug}, |G| = {au.ord}")
@@ -326,15 +323,7 @@ def cmd_batch(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     base = os.path.dirname(os.path.abspath(args.manifest))
-    if args.parallel > 1:
-        # imported here: the executor brings in threading and logging, which
-        # no other subcommand needs
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.parallel) as pool:
-            lines = list(pool.map(lambda e: _batch_entry(base, e), entries))
-    else:
-        lines = [_batch_entry(base, e) for e in entries]
+    lines = [_batch_entry(base, e) for e in entries]
     failed = 0
     for line in lines:
         print(line)
@@ -344,8 +333,18 @@ def cmd_batch(args) -> int:
     return 0 if failed == 0 else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on an argument-parser usage error, like every other usage
+    error; 2 is kept for blocking validation diagnostics.  add_subparsers
+    builds the subcommand parsers with this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="sutor", description=__doc__)
+    ap = _Parser(prog="sutor", description=__doc__)
     sub = ap.add_subparsers(dest="command")
 
     p = sub.add_parser("compute", help="compute the torsion of an input file")
@@ -377,7 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("batch", help="run a manifest of inputs")
     p.add_argument("manifest")
-    p.add_argument("--parallel", type=int, default=1)
+    p.add_argument("--parallel", type=int, default=1,
+                   help="accepted and ignored: entries always run in order, in one process")
     p.set_defaults(fn=cmd_batch)
 
     p = sub.add_parser("version", help="print the version")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from . import words as W
@@ -94,6 +95,13 @@ class TorsionResult:
     abelianization: Cokernel
     input: SuturedInput
 
+    @cached_property
+    def rminus_projection(self) -> Projection:
+        """H -> G = H_1(M, R_-), built on first use and shared by both checks
+        (cached_property writes the instance __dict__, so frozen is no bar)."""
+        images = [word_image(self.abelianization, w) for w in self.input.rminus]
+        return quotient(self.H, images)
+
 
 def torsion(inp: SuturedInput) -> TorsionResult:
     diags = validate(inp)
@@ -118,15 +126,14 @@ class EvalCheck:
 
 
 def rminus_quotient(result: TorsionResult) -> Projection:
-    images = [word_image(result.abelianization, w) for w in result.input.rminus]
-    return quotient(result.H, images)
+    return result.rminus_projection
 
 
 def evaluation_check(inp: SuturedInput, result: TorsionResult) -> EvalCheck:
     """p_*(tau) must equal +-I_G for G = H_1(M, R_-).  Comparing with +-I_G
     by equality is exact: h*I_G = I_G when G is finite, and I_G = 0 when G
     has positive rank."""
-    proj = rminus_quotient(result)
+    proj = result.rminus_projection
     lhs = GR.push_forward(result.raw_det, proj)
     rhs = GR.sum_of_all_elements(proj.target)
     passed = GR.equal(lhs, rhs) or GR.equal(GR.neg(lhs), rhs)
@@ -142,9 +149,8 @@ class AugOrderCheck:
 
 def augmentation_order_check(inp: SuturedInput, result: TorsionResult) -> AugOrderCheck:
     """|eps(tau)| must equal |G|, with |G| = 0 read as INFINITE."""
-    proj = rminus_quotient(result)
+    o = order(result.rminus_projection.target)
     aug = abs(GR.augmentation(result.raw_det))
-    o = order(proj.target)
     passed = (aug == 0) if o is INFINITE else (aug == o)
     return AugOrderCheck(aug, o, passed)
 
@@ -231,21 +237,30 @@ def _string_list(key: str, value) -> List[str]:
     return value
 
 
+def _optional_string(key: str, value) -> Optional[str]:
+    if value is not None and not isinstance(value, str):
+        raise ValueError(f"{key!r} must be a string or null")
+    return value
+
+
 def input_from_dict(d: dict) -> SuturedInput:
-    """Build an input from its JSON object; raises ValueError (or KeyError for
-    missing generators) on a malformed shape."""
+    """Build an input from its JSON object; raises ValueError on a malformed
+    shape."""
     if not isinstance(d, dict):
         raise ValueError("input must be a JSON object")
-    alphabet = W.make_alphabet(_string_list("generators", d["generators"]))
+    alphabet = W.make_alphabet(_string_list("generators", d.get("generators")))
     relators = _string_list("relators", d.get("relators", []))
     rminus = _string_list("rminus", d.get("rminus", []))
+    irreducible = d.get("claimed_irreducible", True)
+    if not isinstance(irreducible, bool):
+        raise ValueError("'claimed_irreducible' must be true or false")
     return SuturedInput(
         alphabet=alphabet,
         relators=tuple(W.parse_word(s, alphabet) for s in relators),
         rminus=tuple(W.parse_word(s, alphabet) for s in rminus),
-        name=d.get("name"),
-        notes=d.get("notes"),
-        claimed_irreducible=bool(d.get("claimed_irreducible", True)),
+        name=_optional_string("name", d.get("name")),
+        notes=_optional_string("notes", d.get("notes")),
+        claimed_irreducible=irreducible,
     )
 
 

@@ -83,7 +83,14 @@ def test_compute_stdin(tmp_path, capsys, monkeypatch):
     json.dumps({"generators": ["a"], "rminus": [3]}),
     json.dumps({"generators": ["a"], "rminus": ["(" * 3000 + "a" + ")" * 3000]}),
     json.dumps({"generators": "ab", "rminus": ["a", "b"]}),
-], ids=["top-level-list", "non-string-word", "deep-nesting", "string-generators"])
+    json.dumps({"relators": [], "rminus": ["a"]}),
+    json.dumps({"generators": ["a"], "rminus": ["a"], "claimed_irreducible": "false"}),
+    json.dumps({"generators": ["a"], "rminus": ["a"], "claimed_irreducible": 0}),
+    json.dumps({"generators": ["a"], "rminus": ["a"], "name": ["x"]}),
+    json.dumps({"generators": ["a"], "rminus": ["a"], "notes": {"x": 1}}),
+], ids=["top-level-list", "non-string-word", "deep-nesting", "string-generators",
+        "missing-generators", "string-irreducible", "int-irreducible", "list-name",
+        "object-notes"])
 def test_compute_stdin_malformed_exits_1(payload, capsys, monkeypatch):
     import io
     import sys
@@ -114,6 +121,29 @@ def test_malformed_arguments_exit_with_error(argv, payload, exit_code, tmp_path,
     assert code == exit_code
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["batch", fx("manifest.json"), "--parallel", "x"],
+    ["check", fx("solid_torus_3.json"), "--disk", "q"],
+    ["nosuch"],
+    ["polytope"],
+], ids=["parallel-not-int", "disk-not-int", "unknown-command", "missing-path"])
+def test_usage_errors_exit_1(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 1
+    assert err.startswith("usage: sutor")
+    assert "error: " in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["batch", "--help"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: sutor")
 
 
 def test_polytope_output(capsys):
@@ -192,9 +222,11 @@ def test_check_disk_not_obstructed(capsys):
 
 
 def test_check_eval_needs_presentation(capsys):
-    code, out, err = run(capsys, "check", fx("goda_tau.json"), "--eval")
-    assert code == 1
-    assert "presentation" in err
+    for flags in (["--eval"], ["--disk", "10", "--aug"]):
+        code, out, err = run(capsys, "check", fx("goda_tau.json"), *flags)
+        assert code == 1
+        assert out == ""
+        assert "presentation" in err
 
 
 def test_check_without_flags_errors(capsys):
@@ -264,6 +296,24 @@ def test_batch_parallel_determinism(capsys):
     code8, out8, err8 = run(capsys, "batch", fx("manifest.json"), "--parallel", "8")
     assert code1 == code8 == 0
     assert out1 == out8
+
+
+def test_batch_runs_without_a_thread_pool():
+    import subprocess
+    import sys
+
+    import sutor
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sutor.__file__)))
+    code = ("import sys\n"
+            "from sutor import cli\n"
+            f"rc = cli.main(['batch', {fx('manifest.json')!r}, '--parallel', '8'])\n"
+            "print(rc, 'concurrent.futures' in sys.modules, file=sys.stderr)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.split() == ["0", "False"]
 
 
 # Small JSON values: exponents and coordinates stay tiny so no example does

@@ -7,7 +7,7 @@ import pytest
 
 from sutor import engine as E
 from sutor import words as W
-from sutor.abelian import INFINITE, AbElement, AbelianGroup
+from sutor.abelian import INFINITE, AbElement, AbelianGroup, quotient
 from sutor.engine import (
     SuturedInput,
     ValidationError,
@@ -122,6 +122,24 @@ def test_evaluation_check_matches_sim_equal(rminus, coeffs, passed):
     assert ev.passed == legacy_canonical.sim_equal(ev.lhs, ev.rhs) == passed
 
 
+def test_rminus_quotient_built_once_per_result(monkeypatch):
+    calls = []
+
+    def counting_quotient(*args):
+        calls.append(args)
+        return quotient(*args)
+
+    monkeypatch.setattr(E, "quotient", counting_quotient)
+    inp = cantwell_conlon()
+    res = torsion(inp)
+    assert len(calls) == 0
+    proj = E.rminus_quotient(res)
+    ev = evaluation_check(inp, res)
+    au = augmentation_order_check(inp, res)
+    assert len(calls) == 1
+    assert ev.G == proj.target and ev.passed and au.passed
+
+
 def test_solid_torus_2000_torsion_and_eval():
     res = torsion(solid_torus(2000))
     assert equal(res.tau, cyclic_sum(2000))
@@ -197,6 +215,22 @@ def test_json_round_trip(tmp_path):
     minimal = input_from_dict({"generators": ["a"], "rminus": ["a"]})
     assert minimal.relators == ()
     assert minimal.claimed_irreducible
+    assert not input_from_dict({"generators": ["a"], "rminus": ["a"],
+                                "claimed_irreducible": False}).claimed_irreducible
+
+
+@pytest.mark.parametrize("d, key", [
+    ({"generators": ["a"], "rminus": ["a"], "claimed_irreducible": "false"},
+     "claimed_irreducible"),
+    ({"generators": ["a"], "rminus": ["a"], "claimed_irreducible": None},
+     "claimed_irreducible"),
+    ({"generators": ["a"], "rminus": ["a"], "name": ["x"]}, "name"),
+    ({"generators": ["a"], "rminus": ["a"], "notes": 3}, "notes"),
+    ({"rminus": ["a"]}, "generators"),
+])
+def test_input_from_dict_rejects_wrong_types(d, key):
+    with pytest.raises(ValueError, match=key):
+        input_from_dict(d)
 
 
 def test_torsion_with_relators_trefoil_style():
