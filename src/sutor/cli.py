@@ -2,7 +2,8 @@
 
 Exit codes: 0 success/pass, 1 usage or I/O error, 2 blocking validation
 diagnostics, 3 unsupported structure (torsion in H where a polytope is
-needed).
+needed).  Every error ends as one `error:` line on stderr; the commands
+raise, and `main` is the one place that picks the exit code.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from . import engine as E
 from . import groupring as GR
 from . import polytope as P
 from .abelian import INFINITE
-from .groupring import GroupRingElement, UnsupportedTorsionError
+from .groupring import GroupRingElement, UnsupportedStructureError
 
 
 def _color_enabled() -> bool:
@@ -73,31 +74,24 @@ def format_element(p: GroupRingElement, names: Sequence[str]) -> str:
     return " ".join(parts)
 
 
-def _load_input(path: str) -> E.SuturedInput:
+def _read_json(path: str):
+    """The JSON value in a file, or on stdin for `-`."""
     if path == "-":
-        return E.input_from_dict(json.load(sys.stdin))
-    return E.load_input(path)
+        return json.load(sys.stdin)
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def _compute(path: str) -> E.TorsionResult:
-    return E.torsion(_load_input(path))
+    return E.torsion(E.input_from_dict(_read_json(path)))
 
 
 def cmd_compute(args) -> int:
-    try:
-        inp = _load_input(args.path)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    inp = E.input_from_dict(_read_json(args.path))
     diags = E.validate(inp)
-    blocking = [d for d in diags if d.blocking]
     for d in diags:
         if not d.blocking:
             print(f"warning: {d.code}: {d.message}", file=sys.stderr)
-    if blocking:
-        for d in blocking:
-            print(f"{d.code}: {d.message}", file=sys.stderr)
-        return 2
     result = E.torsion(inp)
     if args.json:
         print(json.dumps(_run_report_from(result), indent=2, sort_keys=True))
@@ -134,27 +128,10 @@ def _covector(alpha: str, dim: int) -> tuple:
 
 
 def cmd_polytope(args) -> int:
-    try:
-        result = _compute(args.path)
-    except E.ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        S = P.support(result.tau)
-    except UnsupportedTorsionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    S = P.support(_compute(args.path).tau)
     if not S.points:
-        print("error: tau is 0, so it has no support polytope", file=sys.stderr)
-        return 3
-    try:
-        covectors = [(alpha, _covector(alpha, S.dim)) for alpha in args.alpha or []]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise UnsupportedStructureError("tau is 0, so it has no support polytope")
+    covectors = [(alpha, _covector(alpha, S.dim)) for alpha in args.alpha or []]
     verts = P.vertices(S)
     print(f"support: {len(S.points)} points in dimension {S.dim}")
     print("hull vertices: " + " ".join(str(v) for v in verts))
@@ -171,11 +148,7 @@ def cmd_polytope(args) -> int:
             fh.write(P.to_tsv(S))
         print(f"wrote {args.tsv}")
     if args.svg:
-        try:
-            svg = P.to_svg(S)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
+        svg = P.to_svg(S)
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(svg)
         print(f"wrote {args.svg}")
@@ -183,9 +156,9 @@ def cmd_polytope(args) -> int:
 
 
 def _load_tau_or_input(path: str):
-    """A path may hold a SuturedInput or a serialized group-ring element."""
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+    """A path (or `-`) may hold a SuturedInput or a serialized group-ring
+    element."""
+    obj = _read_json(path)
     if isinstance(obj, dict) and "terms" in obj and "group" in obj:
         return GR.from_records(obj), None
     inp = E.input_from_dict(obj)
@@ -195,19 +168,10 @@ def _load_tau_or_input(path: str):
 
 def cmd_check(args) -> int:
     if args.disk is not None and args.disk < 1:
-        print(f"error: --disk needs P_MAX >= 1, got {args.disk}", file=sys.stderr)
-        return 1
-    try:
-        tau, result = _load_tau_or_input(args.path)
-    except E.ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError(f"--disk needs P_MAX >= 1, got {args.disk}")
+    tau, result = _load_tau_or_input(args.path)
     if (args.eval or args.aug) and result is None:
-        print("error: --eval/--aug need a presentation input", file=sys.stderr)
-        return 1
+        raise ValueError("--eval/--aug need a presentation input")
     all_ok = True
     ran_any = False
     if args.eval:
@@ -223,11 +187,7 @@ def cmd_check(args) -> int:
         print(f"{_mark(au.passed)} aug: |eps(tau)| = {au.aug}, |G| = {au.ord}")
     if args.disk is not None:
         ran_any = True
-        try:
-            report = P.disk_obstruction_report(tau, args.disk)
-        except (ValueError, UnsupportedTorsionError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
+        report = P.disk_obstruction_report(tau, args.disk)
         verdict = "OBSTRUCTED" if report.obstructed else "NOT OBSTRUCTED"
         cap_note = (f"p capped at {report.effective_cap} by degree span"
                     if report.effective_cap < report.p_max
@@ -241,8 +201,7 @@ def cmd_check(args) -> int:
             else:
                 print(f"  {c.label}: no solid-torus match")
     if not ran_any:
-        print("error: no checks requested (use --eval/--aug/--disk)", file=sys.stderr)
-        return 1
+        raise ValueError("no checks requested (use --eval/--aug/--disk)")
     return 0 if all_ok else 1
 
 
@@ -259,18 +218,12 @@ _FAMILIES = {
 
 def cmd_gen(args) -> int:
     if args.family not in _FAMILIES:
-        print(f"error: unknown family {args.family!r}; known: "
-              + ", ".join(sorted(_FAMILIES)), file=sys.stderr)
-        return 1
+        raise ValueError(f"unknown family {args.family!r}; known: "
+                         + ", ".join(sorted(_FAMILIES)))
     arity, fn = _FAMILIES[args.family]
     if len(args.params) != arity:
-        print(f"error: family {args.family} takes {arity} parameter(s)", file=sys.stderr)
-        return 1
-    try:
-        inp = fn(*[int(x) for x in args.params])
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError(f"family {args.family} takes {arity} parameter(s)")
+    inp = fn(*[int(x) for x in args.params])
     print(json.dumps(E.input_to_dict(inp), indent=2, sort_keys=True))
     return 0
 
@@ -316,12 +269,7 @@ def _batch_entry(base: str, entry) -> str:
 
 
 def cmd_batch(args) -> int:
-    try:
-        with open(args.manifest, "r", encoding="utf-8") as fh:
-            entries = _manifest_entries(json.load(fh))
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    entries = _manifest_entries(_read_json(args.manifest))
     base = os.path.dirname(os.path.abspath(args.manifest))
     lines = [_batch_entry(base, e) for e in entries]
     failed = 0
@@ -391,7 +339,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not getattr(args, "fn", None):
         ap.print_help()
         return 1
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
+        print(f"error: {exc}", file=sys.stderr)
+        return (2 if isinstance(exc, E.ValidationError)
+                else 3 if isinstance(exc, UnsupportedStructureError) else 1)
 
 
 if __name__ == "__main__":

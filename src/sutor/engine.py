@@ -132,7 +132,8 @@ def rminus_quotient(result: TorsionResult) -> Projection:
 def evaluation_check(inp: SuturedInput, result: TorsionResult) -> EvalCheck:
     """p_*(tau) must equal +-I_G for G = H_1(M, R_-).  Comparing with +-I_G
     by equality is exact: h*I_G = I_G when G is finite, and I_G = 0 when G
-    has positive rank."""
+    has positive rank.  The check reads `result.input`, the validated and
+    freely reduced input; `inp` is unused."""
     proj = result.rminus_projection
     lhs = GR.push_forward(result.raw_det, proj)
     rhs = GR.sum_of_all_elements(proj.target)
@@ -148,7 +149,9 @@ class AugOrderCheck:
 
 
 def augmentation_order_check(inp: SuturedInput, result: TorsionResult) -> AugOrderCheck:
-    """|eps(tau)| must equal |G|, with |G| = 0 read as INFINITE."""
+    """|eps(tau)| must equal |G|, with |G| = 0 read as INFINITE.  The check
+    reads `result.input`, the validated and freely reduced input; `inp` is
+    unused."""
     o = order(result.rminus_projection.target)
     aug = abs(GR.augmentation(result.raw_det))
     passed = (aug == 0) if o is INFINITE else (aug == o)

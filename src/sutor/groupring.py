@@ -33,7 +33,11 @@ class NotDivisibleError(ArithmeticError):
     pass
 
 
-class UnsupportedTorsionError(ValueError):
+class UnsupportedStructureError(ValueError):
+    """Valid input whose structure a computation does not support (exit 3)."""
+
+
+class UnsupportedTorsionError(UnsupportedStructureError):
     pass
 
 

@@ -17,6 +17,7 @@ from .abelian import AbElement, AbelianGroup, bareiss_pivot
 from .groupring import (
     GroupRingElement,
     NotDivisibleError,
+    UnsupportedStructureError,
     UnsupportedTorsionError,
     equal,
     exact_div,
@@ -234,9 +235,9 @@ def disk_obstruction_report(tau: GroupRingElement, p_max: int) -> DiskReport:
     """Compare tau and its extremal parts against solid-torus torsions
     (t^p-1)/(t-1) and products of two of them (the separating-disk case)."""
     if tau.group != _Z:
-        raise ValueError("disk obstruction needs a rank-1 torsion-free group")
+        raise UnsupportedStructureError("disk obstruction needs a rank-1 torsion-free group")
     if not tau.terms:
-        raise ValueError("zero torsion")
+        raise UnsupportedStructureError("zero torsion")
     exps = [h.free[0] for h in tau.terms]
     auto_cap = (max(exps) - min(exps)) + 1
     cap = min(p_max, auto_cap)
@@ -300,7 +301,7 @@ def to_svg(S: Support) -> str:
     """Deterministic SVG for dim <= 2: 32 px/unit, labeled lattice points,
     hull drawn as a polygon."""
     if S.dim > 2:
-        raise ValueError("SVG emitter supports dimension <= 2 only")
+        raise UnsupportedStructureError("SVG emitter supports dimension <= 2 only")
     scale = 32
     pad = 24
     pts2 = {((p[0], p[1]) if S.dim == 2 else (p[0], 0)): c for p, c in S.points.items()}

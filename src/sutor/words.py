@@ -61,9 +61,6 @@ class Word:
     def __bool__(self) -> bool:
         return bool(self.letters)
 
-    def is_identity(self) -> bool:
-        return not self.letters
-
 
 IDENTITY = Word()
 

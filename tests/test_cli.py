@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import unittest.mock
 
 import legacy_polytope
 import pytest
@@ -88,9 +89,10 @@ def test_compute_stdin(tmp_path, capsys, monkeypatch):
     json.dumps({"generators": ["a"], "rminus": ["a"], "claimed_irreducible": 0}),
     json.dumps({"generators": ["a"], "rminus": ["a"], "name": ["x"]}),
     json.dumps({"generators": ["a"], "rminus": ["a"], "notes": {"x": 1}}),
+    "[" * 100000 + "]" * 100000,
 ], ids=["top-level-list", "non-string-word", "deep-nesting", "string-generators",
         "missing-generators", "string-irreducible", "int-irreducible", "list-name",
-        "object-notes"])
+        "object-notes", "deep-json"])
 def test_compute_stdin_malformed_exits_1(payload, capsys, monkeypatch):
     import io
     import sys
@@ -111,13 +113,16 @@ def test_compute_stdin_malformed_exits_1(payload, capsys, monkeypatch):
     (["check", "{file}", "--disk", "3"], {"terms": 5, "group": 3}, 1),
     (["check", fx("solid_torus_3.json"), "--disk", "0"], None, 1),
     (["check", fx("solid_torus_3.json"), "--disk", "-1"], None, 1),
+    (["polytope", fx("solid_torus_3.json"), "--tsv", "{tmp}/missing/x.tsv"], None, 1),
+    (["polytope", fx("solid_torus_3.json"), "--svg", "{tmp}/missing/x.svg"], None, 1),
 ], ids=["alpha-wrong-rank", "alpha-not-integers", "polytope-of-zero-tau",
         "manifest-without-entries", "manifest-int-entry", "manifest-entry-without-path",
-        "records-wrong-shape", "disk-zero", "disk-negative"])
+        "records-wrong-shape", "disk-zero", "disk-negative", "tsv-unwritable",
+        "svg-unwritable"])
 def test_malformed_arguments_exit_with_error(argv, payload, exit_code, tmp_path, capsys):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload))
-    code, out, err = run(capsys, *[a.format(file=path) for a in argv])
+    code, out, err = run(capsys, *[a.format(file=path, tmp=tmp_path) for a in argv])
     assert code == exit_code
     assert err.startswith("error: ")
     assert "Traceback" not in err
@@ -219,6 +224,20 @@ def test_check_disk_not_obstructed(capsys):
     assert code == 0
     assert "NOT OBSTRUCTED" in out
     assert "matches solid torus p = 3" in out
+
+
+def test_check_stdin(capsys, monkeypatch):
+    import sys
+    payload = json.dumps({"generators": ["a"], "relators": [], "rminus": ["a^3"]})
+    monkeypatch.setattr(sys, "stdin", io.StringIO(payload))
+    code, out, err = run(capsys, "check", "-", "--eval", "--aug")
+    assert code == 0
+    assert out.count("PASS") == 2
+    with open(fx("goda_tau.json"), encoding="utf-8") as fh:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(fh.read()))
+    code, out, err = run(capsys, "check", "-", "--disk", "3")
+    assert code == 0
+    assert out.startswith("disk decomposition: ")
 
 
 def test_check_eval_needs_presentation(capsys):
@@ -355,6 +374,36 @@ def test_fuzzed_manifests_and_records_exit_cleanly(tmp_path_factory, manifest, c
     assert _exit_code(["batch", str(d / "m.json")]) in (0, 1, 2, 3)
     for flags in (["--disk", "3"], ["--eval", "--aug"]):
         assert _exit_code(["check", str(d / "r.json"), *flags]) in (0, 1, 2, 3)
+
+
+# Words of at most 6 characters: an exponent has at most 4 digits, so no
+# example does unbounded Fox work.  Some are well formed, so every exit code
+# is reached.
+fuzz_word = st.sampled_from(["a^2", "a", "b^-1", "a b", "a^3 b", "1"]) | st.text(
+    alphabet="ab()^-12 ", max_size=6)
+fuzz_inputs = json_value | st.fixed_dictionaries({
+    "generators": st.sampled_from([["a"], ["a", "b"]])
+    | st.lists(st.sampled_from(["a", "b"]), max_size=3) | json_value,
+    "relators": st.lists(fuzz_word, max_size=1) | json_value,
+    "rminus": st.lists(fuzz_word, min_size=1, max_size=2) | json_value,
+})
+
+
+@given(payload=fuzz_inputs)
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_inputs_end_with_an_exit_code(tmp_path_factory, payload):
+    text = json.dumps(payload)
+    path = tmp_path_factory.mktemp("input") / "in.json"
+    path.write_text(text)
+    for argv in (["compute", "-"], ["compute", "--json", "-"],
+                 ["polytope", str(path), "--diff"],
+                 ["check", str(path), "--eval", "--aug", "--disk", "3"]):
+        with unittest.mock.patch("sys.stdin", io.StringIO(text)):
+            try:
+                code = _exit_code(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2, 3), argv
 
 
 @st.composite
