@@ -17,7 +17,6 @@ from . import __version__, families
 from . import engine as E
 from . import groupring as GR
 from . import polytope as P
-from .abelian import INFINITE
 from .groupring import GroupRingElement, UnsupportedStructureError
 
 
@@ -87,12 +86,7 @@ def _compute(path: str) -> E.TorsionResult:
 
 
 def cmd_compute(args) -> int:
-    inp = E.input_from_dict(_read_json(args.path))
-    diags = E.validate(inp)
-    for d in diags:
-        if not d.blocking:
-            print(f"warning: {d.code}: {d.message}", file=sys.stderr)
-    result = E.torsion(inp)
+    result = _compute(args.path)
     if args.json:
         print(json.dumps(_run_report_from(result), indent=2, sort_keys=True))
     else:

@@ -158,28 +158,20 @@ def augmentation_order_check(inp: SuturedInput, result: TorsionResult) -> AugOrd
     return AugOrderCheck(aug, o, passed)
 
 
-def nielsen_invert(inp: SuturedInput, k: int) -> SuturedInput:
-    rm = list(inp.rminus)
-    rm[k] = W.invert(rm[k])
-    return replace(inp, rminus=tuple(rm))
-
-
-def nielsen_multiply(inp: SuturedInput, k: int, k2: int) -> SuturedInput:
-    if k == k2:
-        raise ValueError("multiply move needs distinct indices")
-    rm = list(inp.rminus)
-    rm[k] = W.concat(rm[k], rm[k2])
-    return replace(inp, rminus=tuple(rm))
-
-
 def nielsen_move(inp: SuturedInput, move: Tuple) -> SuturedInput:
     """move = ("invert", k) or ("multiply", k, k2); indices are 0-based."""
     kind = move[0]
+    rm = list(inp.rminus)
     if kind == "invert":
-        return nielsen_invert(inp, move[1])
-    if kind == "multiply":
-        return nielsen_multiply(inp, move[1], move[2])
-    raise ValueError(f"unknown Nielsen move {kind!r}")
+        rm[move[1]] = W.invert(rm[move[1]])
+    elif kind == "multiply":
+        k, k2 = move[1], move[2]
+        if k == k2:
+            raise ValueError("multiply move needs distinct indices")
+        rm[k] = W.concat(rm[k], rm[k2])
+    else:
+        raise ValueError(f"unknown Nielsen move {kind!r}")
+    return replace(inp, rminus=tuple(rm))
 
 
 def tietze_add_generator(inp: SuturedInput, w: Word, name: Optional[str] = None) -> SuturedInput:

@@ -16,11 +16,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .abelian import AbElement, AbelianGroup, bareiss_pivot
 from .groupring import (
     GroupRingElement,
-    NotDivisibleError,
     UnsupportedStructureError,
     UnsupportedTorsionError,
-    equal,
-    exact_div,
     normalize,
 )
 
@@ -233,7 +230,14 @@ class DiskReport:
 
 def disk_obstruction_report(tau: GroupRingElement, p_max: int) -> DiskReport:
     """Compare tau and its extremal parts against solid-torus torsions
-    (t^p-1)/(t-1) and products of two of them (the separating-disk case)."""
+    S(p) = (t^p-1)/(t-1) and products S(p1)*S(p2) of two of them (the
+    separating-disk case).
+
+    With p1 <= p2 and n = p1 + p2 - 1, S(p1)*S(p2) has the coefficient
+    min(j + 1, p1, n - j) at t^j, so its largest coefficient is p1 and its
+    term count is n: at most one pair can match a candidate, and p1 = 1 is
+    S(n) itself.  Each candidate is one shape test against that pair, so the
+    cost is linear in its term count."""
     if tau.group != _Z:
         raise UnsupportedStructureError("disk obstruction needs a rank-1 torsion-free group")
     if not tau.terms:
@@ -243,22 +247,18 @@ def disk_obstruction_report(tau: GroupRingElement, p_max: int) -> DiskReport:
     cap = min(p_max, auto_cap)
 
     def analyze(label: str, cand: GroupRingElement) -> DiskCandidate:
-        # cyclic_sum(p) is its own canonical form, and so is the quotient of
-        # two canonical rank-1 elements (both start at t^0 with a positive
-        # coefficient), so each match is one equality test.
+        # The canonical form of a rank-1 element starts at t^0 with a
+        # positive coefficient, as every product of solid-torus torsions does.
         nc = normalize(cand)
         n = len(nc.terms)
-        if n <= cap and equal(nc, cyclic_sum(n)):
+        p1 = max(nc.terms.values())
+        p2 = n - p1 + 1
+        if not (p1 <= p2 <= cap and nc.terms == {
+                AbElement((j,), ()): min(j + 1, p1, n - j) for j in range(n)}):
+            return DiskCandidate(label, cand, None, None)
+        if p1 == 1:
             return DiskCandidate(label, cand, n, None)
-        for p1 in range(1, cap + 1):
-            try:
-                q = exact_div(nc, cyclic_sum(p1))
-            except NotDivisibleError:
-                continue
-            p2 = len(q.terms)
-            if p1 <= p2 <= cap and equal(q, cyclic_sum(p2)):
-                return DiskCandidate(label, cand, None, (p1, p2))
-        return DiskCandidate(label, cand, None, None)
+        return DiskCandidate(label, cand, None, (p1, p2))
 
     cands = (
         analyze("tau", tau),

@@ -226,6 +226,30 @@ def test_check_disk_not_obstructed(capsys):
     assert "matches solid torus p = 3" in out
 
 
+def test_check_disk_reads_products_off_coefficients(capsys, monkeypatch, tmp_path):
+    def no_division(p, q):
+        raise AssertionError("disk report reached group-ring division")
+
+    monkeypatch.setattr(P, "exact_div", no_division, raising=False)
+    Z = AbelianGroup(1)
+    extremal = ["  extremal(+1): matches solid torus p = 1",
+                "  extremal(-1): matches solid torus p = 1"]
+    path = tmp_path / "x.json"
+    for terms, lines in (
+        ({0: 1, 1: 2, 2: 2, 3: 1},
+         ["disk decomposition: NOT OBSTRUCTED (p capped at 4 by degree span)",
+          "  tau: matches product p = (2, 3)"]),
+        ({0: 1, 10 ** 9: 1},
+         ["disk decomposition: NOT OBSTRUCTED (p searched up to 10)",
+          "  tau: no solid-torus match"]),
+    ):
+        tau = element(Z, {AbElement((k,), ()): c for k, c in terms.items()})
+        path.write_text(json.dumps(to_records(tau)))
+        code, out, err = run(capsys, "check", str(path), "--disk", "10")
+        assert code == 0
+        assert out.splitlines() == lines + extremal
+
+
 def test_check_stdin(capsys, monkeypatch):
     import sys
     payload = json.dumps({"generators": ["a"], "relators": [], "rminus": ["a^3"]})

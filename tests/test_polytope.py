@@ -291,7 +291,7 @@ def test_disk_report_matches_legacy_search():
     unmatched = obstructed = 0
     for prod in _cyclic_products():
         for tau in (prod, prod + nudge, mul(shift, prod), mul(shift, prod + nudge),
-                    2 * prod):
+                    2 * prod, prod + poly1((9, 1))):
             # past the degree span a larger cap changes only p_max
             span = max(h.free[0] for h in tau.terms) - min(h.free[0] for h in tau.terms)
             for cap in sorted({*range(1, span + 3), 12}):
