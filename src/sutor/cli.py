@@ -8,6 +8,7 @@ raise, and `main` is the one place that picks the exit code.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -327,8 +328,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main reuses: build_parser() runs once per process, and
+    parse_args leaves the parser as it was."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    ap = build_parser()
+    ap = _parser()
     args = ap.parse_args(argv)
     if not getattr(args, "fn", None):
         ap.print_help()

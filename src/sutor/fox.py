@@ -5,26 +5,50 @@ all values live in Z[H] rather than the noncommutative ring Z[pi_1].
 """
 from __future__ import annotations
 
-from typing import Dict, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
-from .abelian import AbElement, Cokernel, ab_add, ab_scale, zero_element
-from .groupring import GRMatrix, GroupRingElement, _accumulate
+from .abelian import AbElement, Cokernel
+from .groupring import GRMatrix, GroupRingElement, _accumulate, _max_free, _Packing
 from .words import Generator, Word
 
 
-def _fox_column(w: Word, ab: Cokernel) -> Dict[int, Dict[AbElement, int]]:
-    """phi(dw/dx) for every generator index x, in one walk over w: the
-    syllable g^k at prefix u contributes phi(u) * d(g^k)/dg to row g."""
-    G = ab.group
-    column: Dict[int, Dict[AbElement, int]] = {}
-    prefix = zero_element(G)
+def _fox_column(w: Word, pk: _Packing, up: List[int], down: List[int]) -> Dict[int, Dict[int, int]]:
+    """phi(dw/dx) on packed keys for every generator index x, in one walk
+    over w: the syllable g^k at prefix u contributes phi(u) * d(g^k)/dg to
+    row g.  up[g] and down[g] are the packed images of g and g^-1."""
+    fold = pk.fold
+    column: Dict[int, Dict[int, int]] = {}
+    prefix = 0
     for g, k in w.letters:
-        img = ab.gen_images[g]
-        js, sign = (range(k), 1) if k > 0 else (range(k, 0), -1)
-        _accumulate(column.setdefault(g, {}),
-                    ((ab_add(G, prefix, ab_scale(G, img, j)), sign) for j in js))
-        prefix = ab_add(G, prefix, ab_scale(G, img, k))
+        keys = []
+        if k > 0:
+            for _ in range(k):
+                keys.append(prefix)
+                prefix = fold(prefix + up[g])
+        else:
+            for _ in range(-k):
+                prefix = fold(prefix + down[g])
+                keys.append(prefix)
+            keys.reverse()  # the exponent order u*g^k, ..., u*g^-1
+        sign = 1 if k > 0 else -1
+        _accumulate(column.setdefault(g, {}), ((h, sign) for h in keys))
     return column
+
+
+def _columns(words: Sequence[Word], ab: Cokernel) -> List[Dict[int, Dict[AbElement, int]]]:
+    """The Fox column of each word, computed under one codec; each distinct
+    key of the matrix is decoded once.  A prefix of a word, and with it
+    every term, has free coordinates of at most the largest |free image
+    coordinate| times the word's sum of |exponents|."""
+    reach = max((sum(abs(k) for _, k in w.letters) for w in words), default=0)
+    pk = _Packing(ab.group, _max_free(ab.gen_images) * reach)
+    up = [pk.encode(img) for img in ab.gen_images]
+    down = [pk.neg(k) for k in up]
+    cols = [_fox_column(w, pk, up, down) for w in words]
+    keys = {k for col in cols for terms in col.values() for k in terms}
+    element = dict(zip(keys, pk.decode(keys)))
+    return [{g: {element[k]: c for k, c in terms.items()} for g, terms in col.items()}
+            for col in cols]
 
 
 def fox_derivative(w: Word, gen: Union[Generator, int], ab: Cokernel) -> GroupRingElement:
@@ -32,13 +56,14 @@ def fox_derivative(w: Word, gen: Union[Generator, int], ab: Cokernel) -> GroupRi
     d(g^k)/dg = 1 + g + ... + g^(k-1) for k > 0, and
     d(g^k)/dg = -(g^k + g^(k+1) + ... + g^-1) for k < 0."""
     x = gen.index if isinstance(gen, Generator) else gen
-    return GroupRingElement(ab.group, _fox_column(w, ab).get(x, {}))
+    return GroupRingElement(ab.group, _columns([w], ab)[0].get(x, {}))
 
 
 def fox_matrix(alphabet: Sequence[Generator], columns: Sequence[Word], ab: Cokernel) -> GRMatrix:
     """Rows indexed by generators, columns by the given words
-    (relators first, then the R_- image words)."""
-    cols = [_fox_column(w, ab) for w in columns]
+    (relators first, then the R_- image words).  One codec serves the whole
+    matrix, so each generator image is encoded once."""
+    cols = _columns(columns, ab)
     return GRMatrix.from_rows([
         [GroupRingElement(ab.group, col.get(g.index, {})) for col in cols]
         for g in alphabet

@@ -5,20 +5,40 @@ ambiguity +-h is handled by normalize(), which picks a canonical orbit
 representative: translate a support point with the lex-least free part to the
 origin, make its coefficient positive, and take the lexicographically least
 term sequence.  A target already in this form is compared with equal().
+
+The hot loops work on packed keys (_Packing), not on AbElement: one Python
+int holds the coordinates (free..., tor...) as w-bit digits, the first
+coordinate most significant.  Free digits are balanced, in (-2^(w-1),
+2^(w-1)); torsion digits are the lowest and lie in [0, d).  w exceeds the
+bit length of the largest d and of a caller's bound on every |free
+coordinate| an intermediate can reach, so adding keys adds coordinates (a
+torsion digit that reaches d loses d again, see fold) and int order is the
+(free, tor) lex order.  The bound of each caller:
+
+- mul: the largest |free coordinate| of p plus that of q;
+- _cofactor: rows x the largest |free coordinate| of any entry, since every
+  memo entry is a sum of one entry key per row;
+- normalize: 2 x the largest |free coordinate|, for a term minus a support
+  point;
+- fox.fox_matrix: the largest |free coordinate| of a generator image x the
+  longest word's sum of |exponents|, which bounds every prefix of a word.
+
+Keys are encoded once on the way in and decoded once on the way out, so
+GroupRingElement.terms is keyed by AbElement at every public boundary.
+push_forward needs no codec: it maps coordinate tuples by dot products.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .abelian import (
     AbElement,
     AbelianGroup,
     IntMatrix,
     Projection,
-    ab_add,
-    ab_neg,
     det_int,
     direct_sum,
     zero_element,
@@ -107,11 +127,74 @@ def _accumulate(out: Dict, pairs: Iterable[Tuple[object, int]]) -> Dict:
     return out
 
 
-def _products(G: AbelianGroup, p: Dict[AbElement, int], q: Dict[AbElement, int],
-              sign: int = 1):
-    """The (h1 + h2, sign * c1 * c2) terms of sign * p * q, uncollected."""
-    return ((ab_add(G, h1, h2), sign * c1 * c2)
-            for h1, c1 in p.items() for h2, c2 in q.items())
+class _Packing:
+    """The packed-key codec of G for free coordinates of absolute value at
+    most bound (see the module docstring)."""
+
+    def __init__(self, G: AbelianGroup, bound: int):
+        w = max(bound.bit_length(), max(G.torsion, default=0).bit_length()) + 1
+        n = G.rank + len(G.torsion)
+        shifts = [w * (n - 1 - i) for i in range(n)]
+        self.width = w
+        self.mask = (1 << w) - 1
+        self.free_shifts = shifts[:G.rank]
+        self.torsion = list(zip(shifts[G.rank:], G.torsion))
+        self.tor_bits = w * len(G.torsion)  # k >> tor_bits orders keys by free part
+        self._half = 1 << (w - 1)
+        self._offset = sum(self._half << s for s in self.free_shifts)
+        self._divisors = sum(d << s for s, d in self.torsion)
+
+    def encode(self, h: AbElement) -> int:
+        k, w = 0, self.width
+        for c in h.free + h.tor:
+            k = (k << w) + c
+        return k
+
+    def fold(self, k: int) -> int:
+        """k with every torsion digit in [d, 2d) brought back to [0, d)."""
+        m = self.mask
+        for s, d in self.torsion:
+            if (k >> s) & m >= d:
+                k -= d << s
+        return k
+
+    def neg(self, k: int) -> int:
+        """The key of -h, for k the key of h: free digits change sign and each
+        torsion digit t becomes d - t, which fold takes back to 0 when t = 0."""
+        return self.fold(self._divisors - k)
+
+    def decode(self, keys: Iterable[int]) -> Iterator[AbElement]:
+        """The AbElement of each key, in order; one pass over the keys per
+        coordinate."""
+        us = [k + self._offset for k in keys]  # free digits now in [0, 2^w)
+        m, half = self.mask, self._half
+        free = zip(*[[((u >> s) & m) - half for u in us] for s in self.free_shifts])
+        tor = zip(*[[(u >> s) & m for u in us] for s, _ in self.torsion])
+        return map(AbElement, free if self.free_shifts else itertools.repeat(()),
+                   tor if self.torsion else itertools.repeat(()))
+
+    def encode_terms(self, terms: Dict[AbElement, int]) -> Dict[int, int]:
+        encode = self.encode
+        return {encode(h): c for h, c in terms.items()}
+
+    def decode_terms(self, terms: Dict[int, int]) -> Dict[AbElement, int]:
+        return dict(zip(self.decode(terms), terms.values()))
+
+
+def _max_free(terms: Iterable[AbElement]) -> int:
+    """The largest |free coordinate| of the elements (torsion digits fit any
+    _Packing of the group)."""
+    return max(map(abs, itertools.chain.from_iterable(h.free for h in terms)), default=0)
+
+
+def _products(pk: _Packing, p: Dict[int, int], q: Dict[int, int], sign: int = 1):
+    """The (h1 + h2, sign * c1 * c2) terms of sign * p * q on packed keys,
+    uncollected."""
+    if pk.torsion:
+        fold = pk.fold
+        return ((fold(h1 + h2), sign * c1 * c2)
+                for h1, c1 in p.items() for h2, c2 in q.items())
+    return ((h1 + h2, sign * c1 * c2) for h1, c1 in p.items() for h2, c2 in q.items())
 
 
 def add(p: GroupRingElement, q: GroupRingElement) -> GroupRingElement:
@@ -131,7 +214,9 @@ def scalar_mul(k: int, p: GroupRingElement) -> GroupRingElement:
 
 def mul(p: GroupRingElement, q: GroupRingElement) -> GroupRingElement:
     _check(p, q)
-    return GroupRingElement(p.group, _accumulate({}, _products(p.group, p.terms, q.terms)))
+    pk = _Packing(p.group, _max_free(p.terms) + _max_free(q.terms))
+    products = _products(pk, pk.encode_terms(p.terms), pk.encode_terms(q.terms))
+    return GroupRingElement(p.group, pk.decode_terms(_accumulate({}, products)))
 
 
 def augmentation(p: GroupRingElement) -> int:
@@ -197,6 +282,8 @@ class GRMatrix:
     def from_rows(cls, data: Sequence[Sequence[GroupRingElement]]) -> "GRMatrix":
         rows = len(data)
         cols = len(data[0]) if rows else 0
+        if any(len(row) != cols for row in data):
+            raise ValueError("ragged rows")
         groups = {e.group for row in data for e in row}
         if len(groups) > 1:
             raise GroupMismatchError("matrix entries over different groups")
@@ -279,19 +366,20 @@ def _unpack(D: int, k: int, n: int) -> List[int]:
 def _cofactor(A: GRMatrix) -> GroupRingElement:
     """Cofactor expansion along the sparsest row, or along a column when one
     is strictly sparser (lowest index on ties), memoized on the surviving
-    (row-set, column-set)."""
+    (row-set, column-set), on packed keys."""
     G = A.group
-    E = A.entries
-    memo: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Dict[AbElement, int]] = {}
+    pk = _Packing(G, A.rows * _max_free(h for row in A.entries for e in row for h in e.terms))
+    E = [[pk.encode_terms(e.terms) for e in row] for row in A.entries]
+    memo: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Dict[int, int]] = {}
 
-    def det(rows: Tuple[int, ...], cols: Tuple[int, ...]) -> Dict[AbElement, int]:
+    def det(rows: Tuple[int, ...], cols: Tuple[int, ...]) -> Dict[int, int]:
         if len(rows) == 1:
-            return E[rows[0]][cols[0]].terms
+            return E[rows[0]][cols[0]]
         key = (rows, cols)
         if key in memo:
             return memo[key]
-        row_nz = [sum(1 for c in cols if E[r][c].terms) for r in rows]
-        col_nz = [sum(1 for r in rows if E[r][c].terms) for c in cols]
+        row_nz = [sum(1 for c in cols if E[r][c]) for r in rows]
+        col_nz = [sum(1 for r in rows if E[r][c]) for c in cols]
         ri = min(range(len(rows)), key=row_nz.__getitem__)
         ci = min(range(len(cols)), key=col_nz.__getitem__)
         if row_nz[ri] <= col_nz[ci]:
@@ -300,34 +388,38 @@ def _cofactor(A: GRMatrix) -> GroupRingElement:
             line = [(i, ci) for i in range(len(rows))]
         products = []
         for i, j in line:
-            e = E[rows[i]][cols[j]].terms
+            e = E[rows[i]][cols[j]]
             if e:
                 minor = det(rows[:i] + rows[i + 1:], cols[:j] + cols[j + 1:])
-                products.append(_products(G, e, minor, -1 if (i + j) % 2 else 1))
+                products.append(_products(pk, e, minor, -1 if (i + j) % 2 else 1))
         memo[key] = acc = _accumulate({}, itertools.chain.from_iterable(products))
         return acc
 
-    return GroupRingElement(G, det(tuple(range(A.rows)), tuple(range(A.cols))))
+    return GroupRingElement(G, pk.decode_terms(det(tuple(range(A.rows)), tuple(range(A.cols)))))
 
 
 def normalize(p: GroupRingElement) -> GroupRingElement:
     """Canonical representative of the orbit {+-h*p : h in H}.  The only
     shifts tried move a support point h0 with the least free part to the
     origin: torsion residues lie in [0, d), so h0 then becomes the lex-least
-    key, while a point with a larger free part never does."""
+    key, while a point with a larger free part never does.  Keys are packed,
+    so a shift is one int add and a signature sorts ints."""
     if not p.terms:
         return p
     G = p.group
+    pk = _Packing(G, 2 * _max_free(p.terms))
+    fold, tb = pk.fold, pk.tor_bits
+    terms = list(zip(map(pk.encode, p.terms), p.terms.values()))
 
-    def signature(h0: AbElement) -> Tuple:
-        shift = ab_neg(G, h0)
-        items = sorted((_key(ab_add(G, h, shift)), c) for h, c in p.terms.items())
+    def signature(k0: int) -> Tuple:
+        shift = pk.neg(k0)
+        items = sorted((fold(k + shift), c) for k, c in terms)
         sign = -1 if items[0][1] < 0 else 1
         return tuple((k, sign * c) for k, c in items)
 
-    low = min(h.free for h in p.terms)
-    best = min(signature(h0) for h0 in p.terms if h0.free == low)
-    return GroupRingElement(G, {AbElement(k[0], k[1]): c for k, c in best})
+    low = min(k >> tb for k, _ in terms)
+    best = min(signature(k0) for k0, _ in terms if k0 >> tb == low)
+    return GroupRingElement(G, pk.decode_terms(dict(best)))
 
 
 def sim_equal(p: GroupRingElement, q: GroupRingElement) -> bool:
@@ -337,11 +429,24 @@ def sim_equal(p: GroupRingElement, q: GroupRingElement) -> bool:
 
 
 def push_forward(p: GroupRingElement, proj: Projection) -> GroupRingElement:
-    """Apply a group homomorphism to every term, collecting coefficients."""
+    """Apply a group homomorphism to every term, collecting coefficients.
+    Each target coordinate is the dot product of the source coordinates with
+    that coordinate's column of the images (mod d for torsion), so terms are
+    collected on plain tuples and an AbElement is built per output term."""
     if proj.source != p.group:
         raise GroupMismatchError("projection source does not match element group")
-    terms = _accumulate({}, ((proj(h), c) for h, c in p.terms.items()))
-    return GroupRingElement(proj.target, terms)
+    T = proj.target
+    images = [img.free + img.tor for img in proj.images]
+    cols = [tuple(v[i] for v in images) for i in range(T.rank + len(T.torsion))]
+    free_cols, tor_cols = cols[:T.rank], list(zip(cols[T.rank:], T.torsion))
+
+    def image(h: AbElement):
+        v = h.free + h.tor
+        return (tuple(sum(map(operator.mul, v, col)) for col in free_cols),
+                tuple(sum(map(operator.mul, v, col)) % d for col, d in tor_cols))
+
+    terms = _accumulate({}, ((image(h), c) for h, c in p.terms.items()))
+    return GroupRingElement(T, {AbElement(f, t): c for (f, t), c in terms.items()})
 
 
 def sum_of_all_elements(G: AbelianGroup) -> GroupRingElement:

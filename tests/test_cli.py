@@ -334,6 +334,26 @@ def test_version(capsys):
     assert out.startswith("sutor ")
 
 
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    from sutor import cli
+    built, build_parser = [], cli.build_parser
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    try:
+        first = run(capsys, "compute", fx("solid_torus_3.json"))
+        second = run(capsys, "compute", fx("solid_torus_3.json"))
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+    assert first == second and first[0] == 0
+    assert cli.build_parser() is not cli.build_parser()
+
+
 def test_batch_parallel_determinism(capsys):
     code1, out1, err1 = run(capsys, "batch", fx("manifest.json"), "--parallel", "1")
     code8, out8, err8 = run(capsys, "batch", fx("manifest.json"), "--parallel", "8")

@@ -305,6 +305,14 @@ def test_one_variable_determinant_of_long_entries():
     assert equal(determinant(A), poly((0, 1), (N, -1), (5 - N, -2)))
 
 
+def test_from_rows_rejects_ragged_rows():
+    a = monomial(Z2, AbElement((1, 0), ()))
+    b = monomial(Z2, AbElement((0, 1), ()))
+    for rows in ([[a, b], [b, a, one(Z2)]], [[a, b], [b]]):
+        with pytest.raises(ValueError, match="ragged rows"):
+            GRMatrix.from_rows(rows)
+
+
 def test_sum_of_all_elements():
     assert equal(sum_of_all_elements(Z), zero(Z))
     G = AbelianGroup(0, (2, 2))
