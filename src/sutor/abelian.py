@@ -7,7 +7,7 @@ d_1 | d_2 | ... with every d_i >= 2.  Elements are exponent vectors
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from .words import Generator, Word
 
@@ -73,28 +73,90 @@ class IntMatrix:
 
 
 def det_int(M: IntMatrix) -> int:
-    """Exact determinant by fraction-free Bareiss elimination."""
+    """Exact determinant: det_sparse of the nonzero entries of each row."""
     if M.rows != M.cols:
         raise ValueError("determinant of non-square matrix")
-    n = M.rows
-    if n == 0:
-        return 1
-    a = M.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        # column k below the pivot is never read again, so it is left stale
-        bareiss_pivot(a, k, k, prev, k + 1, k + 1)
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    n, e = M.cols, M.entries
+    return det_sparse([{j: v for j, v in enumerate(e[i * n:(i + 1) * n]) if v}
+                       for i in range(n)])
+
+
+def det_sparse(rows: Sequence[Dict[int, int]]) -> int:
+    """Exact determinant of the n x n integer matrix whose row i is rows[i],
+    given as {column: value} with columns in range(n); absent entries are 0.
+
+    Fraction-free Bareiss elimination (Bareiss 1968) on sparse rows with
+    Markowitz pivots: each step takes the column with the fewest nonzeros
+    and in it the row with the fewest (lowest index on ties), and updates
+    only the rows with a nonzero in that column.  The others are rescaled
+    lazily.  A row last updated at step L still holds its step-L values v;
+    Bareiss would have multiplied them by p_m / p_(m-1) at each skipped step
+    m, which telescopes to v * p_(s-1) / p_L.  So the step-s update
+    (v' * p_s - f' * w) / p_(s-1) of that row is (v * p_s - f * w) / p_L,
+    where w is the pivot row brought up to step s - 1; the division is exact
+    because the result is a minor.  det is the last pivot times the signs of
+    the row and the column pivot orders."""
+    n = len(rows)
+    rows = [{j: v for j, v in r.items() if v} for r in rows]
+    cols: Dict[int, Set[int]] = {j: set() for j in range(n)}
+    for i, r in enumerate(rows):
+        for j in r:
+            cols[j].add(i)
+    step = [0] * n  # the step whose values rows[i] holds
+    piv = [1]  # piv[s] is the pivot of step s
+    row_order, col_order = [], []
+    for s in range(1, n + 1):
+        least = min(map(len, cols.values()))
+        c = next(j for j, rs in cols.items() if len(rs) == least)
+        below = cols.pop(c)
+        if not below:
+            return 0
+        r = min(below, key=lambda i: (len(rows[i]), i))
+        below.remove(r)
+        pr, last = rows[r], step[r]
+        if last < s - 1:
+            q, d = piv[s - 1], piv[last]
+            pr = {j: v * q // d for j, v in pr.items()}
+        p = pr.pop(c)
+        for j in pr:
+            cols[j].discard(r)
+        for i in below:
+            rows[i] = new = _eliminate(rows[i], pr, c, p, piv[step[i]])
+            step[i] = s
+            for j in pr:
+                if j in new:
+                    cols[j].add(i)
+                else:
+                    cols[j].discard(i)
+        piv.append(p)
+        row_order.append(r)
+        col_order.append(c)
+    return _sign(row_order) * _sign(col_order) * piv[n]
+
+
+def _eliminate(row: Dict[int, int], pr: Dict[int, int], c: int, p: int,
+               den: int) -> Dict[int, int]:
+    """(row * p - row[c] * pr) // den without column c and without zeros;
+    pr is the pivot row without its pivot p at column c."""
+    f = row[c]
+    new = {j: v * p for j, v in row.items() if j != c}
+    for j, w in pr.items():
+        new[j] = new.get(j, 0) - f * w
+    return {j: v // den for j, v in new.items() if v}
+
+
+def _sign(perm: Sequence[int]) -> int:
+    """The sign of a permutation of range(len(perm)), from its cycles."""
+    sign, seen = 1, [False] * len(perm)
+    for i in range(len(perm)):
+        if not seen[i]:
+            seen[i] = True
+            j = perm[i]
+            while j != i:  # each further element of the cycle is a transposition
+                seen[j] = True
+                sign = -sign
+                j = perm[j]
+    return sign
 
 
 def bareiss_pivot(rows: List[List[int]], k: int, c: int, den: int,
@@ -165,12 +227,18 @@ def _smith(data: List[List[int]], m: int, n: int):
 
     t = 0
     while t < min(m, n):
-        # pick the nonzero entry of minimal absolute value as pivot
-        piv = None
+        # pick the first nonzero entry of minimal absolute value in row-major
+        # order as pivot; a unit is minimal, so the scan stops at the first
+        piv, least = None, 0
         for i in range(t, m):
             for j in range(t, n):
-                if A[i][j] != 0 and (piv is None or abs(A[i][j]) < abs(A[piv[0]][piv[1]])):
-                    piv = (i, j)
+                a = abs(A[i][j])
+                if a and (piv is None or a < least):
+                    piv, least = (i, j), a
+                    if a == 1:
+                        break
+            if least == 1:
+                break
         if piv is None:
             break
         if piv[0] != t:
@@ -198,13 +266,14 @@ def _smith(data: List[List[int]], m: int, n: int):
         if dirty:
             continue
         bad = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if A[i][j] % p != 0:
-                    bad = i
+        if p != 1:  # 1 divides every entry
+            for i in range(t + 1, m):
+                for j in range(t + 1, n):
+                    if A[i][j] % p != 0:
+                        bad = i
+                        break
+                if bad is not None:
                     break
-            if bad is not None:
-                break
         if bad is None:
             t += 1
         else:

@@ -62,9 +62,14 @@ def fox_derivative(w: Word, gen: Union[Generator, int], ab: Cokernel) -> GroupRi
 def fox_matrix(alphabet: Sequence[Generator], columns: Sequence[Word], ab: Cokernel) -> GRMatrix:
     """Rows indexed by generators, columns by the given words
     (relators first, then the R_- image words).  One codec serves the whole
-    matrix, so each generator image is encoded once."""
-    cols = _columns(columns, ab)
-    return GRMatrix.from_rows([
-        [GroupRingElement(ab.group, col.get(g.index, {})) for col in cols]
-        for g in alphabet
-    ])
+    matrix, so each generator image is encoded once.  Every zero entry is
+    one shared empty element, so a sparse matrix costs its nonzeros."""
+    G = ab.group
+    empty = GroupRingElement(G, {})
+    position = {g.index: i for i, g in enumerate(alphabet)}
+    rows = [[empty] * len(columns) for _ in alphabet]
+    for j, col in enumerate(_columns(columns, ab)):
+        for g, terms in col.items():
+            if terms and g in position:
+                rows[position[g]][j] = GroupRingElement(G, terms)
+    return GRMatrix.from_rows(rows)

@@ -26,6 +26,10 @@ torsion digit that reaches d loses d again, see fold) and int order is the
 Keys are encoded once on the way in and decoded once on the way out, so
 GroupRingElement.terms is keyed by AbElement at every public boundary.
 push_forward needs no codec: it maps coordinate tuples by dot products.
+
+determinant stays sparse when H has at most one generator: only the nonzero
+entries are lifted to Z[t] and packed into integers, and the elimination is
+the sparse-row Bareiss abelian.det_sparse.  Other H use _cofactor.
 """
 from __future__ import annotations
 
@@ -37,9 +41,8 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 from .abelian import (
     AbElement,
     AbelianGroup,
-    IntMatrix,
     Projection,
-    det_int,
+    det_sparse,
     direct_sum,
     zero_element,
 )
@@ -284,9 +287,10 @@ class GRMatrix:
         cols = len(data[0]) if rows else 0
         if any(len(row) != cols for row in data):
             raise ValueError("ragged rows")
-        groups = {e.group for row in data for e in row}
-        if len(groups) > 1:
-            raise GroupMismatchError("matrix entries over different groups")
+        if rows and cols:
+            G = data[0][0].group  # by identity first: entries usually share it
+            if any(e.group is not G and e.group != G for row in data for e in row):
+                raise GroupMismatchError("matrix entries over different groups")
         return cls(rows, cols, tuple(tuple(row) for row in data))
 
     @property
@@ -298,11 +302,12 @@ def determinant(A: GRMatrix) -> GroupRingElement:
     """det A in Z[H].  A 1x1 matrix is its entry.  When H has at most one
     generator (trivial, Z or Z/d) the entries are Laurent polynomials in one
     variable t and det is exact integer arithmetic (Kronecker substitution):
-    shift each row into non-negative degrees, substitute t = 2^k, take the
-    fraction-free Bareiss det_int of the integer matrix and read its balanced
-    base-2^k digits back, folding exponents mod d.  On |t| = 1 every entry is
-    at most its sum of |coefficients|, so Hadamard's inequality bounds |det|
-    there, and with it every coefficient of det, by
+    shift each row into non-negative degrees, substitute t = 2^k in the
+    nonzero entries only, take the sparse fraction-free Bareiss
+    abelian.det_sparse of those rows and read its balanced base-2^k digits
+    back, folding exponents mod d.  On |t| = 1 every entry is at most its sum
+    of |coefficients|, so Hadamard's inequality bounds |det| there, and with
+    it every coefficient of det, by
     B = prod_rows sqrt(sum_entries (sum |coefficients|)^2); k is chosen with
     2^(k-1) > B.  Any other H keeps the sparse cofactor expansion."""
     if A.rows != A.cols:
@@ -323,19 +328,20 @@ def determinant(A: GRMatrix) -> GroupRingElement:
 
     rows, shift, bound2, slots = [], 0, 1, 1
     for row in A.entries:
-        lifted = [{exponent(h): c for h, c in e.terms.items()} for e in row]
-        xs = [x for p in lifted for x in p]
+        lifted = {j: {exponent(h): c for h, c in e.terms.items()}
+                  for j, e in enumerate(row) if e.terms}
+        xs = [x for p in lifted.values() for x in p]
         if not xs:
             return zero(G)
         lo = min(xs)
         shift += lo
         slots += max(xs) - lo
-        bound2 *= sum(sum(abs(c) for c in p.values()) ** 2 for p in lifted)
+        bound2 *= sum(sum(abs(c) for c in p.values()) ** 2 for p in lifted.values())
         rows.append((lo, lifted))
     k = (bound2.bit_length() + 1) // 2 + 1  # 4^(k-1) > bound2 = B^2
-    ints = [[_pack([p.get(x, 0) for x in range(lo, max(p) + 1)], k) if p else 0
-             for p in lifted] for lo, lifted in rows]
-    digits = _unpack(det_int(IntMatrix.from_rows(ints)), k, slots)
+    packed = [{j: _pack([p.get(x, 0) for x in range(lo, max(p) + 1)], k)
+               for j, p in lifted.items()} for lo, lifted in rows]
+    digits = _unpack(det_sparse(packed), k, slots)
     return GroupRingElement(G, _accumulate({}, (
         (monomial_at(shift + x), c) for x, c in enumerate(digits) if c)))
 

@@ -6,7 +6,7 @@ Hulls are exact and integer: in dimension <= 1 the extreme points, in
 dimension 2 the monotone chain.  From dimension 3 on, and for
 point_in_hull in any dimension, vertex and membership tests use exact
 linear feasibility: a small phase-1 simplex on an integer tableau with
-fraction-free pivots, the elimination step of abelian.det_int.
+fraction-free pivots, the Bareiss step abelian.bareiss_pivot.
 """
 from __future__ import annotations
 

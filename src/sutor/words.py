@@ -29,6 +29,7 @@ class UnknownGeneratorError(WordError):
 
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_INT_RE = re.compile(r"-?[0-9]+")
 
 # Parenthesis nesting the recursive-descent parser accepts; deeper input
 # would exhaust the interpreter's recursion limit.
@@ -162,7 +163,7 @@ def parse_word(text: str, alphabet: Sequence[Generator]) -> Word:
             atom = Word(((index[name], 1),))
         if pos < n and text[pos] == "^":
             pos += 1
-            m = re.compile(r"-?[0-9]+").match(text, pos)
+            m = _INT_RE.match(text, pos)
             if not m:
                 raise ParseError("expected integer exponent after '^'", pos)
             pos = m.end()

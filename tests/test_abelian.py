@@ -1,8 +1,11 @@
+import collections
 import random
 from fractions import Fraction
 
 import pytest
 
+import legacy_abelian
+from sutor import abelian
 from sutor import words as W
 from sutor.abelian import (
     INFINITE,
@@ -13,9 +16,11 @@ from sutor.abelian import (
     ab_neg,
     ab_scale,
     abelianize,
+    _smith,
     bareiss_pivot,
     cokernel,
     det_int,
+    det_sparse,
     direct_sum,
     element,
     order,
@@ -93,6 +98,94 @@ def test_det_int():
     assert det_int(M) == 3 * (2 - 5) - 1 * (0 - 5) + 0
     with pytest.raises(ValueError):
         det_int(IntMatrix.from_rows([[1, 2]]))
+
+
+def _permutation_matrix(perm):
+    return IntMatrix.from_rows([[int(perm[i] == j) for j in range(len(perm))]
+                                for i in range(len(perm))])
+
+
+def test_det_sparse_matches_dense_bareiss():
+    """The sparse lazy-rescaled Bareiss behind det_int against the dense
+    Bareiss it replaced, on seeded sparse matrices: singular ones, 0x0 and
+    1x1, and row and column permutations, whose sign it must carry."""
+    rng = random.Random(11)
+    seen = collections.Counter()
+    for trial in range(360):
+        n = rng.choice([0, 1, 2, 3, 4, 5, 6, 8, 10, 13])
+        density = rng.choice([0.35, 0.5, 0.7])
+        cmax = rng.choice([1, 3, 10 ** 6])
+        rows = [[rng.choice([-1, 1]) * rng.randint(1, cmax) if rng.random() < density else 0
+                 for _ in range(n)] for _ in range(n)]
+        if n >= 3 and trial % 5 == 1:  # a row that combines two others
+            i, j, k = rng.sample(range(n), 3)
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+        M = IntMatrix.from_rows(rows) if n else IntMatrix(0, 0, ())
+        want = legacy_abelian.det_int(M)
+        sparse = [{j: v for j, v in enumerate(r) if v} for r in rows]
+        before = [dict(r) for r in sparse]
+        assert det_int(M) == want == det_sparse(sparse), rows
+        assert sparse == before  # the caller's rows are left as they were
+        seen["singular"] += want == 0
+        seen[f"{n}x{n}"] += 1
+        seen["wide"] += abs(want) > 10 ** 12
+        if n >= 2:
+            p, q = rng.sample(range(n), n), rng.sample(range(n), n)
+            permuted = IntMatrix.from_rows([[rows[p[i]][q[j]] for j in range(n)]
+                                            for i in range(n)])
+            sign = (legacy_abelian.det_int(_permutation_matrix(p))
+                    * legacy_abelian.det_int(_permutation_matrix(q)))
+            assert det_int(permuted) == sign * want == legacy_abelian.det_int(permuted)
+            seen["odd"] += sign < 0 and want != 0
+    assert seen["0x0"] > 20 and seen["1x1"] > 20
+    assert seen["singular"] > 60 and 360 - seen["singular"] > 150
+    assert seen["odd"] > 50 and seen["wide"] > 20
+    assert det_sparse([{0: 0, 1: 2}, {0: 3, 1: 0}]) == -6  # explicit zeros are absent entries
+
+
+def test_det_sparse_rescales_banded_rows_lazily(monkeypatch):
+    """Only the rows with a nonzero in the pivot column are updated, and on
+    a matrix of half-bandwidth b the Markowitz pivots find at most b of them
+    besides the pivot row, so the kernel updates at most b * n rows; dense
+    Bareiss rescales every row below the pivot at every step, n (n - 1) / 2
+    of them."""
+    updates = collections.Counter()
+    eliminate = abelian._eliminate
+
+    def spy(*args):
+        updates["rows"] += 1
+        return eliminate(*args)
+
+    monkeypatch.setattr(abelian, "_eliminate", spy)
+    rng = random.Random(12)
+    for n in (25, 50, 100):
+        for b in (1, 2, 3):
+            M = IntMatrix.from_rows([[rng.choice([-2, -1, 1, 2]) if abs(i - j) <= b else 0
+                                      for j in range(n)] for i in range(n)])
+            updates.clear()
+            assert det_int(M) == legacy_abelian.det_int(M)
+            assert updates["rows"] <= b * n, (n, b)
+
+
+def test_smith_matches_the_full_pivot_scan():
+    """_smith stops its pivot scan at the first unit and skips the
+    divisibility scan for a unit pivot; U, Ui, D and V stay those of the
+    full scan, on matrices with unit and non-unit pivots and with torsion."""
+    rng = random.Random(13)
+    seen = collections.Counter()
+    for trial in range(300):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        scale = rng.choice([1, 1, 2, 3, 6])
+        rows = [[scale * rng.randint(-5, 5) if rng.random() < 0.6 else 0 for _ in range(n)]
+                for _ in range(m)]
+        got = _smith([list(r) for r in rows], m, n)
+        assert got == legacy_abelian._smith([list(r) for r in rows], m, n), rows
+        diag = [got[2][i][i] for i in range(min(m, n))]
+        seen["torsion"] += any(d >= 2 for d in diag)
+        seen["unit"] += 1 in diag
+        seen["non_unit_pivot"] += min((abs(v) for r in rows for v in r if v), default=1) > 1
+    assert seen["torsion"] > 100 and seen["unit"] > 100 and seen["non_unit_pivot"] > 50
 
 
 def check_snf(M):

@@ -1,7 +1,12 @@
+import json
+
 import pytest
 
+from sutor import engine as E
+from sutor import families as F
 from sutor import words as W
 from sutor.abelian import AbElement, abelianize, word_image
+from sutor.cli import main
 from sutor.fox import fox_derivative, fox_matrix
 from sutor.groupring import add, equal, monomial, mul, neg, one, zero
 from sutor.words import make_alphabet, parse_word
@@ -106,3 +111,30 @@ def test_fox_matrix_shape_and_entries():
 
 def test_generator_object_accepted():
     assert equal(fox_derivative(parse_word("b", AB), AB[1], FREE), one(H))
+
+
+def test_absent_entries_share_one_empty_element(monkeypatch, tmp_path, capsys):
+    """fox_matrix makes every zero entry one shared empty element; no later
+    stage writes into it, so it is still empty after torsion, both identity
+    checks and polytope --diff, on the one-variable and the cofactor paths."""
+    made = []
+
+    def spy(*args):
+        made.append(fox_matrix(*args))
+        return made[-1]
+
+    monkeypatch.setattr(E, "fox_matrix", spy)
+    knot = F.wirtinger_knot(F.torus_2n_pd(7))
+    res = E.torsion(knot)
+    assert E.evaluation_check(knot, res).passed
+    E.augmentation_order_check(knot, res)
+    path = tmp_path / "handlebody.json"
+    path.write_text(json.dumps({"generators": ["a", "b", "c"], "relators": [],
+                                "rminus": ["a b", "b^2 c", "c a^-1 c"]}))
+    assert main(["polytope", str(path), "--diff"]) == 0
+    assert "difference polytope" in capsys.readouterr().out
+    assert [A.group.rank for A in made] == [1, 3]
+    for A in made:
+        empty = [e for row in A.entries for e in row if not e.terms]
+        assert empty and all(e is empty[0] for e in empty)
+        assert empty[0].terms == {}
