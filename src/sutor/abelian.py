@@ -3,11 +3,17 @@
 Groups are presented in Smith normal form: rank b plus a divisor chain
 d_1 | d_2 | ... with every d_i >= 2.  Elements are exponent vectors
 (free part) together with reduced torsion residues.
+
+A homomorphism into such a group is the images of a basis.  dot_map, on the
+image_matrix each Cokernel or Projection builds once, is the one place that
+maps a coordinate vector through them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from functools import cached_property
+from operator import mul
+from typing import Dict, List, Sequence, Set, Tuple
 
 from .words import Generator, Word
 
@@ -159,27 +165,23 @@ def _sign(perm: Sequence[int]) -> int:
     return sign
 
 
-def bareiss_pivot(rows: List[List[int]], k: int, c: int, den: int,
-                  first: int = 0, lo: int = 0) -> None:
+def bareiss_pivot(rows: List[List[int]], k: int, c: int, den: int) -> None:
     """One fraction-free pivot on p = rows[k][c] (Edmonds 1967, Bareiss 1968).
 
-    Every row i >= first other than k becomes
-    (rows[i] * p - rows[i][c] * rows[k]) // den on the columns from lo on,
+    Every row i other than k becomes (rows[i] * p - rows[i][c] * rows[k]) // den,
     rows with a 0 in column c included; the pivot row stays as it is.  den
     is the previous pivot (1 before the first).  The updated entries are
     minors of the starting matrix, so every division is exact, and they
     equal the rational elimination's entries times p."""
     pr = rows[k]
     p = pr[c]
-    tail = pr[lo:]
-    for i in range(first, len(rows)):
+    for i, row in enumerate(rows):
         if i != k:
-            row = rows[i]
             f = row[c]
             if f:
-                row[lo:] = [(v * p - f * w) // den for v, w in zip(row[lo:], tail)]
+                row[:] = [(v * p - f * w) // den for v, w in zip(row, pr)]
             else:
-                row[lo:] = [v * p // den for v in row[lo:]]
+                row[:] = [v * p // den for v in row]
 
 
 def _smith(data: List[List[int]], m: int, n: int):
@@ -339,15 +341,6 @@ def ab_scale(G: AbelianGroup, x: AbElement, k: int) -> AbElement:
     )
 
 
-def _combine(G: AbelianGroup, pairs: Iterable[Tuple[int, AbElement]]) -> AbElement:
-    """The sum of c * img over the (c, img) pairs, in G."""
-    out = zero_element(G)
-    for c, img in pairs:
-        if c:
-            out = ab_add(G, out, ab_scale(G, img, c))
-    return out
-
-
 def element(G: AbelianGroup, free: Sequence[int] = (), tor: Sequence[int] = ()) -> AbElement:
     free = tuple(free) + (0,) * (G.rank - len(free))
     tor = tuple(tor) + (0,) * (len(G.torsion) - len(tor))
@@ -356,29 +349,42 @@ def element(G: AbelianGroup, free: Sequence[int] = (), tor: Sequence[int] = ()) 
     return AbElement(free, tuple(t % d for t, d in zip(tor, G.torsion)))
 
 
+ImageMatrix = Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[Tuple[int, ...], int], ...]]
+
+
+def image_matrix(G: AbelianGroup, images: Sequence[AbElement]) -> ImageMatrix:
+    """The matrix of the homomorphism Z^len(images) -> G sending e_j to
+    images[j] (row i holds coordinate i of every image), split into its
+    free rows and its (torsion row, d) pairs."""
+    vs = [img.free + img.tor for img in images]
+    rows = [tuple(v[i] for v in vs) for i in range(G.rank + len(G.torsion))]
+    return tuple(rows[:G.rank]), tuple(zip(rows[G.rank:], G.torsion))
+
+
+def dot_map(M: ImageMatrix, v: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The (free, tor) coordinates of sum_j v[j] * images[j]: one integer dot
+    product per target coordinate, reduced mod d on torsion ones."""
+    free, tor = M
+    return (tuple(sum(map(mul, v, row)) for row in free),
+            tuple(sum(map(mul, v, row)) % d for row, d in tor))
+
+
 @dataclass(frozen=True)
 class Cokernel:
     """The cokernel Z^m / im(M) of a relation matrix, with generator images
-    and integer lifts of the canonical factors back to Z^m."""
+    and an integer lift back to Z^m of each canonical factor, free factors
+    first."""
 
     group: AbelianGroup
     gen_images: Tuple[AbElement, ...]
-    lift_free: Tuple[Tuple[int, ...], ...]
-    lift_tor: Tuple[Tuple[int, ...], ...]
+    lifts: Tuple[Tuple[int, ...], ...]
 
-    def lift(self, x: AbElement) -> Tuple[int, ...]:
-        m = len(self.gen_images)
-        v = [0] * m
-        for c, col in zip(x.free, self.lift_free):
-            for i in range(m):
-                v[i] += c * col[i]
-        for c, col in zip(x.tor, self.lift_tor):
-            for i in range(m):
-                v[i] += c * col[i]
-        return tuple(v)
+    @cached_property
+    def matrix(self) -> ImageMatrix:
+        return image_matrix(self.group, self.gen_images)
 
     def from_vector(self, v: Sequence[int]) -> AbElement:
-        return _combine(self.group, zip(v, self.gen_images))
+        return AbElement(*dot_map(self.matrix, v))
 
 
 def cokernel(rel_rows: Sequence[Sequence[int]], m: int, n: int) -> Cokernel:
@@ -394,9 +400,8 @@ def cokernel(rel_rows: Sequence[Sequence[int]], m: int, n: int) -> Cokernel:
         )
         for i in range(m)
     )
-    lift_free = tuple(tuple(Ui[i][r] for i in range(m)) for r in free_rows)
-    lift_tor = tuple(tuple(Ui[i][r] for i in range(m)) for r in tor_rows)
-    return Cokernel(G, gen_images, lift_free, lift_tor)
+    lifts = tuple(tuple(Ui[i][r] for i in range(m)) for r in free_rows + tor_rows)
+    return Cokernel(G, gen_images, lifts)
 
 
 def abelianize(alphabet: Sequence[Generator], relators: Sequence[Word]) -> Cokernel:
@@ -410,8 +415,12 @@ def abelianize(alphabet: Sequence[Generator], relators: Sequence[Word]) -> Coker
 
 
 def word_image(ck: Cokernel, w: Word) -> AbElement:
-    """phi extended multiplicatively to words."""
-    return _combine(ck.group, ((e, ck.gen_images[g]) for g, e in w.letters))
+    """phi extended multiplicatively to words: the word's exponent sum per
+    generator, mapped once."""
+    v = [0] * len(ck.gen_images)
+    for g, e in w.letters:
+        v[g] += e
+    return ck.from_vector(v)
 
 
 @dataclass(frozen=True)
@@ -420,43 +429,39 @@ class Projection:
     target: AbelianGroup
     images: Tuple[AbElement, ...]  # image of each canonical source factor (free then torsion)
 
+    @cached_property
+    def matrix(self) -> ImageMatrix:
+        return image_matrix(self.target, self.images)
+
     def __call__(self, x: AbElement) -> AbElement:
-        return _combine(self.target, zip(x.free + x.tor, self.images))
+        return AbElement(*dot_map(self.matrix, x.free + x.tor))
+
+
+def _torsion_relations(G: AbelianGroup, at: int, m: int) -> List[List[int]]:
+    """The relation d * e_(at + rank + j) in Z^m of each torsion factor Z/d
+    of G, for G's coordinates placed from position at on."""
+    return [[d if i == at + G.rank + j else 0 for i in range(m)]
+            for j, d in enumerate(G.torsion)]
 
 
 def quotient(H: AbelianGroup, killed: Sequence[AbElement]) -> Projection:
     """G = H / <killed>, with the canonical surjection."""
     m = H.rank + len(H.torsion)
-    cols: List[List[int]] = []
-    for j, d in enumerate(H.torsion):
-        col = [0] * m
-        col[H.rank + j] = d
-        cols.append(col)
+    cols = _torsion_relations(H, 0, m)
     for x in killed:
         if len(x.free) != H.rank or len(x.tor) != len(H.torsion):
             raise ValueError("killed element not in the group")
-        cols.append(list(x.free) + list(x.tor))
-    rows = [[col[i] for col in cols] for i in range(m)]
-    ck = cokernel(rows, m, len(cols))
+        cols.append(list(x.free + x.tor))
+    ck = cokernel([[col[i] for col in cols] for i in range(m)], m, len(cols))
     return Projection(H, ck.group, ck.gen_images)
 
 
 def direct_sum(G1: AbelianGroup, G2: AbelianGroup) -> Tuple[AbelianGroup, Projection, Projection]:
     """G1 + G2 in canonical form, with the two inclusion maps."""
     m1 = G1.rank + len(G1.torsion)
-    m2 = G2.rank + len(G2.torsion)
-    m = m1 + m2
-    cols: List[List[int]] = []
-    for j, d in enumerate(G1.torsion):
-        col = [0] * m
-        col[G1.rank + j] = d
-        cols.append(col)
-    for j, d in enumerate(G2.torsion):
-        col = [0] * m
-        col[m1 + G2.rank + j] = d
-        cols.append(col)
-    rows = [[col[i] for col in cols] for i in range(m)]
-    ck = cokernel(rows, m, len(cols))
+    m = m1 + G2.rank + len(G2.torsion)
+    cols = _torsion_relations(G1, 0, m) + _torsion_relations(G2, m1, m)
+    ck = cokernel([[col[i] for col in cols] for i in range(m)], m, len(cols))
     incl1 = Projection(G1, ck.group, ck.gen_images[:m1])
     incl2 = Projection(G2, ck.group, ck.gen_images[m1:])
     return ck.group, incl1, incl2

@@ -125,10 +125,6 @@ class EvalCheck:
     passed: bool
 
 
-def rminus_quotient(result: TorsionResult) -> Projection:
-    return result.rminus_projection
-
-
 def evaluation_check(inp: SuturedInput, result: TorsionResult) -> EvalCheck:
     """p_*(tau) must equal +-I_G for G = H_1(M, R_-).  Comparing with +-I_G
     by equality is exact: h*I_G = I_G when G is finite, and I_G = 0 when G
@@ -200,8 +196,7 @@ def induced_hom(old: TorsionResult, new: TorsionResult) -> Projection:
     old_ab, new_ab = old.abelianization, new.abelianization
     pad = (0,) * (len(new_ab.gen_images) - len(old_ab.gen_images))
     return Projection(old.H, new.H, tuple(
-        new_ab.from_vector(col + pad) for col in old_ab.lift_free + old_ab.lift_tor
-    ))
+        new_ab.from_vector(col + pad) for col in old_ab.lifts))
 
 
 def transport_tau(old: TorsionResult, new: TorsionResult) -> GroupRingElement:

@@ -9,7 +9,7 @@ from typing import Dict, List, Sequence, Union
 
 from .abelian import AbElement, Cokernel
 from .groupring import GRMatrix, GroupRingElement, _accumulate, _max_free, _Packing
-from .words import Generator, Word
+from .words import WORK_BUDGET, Generator, Word
 
 
 def _fox_column(w: Word, pk: _Packing, up: List[int], down: List[int]) -> Dict[int, Dict[int, int]]:
@@ -39,9 +39,12 @@ def _columns(words: Sequence[Word], ab: Cokernel) -> List[Dict[int, Dict[AbEleme
     """The Fox column of each word, computed under one codec; each distinct
     key of the matrix is decoded once.  A prefix of a word, and with it
     every term, has free coordinates of at most the largest |free image
-    coordinate| times the word's sum of |exponents|."""
-    reach = max((sum(abs(k) for _, k in w.letters) for w in words), default=0)
-    pk = _Packing(ab.group, _max_free(ab.gen_images) * reach)
+    coordinate| times the word's sum of |exponents|, which is also its
+    number of Fox terms."""
+    reach = [sum(abs(k) for _, k in w.letters) for w in words]
+    if sum(reach) > WORK_BUDGET:
+        raise ValueError(f"{sum(reach)} Fox terms are over the work budget of {WORK_BUDGET}")
+    pk = _Packing(ab.group, _max_free(ab.gen_images) * max(reach, default=0))
     up = [pk.encode(img) for img in ab.gen_images]
     down = [pk.neg(k) for k in up]
     cols = [_fox_column(w, pk, up, down) for w in words]

@@ -25,7 +25,8 @@ torsion digit that reaches d loses d again, see fold) and int order is the
 
 Keys are encoded once on the way in and decoded once on the way out, so
 GroupRingElement.terms is keyed by AbElement at every public boundary.
-push_forward needs no codec: it maps coordinate tuples by dot products.
+push_forward needs no codec: it collects terms on the coordinate tuples
+that abelian.dot_map returns and builds one AbElement per output term.
 
 determinant stays sparse when H has at most one generator: only the nonzero
 entries are lifted to Z[t] and packed into integers, and the elimination is
@@ -34,7 +35,6 @@ the sparse-row Bareiss abelian.det_sparse.  Other H use _cofactor.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
@@ -44,8 +44,10 @@ from .abelian import (
     Projection,
     det_sparse,
     direct_sum,
+    dot_map,
     zero_element,
 )
+from .words import WORK_BUDGET
 
 
 class GroupMismatchError(ValueError):
@@ -338,6 +340,9 @@ def determinant(A: GRMatrix) -> GroupRingElement:
         slots += max(xs) - lo
         bound2 *= sum(sum(abs(c) for c in p.values()) ** 2 for p in lifted.values())
         rows.append((lo, lifted))
+    if slots > WORK_BUDGET:
+        raise ValueError(f"a determinant of {slots} powers of t is over the work budget "
+                         f"of {WORK_BUDGET}")
     k = (bound2.bit_length() + 1) // 2 + 1  # 4^(k-1) > bound2 = B^2
     packed = [{j: _pack([p.get(x, 0) for x in range(lo, max(p) + 1)], k)
                for j, p in lifted.items()} for lo, lifted in rows]
@@ -435,24 +440,14 @@ def sim_equal(p: GroupRingElement, q: GroupRingElement) -> bool:
 
 
 def push_forward(p: GroupRingElement, proj: Projection) -> GroupRingElement:
-    """Apply a group homomorphism to every term, collecting coefficients.
-    Each target coordinate is the dot product of the source coordinates with
-    that coordinate's column of the images (mod d for torsion), so terms are
-    collected on plain tuples and an AbElement is built per output term."""
+    """Apply a group homomorphism to every term, collecting coefficients on
+    the (free, tor) tuples of abelian.dot_map, so an AbElement is built per
+    output term, not per input term."""
     if proj.source != p.group:
         raise GroupMismatchError("projection source does not match element group")
-    T = proj.target
-    images = [img.free + img.tor for img in proj.images]
-    cols = [tuple(v[i] for v in images) for i in range(T.rank + len(T.torsion))]
-    free_cols, tor_cols = cols[:T.rank], list(zip(cols[T.rank:], T.torsion))
-
-    def image(h: AbElement):
-        v = h.free + h.tor
-        return (tuple(sum(map(operator.mul, v, col)) for col in free_cols),
-                tuple(sum(map(operator.mul, v, col)) % d for col, d in tor_cols))
-
-    terms = _accumulate({}, ((image(h), c) for h, c in p.terms.items()))
-    return GroupRingElement(T, {AbElement(f, t): c for (f, t), c in terms.items()})
+    M = proj.matrix
+    terms = _accumulate({}, ((dot_map(M, h.free + h.tor), c) for h, c in p.terms.items()))
+    return GroupRingElement(proj.target, {AbElement(f, t): c for (f, t), c in terms.items()})
 
 
 def sum_of_all_elements(G: AbelianGroup) -> GroupRingElement:

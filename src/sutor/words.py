@@ -35,6 +35,13 @@ _INT_RE = re.compile(r"-?[0-9]+")
 # would exhaust the interpreter's recursion limit.
 _MAX_DEPTH = 200
 
+# Work grows with the value of an exponent, not with its digits, so three
+# sizes are checked against this before the work starts: the letters of w^k
+# (power), the Fox terms, sum over words of sum |exponent| (fox._columns), and
+# the slots, 1 + sum of row spans (groupring.determinant).  Past it a
+# ValueError ends the CLI with exit 1.  An 800,002-term commutator fits.
+WORK_BUDGET = 1_000_000
+
 
 @dataclass(frozen=True)
 class Generator:
@@ -105,6 +112,9 @@ def power(w: Word, k: int) -> Word:
     if len(w.letters) == 1:
         g, e = w.letters[0]
         return Word(((g, e * k),))
+    n = len(w.letters) * abs(k)
+    if n > WORK_BUDGET:
+        raise ValueError(f"a power of {n} letters is over the work budget of {WORK_BUDGET}")
     if k < 0:
         w, k = invert(w), -k
     return free_reduce(w.letters * k)

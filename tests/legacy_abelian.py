@@ -3,12 +3,31 @@ the sparse determinant and the Smith pivot shortcut.
 
 `det_int` is the dense fraction-free Bareiss elimination: it pivots on the
 diagonal, swapping in the first row below with a nonzero in the pivot
-column, and rescales every row below the pivot at every step.  `_smith`
+column, and rescales every row below the pivot at every step, with
+`bareiss_pivot` restricted to the trailing block.  `_smith`
 scans the whole remaining block for its pivot and always runs the
 divisibility scan; the code under test must return the same U, Ui, D and V."""
 from typing import List
 
-from sutor.abelian import IntMatrix, bareiss_pivot
+from sutor.abelian import IntMatrix
+
+
+def bareiss_pivot(rows: List[List[int]], k: int, c: int, den: int,
+                  first: int, lo: int) -> None:
+    """abelian.bareiss_pivot on the trailing block: every row i >= first
+    other than k becomes (rows[i] * p - rows[i][c] * rows[k]) // den on the
+    columns from lo on, p = rows[k][c]; the other entries stay as they are."""
+    pr = rows[k]
+    p = pr[c]
+    tail = pr[lo:]
+    for i in range(first, len(rows)):
+        if i != k:
+            row = rows[i]
+            f = row[c]
+            if f:
+                row[lo:] = [(v * p - f * w) // den for v, w in zip(row[lo:], tail)]
+            else:
+                row[lo:] = [v * p // den for v in row[lo:]]
 
 
 def det_int(M: IntMatrix) -> int:

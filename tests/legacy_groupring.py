@@ -1,10 +1,12 @@
 """Test-only oracles: the Z[H] loops as they were before packed integer keys.
 
 `_cofactor`, `push_forward` and `_fox_column` build one `AbElement` per term
-(`ab_add`, `ab_scale`, the projection's `__call__`); the packed code must
-agree with them on every input, key for key and in the same term order."""
+(`ab_add`, `ab_scale`); the packed code must agree with them on every input,
+key for key and in the same term order.  `combine` is the per-coordinate
+fold that abelian.dot_map replaced, so `push_forward` maps each term without
+calling the map it checks."""
 import itertools
-from typing import Dict, Tuple
+from typing import Dict, Iterable, Tuple
 
 from sutor.abelian import (
     AbElement,
@@ -22,6 +24,16 @@ from sutor.groupring import (
     _accumulate,
 )
 from sutor.words import Word
+
+
+def combine(G: AbelianGroup, pairs: Iterable[Tuple[int, AbElement]]) -> AbElement:
+    """The sum of c * img over the (c, img) pairs, in G, one ab_add and one
+    ab_scale per nonzero c."""
+    out = zero_element(G)
+    for c, img in pairs:
+        if c:
+            out = ab_add(G, out, ab_scale(G, img, c))
+    return out
 
 
 def _products(G: AbelianGroup, p: Dict[AbElement, int], q: Dict[AbElement, int],
@@ -69,7 +81,8 @@ def push_forward(p: GroupRingElement, proj: Projection) -> GroupRingElement:
     """Apply a group homomorphism to every term, collecting coefficients."""
     if proj.source != p.group:
         raise GroupMismatchError("projection source does not match element group")
-    terms = _accumulate({}, ((proj(h), c) for h, c in p.terms.items()))
+    terms = _accumulate({}, ((combine(proj.target, zip(h.free + h.tor, proj.images)), c)
+                             for h, c in p.terms.items()))
     return GroupRingElement(proj.target, terms)
 
 

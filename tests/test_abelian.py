@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import legacy_abelian
+import legacy_groupring
 from sutor import abelian
 from sutor import words as W
 from sutor.abelian import (
@@ -47,7 +48,8 @@ def test_bareiss_pivot_matches_fraction_elimination():
     """After each fraction-free pivot every updated entry is the rational
     elimination's entry times den (the last pivot): over the whole matrix
     when every other row is eliminated (the LP's Gauss-Jordan step), over
-    the trailing block when only the rows below are (det_int's step)."""
+    the trailing block when only the rows below are (the step of the dense
+    det_int oracle, legacy_abelian.bareiss_pivot)."""
     rng = random.Random(6)
     zero_rows = 0
     for _ in range(60):
@@ -79,7 +81,7 @@ def test_bareiss_pivot_matches_fraction_elimination():
             if T[k][k] == 0:
                 break
             above = [list(r) for r in T[:k + 1]]
-            bareiss_pivot(T, k, k, den, k + 1, k + 1)
+            legacy_abelian.bareiss_pivot(T, k, k, den, k + 1, k + 1)
             den = T[k][k]
             for i in range(k + 1, m):
                 F[i] = [v - F[i][k] / F[k][k] * w for v, w in zip(F[i], F[k])]
@@ -255,9 +257,50 @@ def test_cokernel_and_lifts():
         v = [0, 0]
         v[i] = 1
         assert ck.from_vector(v) == ck.gen_images[i]
-    # lift is a section of from_vector
+    # the lifts of the canonical factors give a section of from_vector
     for x in [element(ck.group, [5], [1]), element(ck.group, [-2], [0])]:
-        assert ck.from_vector(ck.lift(x)) == x
+        v = [sum(c * lift[i] for c, lift in zip(x.free + x.tor, ck.lifts)) for i in range(2)]
+        assert ck.from_vector(v) == x
+
+
+def test_dot_map_matches_legacy_fold():
+    """word_image, Cokernel.from_vector and Projection.__call__ equal the
+    ab_add/ab_scale fold they replaced, on seeded groups with torsion, for
+    negative exponents, exponents >= d and generators absent from a word."""
+    rng = random.Random(12)
+    alphabet = make_alphabet(["a", "b", "c", "d"])
+    fold = legacy_groupring.combine
+    seen = collections.Counter()
+    for _ in range(60):
+        relators = [W.Word(((rng.randrange(4), rng.choice([2, 3, 4, 6])),))]
+        relators += [W.free_reduce([(rng.randrange(4), rng.choice([-3, -2, -1, 1, 2, 3]))
+                                    for _ in range(rng.randint(1, 4))])
+                     for _ in range(rng.randint(0, 2))]
+        ck = abelianize(alphabet, relators)
+        G = ck.group
+        if not G.torsion:
+            continue
+        seen["torsion"] += 1
+        d = G.torsion[0]
+        for _ in range(8):
+            used = rng.sample(range(4), rng.randint(1, 3))
+            w = W.free_reduce([(rng.choice(used), rng.choice([-1, 1]) * rng.randint(1, 2 * d + 1))
+                               for _ in range(rng.randint(0, 6))])
+            seen["negative"] += any(e < 0 for _, e in w.letters)
+            seen["at least d"] += any(abs(e) >= d for _, e in w.letters)
+            seen["absent"] += len({g for g, _ in w.letters}) < 4
+            assert word_image(ck, w) == fold(G, ((e, ck.gen_images[g]) for g, e in w.letters))
+            v = [rng.randint(-2 * d, 2 * d) for _ in range(4)]
+            assert ck.from_vector(v) == fold(G, zip(v, ck.gen_images))
+        killed = [element(G, [rng.randint(-3, 3) for _ in range(G.rank)],
+                          [rng.randrange(t) for t in G.torsion]) for _ in range(rng.randint(0, 2))]
+        projections = [quotient(G, killed), *direct_sum(G, AbelianGroup(1, (2,)))[1:]]
+        for proj in projections:
+            for _ in range(4):
+                x = element(proj.source, [rng.randint(-9, 9) for _ in range(proj.source.rank)],
+                            [rng.randrange(t) for t in proj.source.torsion])
+                assert proj(x) == fold(proj.target, zip(x.free + x.tor, proj.images))
+    assert min(seen.values()) > 20, seen
 
 
 def test_abelianize_free_group():

@@ -111,7 +111,7 @@ def test_criterion_04_evaluation_identity_and_mutation():
         ev = E.evaluation_check(inp, res)
         assert ev.passed, inp.name
         # perturb tau by +1: the identity must break
-        proj = E.rminus_quotient(res)
+        proj = res.rminus_projection
         mutated = push_forward(add(res.raw_det, one(res.H)), proj)
         assert not sim_equal(mutated, ev.rhs), inp.name
     ok(4, "evaluation identity holds on all 63 builtin fixtures and every "

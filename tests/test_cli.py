@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import time
 import unittest.mock
 
 import legacy_polytope
@@ -149,6 +150,31 @@ def test_help_exits_0(argv, capsys):
         main(argv)
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: sutor")
+
+
+def chain(n):
+    """Generators a0..an and relators a_i^2 a_(i+1)^-1: H = Z with a_i the
+    2^i-th power of t, so 3n + 1 Fox terms give tau = prod_(i<n) (1 + t^(2^i))
+    with 2^n terms."""
+    return {"generators": [f"a{i}" for i in range(n + 1)],
+            "relators": [f"a{i}^2 a{i + 1}^-1" for i in range(n)], "rminus": [f"a{n}"]}
+
+
+@pytest.mark.parametrize("payload, error", [
+    ({"generators": ["a", "b"], "relators": ["a^1000000000"], "rminus": ["b"]},
+     "error: 1000000001 Fox terms are over the work budget of 1000000"),
+    (chain(40),
+     "error: a determinant of 1099511627776 powers of t is over the work budget of 1000000"),
+    ({"generators": ["a", "b"], "relators": ["(a b)^1000000000"], "rminus": ["b"]},
+     "error: a power of 2000000000 letters is over the work budget of 1000000"),
+], ids=["huge-exponent", "chain-40", "huge-power"])
+def test_over_work_budget_exits_1_fast(payload, error, tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "compute", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (1, "", error + "\n")
 
 
 def test_polytope_output(capsys):

@@ -3,11 +3,13 @@ import itertools
 import json
 
 import legacy_canonical
+import legacy_groupring
 import pytest
 
 from sutor import engine as E
+from sutor import fox, groupring
 from sutor import words as W
-from sutor.abelian import INFINITE, AbElement, AbelianGroup, quotient
+from sutor.abelian import INFINITE, AbElement, AbelianGroup, Projection, quotient
 from sutor.engine import (
     SuturedInput,
     ValidationError,
@@ -93,7 +95,7 @@ def _eval_with_lhs(inp, coeffs):
     sum(coeffs[i] * g_i) over G = H_1(M, R_-), g_i its elements in order of
     first appearance among the images of a box of exponent vectors in H."""
     res = torsion(inp)
-    proj = E.rminus_quotient(res)
+    proj = res.rminus_projection
     lifts = {}
     for v in itertools.product(range(-3, 4), repeat=res.H.rank):
         lifts.setdefault(proj(AbElement(v, ())), AbElement(v, ()))
@@ -133,11 +135,36 @@ def test_rminus_quotient_built_once_per_result(monkeypatch):
     inp = cantwell_conlon()
     res = torsion(inp)
     assert len(calls) == 0
-    proj = E.rminus_quotient(res)
+    proj = res.rminus_projection
     ev = evaluation_check(inp, res)
     au = augmentation_order_check(inp, res)
     assert len(calls) == 1
     assert ev.G == proj.target and ev.passed and au.passed
+
+
+def test_work_budget_admits_its_bound(monkeypatch):
+    """Each check lets exactly WORK_BUDGET through: letters of a power, Fox
+    terms, and determinant slots (2^n for the chain of n relators
+    a_i^2 a_(i+1)^-1)."""
+    monkeypatch.setattr(W, "WORK_BUDGET", 6)
+    alphabet = make_alphabet(["a", "b"])
+    assert len(parse_word("(a b)^3", alphabet).letters) == 6
+    with pytest.raises(ValueError, match="work budget"):
+        parse_word("(a b)^-4", alphabet)
+    monkeypatch.setattr(fox, "WORK_BUDGET", 6)
+    assert torsion(simple_input(["b"], relator_texts=["a^5"])).H == AbelianGroup(1, (5,))
+    with pytest.raises(ValueError, match="7 Fox terms"):
+        torsion(simple_input(["b"], relator_texts=["a^-6"]))
+    monkeypatch.setattr(fox, "WORK_BUDGET", 100)
+    monkeypatch.setattr(groupring, "WORK_BUDGET", 8)
+
+    def chain(n):
+        return input_from_dict({"generators": [f"a{i}" for i in range(n + 1)],
+                                "relators": [f"a{i}^2 a{i + 1}^-1" for i in range(n)],
+                                "rminus": [f"a{n}"]})
+    assert len(torsion(chain(3)).tau.terms) == 8
+    with pytest.raises(ValueError, match="16 powers of t"):
+        torsion(chain(4))
 
 
 def test_solid_torus_2000_torsion_and_eval():
@@ -190,6 +217,23 @@ def test_tietze_extension_preserves_torsion():
     assert sim_equal(transport_tau(base, res), res.tau)
     with pytest.raises(ValueError):
         tietze_add_generator(inp, w, name="a")
+
+
+def test_transport_tau_with_torsion_matches_legacy_fold():
+    """After a Tietze extension of a presentation whose H has torsion, the
+    transported determinant equals the push-forward of the ab_add/ab_scale
+    fold through the lifts, and is +-h times the new torsion."""
+    inp = simple_input(["a b", "c a^-1"], names=("a", "b", "c"), relator_texts=["a^4 b^-2"])
+    base = torsion(inp)
+    assert base.H == AbelianGroup(2, (2,))
+    res = torsion(tietze_add_generator(inp, parse_word("b a^-3 c^2", inp.alphabet)))
+    new_images = res.abelianization.gen_images
+    images = tuple(legacy_groupring.combine(res.H, zip(lift, new_images))
+                   for lift in base.abelianization.lifts)
+    expected = legacy_groupring.push_forward(base.raw_det, Projection(base.H, res.H, images))
+    moved = transport_tau(base, res)
+    assert moved.terms and equal(moved, expected)
+    assert sim_equal(moved, res.tau)
 
 
 def test_tietze_fresh_name_avoids_collision():
