@@ -7,6 +7,12 @@ d_1 | d_2 | ... with every d_i >= 2.  Elements are exponent vectors
 A homomorphism into such a group is the images of a basis.  dot_map, on the
 image_matrix each Cokernel or Projection builds once, is the one place that
 maps a coordinate vector through them.
+
+_smith is the one Smith normal form.  It works in place on a list of rows,
+and the transforms ride in blocks beside and below the matrix: cokernel
+reads U to the right of the relation rows, and smith_normal_form also reads
+V below them.  U^-1, whose columns lift the canonical factors back to
+generator vectors, is not tracked; Cokernel.lifts derives it on first read.
 """
 from __future__ import annotations
 
@@ -184,48 +190,21 @@ def bareiss_pivot(rows: List[List[int]], k: int, c: int, den: int) -> None:
                 row[:] = [v * p // den for v in row]
 
 
-def _smith(data: List[List[int]], m: int, n: int):
-    """Return (U, Uinv, D, V) as row-lists with U*M*V = D in Smith form."""
-    A = [list(row) for row in data]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    Ui = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _smith(A: List[List[int]], m: int, n: int) -> None:
+    """Bring the top-left m x n block M of the rows A to Smith form D in place.
 
-    def row_swap(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-        for r in range(m):
-            Ui[r][i], Ui[r][j] = Ui[r][j], Ui[r][i]
+    Row operations act on the whole of rows 0..m-1 and column operations on
+    columns 0..n-1 of every row of A, so blocks placed beside and below M
+    carry the transforms of U*M*V = D: I_m to the right of the first m rows
+    ends as U (cokernel reads it there), and I_n below them ends as V
+    (smith_normal_form reads both)."""
 
-    def row_add(i, j, c):
-        # row_i += c * row_j ; inverse acts on columns of Ui
-        for k in range(n):
-            A[i][k] += c * A[j][k]
-        for k in range(m):
-            U[i][k] += c * U[j][k]
-        for r in range(m):
-            Ui[r][j] -= c * Ui[r][i]
+    def row_add(i, j, c):  # row_i += c * row_j
+        A[i] = [a + c * b for a, b in zip(A[i], A[j])]
 
-    def row_neg(i):
-        for k in range(n):
-            A[i][k] = -A[i][k]
-        for k in range(m):
-            U[i][k] = -U[i][k]
-        for r in range(m):
-            Ui[r][i] = -Ui[r][i]
-
-    def col_swap(i, j):
-        for r in range(m):
-            A[r][i], A[r][j] = A[r][j], A[r][i]
-        for r in range(n):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
-
-    def col_add(i, j, c):
-        # col_i += c * col_j
-        for r in range(m):
-            A[r][i] += c * A[r][j]
-        for r in range(n):
-            V[r][i] += c * V[r][j]
+    def col_add(i, j, c):  # col_i += c * col_j
+        for row in A:
+            row[i] += c * row[j]
 
     t = 0
     while t < min(m, n):
@@ -243,12 +222,13 @@ def _smith(data: List[List[int]], m: int, n: int):
                 break
         if piv is None:
             break
-        if piv[0] != t:
-            row_swap(t, piv[0])
-        if piv[1] != t:
-            col_swap(t, piv[1])
+        i, j = piv
+        A[t], A[i] = A[i], A[t]
+        if j != t:
+            for row in A:
+                row[t], row[j] = row[j], row[t]
         if A[t][t] < 0:
-            row_neg(t)
+            A[t] = [-a for a in A[t]]
         p = A[t][t]
         dirty = False
         for i in range(m):
@@ -269,26 +249,24 @@ def _smith(data: List[List[int]], m: int, n: int):
             continue
         bad = None
         if p != 1:  # 1 divides every entry
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if A[i][j] % p != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+            bad = next((i for i in range(t + 1, m)
+                        if any(A[i][j] % p for j in range(t + 1, n))), None)
         if bad is None:
             t += 1
         else:
             # fold a row the pivot does not divide into row t and pivot again
             row_add(t, bad, 1)
-    return U, Ui, A, V
 
 
 def smith_normal_form(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
     """U, D, V with U*M*V = D diagonal, d_i | d_{i+1}, d_i >= 0, U and V unimodular."""
-    U, _, D, V = _smith(M.to_rows(), M.rows, M.cols)
+    m, n = M.rows, M.cols
+    A = ([r + e for r, e in zip(M.to_rows(), IntMatrix.identity(m).to_rows())]
+         + IntMatrix.identity(n).to_rows())
+    _smith(A, m, n)
     mk = lambda rows, r, c: IntMatrix(r, c, tuple(x for row in rows for x in row))
-    return (mk(U, M.rows, M.rows), mk(D, M.rows, M.cols), mk(V, M.cols, M.cols))
+    return (mk([r[n:] for r in A[:m]], m, m), mk([r[:n] for r in A[:m]], m, n),
+            mk(A[m:], n, n))
 
 
 @dataclass(frozen=True)
@@ -371,28 +349,41 @@ def dot_map(M: ImageMatrix, v: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[in
 
 @dataclass(frozen=True)
 class Cokernel:
-    """The cokernel Z^m / im(M) of a relation matrix, with generator images
-    and an integer lift back to Z^m of each canonical factor, free factors
-    first."""
+    """The cokernel Z^m / im(M) of a relation matrix, with generator images.
+
+    U is the row transform of the Smith form U*M*V = D, and factor_rows are
+    the rows of D that give the canonical factors, free ones first."""
 
     group: AbelianGroup
     gen_images: Tuple[AbElement, ...]
-    lifts: Tuple[Tuple[int, ...], ...]
+    U: Tuple[Tuple[int, ...], ...]
+    factor_rows: Tuple[int, ...]
 
     @cached_property
     def matrix(self) -> ImageMatrix:
         return image_matrix(self.group, self.gen_images)
+
+    @cached_property
+    def lifts(self) -> Tuple[Tuple[int, ...], ...]:
+        """An integer lift back to Z^m of each canonical factor: the column of
+        U^-1 at its factor row.  Derived on first read, as U^-1 = V2*U2 from
+        the Smith form U2*U*V2 = I of the unimodular U."""
+        U2, _, V2 = smith_normal_form(IntMatrix.from_rows(self.U))
+        inverse = (V2 @ U2).to_rows()
+        return tuple(tuple(row[r] for row in inverse) for r in self.factor_rows)
 
     def from_vector(self, v: Sequence[int]) -> AbElement:
         return AbElement(*dot_map(self.matrix, v))
 
 
 def cokernel(rel_rows: Sequence[Sequence[int]], m: int, n: int) -> Cokernel:
-    U, Ui, D, _ = _smith([list(r) for r in rel_rows], m, n)
-    diag = [D[i][i] for i in range(min(m, n))]
+    A = [list(r) + e for r, e in zip(rel_rows, IntMatrix.identity(m).to_rows())]
+    _smith(A, m, n)
+    diag = [A[i][i] for i in range(min(m, n))]
     tor_rows = [i for i, d in enumerate(diag) if d >= 2]
     free_rows = [i for i, d in enumerate(diag) if d == 0] + list(range(len(diag), m))
     G = AbelianGroup(len(free_rows), tuple(diag[i] for i in tor_rows))
+    U = tuple(tuple(row[n:]) for row in A)
     gen_images = tuple(
         AbElement(
             tuple(U[r][i] for r in free_rows),
@@ -400,8 +391,7 @@ def cokernel(rel_rows: Sequence[Sequence[int]], m: int, n: int) -> Cokernel:
         )
         for i in range(m)
     )
-    lifts = tuple(tuple(Ui[i][r] for i in range(m)) for r in free_rows + tor_rows)
-    return Cokernel(G, gen_images, lifts)
+    return Cokernel(G, gen_images, U, tuple(free_rows + tor_rows))
 
 
 def abelianize(alphabet: Sequence[Generator], relators: Sequence[Word]) -> Cokernel:

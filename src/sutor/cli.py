@@ -127,6 +127,7 @@ def cmd_polytope(args) -> int:
     if not S.points:
         raise UnsupportedStructureError("tau is 0, so it has no support polytope")
     covectors = [(alpha, _covector(alpha, S.dim)) for alpha in args.alpha or []]
+    svg = P.to_svg(S) if args.svg else None  # refuses dimension > 2 before any output
     verts = P.vertices(S)
     print(f"support: {len(S.points)} points in dimension {S.dim}")
     print("hull vertices: " + " ".join(str(v) for v in verts))
@@ -143,7 +144,6 @@ def cmd_polytope(args) -> int:
             fh.write(P.to_tsv(S))
         print(f"wrote {args.tsv}")
     if args.svg:
-        svg = P.to_svg(S)
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(svg)
         print(f"wrote {args.svg}")

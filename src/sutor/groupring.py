@@ -377,13 +377,16 @@ def _unpack(D: int, k: int, n: int) -> List[int]:
 def _cofactor(A: GRMatrix) -> GroupRingElement:
     """Cofactor expansion along the sparsest row, or along a column when one
     is strictly sparser (lowest index on ties), memoized on the surviving
-    (row-set, column-set), on packed keys."""
+    (row-set, column-set), on packed keys.  The term products of the whole
+    expansion are counted against WORK_BUDGET before each line makes them."""
     G = A.group
     pk = _Packing(G, A.rows * _max_free(h for row in A.entries for e in row for h in e.terms))
     E = [[pk.encode_terms(e.terms) for e in row] for row in A.entries]
     memo: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Dict[int, int]] = {}
+    work = 0
 
     def det(rows: Tuple[int, ...], cols: Tuple[int, ...]) -> Dict[int, int]:
+        nonlocal work
         if len(rows) == 1:
             return E[rows[0]][cols[0]]
         key = (rows, cols)
@@ -397,12 +400,16 @@ def _cofactor(A: GRMatrix) -> GroupRingElement:
             line = [(ri, j) for j in range(len(cols))]
         else:
             line = [(i, ci) for i in range(len(rows))]
-        products = []
+        products = []  # lazy: none is made before the budget check
         for i, j in line:
             e = E[rows[i]][cols[j]]
             if e:
                 minor = det(rows[:i] + rows[i + 1:], cols[:j] + cols[j + 1:])
+                work += len(e) * len(minor)
                 products.append(_products(pk, e, minor, -1 if (i + j) % 2 else 1))
+        if work > WORK_BUDGET:
+            raise ValueError(f"a cofactor expansion of at least {work} term products is over "
+                             f"the work budget of {WORK_BUDGET}")
         memo[key] = acc = _accumulate({}, itertools.chain.from_iterable(products))
         return acc
 

@@ -35,11 +35,12 @@ _INT_RE = re.compile(r"-?[0-9]+")
 # would exhaust the interpreter's recursion limit.
 _MAX_DEPTH = 200
 
-# Work grows with the value of an exponent, not with its digits, so three
+# Work grows with the value of an exponent, not with its digits, so four
 # sizes are checked against this before the work starts: the letters of w^k
-# (power), the Fox terms, sum over words of sum |exponent| (fox._columns), and
-# the slots, 1 + sum of row spans (groupring.determinant).  Past it a
-# ValueError ends the CLI with exit 1.  An 800,002-term commutator fits.
+# (power), the Fox terms, sum over words of sum |exponent| (fox._columns),
+# the slots, 1 + sum of row spans (groupring.determinant), and the running
+# count of term products of a cofactor expansion (groupring._cofactor).  Past
+# it a ValueError ends the CLI with exit 1.  An 800,002-term commutator fits.
 WORK_BUDGET = 1_000_000
 
 

@@ -1,15 +1,19 @@
-"""Test-only oracles: abelian.det_int and abelian._smith as they were before
-the sparse determinant and the Smith pivot shortcut.
+"""Test-only oracles: abelian.det_int, abelian._smith and abelian.cokernel as
+they were before the sparse determinant, the Smith pivot shortcut and the
+transforms carried as blocks of the Smith rows.
 
 `det_int` is the dense fraction-free Bareiss elimination: it pivots on the
 diagonal, swapping in the first row below with a nonzero in the pivot
 column, and rescales every row below the pivot at every step, with
 `bareiss_pivot` restricted to the trailing block.  `_smith`
-scans the whole remaining block for its pivot and always runs the
-divisibility scan; the code under test must return the same U, Ui, D and V."""
-from typing import List
+scans the whole remaining block for its pivot, always runs the
+divisibility scan and keeps U, its inverse Ui and V as separate matrices;
+smith_normal_form must return the same U, D and V, and `cokernel` gives the
+group, generator images and lifts (the columns of Ui) that abelian.cokernel
+must return."""
+from typing import List, Sequence
 
-from sutor.abelian import IntMatrix
+from sutor.abelian import AbElement, AbelianGroup, IntMatrix
 
 
 def bareiss_pivot(rows: List[List[int]], k: int, c: int, den: int,
@@ -147,3 +151,21 @@ def _smith(data: List[List[int]], m: int, n: int):
             row_add(t, bad, 1)
     return U, Ui, A, V
 
+
+
+def cokernel(rel_rows: Sequence[Sequence[int]], m: int, n: int):
+    """(group, gen_images, lifts) of Z^m / im(M) from the Smith form above."""
+    U, Ui, D, _ = _smith([list(r) for r in rel_rows], m, n)
+    diag = [D[i][i] for i in range(min(m, n))]
+    tor_rows = [i for i, d in enumerate(diag) if d >= 2]
+    free_rows = [i for i, d in enumerate(diag) if d == 0] + list(range(len(diag), m))
+    G = AbelianGroup(len(free_rows), tuple(diag[i] for i in tor_rows))
+    gen_images = tuple(
+        AbElement(
+            tuple(U[r][i] for r in free_rows),
+            tuple(U[r][i] % diag[r] for r in tor_rows),
+        )
+        for i in range(m)
+    )
+    lifts = tuple(tuple(Ui[i][r] for i in range(m)) for r in free_rows + tor_rows)
+    return G, gen_images, lifts

@@ -7,6 +7,8 @@ import pytest
 import legacy_abelian
 import legacy_groupring
 from sutor import abelian
+from sutor import engine as E
+from sutor import families as F
 from sutor import words as W
 from sutor.abelian import (
     INFINITE,
@@ -17,7 +19,6 @@ from sutor.abelian import (
     ab_neg,
     ab_scale,
     abelianize,
-    _smith,
     bareiss_pivot,
     cokernel,
     det_int,
@@ -171,9 +172,11 @@ def test_det_sparse_rescales_banded_rows_lazily(monkeypatch):
 
 
 def test_smith_matches_the_full_pivot_scan():
-    """_smith stops its pivot scan at the first unit and skips the
-    divisibility scan for a unit pivot; U, Ui, D and V stay those of the
-    full scan, on matrices with unit and non-unit pivots and with torsion."""
+    """_smith stops its pivot scan at the first unit, skips the divisibility
+    scan for a unit pivot and carries U and V as blocks of its rows;
+    smith_normal_form's U, D and V stay those of the full scan, and the
+    cokernel's lifts the columns of its Ui, on matrices with unit and
+    non-unit pivots and with torsion."""
     rng = random.Random(13)
     seen = collections.Counter()
     for trial in range(300):
@@ -181,13 +184,120 @@ def test_smith_matches_the_full_pivot_scan():
         scale = rng.choice([1, 1, 2, 3, 6])
         rows = [[scale * rng.randint(-5, 5) if rng.random() < 0.6 else 0 for _ in range(n)]
                 for _ in range(m)]
-        got = _smith([list(r) for r in rows], m, n)
-        assert got == legacy_abelian._smith([list(r) for r in rows], m, n), rows
-        diag = [got[2][i][i] for i in range(min(m, n))]
+        U, _, D, V = legacy_abelian._smith([list(r) for r in rows], m, n)
+        got = smith_normal_form(IntMatrix.from_rows(rows))
+        assert [M.to_rows() for M in got] == [U, D, V], rows
+        ck = cokernel(rows, m, n)
+        assert (ck.group, ck.gen_images, ck.lifts) == legacy_abelian.cokernel(rows, m, n), rows
+        diag = [D[i][i] for i in range(min(m, n))]
         seen["torsion"] += any(d >= 2 for d in diag)
         seen["unit"] += 1 in diag
         seen["non_unit_pivot"] += min((abs(v) for r in rows for v in r if v), default=1) > 1
     assert seen["torsion"] > 100 and seen["unit"] > 100 and seen["non_unit_pivot"] > 50
+
+
+def _braid_closure(rng, strands, crossings):
+    """The Wirtinger presentation of the closure of a seeded random braid
+    whose closure is a knot: one generator per arc, one relator
+    o u_in o^-eps u_out^-1 per crossing sigma_i^eps, where the strand from
+    position i passes over."""
+    while True:
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(crossings)]
+        perm = list(range(strands))
+        for g in word:
+            i = abs(g) - 1
+            perm[i], perm[i + 1] = perm[i + 1], perm[i]
+        p, cycle = perm[0], 1
+        while p != 0:
+            p, cycle = perm[p], cycle + 1
+        if cycle == strands:
+            break
+    cur, crossings_at = list(range(strands)), []
+    arcs = strands
+    for g in word:
+        i = abs(g) - 1
+        over, under = cur[i], cur[i + 1]
+        crossings_at.append((over, under, arcs, 1 if g > 0 else -1))
+        cur[i], cur[i + 1] = arcs, over
+        arcs += 1
+    parent = list(range(arcs))
+
+    def root(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for p, a in enumerate(cur):  # the closure joins the top of each position to its bottom
+        parent[root(a)] = root(p)
+    ids = {}
+    for a in range(arcs):
+        ids.setdefault(root(a), len(ids))
+    arc = lambda a: ids[root(a)]
+    relators = [W.free_reduce([(arc(o), e), (arc(u), 1), (arc(o), -e), (arc(new), -1)])
+                for o, u, new, e in crossings_at]
+    return make_alphabet([f"x{a}" for a in range(len(ids))]), relators
+
+
+def test_cokernel_matches_legacy_at_knot_sizes(monkeypatch):
+    """cokernel's group, gen_images and lifts equal those of the cokernel
+    built on the legacy _smith for every cokernel that abelianize, quotient
+    and direct_sum build: T(2, n) Wirtinger knots for odd n <= 31, seeded
+    braid closures, relator-free handlebodies (zero columns) and their R_-
+    quotients, and direct sums with torsion."""
+    real, seen = abelian.cokernel, collections.Counter()
+
+    def checked(rel_rows, m, n):
+        ck = real(rel_rows, m, n)
+        assert (ck.group, ck.gen_images, ck.lifts) == legacy_abelian.cokernel(rel_rows, m, n)
+        seen["calls"] += 1
+        seen["largest"] = max(seen["largest"], m)
+        seen["zero_columns"] += n == 0 and m > 0
+        seen["torsion"] += bool(ck.group.torsion)
+        return ck
+
+    monkeypatch.setattr(abelian, "cokernel", checked)
+    for n in range(3, 32, 2):
+        inp = F.wirtinger_knot(F.torus_2n_pd(n))
+        assert abelianize(inp.alphabet, inp.relators).group == AbelianGroup(1)
+    rng = random.Random(17)
+    for _ in range(20):
+        strands = rng.randint(2, 5)  # a knot needs crossings = strands - 1 mod 2
+        alphabet, relators = _braid_closure(rng, strands, strands - 1 + 2 * rng.randint(2, 11))
+        assert abelianize(alphabet, relators).group == AbelianGroup(1)
+    for g in range(1, 6):
+        alphabet = make_alphabet([f"x{i}" for i in range(g)])
+        ck = abelianize(alphabet, [])
+        for _ in range(4):
+            words = [W.free_reduce([(rng.randrange(g), rng.choice([-2, -1, 1, 2, 3]))
+                                    for _ in range(rng.randint(1, 4))]) for _ in range(g)]
+            quotient(ck.group, [word_image(ck, w) for w in words])
+    for _ in range(30):
+        G1 = AbelianGroup(rng.randint(0, 2), rng.choice([(), (2,), (3,), (2, 4), (6, 12)]))
+        G2 = AbelianGroup(rng.randint(0, 2), rng.choice([(), (4,), (3, 9), (2, 6)]))
+        S, _, _ = direct_sum(G1, G2)
+        quotient(S, [element(S, [rng.randint(-3, 3) for _ in range(S.rank)],
+                             [rng.randint(0, 11) for _ in S.torsion])])
+    assert seen["largest"] >= 31 and seen["zero_columns"] >= 5 and seen["torsion"] > 40, seen
+
+
+def test_lifts_are_derived_on_first_read(monkeypatch):
+    """No cokernel built by abelianize, quotient, direct_sum, torsion or the
+    two identity checks computes its lifts; the Tietze transport reads them
+    through induced_hom."""
+    real, made = abelian.cokernel, []
+    monkeypatch.setattr(abelian, "cokernel", lambda *a: made.append(real(*a)) or made[-1])
+    alphabet = make_alphabet(["a", "b"])
+    abelianize(alphabet, [parse_word("a^2 b^4", alphabet)])
+    G, _, _ = direct_sum(AbelianGroup(1, (2,)), AbelianGroup(0, (4,)))
+    quotient(G, [element(G, [2], [1, 1])])
+    for inp in (F.cantwell_conlon(), F.solid_torus(3), F.pretzel_odd(1, 1, 1)):
+        result = E.torsion(inp)
+        assert E.evaluation_check(inp, result).passed
+        assert E.augmentation_order_check(inp, result).passed
+    assert len(made) >= 9 and all("lifts" not in ck.__dict__ for ck in made)
+    old = E.torsion(inp)
+    E.induced_hom(old, E.torsion(E.tietze_add_generator(inp, W.Word(((0, 2),)))))
+    assert "lifts" in old.abelianization.__dict__
 
 
 def check_snf(M):

@@ -177,6 +177,23 @@ def test_over_work_budget_exits_1_fast(payload, error, tmp_path, capsys):
     assert (code, out, err) == (1, "", error + "\n")
 
 
+def test_cofactor_over_work_budget_exits_1(tmp_path, capsys):
+    """On Z^2, diag(a^100000, b^100000) has 200,000 Fox terms, within the
+    budget, but its first cofactor line would make 10^10 term products: the
+    expansion stops before it; unchecked, it ran past a 20 s timeout.  The
+    time left is the assembly of those Fox terms, about 1 s on a 2-vCPU VM
+    with CPython 3.11."""
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"generators": ["a", "b"], "relators": [],
+                                "rminus": ["a^100000", "b^100000"]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "compute", str(path))
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (1, "")
+    assert err == ("error: a cofactor expansion of at least 10000000000 term products "
+                   "is over the work budget of 1000000\n")
+
+
 def test_polytope_output(capsys):
     code, out, err = run(capsys, "polytope", fx("pretzel_even_1_1_1.json"),
                          "--alpha", "1,0", "--alpha", "0,1", "--diff")
@@ -199,9 +216,12 @@ def test_polytope_tsv_and_svg(tmp_path, capsys):
 
 
 def test_polytope_three_vars_svg_refused(capsys, tmp_path):
+    """The refusal comes before any output: no report and no --tsv file."""
+    tsv = tmp_path / "o.tsv"
     code, out, err = run(capsys, "polytope", fx("cc.json"),
-                         "--svg", str(tmp_path / "x.svg"))
-    assert code == 3
+                         "--tsv", str(tsv), "--svg", str(tmp_path / "x.svg"))
+    assert (code, out) == (3, "")
+    assert not tsv.exists()
 
 
 def test_polytope_diff_in_low_dimension_solves_no_lp(capsys, monkeypatch, tmp_path):

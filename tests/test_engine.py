@@ -144,8 +144,10 @@ def test_rminus_quotient_built_once_per_result(monkeypatch):
 
 def test_work_budget_admits_its_bound(monkeypatch):
     """Each check lets exactly WORK_BUDGET through: letters of a power, Fox
-    terms, and determinant slots (2^n for the chain of n relators
-    a_i^2 a_(i+1)^-1)."""
+    terms, determinant slots (2^n for the chain of n relators
+    a_i^2 a_(i+1)^-1) and the term products of a cofactor expansion (on
+    diag(a^3, b^4, c^5) over Z^3, 4 * 5 for the minor and 3 * 20 for the
+    top line)."""
     monkeypatch.setattr(W, "WORK_BUDGET", 6)
     alphabet = make_alphabet(["a", "b"])
     assert len(parse_word("(a b)^3", alphabet).letters) == 6
@@ -165,6 +167,13 @@ def test_work_budget_admits_its_bound(monkeypatch):
     assert len(torsion(chain(3)).tau.terms) == 8
     with pytest.raises(ValueError, match="16 powers of t"):
         torsion(chain(4))
+    cube = input_from_dict({"generators": ["a", "b", "c"], "relators": [],
+                            "rminus": ["a^3", "b^4", "c^5"]})
+    monkeypatch.setattr(groupring, "WORK_BUDGET", 80)
+    assert len(torsion(cube).tau.terms) == 60
+    monkeypatch.setattr(groupring, "WORK_BUDGET", 79)
+    with pytest.raises(ValueError, match="at least 80 term products"):
+        torsion(cube)
 
 
 def test_solid_torus_2000_torsion_and_eval():
