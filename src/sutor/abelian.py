@@ -64,7 +64,9 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        # unit row i is [0] * i + [1] + [0] * (n - i - 1), so the rows laid
+        # end to end are 1 followed by n zeros, n - 1 times, then a last 1
+        return cls(n, n, tuple(([1] + [0] * n) * (n - 1) + [1]) if n else ())
 
     def at(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]

@@ -16,26 +16,33 @@ torsion digit that reaches d loses d again, see fold) and int order is the
 (free, tor) lex order.  The bound of each caller:
 
 - mul: the largest |free coordinate| of p plus that of q;
-- _cofactor: rows x the largest |free coordinate| of any entry, since every
-  memo entry is a sum of one entry key per row;
+- GRMatrix.from_rows: rows x the largest |free coordinate| of any entry,
+  since every _cofactor memo entry is a sum of one entry key per row;
 - normalize: 2 x the largest |free coordinate|, for a term minus a support
   point;
-- fox.fox_matrix: the largest |free coordinate| of a generator image x the
-  longest word's sum of |exponents|, which bounds every prefix of a word.
+- fox.fox_matrix: rows x the largest |free coordinate| of a generator image
+  x the longest word's sum of |exponents|, which bounds every prefix of a
+  word, so the same keys serve the Fox terms and every _cofactor sum.
 
 Keys are encoded once on the way in and decoded once on the way out, so
-GroupRingElement.terms is keyed by AbElement at every public boundary.
-push_forward needs no codec: it collects terms on the coordinate tuples
-that abelian.dot_map returns and builds one AbElement per output term.
+GroupRingElement.terms is keyed by AbElement at every public boundary.  A
+GRMatrix carries its keys and its codec: fox.fox_matrix hands its packed
+columns over as they are, determinant reads them, and only the
+determinant's terms and a caller that reads GRMatrix.entries see
+AbElements.  push_forward needs no codec: it collects terms on the
+coordinate tuples that abelian.dot_map returns and builds one AbElement
+per output term.
 
-determinant stays sparse when H has at most one generator: only the nonzero
-entries are lifted to Z[t] and packed into integers, and the elimination is
-the sparse-row Bareiss abelian.det_sparse.  Other H use _cofactor.
+determinant stays sparse when H has at most one generator: a key is then
+the one exponent of t, only the nonzero entries are packed into integers,
+and the elimination is the sparse-row Bareiss abelian.det_sparse.  Other H
+use _cofactor.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .abelian import (
@@ -277,68 +284,92 @@ def exact_div(p: GroupRingElement, q: GroupRingElement) -> GroupRingElement:
     )
 
 
-@dataclass(frozen=True)
 class GRMatrix:
-    rows: int
-    cols: int
-    entries: Tuple[Tuple[GroupRingElement, ...], ...]
+    """A rows x cols matrix over Z[H], kept on packed keys: packed[i][j] is
+    entry (i, j) as {key: coefficient} under one codec, packing, whose bound
+    covers every sum of one key per row, so determinant and _cofactor use the
+    keys as they are.  Every zero entry is one shared empty dict.  entries,
+    the GroupRingElement form, is decoded once, on first read."""
+
+    def __init__(self, group: AbelianGroup, packing: _Packing,
+                 packed: List[List[Dict[int, int]]]):
+        self.group = group
+        self.packing = packing
+        self.packed = packed
+        self.rows = len(packed)
+        self.cols = len(packed[0]) if packed else 0
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence[GroupRingElement]]) -> "GRMatrix":
+        """The matrix of the given entries, encoded under a codec of bound
+        rows x the largest |free coordinate| of any entry; entries is the
+        given rows, so nothing is decoded."""
         rows = len(data)
         cols = len(data[0]) if rows else 0
         if any(len(row) != cols for row in data):
             raise ValueError("ragged rows")
+        G = pk = None
         if rows and cols:
             G = data[0][0].group  # by identity first: entries usually share it
             if any(e.group is not G and e.group != G for row in data for e in row):
                 raise GroupMismatchError("matrix entries over different groups")
-        return cls(rows, cols, tuple(tuple(row) for row in data))
+            pk = _Packing(G, rows * _max_free(h for row in data for e in row for h in e.terms))
+        empty: Dict[int, int] = {}
+        A = cls(G, pk, [[pk.encode_terms(e.terms) if e.terms else empty for e in row]
+                        for row in data])
+        A.__dict__["entries"] = tuple(tuple(row) for row in data)
+        return A
 
-    @property
-    def group(self) -> AbelianGroup:
-        return self.entries[0][0].group
+    @cached_property
+    def entries(self) -> Tuple[Tuple[GroupRingElement, ...], ...]:
+        """Each distinct key of the matrix decoded once; every zero entry is
+        one shared empty element."""
+        G, pk = self.group, self.packing
+        keys = set().union(*[e for row in self.packed for e in row if e])
+        element = dict(zip(keys, pk.decode(keys)))
+        empty = GroupRingElement(G, {})
+        return tuple([tuple([GroupRingElement(G, {element[k]: c for k, c in e.items()})
+                             if e else empty for e in row]) for row in self.packed])
+
+    def __eq__(self, other):
+        if not isinstance(other, GRMatrix):
+            return NotImplemented
+        return self.entries == other.entries
 
 
 def determinant(A: GRMatrix) -> GroupRingElement:
-    """det A in Z[H].  A 1x1 matrix is its entry.  When H has at most one
-    generator (trivial, Z or Z/d) the entries are Laurent polynomials in one
-    variable t and det is exact integer arithmetic (Kronecker substitution):
-    shift each row into non-negative degrees, substitute t = 2^k in the
-    nonzero entries only, take the sparse fraction-free Bareiss
-    abelian.det_sparse of those rows and read its balanced base-2^k digits
-    back, folding exponents mod d.  On |t| = 1 every entry is at most its sum
-    of |coefficients|, so Hadamard's inequality bounds |det| there, and with
-    it every coefficient of det, by
-    B = prod_rows sqrt(sum_entries (sum |coefficients|)^2); k is chosen with
-    2^(k-1) > B.  Any other H keeps the sparse cofactor expansion."""
+    """det A in Z[H].  When H has at most one generator (trivial, Z or Z/d)
+    a key is its one coordinate, or 0 when H = 1, so the entries are
+    Laurent polynomials in one variable t whose exponents are the keys, and
+    det is exact integer arithmetic (Kronecker substitution): shift each row
+    into non-negative degrees, substitute t = 2^k in the nonzero entries
+    only, take the sparse fraction-free Bareiss abelian.det_sparse of those
+    rows and read its balanced base-2^k digits back, folding exponents mod
+    d.  On |t| = 1 every entry is at most its sum of |coefficients|, so
+    Hadamard's inequality bounds |det| there, and with it every coefficient
+    of det, by B = prod_rows sqrt(sum_entries (sum |coefficients|)^2); k is
+    chosen with 2^(k-1) > B.  A 1x1 matrix and any other H use the sparse
+    cofactor expansion.  Only the output terms become AbElements."""
     if A.rows != A.cols:
         raise ValueError("determinant of non-square matrix")
     if A.rows == 0:
         raise ValueError("empty matrix")
-    if A.rows == 1:
-        return A.entries[0][0]
     G = A.group
-    if G.rank + len(G.torsion) > 1:
+    if A.rows == 1 or G.rank + len(G.torsion) > 1:
         return _cofactor(A)
-
-    def exponent(h: AbElement) -> int:  # the one coordinate, or 0 when H = 1
-        return sum(h.free) + sum(h.tor)
 
     def monomial_at(e: int) -> AbElement:
         return AbElement((e,) * G.rank, tuple(e % d for d in G.torsion))
 
     rows, shift, bound2, slots = [], 0, 1, 1
-    for row in A.entries:
-        lifted = {j: {exponent(h): c for h, c in e.terms.items()}
-                  for j, e in enumerate(row) if e.terms}
-        xs = [x for p in lifted.values() for x in p]
-        if not xs:
+    for row in A.packed:
+        lifted = {j: p for j, p in enumerate(row) if p}
+        if not lifted:
             return zero(G)
-        lo = min(xs)
+        lo = min(min(p) for p in lifted.values())
         shift += lo
-        slots += max(xs) - lo
-        bound2 *= sum(sum(abs(c) for c in p.values()) ** 2 for p in lifted.values())
+        slots += max(max(p) for p in lifted.values()) - lo
+        bound2 *= sum(sum(map(abs, p.values())) ** 2 for p in lifted.values())
         rows.append((lo, lifted))
     if slots > WORK_BUDGET:
         raise ValueError(f"a determinant of {slots} powers of t is over the work budget "
@@ -377,11 +408,10 @@ def _unpack(D: int, k: int, n: int) -> List[int]:
 def _cofactor(A: GRMatrix) -> GroupRingElement:
     """Cofactor expansion along the sparsest row, or along a column when one
     is strictly sparser (lowest index on ties), memoized on the surviving
-    (row-set, column-set), on packed keys.  The term products of the whole
-    expansion are counted against WORK_BUDGET before each line makes them."""
-    G = A.group
-    pk = _Packing(G, A.rows * _max_free(h for row in A.entries for e in row for h in e.terms))
-    E = [[pk.encode_terms(e.terms) for e in row] for row in A.entries]
+    (row-set, column-set), on the matrix's own keys and codec.  The term
+    products of the whole expansion are counted against WORK_BUDGET before
+    each line makes them."""
+    G, pk, E = A.group, A.packing, A.packed
     memo: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Dict[int, int]] = {}
     work = 0
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 
 class WordError(ValueError):
@@ -150,9 +150,22 @@ def parse_word(text: str, alphabet: Sequence[Generator]) -> Word:
             skip_ws()
             if pos >= n or text[pos] == ")":
                 return free_reduce(letters)
-            letters.extend(parse_factor(depth).letters)
+            parse_factor(depth, letters)
 
-    def parse_factor(depth: int) -> Word:
+    def parse_exponent() -> Optional[int]:
+        nonlocal pos
+        if pos >= n or text[pos] != "^":
+            return None
+        pos += 1
+        m = _INT_RE.match(text, pos)
+        if not m:
+            raise ParseError("expected integer exponent after '^'", pos)
+        pos = m.end()
+        return int(m.group(0))
+
+    def parse_factor(depth: int, letters: List[Tuple[int, int]]) -> None:
+        # A generator's letter goes straight onto the enclosing list (g^0
+        # too: free_reduce drops it); only a group goes through power.
         nonlocal pos
         if text[pos] == "(":
             if depth == _MAX_DEPTH:
@@ -162,24 +175,18 @@ def parse_word(text: str, alphabet: Sequence[Generator]) -> Word:
             if pos >= n or text[pos] != ")":
                 raise ParseError("expected ')'", pos)
             pos += 1
-            atom = inner
-        else:
-            m = _IDENT_RE.match(text, pos)
-            if not m:
-                raise ParseError(f"unexpected character {text[pos]!r}", pos)
-            name = m.group(0)
-            if name not in index:
-                raise UnknownGeneratorError(name, pos)
-            pos = m.end()
-            atom = Word(((index[name], 1),))
-        if pos < n and text[pos] == "^":
-            pos += 1
-            m = _INT_RE.match(text, pos)
-            if not m:
-                raise ParseError("expected integer exponent after '^'", pos)
-            pos = m.end()
-            return power(atom, int(m.group(0)))
-        return atom
+            k = parse_exponent()
+            letters.extend((inner if k is None else power(inner, k)).letters)
+            return
+        m = _IDENT_RE.match(text, pos)
+        if not m:
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        name = m.group(0)
+        if name not in index:
+            raise UnknownGeneratorError(name, pos)
+        pos = m.end()
+        k = parse_exponent()
+        letters.append((index[name], 1 if k is None else k))
 
     word = parse_sequence(0)
     if pos < n:

@@ -45,6 +45,14 @@ def test_int_matrix_basics():
         IntMatrix.from_rows([[1, 2], [3]])
 
 
+def test_identity_is_its_unit_rows():
+    for n in range(40):
+        I = IntMatrix.identity(n)
+        assert (I.rows, I.cols) == (n, n)
+        assert I.entries == tuple(int(i == j) for i in range(n) for j in range(n))
+        assert I.to_rows() == [[0] * i + [1] + [0] * (n - i - 1) for i in range(n)]
+
+
 def test_bareiss_pivot_matches_fraction_elimination():
     """After each fraction-free pivot every updated entry is the rational
     elimination's entry times den (the last pivot): over the whole matrix

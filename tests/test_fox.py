@@ -1,9 +1,11 @@
 import json
+import random
 
 import pytest
 
 from sutor import engine as E
 from sutor import families as F
+from sutor import groupring
 from sutor import words as W
 from sutor.abelian import AbElement, abelianize, word_image
 from sutor.cli import main
@@ -138,3 +140,44 @@ def test_absent_entries_share_one_empty_element(monkeypatch, tmp_path, capsys):
         empty = [e for row in A.entries for e in row if not e.terms]
         assert empty and all(e is empty[0] for e in empty)
         assert empty[0].terms == {}
+
+
+def test_torsion_never_decodes_the_fox_matrix(monkeypatch):
+    """torsion and both identity checks read the Fox matrix on its packed
+    keys only: entries is never decoded, and the codec decodes no more keys
+    than raw_det and tau have terms."""
+    made, decoded = [], []
+
+    def spy(*args):
+        made.append(fox_matrix(*args))
+        return made[-1]
+
+    decode = groupring._Packing.decode
+
+    def counting(self, keys):
+        keys = list(keys)
+        decoded.append(len(keys))
+        return decode(self, keys)
+
+    monkeypatch.setattr(E, "fox_matrix", spy)
+    monkeypatch.setattr(groupring._Packing, "decode", counting)
+    rng = random.Random(4)
+    alphabet = make_alphabet(["a", "b", "c", "d"])
+    words = []
+    for _ in range(4):  # length 12, no two adjacent letters on one generator
+        letters = [(0, 1)]
+        while len(letters) < 12:
+            g = rng.choice([x for x in range(4) if x != letters[-1][0]])
+            letters.append((g, rng.choice((1, -1))))
+        words.append(W.Word(tuple(letters)))
+    handlebody = E.SuturedInput(alphabet, (), tuple(words))
+    for inp in (F.wirtinger_knot(F.torus_2n_pd(31)), handlebody):
+        decoded.clear()
+        res = E.torsion(inp)
+        assert E.evaluation_check(inp, res).passed
+        assert E.augmentation_order_check(inp, res).passed
+        A = made[-1]
+        assert A.rows == len(alphabet if inp is handlebody else inp.alphabet)
+        assert "entries" not in A.__dict__
+        assert sum(decoded) <= len(res.raw_det.terms) + len(res.tau.terms)
+        assert len(res.raw_det.terms) >= 31

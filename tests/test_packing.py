@@ -1,5 +1,6 @@
 """The packed-key codec of groupring, and the loops that use it, against the
 AbElement code they replaced (tests/legacy_groupring.py)."""
+import collections
 import random
 
 import pytest
@@ -7,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 import legacy_canonical
 import legacy_groupring
+from sutor import families as F
 from sutor import groupring
 from sutor.abelian import (
     AbElement,
     AbelianGroup,
     ab_add,
+    ab_scale,
     abelianize,
     direct_sum,
     quotient,
@@ -24,12 +27,16 @@ from sutor.groupring import (
     _cofactor,
     _key,
     _Packing,
+    determinant,
     element,
+    equal,
     mul,
     normalize,
     push_forward,
+    sim_equal,
 )
-from sutor.words import Word, make_alphabet
+from sutor.words import Word, free_reduce, make_alphabet
+from test_abelian import _braid_closure
 
 GROUPS = [AbelianGroup(2), AbelianGroup(1, (3,)), AbelianGroup(2, (2, 4)), AbelianGroup(0, (6,))]
 
@@ -191,7 +198,8 @@ def test_fox_columns_match_legacy(names, relators):
             words.append(Word(tuple(letters)))
         _assert_fox_matches_legacy(alphabet, words, ab)
     # g^-3 for the generator with the largest image coordinate alone: its
-    # last term, g^-3, sits at the codec's bound
+    # last term, g^-3, sits at the bound on one word's prefixes, which the
+    # codec's bound multiplies by the rows
     g = max(range(m), key=lambda i: max(map(abs, ab.gen_images[i].free + ab.gen_images[i].tor)))
     _assert_fox_matches_legacy(alphabet, [Word(((g, -3),))], ab)
 
@@ -220,3 +228,108 @@ def test_fox_matrix_encodes_each_image_a_constant_number_of_times(monkeypatch):
         calls.clear()
         fox_matrix(alphabet, [Word(((0, 2), (1, -3), (4, 1)))] * ncols, ab)
         assert calls == list(ab.gen_images)
+
+
+def _handlebody_words(rng, g, length):
+    """g seeded words of the given length over g generators, exponents +-1,
+    no two adjacent letters on one generator."""
+    words = []
+    for _ in range(g):
+        letters = []
+        while len(letters) < length:
+            x = rng.randrange(g)
+            if not letters or letters[-1][0] != x:
+                letters.append((x, rng.choice((1, -1))))
+        words.append(Word(tuple(letters)))
+    return words
+
+
+def _random_words(rng, m, count, exponents=(-3, -2, -1, 1, 2, 3)):
+    return [free_reduce([(rng.randrange(m), rng.choice(exponents))
+                         for _ in range(rng.randint(1, 6))]) for _ in range(count)]
+
+
+def _packed_det_matches(alphabet, words, ab, seen):
+    """determinant of the Fox matrix on its packed keys equals determinant of
+    the same entries through from_rows and the AbElement cofactor expansion;
+    the Fox matrix is decoded only after its determinant."""
+    A = fox_matrix(alphabet, words, ab)
+    det = determinant(A)
+    assert "entries" not in A.__dict__
+    B = GRMatrix.from_rows([[GroupRingElement(e.group, dict(e.terms)) for e in row]
+                            for row in A.entries])
+    assert A == B and B == A
+    assert _same(determinant(B), det)
+    legacy = legacy_groupring._cofactor(A)
+    G = ab.group
+    # the cofactor path keeps the legacy term order; the one-variable path
+    # reads its terms off digits, lowest exponent first
+    assert _same(det, legacy) if G.rank + len(G.torsion) > 1 else equal(det, legacy)
+    seen[G.describe()] += 1
+    seen["nonzero"] += bool(det)
+    return det
+
+
+def test_packed_determinant_matches_from_rows_and_legacy():
+    seen = collections.Counter()
+    for n in range(3, 32, 2):
+        inp = F.wirtinger_knot(F.torus_2n_pd(n))
+        ab = abelianize(inp.alphabet, inp.relators)
+        det = _packed_det_matches(inp.alphabet, list(inp.relators) + list(inp.rminus), ab, seen)
+        assert sim_equal(det, F.torus_2n_expected(n))
+    rng = random.Random(23)
+    for _ in range(12):
+        strands = rng.randint(2, 5)
+        alphabet, relators = _braid_closure(rng, strands, strands - 1 + 2 * rng.randint(2, 8))
+        meridian = Word(((0, 1),))
+        words = relators[:-1] + [meridian]
+        if len(words) == len(alphabet):
+            _packed_det_matches(alphabet, words, abelianize(alphabet, relators[:-1]), seen)
+    for g in (3, 4, 5):
+        alphabet = make_alphabet("abcde"[:g])
+        for _ in range(3):
+            _packed_det_matches(alphabet, _handlebody_words(rng, g, 10), abelianize(alphabet, []),
+                                seen)
+    # H = Z/6, Z + Z/2 and the trivial group; the Fox columns are any words
+    for names, relators, group in (
+            (["a", "b"], [[(0, 6)], [(1, -1), (0, 5)]], AbelianGroup(0, (6,))),
+            (["a", "b", "c"], [[(1, 2)], [(2, -1), (0, 1), (1, 3)]], AbelianGroup(1, (2,))),
+            (["a", "b"], [[(0, 1)], [(1, 1), (0, 2)]], AbelianGroup(0))):
+        alphabet = make_alphabet(names)
+        ab = abelianize(alphabet, [Word(tuple(r)) for r in relators])
+        assert ab.group == group
+        for _ in range(10):
+            _packed_det_matches(alphabet, _random_words(rng, len(names), len(names)), ab, seen)
+    assert seen["Z"] >= 15 + 6 and seen["nonzero"] > 40, seen
+    assert all(seen[G] >= 3 for G in ("Z + Z + Z", "Z + Z + Z + Z", "Z + Z + Z + Z + Z",
+                                      "Z/6", "Z + Z/2", "0")), seen
+
+
+def test_fox_codec_covers_a_sum_over_rows():
+    """Four rows whose Fox terms each reach a^-3, the largest |image
+    coordinate| (1) times the longest word's reach (3): the determinant's
+    term a^-12 is four times that, so the Fox matrix's codec must be as wide
+    as rows x that bound for _cofactor to use its keys as they are."""
+    alphabet = make_alphabet(["a", "b", "c", "d", "e"])
+    ab = abelianize(alphabet, [Word(((g, 1), (0, -1))) for g in (1, 2, 3)])
+    assert ab.group == AbelianGroup(2)
+    words = [Word(((g, -3),)) for g in range(4)] + [Word(((4, 1), (0, -3)))]
+    det = _packed_det_matches(alphabet, words, ab, collections.Counter())
+    a = ab.gen_images[0]
+    assert det.terms[ab_scale(ab.group, a, -12)] == 1
+    assert sorted(det.terms.values()) == sorted([1, 4, 10, 16, 19, 16, 10, 4, 1])
+
+
+def test_matrices_with_equal_entries_compare_equal():
+    alphabet = make_alphabet(["a", "b", "c"])
+    ab = abelianize(alphabet, [Word(((1, 2),))])
+    words = [Word(((0, 2), (1, -1), (2, 3))), Word(((2, -2), (0, 1))), Word(((1, 1), (0, -4)))]
+    A, A2 = fox_matrix(alphabet, words, ab), fox_matrix(alphabet, words, ab)
+    B = GRMatrix.from_rows([[GroupRingElement(e.group, dict(e.terms)) for e in row]
+                            for row in A.entries])
+    assert A == A2 and A == B and B == A
+    assert A.packing.width != B.packing.width  # the codecs differ, the entries do not
+    rows = [list(row) for row in B.entries]
+    rows[0][0] = rows[0][0] + rows[0][0]
+    assert GRMatrix.from_rows(rows) != A
+    assert GRMatrix.from_rows(rows[:2]) != A

@@ -1,5 +1,7 @@
+import collections
 import random
 
+import legacy_words
 import pytest
 from hypothesis import given, strategies as st
 
@@ -158,6 +160,40 @@ def test_parse_matches_concat_fold():
     for _ in range(500):
         text, expected = _random_word_text(rng, 0)
         assert parse_word(text, AB) == expected, text
+
+
+def _outcome(parse, text):
+    """The Word parse returns, or the class, message and position of what it
+    raises."""
+    try:
+        return parse(text, AB)
+    except (WordError, ValueError) as e:
+        return type(e), str(e), getattr(e, "position", None)
+
+
+def test_parse_matches_legacy_parser():
+    """The parser that appends generator letters straight to the enclosing
+    list against the one that made a Word per factor: nesting, tabs and
+    spaces, ^-k and ^0, and malformed texts made by cutting, inserting or
+    swapping characters of valid ones."""
+    rng = random.Random(11)
+    kinds = collections.Counter()
+    for _ in range(2000):
+        text, _ = _random_word_text(rng, 0)
+        if rng.random() < 0.5 and text:
+            i = rng.randrange(len(text) + 1)
+            cut = text[:i] + text[i + rng.randint(1, 3):]
+            text = rng.choice([cut, text[:i] + rng.choice("()^-0 d*1\t") + text[i:],
+                               text.replace("^", rng.choice(["^", "^ ", "^-", "^x"]), 1)])
+        got = _outcome(parse_word, text)
+        assert got == _outcome(legacy_words.parse_word, text), repr(text)
+        kinds[type(got) is Word and "word" or got[0].__name__] += 1
+    for text in ["1", " 1\t", "", "a^0", "a^-0", "(a)^0 b", "a^1 a^-1", "((a^2 b)^-3 c)^0",
+                 "(" * 200 + "a" + ")" * 200, "(" * 201 + "a" + ")" * 201, "a^", "a^-",
+                 "(a b", "a )", "a d", "a\nb", "(a b)^1000001", "a^99999999999"]:
+        assert _outcome(parse_word, text) == _outcome(legacy_words.parse_word, text), repr(text)
+    assert kinds["word"] > 500 and kinds["ParseError"] > 100
+    assert kinds["UnknownGeneratorError"] > 10
 
 
 def test_render_round_trip():
