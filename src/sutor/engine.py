@@ -244,10 +244,11 @@ def input_from_dict(d: dict) -> SuturedInput:
     irreducible = d.get("claimed_irreducible", True)
     if not isinstance(irreducible, bool):
         raise ValueError("'claimed_irreducible' must be true or false")
+    parsed = W.parse_words(relators + rminus, alphabet)
     return SuturedInput(
         alphabet=alphabet,
-        relators=tuple(W.parse_word(s, alphabet) for s in relators),
-        rminus=tuple(W.parse_word(s, alphabet) for s in rminus),
+        relators=parsed[:len(relators)],
+        rminus=parsed[len(relators):],
         name=_optional_string("name", d.get("name")),
         notes=_optional_string("notes", d.get("notes")),
         claimed_irreducible=irreducible,

@@ -158,7 +158,7 @@ def goda_input_from_words(alpha: str, beta: str) -> SuturedInput:
     return SuturedInput(
         alphabet=alphabet,
         relators=(),
-        rminus=(W.parse_word(alpha, alphabet), W.parse_word(beta, alphabet)),
+        rminus=W.parse_words((alpha, beta), alphabet),
         name="goda_handlebody",
         notes="user-supplied curve words",
     )

@@ -520,17 +520,18 @@ def to_records(p: GroupRingElement) -> dict:
 
 
 def _int_list(value, what: str) -> Tuple[int, ...]:
-    if not isinstance(value, list) or not all(isinstance(x, int) for x in value):
+    if not isinstance(value, list) or not all(type(x) is int for x in value):
         raise ValueError(f"{what} must be a list of integers")
     return tuple(value)
 
 
 def from_records(obj: dict) -> GroupRingElement:
     """Inverse of to_records; raises ValueError when obj does not have its
-    shape.  Torsion coordinates are read modulo their divisors."""
+    shape (a bool is not an integer there).  Torsion coordinates are read
+    modulo their divisors."""
     group = obj.get("group") if isinstance(obj, dict) else None
     records = obj.get("terms") if isinstance(obj, dict) else None
-    if not isinstance(group, dict) or not isinstance(group.get("rank"), int):
+    if not isinstance(group, dict) or type(group.get("rank")) is not int:
         raise ValueError("records need a group with an integer rank")
     if not isinstance(records, list) or not all(isinstance(t, dict) for t in records):
         raise ValueError("records need a list of term objects")
@@ -540,7 +541,7 @@ def from_records(obj: dict) -> GroupRingElement:
         free, tor = _int_list(t.get("free"), "free"), _int_list(t.get("tor"), "tor")
         if len(free) != G.rank or len(tor) != len(G.torsion):
             raise ValueError("term coordinates do not match group")
-        if not isinstance(t.get("coeff"), int):
+        if type(t.get("coeff")) is not int:
             raise ValueError("coeff must be an integer")
         h = AbElement(free, tuple(x % d for x, d in zip(tor, G.torsion)))
         _accumulate(terms, [(h, t["coeff"])])

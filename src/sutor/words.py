@@ -31,8 +31,8 @@ class UnknownGeneratorError(WordError):
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"-?[0-9]+")
 
-# Parenthesis nesting the recursive-descent parser accepts; deeper input
-# would exhaust the interpreter's recursion limit.
+# The deepest parenthesis nesting the word grammar accepts: the 201st open
+# "(" is a ParseError.
 _MAX_DEPTH = 200
 
 # Work grows with the value of an exponent, not with its digits, so four
@@ -121,77 +121,71 @@ def power(w: Word, k: int) -> Word:
     return free_reduce(w.letters * k)
 
 
-def parse_word(text: str, alphabet: Sequence[Generator]) -> Word:
-    """Parse the word grammar:
+def _exponent(text: str, pos: int) -> Tuple[Optional[int], int]:
+    """The k of a "^k" at pos (None if there is no "^") and the position
+    after it."""
+    if pos >= len(text) or text[pos] != "^":
+        return None, pos
+    m = _INT_RE.match(text, pos + 1)
+    if not m:
+        raise ParseError("expected integer exponent after '^'", pos + 1)
+    return int(m.group(0)), m.end()
+
+
+def parse_words(texts: Iterable[str], alphabet: Sequence[Generator]) -> Tuple[Word, ...]:
+    """Parse each text in the word grammar:
 
         word   := ws* ( factor ws* )*
         factor := atom ( "^" int )?
         atom   := ident | "(" word ")"
 
-    The bare string "1" (surrounded by whitespace) also denotes the identity.
+    where ws is a space or a tab.  The bare string "1" (surrounded by
+    whitespace) also denotes the identity.  One left-to-right scan per text:
+    stack[-1] collects the letters of the innermost open group, stack[0]
+    those of the whole word.  A generator's letter goes straight onto it (g^0
+    too: free_reduce drops it); a closed group is reduced once and goes
+    through power.  Free reduction is confluent, so this gives the word that
+    concatenating factor by factor would, in time linear in the letters.
     """
     index = {g.name: g.index for g in alphabet}
-    if text.strip() == "1":
-        return IDENTITY
-    pos = 0
-    n = len(text)
+    out = []
+    for text in texts:
+        if text.strip() == "1":
+            out.append(IDENTITY)
+            continue
+        stack: List[List[Tuple[int, int]]] = [[]]
+        pos, n = 0, len(text)
+        while pos < n:
+            c = text[pos]
+            if c in " \t":
+                pos += 1
+            elif c == "(":
+                if len(stack) > _MAX_DEPTH:
+                    raise ParseError(f"parentheses nested deeper than {_MAX_DEPTH}", pos)
+                stack.append([])
+                pos += 1
+            elif c == ")" and len(stack) > 1:
+                inner = free_reduce(stack.pop())
+                k, pos = _exponent(text, pos + 1)
+                stack[-1].extend((inner if k is None else power(inner, k)).letters)
+            else:
+                m = _IDENT_RE.match(text, pos)
+                if not m:
+                    raise ParseError(f"unexpected character {c!r}", pos)
+                g = index.get(m.group(0))
+                if g is None:
+                    raise UnknownGeneratorError(m.group(0), pos)
+                k, pos = _exponent(text, m.end())
+                stack[-1].append((g, 1 if k is None else k))
+        if len(stack) > 1:
+            raise ParseError("expected ')'", n)
+        out.append(free_reduce(stack[0]))
+    return tuple(out)
 
-    def skip_ws():
-        nonlocal pos
-        while pos < n and text[pos] in " \t":
-            pos += 1
 
-    def parse_sequence(depth: int) -> Word:
-        # Free reduction is confluent, so reducing all factors' letters once
-        # gives the word that concatenating factor by factor would, in time
-        # linear in the letters.
-        letters: List[Tuple[int, int]] = []
-        while True:
-            skip_ws()
-            if pos >= n or text[pos] == ")":
-                return free_reduce(letters)
-            parse_factor(depth, letters)
-
-    def parse_exponent() -> Optional[int]:
-        nonlocal pos
-        if pos >= n or text[pos] != "^":
-            return None
-        pos += 1
-        m = _INT_RE.match(text, pos)
-        if not m:
-            raise ParseError("expected integer exponent after '^'", pos)
-        pos = m.end()
-        return int(m.group(0))
-
-    def parse_factor(depth: int, letters: List[Tuple[int, int]]) -> None:
-        # A generator's letter goes straight onto the enclosing list (g^0
-        # too: free_reduce drops it); only a group goes through power.
-        nonlocal pos
-        if text[pos] == "(":
-            if depth == _MAX_DEPTH:
-                raise ParseError(f"parentheses nested deeper than {_MAX_DEPTH}", pos)
-            pos += 1
-            inner = parse_sequence(depth + 1)
-            if pos >= n or text[pos] != ")":
-                raise ParseError("expected ')'", pos)
-            pos += 1
-            k = parse_exponent()
-            letters.extend((inner if k is None else power(inner, k)).letters)
-            return
-        m = _IDENT_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        name = m.group(0)
-        if name not in index:
-            raise UnknownGeneratorError(name, pos)
-        pos = m.end()
-        k = parse_exponent()
-        letters.append((index[name], 1 if k is None else k))
-
-    word = parse_sequence(0)
-    if pos < n:
-        raise ParseError(f"unexpected character {text[pos]!r}", pos)
-    return word
+def parse_word(text: str, alphabet: Sequence[Generator]) -> Word:
+    """The one word of parse_words((text,), alphabet)."""
+    return parse_words((text,), alphabet)[0]
 
 
 def render(w: Word, alphabet: Sequence[Generator]) -> str:

@@ -323,6 +323,23 @@ def test_check_without_flags_errors(capsys):
     assert code == 1
 
 
+def test_booleans_in_a_serialized_tau_exit_1(capsys, tmp_path):
+    tau = {"group": {"rank": True, "torsion": []},
+           "terms": [{"coeff": True, "free": [False], "tor": []}]}
+    (tmp_path / "b.json").write_text(json.dumps(tau))
+    code, out, err = run(capsys, "check", str(tmp_path / "b.json"), "--disk", "3")
+    assert (code, out) == (1, "")
+    assert err == "error: records need a group with an integer rank\n"
+    (tmp_path / "a.json").write_text(
+        json.dumps({"generators": ["a"], "relators": [], "rminus": ["a"]}))
+    (tmp_path / "m.json").write_text(json.dumps(
+        {"entries": [{"path": "a.json", "expected_tau": tau}]}))
+    code, out, err = run(capsys, "batch", str(tmp_path / "m.json"))
+    assert code == 1
+    assert out.splitlines() == ["FAIL a.json: records need a group with an integer rank",
+                                "0/1 passed"]
+
+
 def test_gen_round_trip(capsys):
     code, out, err = run(capsys, "gen", "pretzel-odd", "1", "1", "1")
     assert code == 0

@@ -373,6 +373,23 @@ def test_from_records_rejects_malformed_shapes(obj):
         from_records(obj)
 
 
+@pytest.mark.parametrize("group, term, message", [
+    ({"rank": True, "torsion": []}, {"coeff": 1, "free": [0], "tor": []}, "integer rank"),
+    ({"rank": 0, "torsion": [True]}, {"coeff": 1, "free": [], "tor": [0]},
+     "torsion must be a list of integers"),
+    ({"rank": 1, "torsion": []}, {"coeff": 1, "free": [False], "tor": []},
+     "free must be a list of integers"),
+    ({"rank": 0, "torsion": [2]}, {"coeff": 1, "free": [], "tor": [True]},
+     "tor must be a list of integers"),
+    ({"rank": 1, "torsion": []}, {"coeff": True, "free": [0], "tor": []},
+     "coeff must be an integer"),
+], ids=["rank", "torsion", "free", "tor", "coeff"])
+def test_from_records_rejects_booleans(group, term, message):
+    """JSON true and false are not integers, in any field."""
+    with pytest.raises(ValueError, match=message):
+        from_records({"group": group, "terms": [term]})
+
+
 def test_sorted_terms_deterministic():
     p = poly((3, 1), (-1, 2), (0, -4))
     keys = [h.free for h, _ in sorted_terms(p)]

@@ -1,5 +1,6 @@
 import collections
 import random
+import sys
 
 import legacy_words
 import pytest
@@ -135,14 +136,14 @@ def test_parse_many_factors_is_linear():
     assert parse_word("a b " * 20000, ab) == Word(((0, 1), (1, 1)) * 20000)
 
 
-def _random_word_text(rng, depth):
-    """Random text in the word grammar, with parentheses and powers, and the
-    word it denotes by the former parser's rule: fold concat over the
-    factors of each sequence."""
+def _random_word_text(rng, depth, max_depth):
+    """Random text in the word grammar, with parentheses nested at most
+    max_depth deep and powers, and the word it denotes by the former parser's
+    rule: fold concat over the factors of each sequence."""
     parts, out = [], IDENTITY
     for _ in range(rng.randint(0, 5)):
-        if depth < 3 and rng.random() < 0.3:
-            inner_text, atom = _random_word_text(rng, depth + 1)
+        if depth < max_depth and rng.random() < 0.3:
+            inner_text, atom = _random_word_text(rng, depth + 1, max_depth)
             text = f"({inner_text})"
         else:
             g = rng.randrange(3)
@@ -158,7 +159,7 @@ def _random_word_text(rng, depth):
 def test_parse_matches_concat_fold():
     rng = random.Random(7)
     for _ in range(500):
-        text, expected = _random_word_text(rng, 0)
+        text, expected = _random_word_text(rng, 0, 3)
         assert parse_word(text, AB) == expected, text
 
 
@@ -176,24 +177,70 @@ def test_parse_matches_legacy_parser():
     list against the one that made a Word per factor: nesting, tabs and
     spaces, ^-k and ^0, and malformed texts made by cutting, inserting or
     swapping characters of valid ones."""
-    rng = random.Random(11)
-    kinds = collections.Counter()
-    for _ in range(2000):
-        text, _ = _random_word_text(rng, 0)
-        if rng.random() < 0.5 and text:
-            i = rng.randrange(len(text) + 1)
-            cut = text[:i] + text[i + rng.randint(1, 3):]
-            text = rng.choice([cut, text[:i] + rng.choice("()^-0 d*1\t") + text[i:],
-                               text.replace("^", rng.choice(["^", "^ ", "^-", "^x"]), 1)])
-        got = _outcome(parse_word, text)
-        assert got == _outcome(legacy_words.parse_word, text), repr(text)
-        kinds[type(got) is Word and "word" or got[0].__name__] += 1
+    for seed, count, max_depth in [(11, 2000, 3), (12, 1000, 8)]:
+        rng = random.Random(seed)
+        kinds = collections.Counter()
+        for _ in range(count):
+            text, _ = _random_word_text(rng, 0, max_depth)
+            if rng.random() < 0.5 and text:
+                i = rng.randrange(len(text) + 1)
+                cut = text[:i] + text[i + rng.randint(1, 3):]
+                text = rng.choice([cut, text[:i] + rng.choice("()^-0 d*1\t") + text[i:],
+                                   text.replace("^", rng.choice(["^", "^ ", "^-", "^x"]), 1)])
+            got = _outcome(parse_word, text)
+            assert got == _outcome(legacy_words.parse_word, text), repr(text)
+            kinds[type(got) is Word and "word" or got[0].__name__] += 1
+        assert kinds["word"] > count // 4 and kinds["ParseError"] > count // 20
+        assert kinds["UnknownGeneratorError"] > count // 200
     for text in ["1", " 1\t", "", "a^0", "a^-0", "(a)^0 b", "a^1 a^-1", "((a^2 b)^-3 c)^0",
                  "(" * 200 + "a" + ")" * 200, "(" * 201 + "a" + ")" * 201, "a^", "a^-",
-                 "(a b", "a )", "a d", "a\nb", "(a b)^1000001", "a^99999999999"]:
+                 "(a b", "a )", "a d", "a\nb", "(a b)^1000001", "a^99999999999",
+                 "(", ")", "()", "()^3 a", "(a)(b)^-1", "((a)", "(a))", "a^2(b)", ")(",
+                 "( \t)^0", "(a^", "(" * 200 + "a" + ")" * 199,
+                 "(" * 200 + ")" * 200 + "^5"]:
         assert _outcome(parse_word, text) == _outcome(legacy_words.parse_word, text), repr(text)
-    assert kinds["word"] > 500 and kinds["ParseError"] > 100
-    assert kinds["UnknownGeneratorError"] > 10
+
+
+def test_deepest_nesting_needs_no_recursion():
+    """The scan keeps one list per open group, so 200 levels parse with the
+    recursion limit just above the caller's own stack depth."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        word = parse_word("(" * 200 + "a" + ")" * 200, AB)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert word == Word(((0, 1),))
+
+
+def test_parse_words_parses_each_text():
+    assert W.parse_words(["a b", "1", "", "(a c)^-1"], AB) == (
+        Word(((0, 1), (1, 1))), IDENTITY, IDENTITY, Word(((2, -1), (0, -1))))
+    assert W.parse_words([], AB) == ()
+    with pytest.raises(UnknownGeneratorError) as ei:
+        W.parse_words(["a", "b d"], AB)
+    assert ei.value.position == 2
+
+
+def test_input_from_dict_parses_every_word_in_one_call(monkeypatch):
+    """One call of parse_words, so one name index, per input."""
+    from sutor import engine
+
+    calls, parse_words_ = [], W.parse_words
+
+    def spy(texts, alphabet):
+        calls.append(list(texts))
+        return parse_words_(texts, alphabet)
+
+    monkeypatch.setattr(W, "parse_words", spy)
+    inp = engine.input_from_dict({"generators": ["a", "b"], "relators": ["a b a^-1 b^-1"],
+                                  "rminus": ["a", "(a b)^2"]})
+    assert calls == [["a b a^-1 b^-1", "a", "(a b)^2"]]
+    assert inp.relators == (parse_word("a b a^-1 b^-1", AB),)
+    assert inp.rminus == (parse_word("a", AB), parse_word("(a b)^2", AB))
 
 
 def test_render_round_trip():
