@@ -279,11 +279,12 @@ class AbelianGroup:
     def __post_init__(self):
         if self.rank < 0:
             raise ValueError("negative rank")
+        # d >= 2 first, so that the chain test never divides by 0
+        if any(d < 2 for d in self.torsion):
+            raise ValueError("torsion divisors must be >= 2")
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a != 0:
                 raise ValueError("torsion divisors must form a chain")
-        if any(d < 2 for d in self.torsion):
-            raise ValueError("torsion divisors must be >= 2")
 
     def describe(self) -> str:
         parts = ["Z"] * self.rank + [f"Z/{d}" for d in self.torsion]

@@ -3,10 +3,17 @@ difference polytope, symmetry, extremal faces, and the disk-decomposability
 obstruction.
 
 Hulls are exact and integer: in dimension <= 1 the extreme points, in
-dimension 2 the monotone chain.  From dimension 3 on, and for
-point_in_hull in any dimension, vertex and membership tests use exact
-linear feasibility: a small phase-1 simplex on an integer tableau with
-fraction-free pivots, the Bareiss step abelian.bareiss_pivot.
+dimension 2 the monotone chain.  From dimension 3 on they are output
+sensitive (Clarkson): the vertex set starts from the lex-largest maximizers
+of +-e_i, which need no LP, and every other point is tested against the
+vertices found so far only.  Each test, and point_in_hull in any
+dimension, is exact linear feasibility: a small phase-1 simplex on an
+integer tableau with fraction-free pivots, the Bareiss step
+abelian.bareiss_pivot.  A point outside comes back with the Farkas
+certificate of the final tableau, a separating direction whose
+lex-largest maximizer is the next vertex.  A point set equal to its own
+negation, as every difference set is, has only its lex-positive half
+tested.
 """
 from __future__ import annotations
 
@@ -47,19 +54,28 @@ def width(S: Support, alpha: Sequence[int]) -> int:
     return max(vals) - min(vals)
 
 
-def _lp_feasible(A: List[List[int]], b: List[int]) -> bool:
-    """Exact feasibility of {x >= 0 : Ax = b} by phase-1 simplex, Bland's rule.
+def _farkas(A: List[List[int]], b: List[int]) -> Optional[List[int]]:
+    """Exact feasibility of {x >= 0 : Ax = b} by phase-1 simplex, Bland's rule:
+    None when the set is nonempty, otherwise a Farkas certificate y with
+    y.A_j <= 0 for every column j and y.b > 0.
 
     The tableau holds integers over one common positive denominator den:
     each pivot is abelian.bareiss_pivot, after which den is the pivot, so
     every sign and every ratio reads as it would over the rationals.  The
-    last row is the reduced-cost row for minimizing the sum of artificials."""
+    last row is the reduced-cost row for minimizing the sum of artificials.
+    Row i starts as s_i times row i of [A | I | b], s_i the sign of b_i,
+    and the last row as the sum of those rows less 1 on each artificial
+    column.  Pivots only add multiples of rows to it, so it stays w times
+    the starting rows less that 1, and artificial column i reads
+    den * (w_i - 1).  At the optimum no reduced cost is positive and the
+    objective is positive when infeasible, so y_i = s_i * (den + T[m][n + i])
+    is the certificate, with no second LP."""
     m = len(A)
     n = len(A[0]) if m else 0
     total = n + m
     T: List[List[int]] = []
-    for i in range(m):
-        s = -1 if b[i] < 0 else 1
+    signs = [-1 if v < 0 else 1 for v in b]
+    for i, s in enumerate(signs):
         T.append([s * v for v in A[i]] + [int(j == i) for j in range(m)] + [s * b[i]])
     # the artificial columns' reduced costs are 1 - 1 = 0
     T.append([sum(row[j] for row in T) for j in range(n)] + [0] * m
@@ -69,7 +85,9 @@ def _lp_feasible(A: List[List[int]], b: List[int]) -> bool:
     while True:
         enter = next((j for j in range(total) if T[m][j] > 0), -1)
         if enter < 0:
-            return T[m][total] == 0
+            if T[m][total] == 0:
+                return None
+            return [s * (den + T[m][n + i]) for i, s in enumerate(signs)]
         # least ratio T[i][rhs] / T[i][enter] by cross multiplication, ties
         # to the least basic index
         leave = -1
@@ -79,8 +97,7 @@ def _lp_feasible(A: List[List[int]], b: List[int]) -> bool:
                           < (T[leave][total] * a, basis[leave])):
                 leave = i
         if leave < 0:
-            # unbounded phase-1 cannot happen; treat defensively
-            return False
+            raise ArithmeticError("phase 1 is bounded below by 0 and cannot be unbounded")
         bareiss_pivot(T, leave, enter, den)
         den = T[leave][enter]
         basis[leave] = enter
@@ -97,7 +114,7 @@ def point_in_hull(v: Point, pts: Sequence[Point]) -> bool:
     A = [[p[k] for p in pts] for k in range(d)]
     A.append([1] * len(pts))
     b = list(v) + [1]
-    return _lp_feasible(A, b)
+    return _farkas(A, b) is None
 
 
 def convex_hull_2d(points: Sequence[Point]) -> List[Point]:
@@ -124,21 +141,54 @@ def convex_hull_2d(points: Sequence[Point]) -> List[Point]:
 
 def hull_vertices(points: Sequence[Point]) -> List[Point]:
     """Sorted vertex set of conv(points), by the method the dimension allows:
-    the two extreme points on a line, the monotone chain in the plane, one
-    fraction-free integer LP per point against the others from dimension 3
-    on."""
+    the two extreme points on a line, the monotone chain in the plane, and
+    from dimension 3 on Clarkson's output-sensitive method (More
+    output-sensitive geometric algorithms, FOCS 1994).
+
+    V holds vertices only: top(c), the point maximizing <c, p> with ties
+    broken to the lex-largest p, is one for every c.  A point p outside
+    conv(V) comes back with a direction c that puts p above every value on
+    V, so top(c) is a vertex not yet in V; it joins V and p is tested again.
+    Each LP has at most |V| columns and there are at most N + |V| of them.
+    A symmetric set has vertices v and -v together, so each vertex joins V
+    with its negative."""
     pts = sorted(set(points))
     dim = len(pts[0]) if pts else 0
     if dim <= 1:
         return pts if len(pts) <= 1 else [pts[0], pts[-1]]
     if dim == 2:
         return sorted(convex_hull_2d(pts))
-    out = []
-    for i, p in enumerate(pts):
-        others = pts[:i] + pts[i + 1:]
-        if not point_in_hull(p, others):
-            out.append(p)
-    return out
+
+    def top(c: Sequence[int]) -> Point:
+        return max(pts, key=lambda p: (sum(a * x for a, x in zip(c, p)), p))
+
+    def neg(p: Point) -> Point:
+        return tuple(-x for x in p)
+
+    symmetric = sorted(map(neg, pts)) == pts
+    V: Dict[Point, None] = {}  # insertion-ordered, so the LP columns are too
+
+    def add(v: Point) -> None:
+        V[v] = None
+        if symmetric:
+            V[neg(v)] = None
+
+    for i in range(dim):
+        for s in (1, -1):
+            add(top([s * int(k == i) for k in range(dim)]))
+    for p in pts:
+        if symmetric and p <= neg(p):  # the lex-positive half will do
+            continue
+        while p not in V:
+            A = [[v[k] for v in V] for k in range(dim)] + [[1] * len(V)]
+            y = _farkas(A, list(p) + [1])
+            if y is None:
+                break
+            q = top(y[:dim])
+            if q in V:  # a certificate that fails to separate would loop forever
+                raise ArithmeticError("Farkas certificate does not separate the point")
+            add(q)
+    return sorted(V)
 
 
 def vertices(S: Support) -> List[Point]:

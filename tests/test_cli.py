@@ -228,7 +228,7 @@ def test_polytope_diff_in_low_dimension_solves_no_lp(capsys, monkeypatch, tmp_pa
     def no_lp(A, b):
         raise AssertionError("hull in dimension <= 2 reached the LP")
 
-    monkeypatch.setattr(P, "_lp_feasible", no_lp)
+    monkeypatch.setattr(P, "_farkas", no_lp)
     code, out, err = run(capsys, "gen", "solid-torus", "200")
     assert code == 0
     path = tmp_path / "solid_torus_200.json"
@@ -338,6 +338,16 @@ def test_booleans_in_a_serialized_tau_exit_1(capsys, tmp_path):
     assert code == 1
     assert out.splitlines() == ["FAIL a.json: records need a group with an integer rank",
                                 "0/1 passed"]
+
+
+@pytest.mark.parametrize("torsion", [[0, 2], [0], [2, 0], [-2, 4], [1, 2]])
+def test_torsion_below_2_in_a_serialized_tau_exits_1(capsys, tmp_path, torsion):
+    """A divisor below 2 is refused before the chain test divides by it."""
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps({"group": {"rank": 0, "torsion": torsion}, "terms": []}))
+    code, out, err = run(capsys, "check", str(path), "--disk", "3")
+    assert (code, out) == (1, "")
+    assert err == "error: torsion divisors must be >= 2\n"
 
 
 def test_gen_round_trip(capsys):

@@ -60,7 +60,7 @@ def test_point_in_hull_rejects_dimension_mismatch():
 
 
 def _lp_targets(rng, dim):
-    """Seeded point sets in dimensions 3-5, doubled so that midpoints stay
+    """Seeded point sets in dimensions 2-5, doubled so that midpoints stay
     integral, with targets on a vertex, on a segment between two points,
     at the centroid, inside, outside and with negative coordinates.  Sets
     are random, with repeated points, or coplanar."""
@@ -93,7 +93,7 @@ def test_integer_lp_matches_legacy_fraction_lp(dim):
     for pts, v in _lp_targets(random.Random(1000 + dim), dim):
         A = [[p[k] for p in pts] for k in range(dim)] + [[1] * len(pts)]
         b = list(v) + [1]
-        got = P._lp_feasible(A, b)
+        got = P._farkas(A, b) is None
         assert got == legacy_polytope._lp_feasible(A, b), (pts, v)
         assert P.point_in_hull(v, pts) == got
         if v in pts:
@@ -101,6 +101,26 @@ def test_integer_lp_matches_legacy_fraction_lp(dim):
         seen[got] += 1
         negative += min(v) < 0
     assert min(seen.values()) > 20 and negative > 20
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_infeasible_lp_returns_a_farkas_certificate(dim):
+    """On an infeasible target the kernel returns integers y with y.A_j <= 0
+    on every column and y.b > 0, read off the final tableau; feasibility
+    still agrees with the Fraction LP."""
+    infeasible = 0
+    for pts, v in _lp_targets(random.Random(2000 + dim), dim):
+        A = [[p[k] for p in pts] for k in range(dim)] + [[1] * len(pts)]
+        b = list(v) + [1]
+        y = P._farkas(A, b)
+        assert (y is None) == legacy_polytope._lp_feasible(A, b), (pts, v)
+        if y is None:
+            continue
+        infeasible += 1
+        assert len(y) == len(b) and all(type(x) is int for x in y)
+        assert all(sum(yi * row[j] for yi, row in zip(y, A)) <= 0 for j in range(len(pts)))
+        assert sum(yi * bi for yi, bi in zip(y, b)) > 0
+    assert infeasible > 20
 
 
 def test_lp_divides_by_the_previous_pivot(monkeypatch):
@@ -188,20 +208,98 @@ def _random_point_sets(rng):
             base, u, w = ([rng.randint(-2, 2) for _ in range(3)] for _ in range(3))
             ijs = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(n)]
             yield [tuple(b + i * x + j * y for b, x, y in zip(base, u, w)) for i, j in ijs]
+    for dim in (4, 5):
+        for n in (1, 2, 4, 6, 8, 10):
+            for _ in range(3):
+                yield [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(n)]
+    # centrally symmetric sets, with and without 0, which take the half path
+    for dim in (3, 4, 5):
+        for n in (1, 2, 3, 5):
+            for zero in (False, True):
+                half = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(n)]
+                pts = [p for p in half + [tuple(-x for x in p) for p in half] if any(p)]
+                if pts:
+                    yield pts + [(0,) * dim] * zero
+    # one point, so the difference set is {0}
+    for dim in range(1, 6):
+        yield [tuple(rng.randint(-3, 3) for _ in range(dim))] * 2
 
 
 def test_hull_matches_legacy_lp_hull():
-    repeated = segments = 0
+    repeated = segments = symmetric = single = 0
     for pts in _random_point_sets(random.Random(20261018)):
         hull = P.hull_vertices(pts)
         assert hull == legacy_polytope.hull_vertices(pts), pts
         if len(pts) <= 4:
             S = P.Support(len(pts[0]), dict.fromkeys(pts, 1))
             assert P.difference_polytope(S) == legacy_polytope.difference_polytope(S), pts
+            if len(S.points) == 1:
+                assert P.difference_polytope(S) == [(0,) * S.dim]
+                single += 1
         repeated += len(set(pts)) < len(pts)
         segments += len(set(pts)) > 2 and len(hull) == 2
-    assert repeated and segments
+        symmetric += len(pts[0]) >= 3 and len(set(pts)) > 1 and (
+            {tuple(-x for x in p) for p in pts} == set(pts))
+    assert repeated and segments and symmetric >= 20 and single >= 5
     assert P.hull_vertices([]) == legacy_polytope.hull_vertices([]) == []
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5])
+def test_difference_polytope_of_8_points_matches_legacy(dim):
+    """Eight points, about 57 distinct differences: the oracle runs one
+    Fraction LP per difference against all the others."""
+    rng = random.Random(30 + dim)
+    pts = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(8)]
+    S = P.Support(dim, dict.fromkeys(pts, 1))
+    assert len(S.points) == 8
+    assert P.difference_polytope(S) == legacy_polytope.difference_polytope(S)
+
+
+# the words of perfbench.corpus.handlebody_words(random.Random(seed), g, 12)
+HANDLEBODY_103 = {"generators": ["a", "b", "c"], "relators": [], "rminus": [
+    "c^-1 a c b^-1 c b a c a c b c^-1", "c^-1 a b c b^-1 c^-1 a^-1 c b a b^-1 a^-1",
+    "b c b^-1 c a^-1 b c^-1 b^-1 c^-1 b a^-1 b^-1"]}
+HANDLEBODY_104 = {"generators": ["a", "b", "c", "d"], "relators": [], "rminus": [
+    "a b^-1 c b a c^-1 a c^-1 b^-1 d b^-1 a", "a b^-1 d^-1 a^-1 b a^-1 d b a^-1 b^-1 d a",
+    "a b a d^-1 b^-1 c a^-1 c b^-1 d a b", "c b a^-1 b d^-1 b a b a d b^-1 d"]}
+
+
+def _support_of(inp):
+    return P.support(E.torsion(E.input_from_dict(inp)).tau)
+
+
+def test_hull_lps_are_output_sensitive(monkeypatch):
+    """Every LP tests a point against vertices found so far, so it has at
+    most |V| columns, and each LP either settles its point or adds a
+    vertex, so there are at most N + |V| of them."""
+    grid = list(itertools.product(range(-2, 3), repeat=3))
+    verts = P.vertices(_support_of(HANDLEBODY_103))
+    diffs = list({tuple(a - b for a, b in zip(x, y)) for x in verts for y in verts})
+    columns = []
+    kernel = P._farkas
+
+    def spy(A, b):
+        columns.append(len(A[0]))
+        return kernel(A, b)
+
+    monkeypatch.setattr(P, "_farkas", spy)
+    for pts, nverts in ((grid, 8), (diffs, 44)):
+        columns.clear()
+        V = P.hull_vertices(pts)
+        assert len(V) == nverts
+        assert columns and max(columns) <= len(V)
+        assert len(columns) <= len(pts) + len(V)
+    assert P.hull_vertices(grid) == sorted(itertools.product((-2, 2), repeat=3))
+
+
+def test_genus_4_vertices_certified_by_point_in_hull():
+    """Every support point lies in conv(V), and no vertex lies in the hull
+    of the others."""
+    S = _support_of(HANDLEBODY_104)
+    V = P.vertices(S)
+    assert (len(S.points), len(V)) == (276, 94)
+    assert all(P.point_in_hull(p, V) for p in S.points)
+    assert not any(P.point_in_hull(v, [w for w in V if w != v]) for v in V)
 
 
 @pytest.mark.parametrize("family", [pretzel_odd, pretzel_even])
