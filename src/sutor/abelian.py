@@ -6,7 +6,9 @@ d_1 | d_2 | ... with every d_i >= 2.  Elements are exponent vectors
 
 A homomorphism into such a group is the images of a basis.  dot_map, on the
 image_matrix each Cokernel or Projection builds once, is the one place that
-maps a coordinate vector through them.
+maps coordinate vectors through them: it takes them as coordinate columns,
+so groupring.push_forward maps every term of an element at once, and a
+single vector is a batch of one.
 
 _smith is the one Smith normal form.  It works in place on a list of rows,
 and the transforms ride in blocks beside and below the matrix: cokernel
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mul
+from itertools import compress, repeat
 from typing import Dict, List, Sequence, Set, Tuple
 
 from .words import Generator, Word
@@ -81,18 +83,6 @@ class IntMatrix:
         out = [[sum(a[i][k] * b[k][j] for k in range(self.cols))
                 for j in range(other.cols)] for i in range(self.rows)]
         return IntMatrix.from_rows(out) if self.rows else IntMatrix(0, other.cols, ())
-
-    def diagonal(self) -> List[int]:
-        return [self.at(i, i) for i in range(min(self.rows, self.cols))]
-
-
-def det_int(M: IntMatrix) -> int:
-    """Exact determinant: det_sparse of the nonzero entries of each row."""
-    if M.rows != M.cols:
-        raise ValueError("determinant of non-square matrix")
-    n, e = M.cols, M.entries
-    return det_sparse([{j: v for j, v in enumerate(e[i * n:(i + 1) * n]) if v}
-                       for i in range(n)])
 
 
 def det_sparse(rows: Sequence[Dict[int, int]]) -> int:
@@ -342,12 +332,29 @@ def image_matrix(G: AbelianGroup, images: Sequence[AbElement]) -> ImageMatrix:
     return tuple(rows[:G.rank]), tuple(zip(rows[G.rank:], G.torsion))
 
 
-def dot_map(M: ImageMatrix, v: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """The (free, tor) coordinates of sum_j v[j] * images[j]: one integer dot
-    product per target coordinate, reduced mod d on torsion ones."""
+def dot_map(M: ImageMatrix, columns: Sequence[Sequence[int]],
+            count: int) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """The (free, tor) coordinates of sum_j v[j] * images[j] for each of
+    count vectors v, given as coordinate columns: columns[j] holds v[j] of
+    every v, in order.  Each target coordinate is built column by column
+    over the nonzero entries of its row only (compress skips the others
+    without a Python step each), and reduced mod d on torsion ones."""
     free, tor = M
-    return (tuple(sum(map(mul, v, row)) for row in free),
-            tuple(sum(map(mul, v, row)) % d for row, d in tor))
+
+    def image(row: Sequence[int]) -> List[int]:
+        out = [0] * count
+        for a, col in compress(zip(row, columns), row):
+            out = [x + a * y for x, y in zip(out, col)]
+        return out
+
+    f = [image(row) for row in free]
+    t = [[x % d for x in image(row)] for row, d in tor]
+    return list(zip(zip(*f) if f else repeat((), count), zip(*t) if t else repeat((), count)))
+
+
+def _map_vector(M: ImageMatrix, v: Sequence[int]) -> AbElement:
+    """dot_map of the one vector v."""
+    return AbElement(*dot_map(M, [(x,) for x in v], 1)[0])
 
 
 @dataclass(frozen=True)
@@ -376,7 +383,7 @@ class Cokernel:
         return tuple(tuple(row[r] for row in inverse) for r in self.factor_rows)
 
     def from_vector(self, v: Sequence[int]) -> AbElement:
-        return AbElement(*dot_map(self.matrix, v))
+        return _map_vector(self.matrix, v)
 
 
 def cokernel(rel_rows: Sequence[Sequence[int]], m: int, n: int) -> Cokernel:
@@ -427,7 +434,7 @@ class Projection:
         return image_matrix(self.target, self.images)
 
     def __call__(self, x: AbElement) -> AbElement:
-        return AbElement(*dot_map(self.matrix, x.free + x.tor))
+        return _map_vector(self.matrix, x.free + x.tor)
 
 
 def _torsion_relations(G: AbelianGroup, at: int, m: int) -> List[List[int]]:

@@ -4,8 +4,9 @@ Derivatives are computed already composed with the abelianization map, so
 all values live in Z[H] rather than the noncommutative ring Z[pi_1].  They
 are computed on the packed keys of groupring._Packing, and the torsion
 matrix keeps them: fox_matrix builds a GRMatrix straight from the packed
-columns, under a codec wide enough for every sum the determinant forms, so
-no AbElement is built per Fox term.
+columns, under a codec wide enough for every sum the determinant forms and
+for normalize's shift of the determinant, so no AbElement is built per Fox
+term, and none per determinant term either.
 """
 from __future__ import annotations
 
@@ -45,11 +46,12 @@ def _columns(words: Sequence[Word], ab: Cokernel,
     codec.  A prefix of a word, and with it every term, has free coordinates
     of at most the largest |free image coordinate| times the word's sum of
     |exponents|, which is also its number of Fox terms; the codec's bound is
-    rows times the largest of these, so a sum of one term per row fits."""
+    2 x rows times the largest of these, so a sum of one term per row fits,
+    and so does normalize's shift of the determinant by one of its terms."""
     reach = [sum(abs(k) for _, k in w.letters) for w in words]
     if sum(reach) > WORK_BUDGET:
         raise ValueError(f"{sum(reach)} Fox terms are over the work budget of {WORK_BUDGET}")
-    pk = _Packing(ab.group, rows * _max_free(ab.gen_images) * max(reach, default=0))
+    pk = _Packing(ab.group, 2 * rows * _max_free(ab.gen_images) * max(reach, default=0))
     up = [pk.encode(img) for img in ab.gen_images]
     down = [pk.neg(k) for k in up]
     return pk, [_fox_column(w, pk, up, down) for w in words]

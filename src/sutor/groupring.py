@@ -16,22 +16,29 @@ torsion digit that reaches d loses d again, see fold) and int order is the
 (free, tor) lex order.  The bound of each caller:
 
 - mul: the largest |free coordinate| of p plus that of q;
-- GRMatrix.from_rows: rows x the largest |free coordinate| of any entry,
-  since every _cofactor memo entry is a sum of one entry key per row;
-- normalize: 2 x the largest |free coordinate|, for a term minus a support
-  point;
-- fox.fox_matrix: rows x the largest |free coordinate| of a generator image
-  x the longest word's sum of |exponents|, which bounds every prefix of a
-  word, so the same keys serve the Fox terms and every _cofactor sum.
+- GRMatrix.from_rows: 2 x rows x the largest |free coordinate| of any
+  entry, since every _cofactor memo entry is a sum of one entry key per row
+  and normalize shifts the determinant by one of its terms;
+- fox.fox_matrix: 2 x rows x the largest |free coordinate| of a generator
+  image x the longest word's sum of |exponents|, which bounds every prefix
+  of a word, so the same keys serve the Fox terms, every _cofactor sum and
+  normalize's shift of the determinant;
+- normalize of a decoded element: 2 x the largest |free coordinate|, for a
+  term minus a support point.  A packed element keeps its codec: the
+  determinant's has the factor 2 above, and normalize's own result has the
+  least free part at the origin, so normalizing it again shifts no free
+  coordinate.
 
-Keys are encoded once on the way in and decoded once on the way out, so
-GroupRingElement.terms is keyed by AbElement at every public boundary.  A
-GRMatrix carries its keys and its codec: fox.fox_matrix hands its packed
-columns over as they are, determinant reads them, and only the
-determinant's terms and a caller that reads GRMatrix.entries see
-AbElements.  push_forward needs no codec: it collects terms on the
-coordinate tuples that abelian.dot_map returns and builds one AbElement
-per output term.
+A GroupRingElement holds its terms, keyed by AbElement, or its packed keys
+and codec, as GRMatrix does; its terms are decoded on first read and kept.
+fox.fox_matrix hands its packed columns over as they are, determinant reads
+them and returns its packed memo, and normalize shifts and sorts those keys
+in place, so tau stays packed in key order, which is the (free, tor) order.
+augmentation sums the packed coefficients, and push_forward reads each
+source coordinate off the digits (_Packing.columns) and maps the columns
+through abelian.dot_map, building one AbElement per output term.  So
+torsion and both identity checks decode nothing: only a caller that reads
+terms, such as to_records or the CLI's formatter, decodes, once.
 
 determinant stays sparse when H has at most one generator: a key is then
 the one exponent of t, only the nonzero entries are packed into integers,
@@ -41,9 +48,9 @@ use _cofactor.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import operator
 from functools import cached_property
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .abelian import (
     AbElement,
@@ -73,13 +80,38 @@ class UnsupportedTorsionError(UnsupportedStructureError):
     pass
 
 
-@dataclass(frozen=True)
 class GroupRingElement:
-    group: AbelianGroup
-    terms: Dict[AbElement, int]
+    """An element of Z[H]: terms maps group elements to nonzero coefficients.
+
+    It holds either terms or packed = (codec, {packed key: coefficient}), as
+    determinant and normalize return it; then terms is decoded on first read,
+    in the packed dict's order, and kept.  Equality compares the group and
+    the terms.  Elements are not hashable."""
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, group: AbelianGroup, terms: Optional[Dict[AbElement, int]] = None,
+                 packed: Optional[Tuple[_Packing, Dict[int, int]]] = None):
+        self.group = group
+        self.packed = packed
+        if packed is None:
+            self.__dict__["terms"] = {} if terms is None else terms
+
+    @cached_property
+    def terms(self) -> Dict[AbElement, int]:
+        pk, keys = self.packed
+        return pk.decode_terms(keys)
+
+    def __repr__(self):
+        return f"GroupRingElement(group={self.group!r}, terms={self.terms!r})"
+
+    def __eq__(self, other):
+        if not isinstance(other, GroupRingElement):
+            return NotImplemented
+        return self.group == other.group and self.terms == other.terms
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.terms if self.packed is None else self.packed[1])
 
     def __add__(self, other):
         return add(self, other)
@@ -175,15 +207,19 @@ class _Packing:
         torsion digit t becomes d - t, which fold takes back to 0 when t = 0."""
         return self.fold(self._divisors - k)
 
-    def decode(self, keys: Iterable[int]) -> Iterator[AbElement]:
-        """The AbElement of each key, in order; one pass over the keys per
-        coordinate."""
+    def columns(self, keys: Iterable[int]) -> List[List[int]]:
+        """Coordinate i of every key, in order, for each coordinate i (free,
+        then torsion); one pass over the keys per coordinate."""
         us = [k + self._offset for k in keys]  # free digits now in [0, 2^w)
         m, half = self.mask, self._half
-        free = zip(*[[((u >> s) & m) - half for u in us] for s in self.free_shifts])
-        tor = zip(*[[(u >> s) & m for u in us] for s, _ in self.torsion])
-        return map(AbElement, free if self.free_shifts else itertools.repeat(()),
-                   tor if self.torsion else itertools.repeat(()))
+        return ([[((u >> s) & m) - half for u in us] for s in self.free_shifts]
+                + [[(u >> s) & m for u in us] for s, _ in self.torsion])
+
+    def decode(self, keys: Iterable[int]) -> Iterator[AbElement]:
+        """The AbElement of each key, in order."""
+        cols, b = self.columns(keys), len(self.free_shifts)
+        return map(AbElement, zip(*cols[:b]) if b else itertools.repeat(()),
+                   zip(*cols[b:]) if self.torsion else itertools.repeat(()))
 
     def encode_terms(self, terms: Dict[AbElement, int]) -> Dict[int, int]:
         encode = self.encode
@@ -232,7 +268,7 @@ def mul(p: GroupRingElement, q: GroupRingElement) -> GroupRingElement:
 
 
 def augmentation(p: GroupRingElement) -> int:
-    return sum(p.terms.values())
+    return sum((p.terms if p.packed is None else p.packed[1]).values())
 
 
 def equal(p: GroupRingElement, q: GroupRingElement) -> bool:
@@ -287,9 +323,10 @@ def exact_div(p: GroupRingElement, q: GroupRingElement) -> GroupRingElement:
 class GRMatrix:
     """A rows x cols matrix over Z[H], kept on packed keys: packed[i][j] is
     entry (i, j) as {key: coefficient} under one codec, packing, whose bound
-    covers every sum of one key per row, so determinant and _cofactor use the
-    keys as they are.  Every zero entry is one shared empty dict.  entries,
-    the GroupRingElement form, is decoded once, on first read."""
+    covers twice every sum of one key per row, so determinant and _cofactor
+    use the keys as they are and normalize shifts their result in place.
+    Every zero entry is one shared empty dict.  entries, the
+    GroupRingElement form, is decoded once, on first read."""
 
     def __init__(self, group: AbelianGroup, packing: _Packing,
                  packed: List[List[Dict[int, int]]]):
@@ -302,7 +339,7 @@ class GRMatrix:
     @classmethod
     def from_rows(cls, data: Sequence[Sequence[GroupRingElement]]) -> "GRMatrix":
         """The matrix of the given entries, encoded under a codec of bound
-        rows x the largest |free coordinate| of any entry; entries is the
+        2 x rows x the largest |free coordinate| of any entry; entries is the
         given rows, so nothing is decoded."""
         rows = len(data)
         cols = len(data[0]) if rows else 0
@@ -313,7 +350,7 @@ class GRMatrix:
             G = data[0][0].group  # by identity first: entries usually share it
             if any(e.group is not G and e.group != G for row in data for e in row):
                 raise GroupMismatchError("matrix entries over different groups")
-            pk = _Packing(G, rows * _max_free(h for row in data for e in row for h in e.terms))
+            pk = _Packing(G, 2 * rows * _max_free(h for row in data for e in row for h in e.terms))
         empty: Dict[int, int] = {}
         A = cls(G, pk, [[pk.encode_terms(e.terms) if e.terms else empty for e in row]
                         for row in data])
@@ -349,7 +386,8 @@ def determinant(A: GRMatrix) -> GroupRingElement:
     Hadamard's inequality bounds |det| there, and with it every coefficient
     of det, by B = prod_rows sqrt(sum_entries (sum |coefficients|)^2); k is
     chosen with 2^(k-1) > B.  A 1x1 matrix and any other H use the sparse
-    cofactor expansion.  Only the output terms become AbElements."""
+    cofactor expansion.  The result stays packed under the matrix's codec;
+    a key of the one-variable path is its exponent, folded mod d."""
     if A.rows != A.cols:
         raise ValueError("determinant of non-square matrix")
     if A.rows == 0:
@@ -358,14 +396,14 @@ def determinant(A: GRMatrix) -> GroupRingElement:
     if A.rows == 1 or G.rank + len(G.torsion) > 1:
         return _cofactor(A)
 
-    def monomial_at(e: int) -> AbElement:
-        return AbElement((e,) * G.rank, tuple(e % d for d in G.torsion))
+    def key_at(e: int) -> int:
+        return e if G.rank else e % G.torsion[0] if G.torsion else 0
 
     rows, shift, bound2, slots = [], 0, 1, 1
     for row in A.packed:
         lifted = {j: p for j, p in enumerate(row) if p}
         if not lifted:
-            return zero(G)
+            return GroupRingElement(G, packed=(A.packing, {}))
         lo = min(min(p) for p in lifted.values())
         shift += lo
         slots += max(max(p) for p in lifted.values()) - lo
@@ -378,8 +416,8 @@ def determinant(A: GRMatrix) -> GroupRingElement:
     packed = [{j: _pack([p.get(x, 0) for x in range(lo, max(p) + 1)], k)
                for j, p in lifted.items()} for lo, lifted in rows]
     digits = _unpack(det_sparse(packed), k, slots)
-    return GroupRingElement(G, _accumulate({}, (
-        (monomial_at(shift + x), c) for x, c in enumerate(digits) if c)))
+    return GroupRingElement(G, packed=(A.packing, _accumulate({}, (
+        (key_at(shift + x), c) for x, c in enumerate(digits) if c))))
 
 
 def _pack(digits: List[int], k: int) -> int:
@@ -443,31 +481,42 @@ def _cofactor(A: GRMatrix) -> GroupRingElement:
         memo[key] = acc = _accumulate({}, itertools.chain.from_iterable(products))
         return acc
 
-    return GroupRingElement(G, pk.decode_terms(det(tuple(range(A.rows)), tuple(range(A.cols)))))
+    return GroupRingElement(G, packed=(pk, det(tuple(range(A.rows)), tuple(range(A.cols)))))
 
 
 def normalize(p: GroupRingElement) -> GroupRingElement:
-    """Canonical representative of the orbit {+-h*p : h in H}.  The only
-    shifts tried move a support point h0 with the least free part to the
-    origin: torsion residues lie in [0, d), so h0 then becomes the lex-least
-    key, while a point with a larger free part never does.  Keys are packed,
-    so a shift is one int add and a signature sorts ints."""
-    if not p.terms:
+    """Canonical representative of the orbit {+-h*p : h in H}, packed, in
+    key order.  The only shifts tried move a support point h0 with the least
+    free part to the origin: torsion residues lie in [0, d), so h0 then
+    becomes the lex-least key, while a point with a larger free part never
+    does.  For torsion-free H that is the one least key, so one shift and
+    one sort; otherwise the least signature over the candidates wins.  Keys
+    are packed, so a shift is one int add.  A packed p keeps its codec (see
+    the module docstring); a decoded one is encoded once."""
+    if not p:
         return p
     G = p.group
-    pk = _Packing(G, 2 * _max_free(p.terms))
+    if p.packed is None:
+        pk = _Packing(G, 2 * _max_free(p.terms))
+        keys = pk.encode_terms(p.terms)
+    else:
+        pk, keys = p.packed
+    if not pk.torsion:
+        order = sorted(keys)
+        k0 = order[0]
+        sign = -1 if keys[k0] < 0 else 1
+        return GroupRingElement(G, packed=(pk, {k - k0: sign * keys[k] for k in order}))
     fold, tb = pk.fold, pk.tor_bits
-    terms = list(zip(map(pk.encode, p.terms), p.terms.values()))
 
     def signature(k0: int) -> Tuple:
         shift = pk.neg(k0)
-        items = sorted((fold(k + shift), c) for k, c in terms)
+        items = sorted((fold(k + shift), c) for k, c in keys.items())
         sign = -1 if items[0][1] < 0 else 1
         return tuple((k, sign * c) for k, c in items)
 
-    low = min(k >> tb for k, _ in terms)
-    best = min(signature(k0) for k0, _ in terms if k0 >> tb == low)
-    return GroupRingElement(G, pk.decode_terms(dict(best)))
+    low = min(keys) >> tb
+    best = min(signature(k0) for k0 in keys if k0 >> tb == low)
+    return GroupRingElement(G, packed=(pk, dict(best)))
 
 
 def sim_equal(p: GroupRingElement, q: GroupRingElement) -> bool:
@@ -477,13 +526,20 @@ def sim_equal(p: GroupRingElement, q: GroupRingElement) -> bool:
 
 
 def push_forward(p: GroupRingElement, proj: Projection) -> GroupRingElement:
-    """Apply a group homomorphism to every term, collecting coefficients on
-    the (free, tor) tuples of abelian.dot_map, so an AbElement is built per
-    output term, not per input term."""
+    """Apply a group homomorphism to every term: the source coordinates, read
+    off the packed digits or out of terms, are mapped as columns by
+    abelian.dot_map, and coefficients are collected on the (free, tor)
+    tuples, so an AbElement is built per output term, not per input term."""
     if proj.source != p.group:
         raise GroupMismatchError("projection source does not match element group")
-    M = proj.matrix
-    terms = _accumulate({}, ((dot_map(M, h.free + h.tor), c) for h, c in p.terms.items()))
+    if p.packed is None:
+        coeffs = p.terms.values()
+        columns = list(zip(*(h.free + h.tor for h in p.terms)))
+    else:
+        pk, keys = p.packed
+        coeffs = keys.values()
+        columns = pk.columns(keys)
+    terms = _accumulate({}, zip(dot_map(proj.matrix, columns, len(coeffs)), coeffs))
     return GroupRingElement(proj.target, {AbElement(f, t): c for (f, t), c in terms.items()})
 
 
@@ -505,7 +561,12 @@ def external_product(p: GroupRingElement, q: GroupRingElement) -> GroupRingEleme
 
 
 def sorted_terms(p: GroupRingElement) -> List[Tuple[AbElement, int]]:
-    return sorted(p.terms.items(), key=lambda item: _key(item[0]))
+    """The terms in (free, tor) order; a packed element sorts its int keys,
+    which have that order, and decodes each key once (into terms)."""
+    if p.packed is None:
+        return sorted(p.terms.items(), key=lambda item: _key(item[0]))
+    keys = p.packed[1]
+    return [item for _, item in sorted(zip(keys, p.terms.items()), key=operator.itemgetter(0))]
 
 
 def to_records(p: GroupRingElement) -> dict:

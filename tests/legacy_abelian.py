@@ -1,4 +1,4 @@
-"""Test-only oracles: abelian.det_int, abelian._smith and abelian.cokernel as
+"""Test-only oracles: det_int (tests/int_matrix.py), abelian._smith and abelian.cokernel as
 they were before the sparse determinant, the Smith pivot shortcut and the
 transforms carried as blocks of the Smith rows.
 

@@ -6,6 +6,7 @@ import pytest
 
 import legacy_abelian
 import legacy_groupring
+from int_matrix import det_int, diagonal
 from sutor import abelian
 from sutor import engine as E
 from sutor import families as F
@@ -21,7 +22,6 @@ from sutor.abelian import (
     abelianize,
     bareiss_pivot,
     cokernel,
-    det_int,
     det_sparse,
     direct_sum,
     element,
@@ -40,7 +40,7 @@ def test_int_matrix_basics():
     assert M.to_rows() == [[1, 2], [3, 4]]
     I = IntMatrix.identity(2)
     assert (I @ M).entries == M.entries
-    assert M.diagonal() == [1, 4]
+    assert diagonal(M) == [1, 4]
     with pytest.raises(ValueError):
         IntMatrix.from_rows([[1, 2], [3]])
 
@@ -313,7 +313,7 @@ def check_snf(M):
     assert (U @ M @ V).entries == D.entries
     assert abs(det_int(U)) == 1
     assert abs(det_int(V)) == 1
-    diag = D.diagonal()
+    diag = diagonal(D)
     for i in range(D.rows):
         for j in range(D.cols):
             if i != j:

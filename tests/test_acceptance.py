@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from int_matrix import det_int, diagonal
 from sutor import engine as E
 from sutor import families as F
 from sutor import polytope as P
@@ -17,7 +18,6 @@ from sutor.abelian import (
     AbelianGroup,
     IntMatrix,
     abelianize,
-    det_int,
     smith_normal_form,
     word_image,
 )
@@ -240,7 +240,7 @@ def test_criterion_09c_snf_postconditions():
         assert (U @ M @ V).entries == D.entries
         assert abs(det_int(U)) == 1
         assert abs(det_int(V)) == 1
-        diag = D.diagonal()
+        diag = diagonal(D)
         assert all(D.at(i, j) == 0 for i in range(m) for j in range(n) if i != j)
         for a, b in zip(diag, diag[1:]):
             assert a >= 0 and b >= 0

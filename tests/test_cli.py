@@ -14,7 +14,7 @@ from sutor import polytope as P
 from sutor.cli import format_element, main
 from sutor.abelian import AbElement, AbelianGroup
 from sutor.fox import fox_matrix
-from sutor.groupring import _cofactor, element, normalize, to_records
+from sutor.groupring import _cofactor, element, from_records, normalize, to_records
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -491,6 +491,50 @@ def test_fuzzed_manifests_and_records_exit_cleanly(tmp_path_factory, manifest, c
     assert _exit_code(["batch", str(d / "m.json")]) in (0, 1, 2, 3)
     for flags in (["--disk", "3"], ["--eval", "--aug"]):
         assert _exit_code(["check", str(d / "r.json"), *flags]) in (0, 1, 2, 3)
+
+
+# Every field of a serialized tau from every JSON kind: ints (small and
+# unbounded), booleans, floats with NaN and infinities, strings, nulls and
+# nested lists of these; or, as often, a value of the field's own shape, so
+# that records get past their first field and some are well formed.
+record_field = st.recursive(
+    st.integers(-3, 3) | st.integers() | st.booleans() | st.floats() | st.text(max_size=3)
+    | st.none(),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=6,
+)
+small_ints = st.lists(st.integers(-3, 3), max_size=2)
+fuzz_records = st.fixed_dictionaries({
+    "group": st.fixed_dictionaries({
+        "rank": st.integers(0, 2) | record_field,
+        "torsion": st.sampled_from([[], [2], [2, 4], [6]]) | record_field}),
+    "terms": st.lists(st.fixed_dictionaries({
+        "coeff": st.integers(-3, 3) | record_field,
+        "free": small_ints | record_field,
+        "tor": small_ints | record_field}), max_size=3),
+})
+
+
+@given(records=fuzz_records)
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_tau_records_end_with_an_exit_code(tmp_path_factory, records):
+    """Records reach check and batch expected_tau; each run ends with exit
+    code 1, 2 or 3, or 0 only on records that from_records accepts, and
+    from_records raises nothing but ValueError, so batch's per-entry catch
+    hides no other error."""
+    try:
+        normalize(from_records(records))
+        valid = True
+    except ValueError:
+        valid = False
+    allowed = (0, 1, 2, 3) if valid else (1, 2, 3)
+    d = tmp_path_factory.mktemp("records")
+    (d / "r.json").write_text(json.dumps(records))
+    (d / "m.json").write_text(json.dumps(
+        [{"path": fx("solid_torus_3.json"), "expected_tau": records}]))
+    assert _exit_code(["check", str(d / "r.json"), "--disk", "3"]) in allowed
+    assert _exit_code(["check", str(d / "r.json"), "--eval"]) == 1
+    assert _exit_code(["batch", str(d / "m.json")]) in allowed
 
 
 # Words of at most 6 characters: an exponent has at most 4 digits, so no

@@ -1,6 +1,8 @@
 """The packed-key codec of groupring, and the loops that use it, against the
 AbElement code they replaced (tests/legacy_groupring.py)."""
 import collections
+import dataclasses
+import json
 import random
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import legacy_canonical
 import legacy_groupring
+from sutor import engine as E
 from sutor import families as F
 from sutor import groupring
 from sutor.abelian import (
@@ -19,6 +22,7 @@ from sutor.abelian import (
     direct_sum,
     quotient,
 )
+from sutor.cli import main
 from sutor.fox import fox_matrix
 from sutor.groupring import (
     GRMatrix,
@@ -30,12 +34,14 @@ from sutor.groupring import (
     determinant,
     element,
     equal,
+    from_records,
     mul,
     normalize,
     push_forward,
     sim_equal,
+    to_records,
 )
-from sutor.words import Word, free_reduce, make_alphabet
+from sutor.words import Word, free_reduce, make_alphabet, parse_word
 from test_abelian import _braid_closure
 
 GROUPS = [AbelianGroup(2), AbelianGroup(1, (3,)), AbelianGroup(2, (2, 4)), AbelianGroup(0, (6,))]
@@ -123,6 +129,25 @@ def test_cofactor_at_the_bound(G):
         det = _cofactor(A)
         assert _same(det, legacy_groupring._cofactor(A))
         assert [h.free for h in det.terms] == [(n * s,) * G.rank]
+
+
+@pytest.mark.parametrize("G", GROUPS, ids=lambda G: G.describe())
+def test_normalize_of_a_determinant_at_the_bound(G):
+    # lower triangular with diagonal x^3 + x^-3, x = (1, ..., 1): det spans
+    # -rows * 3 to rows * 3 in every free coordinate, so normalize's shift
+    # takes a term to 2 x rows x 3, the bound of the matrix's own codec
+    rng = random.Random(9)
+    x = [AbElement((s,) * G.rank, tuple(rng.randrange(d) for d in G.torsion)) for s in (3, -3)]
+    for n in (2, 3, 4):
+        A = GRMatrix.from_rows([
+            [element(G, {x[0]: 1, x[1]: rng.choice((1, -2))}) if i == j
+             else _random_element(rng, G) if j < i else element(G, {})
+             for j in range(n)] for i in range(n)])
+        det = determinant(A)
+        canonical = normalize(det)
+        assert canonical.packed[0] is A.packing
+        assert _same(canonical, legacy_canonical.normalize(det))
+        assert max(h.free for h in canonical.terms) == (2 * n * 3,) * G.rank
 
 
 @pytest.mark.parametrize("G", GROUPS, ids=lambda G: G.describe())
@@ -333,3 +358,178 @@ def test_matrices_with_equal_entries_compare_equal():
     rows[0][0] = rows[0][0] + rows[0][0]
     assert GRMatrix.from_rows(rows) != A
     assert GRMatrix.from_rows(rows[:2]) != A
+
+
+# H = Z^3 (handlebody), Z (T(2,n)), Z + Z/2, Z/6 and the trivial group: each
+# a presentation and the Fox columns over it.
+DET_GROUPS = [
+    (["a", "b", "c"], [], AbelianGroup(3)),
+    (["a", "b", "c"], [[(1, 2)], [(2, -1), (0, 1), (1, 3)]], AbelianGroup(1, (2,))),
+    (["a", "b"], [[(0, 6)], [(1, -1), (0, 5)]], AbelianGroup(0, (6,))),
+    (["a", "b"], [[(0, 1)], [(1, 1), (0, 2)]], AbelianGroup(0)),
+]
+
+
+def _determinants(rng):
+    """Seeded packed determinants over every group of DET_GROUPS and over Z,
+    each fresh from determinant, so nothing of it is decoded yet."""
+    for n in (3, 7, 15):
+        inp = F.wirtinger_knot(F.torus_2n_pd(n))
+        ab = abelianize(inp.alphabet, inp.relators)
+        yield determinant(fox_matrix(inp.alphabet, list(inp.relators) + list(inp.rminus), ab))
+    for names, relators, group in DET_GROUPS:
+        alphabet = make_alphabet(names)
+        ab = abelianize(alphabet, [Word(tuple(r)) for r in relators])
+        assert ab.group == group
+        for _ in range(8):
+            words = (_handlebody_words(rng, len(names), 8) if not relators
+                     else _random_words(rng, len(names), len(names)))
+            yield determinant(fox_matrix(alphabet, words, ab))
+
+
+def _records_of(rng, p):
+    """Records of p that from_records must read back as p: terms shuffled,
+    torsion residues moved by multiples of d, and a coefficient split over
+    two records."""
+    terms = []
+    for t in to_records(p)["terms"]:
+        tor = [x + d * rng.randint(-2, 2) for x, d in zip(t["tor"], p.group.torsion)]
+        if rng.random() < 0.3:
+            c = rng.randint(-3, 3)
+            terms.append({"coeff": c, "free": t["free"], "tor": tor})
+            terms.append({"coeff": t["coeff"] - c, "free": t["free"], "tor": t["tor"]})
+        else:
+            terms.append({"coeff": t["coeff"], "free": t["free"], "tor": tor})
+    rng.shuffle(terms)
+    return {"group": to_records(p)["group"], "terms": terms}
+
+
+def test_packed_normalize_matches_legacy_on_determinants_and_records():
+    """normalize on the determinant's own keys, and on a decoded element read
+    back from records, against the search over every shift it replaced;
+    to_records must agree byte for byte."""
+    rng = random.Random(31)
+    seen = collections.Counter()
+    for det in _determinants(rng):
+        G = det.group
+        canonical = normalize(det)
+        assert "terms" not in det.__dict__ and canonical.packed is not None
+        legacy = legacy_canonical.normalize(det)
+        assert _same(canonical, legacy)
+        text = json.dumps(to_records(legacy))
+        assert json.dumps(to_records(canonical)) == text
+        read = from_records(_records_of(rng, det))
+        assert read.packed is None and equal(read, det)
+        assert _same(normalize(read), legacy)
+        assert json.dumps(to_records(normalize(read))) == text
+        assert _same(normalize(canonical), legacy)
+        seen[G.describe()] += 1
+        seen["nonzero"] += bool(det)
+    assert seen["nonzero"] > 25, seen
+    assert all(seen[G] >= 3 for G in ("Z", "Z + Z + Z", "Z + Z/2", "Z/6", "0")), seen
+
+
+def _targets(G):
+    """Projections out of G onto targets of rank 0 (G mod its free part, and
+    G mod everything) and of rank > 0 (G itself, and G plus Z + Z/2)."""
+    free_basis = [AbElement(tuple(int(i == j) for j in range(G.rank)), (0,) * len(G.torsion))
+                  for i in range(G.rank)]
+    everything = free_basis + [AbElement((0,) * G.rank, tuple(int(i == j) for j in range(
+        len(G.torsion)))) for i in range(len(G.torsion))]
+    return [quotient(G, free_basis), quotient(G, everything), quotient(G, []),
+            direct_sum(G, AbelianGroup(1, (2,)))[1]]
+
+
+def test_packed_push_forward_matches_legacy():
+    """push_forward reads the determinant's coordinates off its digits and
+    a decoded element's out of its terms; both equal the per-term legacy map,
+    term for term and in order, on targets of rank 0 and rank > 0, and on
+    the zero element in both forms."""
+    rng = random.Random(37)
+    ranks = collections.Counter()
+    for det in _determinants(rng):
+        G = det.group
+        decoded = GroupRingElement(G, dict(GroupRingElement(G, packed=det.packed).terms))
+        zeros = [GroupRingElement(G, {}), GroupRingElement(G, packed=(det.packed[0], {}))]
+        for proj in _targets(G):
+            legacy = legacy_groupring.push_forward(decoded, proj)
+            assert _same(push_forward(det, proj), legacy)
+            assert _same(push_forward(decoded, proj), legacy)
+            for z in zeros:
+                assert _same(push_forward(z, proj), GroupRingElement(proj.target, {}))
+            ranks["rank 0" if proj.target.rank == 0 else "rank > 0"] += bool(det)
+        assert "terms" not in det.__dict__
+    assert ranks["rank 0"] > 40 and ranks["rank > 0"] > 40, ranks
+
+
+@pytest.mark.parametrize("rminus", [["a^6", "b"], ["a^2", "b^2"], ["a b a^-1 b^-1", "a^2 b"],
+                                    ["a b a^-1 b^-1", "a^2 b a^-2 b^-1"]])
+def test_push_forward_of_a_replaced_raw_det_matches_legacy(rminus):
+    """The decoded raw_det that a caller puts in a TorsionResult with
+    dataclasses.replace goes through the evaluation check as the legacy map
+    sends it."""
+    alphabet = make_alphabet(["a", "b"])
+    res = E.torsion(E.SuturedInput(alphabet, (), tuple(parse_word(w, alphabet)
+                                                        for w in rminus)))
+    rng = random.Random(len(rminus[0]))
+    for _ in range(5):
+        raw = _random_element(rng, res.H, terms=6)
+        ev = E.evaluation_check(res.input, dataclasses.replace(res, raw_det=raw))
+        assert _same(ev.lhs, legacy_groupring.push_forward(raw, res.rminus_projection))
+
+
+def _count_decodes(monkeypatch):
+    decoded = []
+    decode = _Packing.decode
+
+    def counting(self, keys):
+        keys = list(keys)
+        decoded.append(len(keys))
+        return decode(self, keys)
+
+    monkeypatch.setattr(groupring._Packing, "decode", counting)
+    return decoded
+
+
+def _spy_inputs():
+    alphabet = make_alphabet(["a", "b", "c", "d"])
+    rng = random.Random(8)
+    yield E.SuturedInput(alphabet, (), tuple(_handlebody_words(rng, 4, 12)))
+    yield F.wirtinger_knot(F.torus_2n_pd(21))
+    yield F.pretzel_odd(3, 3, 3)
+    yield F.solid_torus(5)
+    alphabet = make_alphabet(["a", "b", "c"])
+    yield E.SuturedInput(alphabet, (Word(((1, 2),)),),
+                         (Word(((2, -1), (0, 1), (1, 3))), Word(((0, 2), (2, 1)))))
+
+
+def test_torsion_and_checks_decode_no_term_of_tau(monkeypatch):
+    """torsion and both identity checks read raw_det and tau on their packed
+    keys only; the first read of terms decodes each once, a second read
+    decodes nothing."""
+    decoded = _count_decodes(monkeypatch)
+    for inp in _spy_inputs():
+        decoded.clear()
+        res = E.torsion(inp)
+        assert E.evaluation_check(inp, res).passed
+        assert E.augmentation_order_check(inp, res).passed
+        assert decoded == []
+        assert "terms" not in res.raw_det.__dict__ and "terms" not in res.tau.__dict__
+        n = len(res.tau.terms)
+        assert n and decoded == [n]
+        assert res.tau.terms is res.tau.terms and decoded == [n]
+        assert len(res.raw_det.terms) == n and decoded == [n, n]
+        res.raw_det.terms
+        assert decoded == [n, n]
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_compute_decodes_tau_exactly_once(monkeypatch, tmp_path, flags):
+    for i, inp in enumerate(_spy_inputs()):
+        path = tmp_path / f"in{i}.json"
+        E.dump_input(inp, str(path))
+        n = len(E.torsion(inp).tau.terms)
+        decoded = _count_decodes(monkeypatch)
+        assert main(["compute", *flags, str(path)]) == 0
+        assert decoded == [n]
+        monkeypatch.undo()
