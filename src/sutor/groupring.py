@@ -48,7 +48,7 @@ use _cofactor.
 from __future__ import annotations
 
 import itertools
-import operator
+from dataclasses import FrozenInstanceError
 from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -86,16 +86,22 @@ class GroupRingElement:
     It holds either terms or packed = (codec, {packed key: coefficient}), as
     determinant and normalize return it; then terms is decoded on first read,
     in the packed dict's order, and kept.  Equality compares the group and
-    the terms.  Elements are not hashable."""
+    the terms.  Elements are immutable and not hashable."""
 
     __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, group: AbelianGroup, terms: Optional[Dict[AbElement, int]] = None,
                  packed: Optional[Tuple[_Packing, Dict[int, int]]] = None):
-        self.group = group
-        self.packed = packed
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "packed", packed)
         if packed is None:
             self.__dict__["terms"] = {} if terms is None else terms
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @cached_property
     def terms(self) -> Dict[AbElement, int]:
@@ -561,12 +567,8 @@ def external_product(p: GroupRingElement, q: GroupRingElement) -> GroupRingEleme
 
 
 def sorted_terms(p: GroupRingElement) -> List[Tuple[AbElement, int]]:
-    """The terms in (free, tor) order; a packed element sorts its int keys,
-    which have that order, and decodes each key once (into terms)."""
-    if p.packed is None:
-        return sorted(p.terms.items(), key=lambda item: _key(item[0]))
-    keys = p.packed[1]
-    return [item for _, item in sorted(zip(keys, p.terms.items()), key=operator.itemgetter(0))]
+    """The terms in (free, tor) order."""
+    return sorted(p.terms.items(), key=lambda item: _key(item[0]))
 
 
 def to_records(p: GroupRingElement) -> dict:

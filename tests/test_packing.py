@@ -533,3 +533,20 @@ def test_compute_decodes_tau_exactly_once(monkeypatch, tmp_path, flags):
         assert main(["compute", *flags, str(path)]) == 0
         assert decoded == [n]
         monkeypatch.undo()
+
+
+def test_elements_are_immutable():
+    """Assigning or deleting an attribute raises on a decoded element and on
+    a packed one, before and after its terms are decoded, so the cached
+    terms cannot fall out of step with the packed keys."""
+    inp = next(_spy_inputs())
+    tau = E.torsion(inp).tau
+    decoded = GroupRingElement(tau.group, dict(tau.terms))
+    for p in (E.torsion(inp).tau, tau, decoded):
+        for name in ("group", "packed", "terms", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(p, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(p, name)
+        assert p == decoded
+    assert tau.packed is not None and decoded.packed is None
