@@ -4,11 +4,15 @@ Groups are presented in Smith normal form: rank b plus a divisor chain
 d_1 | d_2 | ... with every d_i >= 2.  Elements are exponent vectors
 (free part) together with reduced torsion residues.
 
-A homomorphism into such a group is the images of a basis.  dot_map, on the
-image_matrix each Cokernel or Projection builds once, is the one place that
-maps coordinate vectors through them: it takes them as coordinate columns,
-so groupring.push_forward maps every term of an element at once, and a
-single vector is a batch of one.
+A homomorphism into such a group is its matrix (ImageMatrix): row i holds
+target coordinate i of the image of every basis element.  cokernel reads it
+straight off the factor rows of the Smith U block, and quotient and
+direct_sum hand it to their Projection; the images as AbElements are
+derived from it only when read.  dot_map is the one place that maps
+coordinate vectors through such a matrix: it takes them as coordinate
+columns and returns coordinate rows, so word_images maps all its words,
+and groupring.push_forward every term of an element, in one call, without
+an AbElement per vector; a single vector is a batch of one.
 
 _smith is the one Smith normal form.  It works in place on a list of rows,
 and the transforms ride in blocks beside and below the matrix: cokernel
@@ -321,6 +325,7 @@ def element(G: AbelianGroup, free: Sequence[int] = (), tor: Sequence[int] = ()) 
 
 
 ImageMatrix = Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[Tuple[int, ...], int], ...]]
+CoordinateRows = Tuple[List[List[int]], List[List[int]]]
 
 
 def image_matrix(G: AbelianGroup, images: Sequence[AbElement]) -> ImageMatrix:
@@ -332,13 +337,14 @@ def image_matrix(G: AbelianGroup, images: Sequence[AbElement]) -> ImageMatrix:
     return tuple(rows[:G.rank]), tuple(zip(rows[G.rank:], G.torsion))
 
 
-def dot_map(M: ImageMatrix, columns: Sequence[Sequence[int]],
-            count: int) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """The (free, tor) coordinates of sum_j v[j] * images[j] for each of
-    count vectors v, given as coordinate columns: columns[j] holds v[j] of
-    every v, in order.  Each target coordinate is built column by column
-    over the nonzero entries of its row only (compress skips the others
-    without a Python step each), and reduced mod d on torsion ones."""
+def dot_map(M: ImageMatrix, columns: Sequence[Sequence[int]], count: int) -> CoordinateRows:
+    """The coordinates of sum_j v[j] * images[j] for each of count vectors
+    v, given as coordinate columns: columns[j] holds v[j] of every v, in
+    order.  They come back as coordinate rows, free rows then torsion rows:
+    row i holds target coordinate i of every image, in order.  Each row is
+    built column by column over the nonzero entries of its row of M only
+    (compress skips the others without a Python step each), and reduced
+    mod d on torsion ones."""
     free, tor = M
 
     def image(row: Sequence[int]) -> List[int]:
@@ -347,14 +353,19 @@ def dot_map(M: ImageMatrix, columns: Sequence[Sequence[int]],
             out = [x + a * y for x, y in zip(out, col)]
         return out
 
-    f = [image(row) for row in free]
-    t = [[x % d for x in image(row)] for row, d in tor]
-    return list(zip(zip(*f) if f else repeat((), count), zip(*t) if t else repeat((), count)))
+    return [image(row) for row in free], [[x % d for x in image(row)] for row, d in tor]
+
+
+def _elements(free: Sequence[Sequence[int]], tor: Sequence[Sequence[int]],
+             count: int) -> Tuple[AbElement, ...]:
+    """The AbElement of each of the count columns of the coordinate rows."""
+    return tuple(map(AbElement, zip(*free) if free else repeat((), count),
+                     zip(*tor) if tor else repeat((), count)))
 
 
 def _map_vector(M: ImageMatrix, v: Sequence[int]) -> AbElement:
     """dot_map of the one vector v."""
-    return AbElement(*dot_map(M, [(x,) for x in v], 1)[0])
+    return _elements(*dot_map(M, [(x,) for x in v], 1), 1)[0]
 
 
 @dataclass(frozen=True)
@@ -362,16 +373,18 @@ class Cokernel:
     """The cokernel Z^m / im(M) of a relation matrix, with generator images.
 
     U is the row transform of the Smith form U*M*V = D, and factor_rows are
-    the rows of D that give the canonical factors, free ones first."""
+    the rows of D that give the canonical factors, free ones first; matrix
+    holds the generator images, read straight off those rows of U."""
 
     group: AbelianGroup
-    gen_images: Tuple[AbElement, ...]
+    matrix: ImageMatrix
     U: Tuple[Tuple[int, ...], ...]
     factor_rows: Tuple[int, ...]
 
     @cached_property
-    def matrix(self) -> ImageMatrix:
-        return image_matrix(self.group, self.gen_images)
+    def gen_images(self) -> Tuple[AbElement, ...]:
+        free, tor = self.matrix
+        return _elements(free, [row for row, _ in tor], len(self.U))
 
     @cached_property
     def lifts(self) -> Tuple[Tuple[int, ...], ...]:
@@ -394,44 +407,52 @@ def cokernel(rel_rows: Sequence[Sequence[int]], m: int, n: int) -> Cokernel:
     free_rows = [i for i, d in enumerate(diag) if d == 0] + list(range(len(diag), m))
     G = AbelianGroup(len(free_rows), tuple(diag[i] for i in tor_rows))
     U = tuple(tuple(row[n:]) for row in A)
-    gen_images = tuple(
-        AbElement(
-            tuple(U[r][i] for r in free_rows),
-            tuple(U[r][i] % diag[r] for r in tor_rows),
-        )
-        for i in range(m)
-    )
-    return Cokernel(G, gen_images, U, tuple(free_rows + tor_rows))
+    # free factor rows of U as they are, torsion ones mod d
+    matrix = (tuple(U[r] for r in free_rows),
+              tuple((tuple(x % diag[r] for x in U[r]), diag[r]) for r in tor_rows))
+    return Cokernel(G, matrix, U, tuple(free_rows + tor_rows))
+
+
+def _exponent_sums(words: Sequence[Word], m: int) -> List[List[int]]:
+    """Row g holds generator g's exponent sum in every word, in order."""
+    rows = [[0] * len(words) for _ in range(m)]
+    for j, w in enumerate(words):
+        for g, e in w.letters:
+            rows[g][j] += e
+    return rows
 
 
 def abelianize(alphabet: Sequence[Generator], relators: Sequence[Word]) -> Cokernel:
     """H = cokernel of the exponent-sum matrix (rows = generators, cols = relators)."""
-    m = len(alphabet)
-    rows = [[0] * len(relators) for _ in range(m)]
-    for j, w in enumerate(relators):
-        for g, e in w.letters:
-            rows[g][j] += e
-    return cokernel(rows, m, len(relators))
+    return cokernel(_exponent_sums(relators, len(alphabet)), len(alphabet), len(relators))
+
+
+def word_images(ck: Cokernel, words: Sequence[Word]) -> Tuple[AbElement, ...]:
+    """phi extended multiplicatively to each word: the words' exponent sums
+    are the columns of one dot_map."""
+    sums = _exponent_sums(words, len(ck.U))
+    return _elements(*dot_map(ck.matrix, sums, len(words)), len(words))
 
 
 def word_image(ck: Cokernel, w: Word) -> AbElement:
-    """phi extended multiplicatively to words: the word's exponent sum per
-    generator, mapped once."""
-    v = [0] * len(ck.gen_images)
-    for g, e in w.letters:
-        v[g] += e
-    return ck.from_vector(v)
+    """word_images of the one word w."""
+    return word_images(ck, [w])[0]
 
 
 @dataclass(frozen=True)
 class Projection:
+    """The homomorphism source -> target of the given matrix, whose column i
+    is the image of canonical source factor i (free then torsion)."""
+
     source: AbelianGroup
     target: AbelianGroup
-    images: Tuple[AbElement, ...]  # image of each canonical source factor (free then torsion)
+    matrix: ImageMatrix
 
     @cached_property
-    def matrix(self) -> ImageMatrix:
-        return image_matrix(self.target, self.images)
+    def images(self) -> Tuple[AbElement, ...]:
+        free, tor = self.matrix
+        return _elements(free, [row for row, _ in tor],
+                        self.source.rank + len(self.source.torsion))
 
     def __call__(self, x: AbElement) -> AbElement:
         return _map_vector(self.matrix, x.free + x.tor)
@@ -453,7 +474,7 @@ def quotient(H: AbelianGroup, killed: Sequence[AbElement]) -> Projection:
             raise ValueError("killed element not in the group")
         cols.append(list(x.free + x.tor))
     ck = cokernel([[col[i] for col in cols] for i in range(m)], m, len(cols))
-    return Projection(H, ck.group, ck.gen_images)
+    return Projection(H, ck.group, ck.matrix)
 
 
 def direct_sum(G1: AbelianGroup, G2: AbelianGroup) -> Tuple[AbelianGroup, Projection, Projection]:
@@ -462,9 +483,13 @@ def direct_sum(G1: AbelianGroup, G2: AbelianGroup) -> Tuple[AbelianGroup, Projec
     m = m1 + G2.rank + len(G2.torsion)
     cols = _torsion_relations(G1, 0, m) + _torsion_relations(G2, m1, m)
     ck = cokernel([[col[i] for col in cols] for i in range(m)], m, len(cols))
-    incl1 = Projection(G1, ck.group, ck.gen_images[:m1])
-    incl2 = Projection(G2, ck.group, ck.gen_images[m1:])
-    return ck.group, incl1, incl2
+    free, tor = ck.matrix
+
+    def columns(lo: int, hi: int) -> ImageMatrix:
+        return tuple(row[lo:hi] for row in free), tuple((row[lo:hi], d) for row, d in tor)
+
+    G = ck.group
+    return G, Projection(G1, G, columns(0, m1)), Projection(G2, G, columns(m1, m))
 
 
 def order(G: AbelianGroup):

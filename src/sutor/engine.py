@@ -20,9 +20,10 @@ from .abelian import (
     INFINITE,
     Projection,
     abelianize,
+    image_matrix,
     order,
     quotient,
-    word_image,
+    word_images,
 )
 from .fox import fox_matrix
 from .groupring import GroupRingElement
@@ -99,8 +100,7 @@ class TorsionResult:
     def rminus_projection(self) -> Projection:
         """H -> G = H_1(M, R_-), built on first use and shared by both checks
         (cached_property writes the instance __dict__, so frozen is no bar)."""
-        images = [word_image(self.abelianization, w) for w in self.input.rminus]
-        return quotient(self.H, images)
+        return quotient(self.H, word_images(self.abelianization, self.input.rminus))
 
 
 def torsion(inp: SuturedInput) -> TorsionResult:
@@ -119,22 +119,30 @@ def torsion(inp: SuturedInput) -> TorsionResult:
 
 @dataclass(frozen=True)
 class EvalCheck:
+    """lhs = p_*(raw_det) in Z[G], packed; rhs = I_G depends on G alone, so
+    it is built only when read, and equality compares G, lhs and passed."""
     G: AbelianGroup
     lhs: GroupRingElement
-    rhs: GroupRingElement
     passed: bool
+
+    @cached_property
+    def rhs(self) -> GroupRingElement:
+        return GR.sum_of_all_elements(self.G)
 
 
 def evaluation_check(inp: SuturedInput, result: TorsionResult) -> EvalCheck:
     """p_*(tau) must equal +-I_G for G = H_1(M, R_-).  Comparing with +-I_G
-    by equality is exact: h*I_G = I_G when G is finite, and I_G = 0 when G
-    has positive rank.  The check reads `result.input`, the validated and
-    freely reduced input; `inp` is unused."""
+    is exact up to the unit: h*I_G = I_G when G is finite, and I_G = 0 when
+    G has positive rank.  lhs comes packed with canonical keys, one per
+    group element, so passed counts them: none for infinite G, and for
+    finite G exactly |G| keys that share one coefficient, +1 or -1.  The
+    check reads `result.input`, the validated and freely reduced input;
+    `inp` is unused."""
     proj = result.rminus_projection
     lhs = GR.push_forward(result.raw_det, proj)
-    rhs = GR.sum_of_all_elements(proj.target)
-    passed = GR.equal(lhs, rhs) or GR.equal(GR.neg(lhs), rhs)
-    return EvalCheck(proj.target, lhs, rhs, passed)
+    keys, o = lhs.packed[1], order(proj.target)
+    passed = not keys if o is INFINITE else len(keys) == o and set(keys.values()) in ({1}, {-1})
+    return EvalCheck(proj.target, lhs, passed)
 
 
 @dataclass(frozen=True)
@@ -195,8 +203,8 @@ def induced_hom(old: TorsionResult, new: TorsionResult) -> Projection:
     through the new abelianization."""
     old_ab, new_ab = old.abelianization, new.abelianization
     pad = (0,) * (len(new_ab.gen_images) - len(old_ab.gen_images))
-    return Projection(old.H, new.H, tuple(
-        new_ab.from_vector(col + pad) for col in old_ab.lifts))
+    return Projection(old.H, new.H, image_matrix(new.H, [
+        new_ab.from_vector(col + pad) for col in old_ab.lifts]))
 
 
 def transport_tau(old: TorsionResult, new: TorsionResult) -> GroupRingElement:

@@ -27,23 +27,28 @@ torsion digit that reaches d loses d again, see fold) and int order is the
   term minus a support point.  A packed element keeps its codec: the
   determinant's has the factor 2 above, and normalize's own result has the
   least free part at the origin, so normalizing it again shifts no free
-  coordinate.
+  coordinate;
+- push_forward: 2 x the largest |free coordinate| of an image, so normalize
+  can shift its result in place too.
 
 A GroupRingElement holds its terms, keyed by AbElement, or its packed keys
 and codec, as GRMatrix does; its terms are decoded on first read and kept.
 fox.fox_matrix hands its packed columns over as they are, determinant reads
 them and returns its packed memo, and normalize shifts and sorts those keys
 in place, so tau stays packed in key order, which is the (free, tor) order.
-augmentation sums the packed coefficients, and push_forward reads each
-source coordinate off the digits (_Packing.columns) and maps the columns
-through abelian.dot_map, building one AbElement per output term.  So
-torsion and both identity checks decode nothing: only a caller that reads
-terms, such as to_records or the CLI's formatter, decodes, once.
+augmentation sums the packed coefficients; push_forward reads each source
+coordinate off the digits (_Packing.columns), maps the columns through
+abelian.dot_map and packs the image rows straight into keys of the target
+(_Packing.encode_rows), with no AbElement per term; equal compares packed
+elements on their keys.  So torsion and both identity checks decode
+nothing: only a caller that reads terms, such as to_records or the CLI's
+formatter, decodes, once.
 
 determinant stays sparse when H has at most one generator: a key is then
 the one exponent of t, only the nonzero entries are packed into integers,
 and the elimination is the sparse-row Bareiss abelian.det_sparse.  Other H
-use _cofactor.
+use _cofactor, which peels the lines with one nonzero entry off in a loop
+and expands the rest on an explicit stack.
 """
 from __future__ import annotations
 
@@ -114,7 +119,7 @@ class GroupRingElement:
     def __eq__(self, other):
         if not isinstance(other, GroupRingElement):
             return NotImplemented
-        return self.group == other.group and self.terms == other.terms
+        return equal(self, other)
 
     def __bool__(self) -> bool:
         return bool(self.terms if self.packed is None else self.packed[1])
@@ -227,6 +232,14 @@ class _Packing:
         return map(AbElement, zip(*cols[:b]) if b else itertools.repeat(()),
                    zip(*cols[b:]) if self.torsion else itertools.repeat(()))
 
+    def encode_rows(self, rows: Sequence[Sequence[int]], count: int) -> List[int]:
+        """The key of each of the count columns of the coordinate rows (free,
+        then torsion), one pass over the keys per row."""
+        keys, w = [0] * count, self.width
+        for row in rows:
+            keys = [(k << w) + c for k, c in zip(keys, row)]
+        return keys
+
     def encode_terms(self, terms: Dict[AbElement, int]) -> Dict[int, int]:
         encode = self.encode
         return {encode(h): c for h, c in terms.items()}
@@ -278,7 +291,19 @@ def augmentation(p: GroupRingElement) -> int:
 
 
 def equal(p: GroupRingElement, q: GroupRingElement) -> bool:
-    return p.group == q.group and p.terms == q.terms
+    """p == q.  Two packed elements are compared on their keys: under codecs
+    of one width as they are, otherwise after the narrower one's coordinates
+    are encoded in the wider codec, so neither is decoded."""
+    if p.group != q.group:
+        return False
+    if p.packed is None or q.packed is None:
+        return p.terms == q.terms
+    (pk, a), (qk, b) = sorted((p.packed, q.packed), key=lambda x: x[0].width)
+    if len(a) != len(b):
+        return False
+    if pk.width != qk.width:
+        a = dict(zip(qk.encode_rows(pk.columns(a), len(a)), a.values()))
+    return a == b
 
 
 def exact_div(p: GroupRingElement, q: GroupRingElement) -> GroupRingElement:
@@ -450,44 +475,142 @@ def _unpack(D: int, k: int, n: int) -> List[int]:
 
 
 def _cofactor(A: GRMatrix) -> GroupRingElement:
-    """Cofactor expansion along the sparsest row, or along a column when one
-    is strictly sparser (lowest index on ties), memoized on the surviving
-    (row-set, column-set), on the matrix's own keys and codec.  The term
-    products of the whole expansion are counted against WORK_BUDGET before
-    each line makes them."""
+    """Cofactor expansion on the matrix's own keys and codec.  A block of
+    surviving rows and columns expands along its sparsest row, or along a
+    column when one is strictly sparser (lowest index on ties).  While that
+    line has one nonzero entry e, it is peeled off in a loop: det = +-e *
+    det(minor).  The core left then expands into minors memoized on (rows,
+    columns), each a block again, on an explicit stack of blocks and of
+    frames that wait for their minors, so no recursion bounds the depth.
+    A 2 x 2 block is its own base case (det2).  Nonzero counts are updated
+    along each removed line only, so the n x n identity matrix reads O(n)
+    rows.  The term products are counted against WORK_BUDGET, innermost
+    first, before each line makes them."""
     G, pk, E = A.group, A.packing, A.packed
+    n = A.rows
+    if n == 1:
+        return GroupRingElement(G, packed=(pk, E[0][0]))
     memo: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Dict[int, int]] = {}
     work = 0
 
-    def det(rows: Tuple[int, ...], cols: Tuple[int, ...]) -> Dict[int, int]:
+    def combine(pairs: List[Tuple[Dict[int, int], object, int]]) -> Dict[int, int]:
+        """The sum of sign * e * minor over the (e, minor, sign) triples; a
+        minor given by its (rows, columns) is read from memo."""
         nonlocal work
-        if len(rows) == 1:
-            return E[rows[0]][cols[0]]
-        key = (rows, cols)
-        if key in memo:
-            return memo[key]
-        row_nz = [sum(1 for c in cols if E[r][c]) for r in rows]
-        col_nz = [sum(1 for r in rows if E[r][c]) for c in cols]
-        ri = min(range(len(rows)), key=row_nz.__getitem__)
-        ci = min(range(len(cols)), key=col_nz.__getitem__)
-        if row_nz[ri] <= col_nz[ci]:
-            line = [(ri, j) for j in range(len(cols))]
-        else:
-            line = [(i, ci) for i in range(len(rows))]
-        products = []  # lazy: none is made before the budget check
-        for i, j in line:
-            e = E[rows[i]][cols[j]]
-            if e:
-                minor = det(rows[:i] + rows[i + 1:], cols[:j] + cols[j + 1:])
-                work += len(e) * len(minor)
-                products.append(_products(pk, e, minor, -1 if (i + j) % 2 else 1))
+        products = []
+        for e, minor, sign in pairs:
+            if type(minor) is tuple:
+                minor = memo[minor]
+            work += len(e) * len(minor)
+            products.append(_products(pk, e, minor, sign))
         if work > WORK_BUDGET:
             raise ValueError(f"a cofactor expansion of at least {work} term products is over "
                              f"the work budget of {WORK_BUDGET}")
-        memo[key] = acc = _accumulate({}, itertools.chain.from_iterable(products))
-        return acc
+        return _accumulate({}, itertools.chain.from_iterable(products))
 
-    return GroupRingElement(G, packed=(pk, det(tuple(range(A.rows)), tuple(range(A.cols)))))
+    def drop(rc: List[int], cc: List[int], r: int, c: int) -> None:
+        """Remove row r and column c from the nonzero counts."""
+        for x in nz_cols[r]:
+            cc[x] -= 1
+        for x in nz_rows[c]:
+            rc[x] -= 1
+        rc[r] = cc[c] = gone
+
+    def det2(r0: int, r1: int, c0: int, c1: int) -> Dict[int, int]:
+        """det of the 2 x 2 block on rows r0 < r1 and columns c0 < c1, along
+        the line the expansion rule picks; a line with one nonzero entry
+        gives the same product as peeling it."""
+        a, b, c, d = E[r0][c0], E[r0][c1], E[r1][c0], E[r1][c1]
+        row0, row1 = bool(a) + bool(b), bool(c) + bool(d)
+        col0, col1 = bool(a) + bool(c), bool(b) + bool(d)
+        if min(row0, row1) <= min(col0, col1):
+            line = ((a, d, 1), (b, c, -1)) if row0 <= row1 else ((c, b, -1), (d, a, 1))
+        else:
+            line = ((a, d, 1), (c, b, -1)) if col0 <= col1 else ((b, c, -1), (d, a, 1))
+        return combine([x for x in line if x[0]])
+
+    if n == 2:
+        return GroupRingElement(G, packed=(pk, det2(0, 1, 0, 1)))
+    lines = range(n)
+    nz_cols = [list(itertools.compress(lines, row)) for row in E]
+    nz_rows = [list(itertools.compress(lines, col)) for col in zip(*E)]
+    gone = 2 * n  # a removed line's count: it stays above n however often it drops
+
+    def settle(key, rows, cols, rc, cc) -> None:
+        """Peel the block's singleton lines and list the minors along its
+        core's line; finish the block, or stack its frame and the blocks of
+        the minors not yet in memo."""
+        peeled, pairs, todo, det = [], [], [], None
+        while len(rows) > 1:
+            low_r, low_c = min(rc), min(cc)
+            if not (low_r and low_c):
+                det = {}
+                break
+            if low_r == 1:
+                r = rc.index(1)
+                c = next(x for x in nz_cols[r] if cc[x] <= n)
+            elif low_c == 1:
+                c = cc.index(1)
+                r = next(x for x in nz_rows[c] if rc[x] <= n)
+            else:
+                break
+            peeled.append((E[r][c], -1 if (rows.index(r) + cols.index(c)) % 2 else 1))
+            rows.remove(r)
+            cols.remove(c)
+            drop(rc, cc, r, c)
+        core = (tuple(rows), tuple(cols))
+        if det is None and len(rows) == 1:
+            det = E[rows[0]][cols[0]]
+        if det is None:
+            det = memo.get(core)
+        if det is None and len(rows) == 2:
+            memo[core] = det = det2(*rows, *cols)
+        if det is None:
+            if low_r <= low_c:
+                line = zip(itertools.repeat(rows.index(rc.index(low_r))), range(len(cols)))
+            else:
+                line = zip(range(len(rows)), itertools.repeat(cols.index(cc.index(low_c))))
+            for i, j in line:
+                r, c = rows[i], cols[j]
+                e = E[r][c]
+                if not e:
+                    continue
+                sub_rows, sub_cols = rows[:i] + rows[i + 1:], cols[:j] + cols[j + 1:]
+                minor = (tuple(sub_rows), tuple(sub_cols))
+                if minor in memo:
+                    pass
+                elif len(sub_rows) == 2:
+                    memo[minor] = det2(*sub_rows, *sub_cols)
+                else:
+                    todo.append((minor, sub_rows, sub_cols, rc, cc, r, c))
+                pairs.append((e, minor, -1 if (i + j) % 2 else 1))
+        if todo:
+            stack.append((key, core, peeled, pairs, det))
+            stack.extend(reversed(todo))
+        else:
+            finish(key, core, peeled, pairs, det)
+
+    def finish(key, core, peeled, pairs, det) -> None:
+        """Combine the block's minors, known by now, and its peeled entries."""
+        if det is None:
+            memo[core] = det = combine(pairs)
+        for e, sign in reversed(peeled):
+            det = combine([(e, det, sign)])
+        memo[key] = det
+
+    root = (tuple(lines), tuple(lines))
+    stack: List[tuple] = []
+    settle(root, list(root[0]), list(root[1]), list(map(len, nz_cols)), list(map(len, nz_rows)))
+    while stack:
+        item = stack.pop()
+        if len(item) == 5:  # a frame of settle, whose minors are in memo by now
+            finish(*item)
+        elif item[0] not in memo:  # a block: it and the counts of the block it is a minor of
+            key, rows, cols, rc, cc, r, c = item
+            rc, cc = rc[:], cc[:]
+            drop(rc, cc, r, c)
+            settle(key, rows, cols, rc, cc)
+    return GroupRingElement(G, packed=(pk, memo[root]))
 
 
 def normalize(p: GroupRingElement) -> GroupRingElement:
@@ -534,8 +657,10 @@ def sim_equal(p: GroupRingElement, q: GroupRingElement) -> bool:
 def push_forward(p: GroupRingElement, proj: Projection) -> GroupRingElement:
     """Apply a group homomorphism to every term: the source coordinates, read
     off the packed digits or out of terms, are mapped as columns by
-    abelian.dot_map, and coefficients are collected on the (free, tor)
-    tuples, so an AbElement is built per output term, not per input term."""
+    abelian.dot_map, and its coordinate rows are packed straight into keys
+    of the target, under a codec of bound 2 x their largest |free
+    coordinate| (so normalize can shift the result in place); coefficients
+    are collected on those keys.  No AbElement is built."""
     if proj.source != p.group:
         raise GroupMismatchError("projection source does not match element group")
     if p.packed is None:
@@ -545,8 +670,10 @@ def push_forward(p: GroupRingElement, proj: Projection) -> GroupRingElement:
         pk, keys = p.packed
         coeffs = keys.values()
         columns = pk.columns(keys)
-    terms = _accumulate({}, zip(dot_map(proj.matrix, columns, len(coeffs)), coeffs))
-    return GroupRingElement(proj.target, {AbElement(f, t): c for (f, t), c in terms.items()})
+    free, tor = dot_map(proj.matrix, columns, len(coeffs))
+    qk = _Packing(proj.target, 2 * max(map(abs, itertools.chain.from_iterable(free)), default=0))
+    keys = qk.encode_rows(free + tor, len(coeffs))
+    return GroupRingElement(proj.target, packed=(qk, _accumulate({}, zip(keys, coeffs))))
 
 
 def sum_of_all_elements(G: AbelianGroup) -> GroupRingElement:

@@ -330,23 +330,6 @@ def to_tsv(S: Support) -> str:
     return "\n".join(lines) + "\n"
 
 
-def edge_lengths_2d(hull: Sequence[Point]) -> List[Tuple[Tuple[int, int], int]]:
-    """(direction, lattice length) per hull edge, in hull order; a
-    one-point hull has no edges."""
-    from math import gcd
-
-    out = []
-    k = len(hull)
-    if k < 2:
-        return out
-    for i in range(k):
-        a, b = hull[i], hull[(i + 1) % k]
-        dx, dy = b[0] - a[0], b[1] - a[1]
-        g = gcd(abs(dx), abs(dy))
-        out.append(((dx // g, dy // g), g))
-    return out
-
-
 def to_svg(S: Support) -> str:
     """Deterministic SVG for dim <= 2: 32 px/unit, labeled lattice points,
     hull drawn as a polygon."""

@@ -1,6 +1,7 @@
 import collections
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -29,6 +30,7 @@ from sutor.abelian import (
     quotient,
     smith_normal_form,
     word_image,
+    word_images,
     zero_element,
 )
 from sutor.words import make_alphabet, parse_word
@@ -384,7 +386,8 @@ def test_cokernel_and_lifts():
 def test_dot_map_matches_legacy_fold():
     """word_image, Cokernel.from_vector and Projection.__call__ equal the
     ab_add/ab_scale fold they replaced, on seeded groups with torsion, for
-    negative exponents, exponents >= d and generators absent from a word."""
+    negative exponents, exponents >= d and generators absent from a word;
+    word_images maps a batch of words as word_image maps each."""
     rng = random.Random(12)
     alphabet = make_alphabet(["a", "b", "c", "d"])
     fold = legacy_groupring.combine
@@ -400,6 +403,7 @@ def test_dot_map_matches_legacy_fold():
             continue
         seen["torsion"] += 1
         d = G.torsion[0]
+        batch = []
         for _ in range(8):
             used = rng.sample(range(4), rng.randint(1, 3))
             w = W.free_reduce([(rng.choice(used), rng.choice([-1, 1]) * rng.randint(1, 2 * d + 1))
@@ -408,8 +412,10 @@ def test_dot_map_matches_legacy_fold():
             seen["at least d"] += any(abs(e) >= d for _, e in w.letters)
             seen["absent"] += len({g for g, _ in w.letters}) < 4
             assert word_image(ck, w) == fold(G, ((e, ck.gen_images[g]) for g, e in w.letters))
+            batch.append(w)
             v = [rng.randint(-2 * d, 2 * d) for _ in range(4)]
             assert ck.from_vector(v) == fold(G, zip(v, ck.gen_images))
+        assert word_images(ck, batch) == tuple(map(partial(word_image, ck), batch))
         killed = [element(G, [rng.randint(-3, 3) for _ in range(G.rank)],
                           [rng.randrange(t) for t in G.torsion]) for _ in range(rng.randint(0, 2))]
         projections = [quotient(G, killed), *direct_sum(G, AbelianGroup(1, (2,)))[1:]]

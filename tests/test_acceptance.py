@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from hull_edges import edge_lengths_2d
 from int_matrix import det_int, diagonal
 from sutor import engine as E
 from sutor import families as F
@@ -76,7 +77,7 @@ def test_criterion_02_pretzel_odd_oracle():
         assert set(S.points.values()) == {1}, (r, s, t)
         hull = P.convex_hull_2d(list(S.points))
         assert len(hull) == 6, (r, s, t)
-        sides = sorted(g + 1 for _, g in P.edge_lengths_2d(hull))
+        sides = sorted(g + 1 for _, g in edge_lengths_2d(hull))
         assert sides == sorted([r + 1, r + 1, s + 1, s + 1, t + 1, t + 1]), (r, s, t)
     ok(2, "27 odd pretzels: determinant route = cleared-fractions route, "
           "hexagon sides r+1/t+1/s+1, coefficients +1")
@@ -151,7 +152,7 @@ def test_criterion_07_asymmetric_polytopes():
     S2 = P.support(E.torsion(F.pretzel_even(2, 2, 2)).tau)
     hull = P.convex_hull_2d(list(S2.points))
     assert len(hull) == 6
-    lengths = [g for _, g in P.edge_lengths_2d(hull)]
+    lengths = [g for _, g in edge_lengths_2d(hull)]
     assert any(lengths[i] != lengths[(i + 3) % 6] for i in range(3))
     assert not P.is_centrally_symmetric(S2)
     ok(7, "even pretzels: (1,1,1) triangle and (2,2,2) hexagon with unequal "

@@ -9,7 +9,7 @@ import pytest
 from sutor import engine as E
 from sutor import fox, groupring
 from sutor import words as W
-from sutor.abelian import INFINITE, AbElement, AbelianGroup, Projection, quotient
+from sutor.abelian import INFINITE, AbElement, AbelianGroup, Projection, image_matrix, quotient
 from sutor.engine import (
     SuturedInput,
     ValidationError,
@@ -239,7 +239,8 @@ def test_transport_tau_with_torsion_matches_legacy_fold():
     new_images = res.abelianization.gen_images
     images = tuple(legacy_groupring.combine(res.H, zip(lift, new_images))
                    for lift in base.abelianization.lifts)
-    expected = legacy_groupring.push_forward(base.raw_det, Projection(base.H, res.H, images))
+    proj = Projection(base.H, res.H, image_matrix(res.H, images))
+    expected = legacy_groupring.push_forward(base.raw_det, proj)
     moved = transport_tau(base, res)
     assert moved.terms and equal(moved, expected)
     assert sim_equal(moved, res.tau)

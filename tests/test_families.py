@@ -1,6 +1,7 @@
 import time
 
 import pytest
+from hull_edges import edge_lengths_2d
 
 from sutor import engine as E
 from sutor import families as F
@@ -39,7 +40,7 @@ def test_pretzel_odd_hexagon_sides():
     S = P.support(res.tau)
     hull = P.convex_hull_2d(list(S.points))
     assert len(hull) == 6
-    side_points = sorted(g + 1 for _, g in P.edge_lengths_2d(hull))
+    side_points = sorted(g + 1 for _, g in edge_lengths_2d(hull))
     assert side_points == sorted([2, 2, 3, 3, 4, 4])
 
 

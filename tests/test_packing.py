@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,7 @@ import legacy_canonical
 import legacy_groupring
 from sutor import engine as E
 from sutor import families as F
-from sutor import groupring
+from sutor import abelian, groupring
 from sutor.abelian import (
     AbElement,
     AbelianGroup,
@@ -21,6 +22,7 @@ from sutor.abelian import (
     abelianize,
     direct_sum,
     quotient,
+    word_image,
 )
 from sutor.cli import main
 from sutor.fox import fox_matrix
@@ -31,14 +33,18 @@ from sutor.groupring import (
     _cofactor,
     _key,
     _Packing,
+    add,
     determinant,
     element,
     equal,
     from_records,
     mul,
+    neg,
     normalize,
+    one,
     push_forward,
     sim_equal,
+    sum_of_all_elements,
     to_records,
 )
 from sutor.words import Word, free_reduce, make_alphabet, parse_word
@@ -550,3 +556,211 @@ def test_elements_are_immutable():
                 delattr(p, name)
         assert p == decoded
     assert tau.packed is not None and decoded.packed is None
+
+
+# ---------------------------------------------------------------------------
+# The identity checks on packed keys, equal on packed keys, and the
+# cofactor expansion that peels singleton lines
+
+
+def _check_inputs(rng):
+    """Presentations whose G = H_1(M, R_-) is infinite, trivial or finite of
+    several orders, over H = Z^g and over H with torsion: the spy inputs,
+    T(2,n) knots, seeded handlebodies (one-letter words give trivial G, a
+    repeated letter infinite G), and R_- words drawn over the relators of
+    DET_GROUPS."""
+    yield from _spy_inputs()
+    for n in (3, 7, 15):
+        yield F.wirtinger_knot(F.torus_2n_pd(n))
+    for g in (2, 3, 4):
+        alphabet = make_alphabet("abcd"[:g])
+        for length in (1, 1, 2, 3, 5, 6):
+            yield E.SuturedInput(alphabet, (), tuple(_handlebody_words(rng, g, length)))
+    for names, relators, _ in DET_GROUPS:
+        alphabet = make_alphabet(names)
+        rels = tuple(Word(tuple(r)) for r in relators)[:len(names) - 1]
+        for _ in range(6):
+            yield E.SuturedInput(alphabet, rels,
+                                 tuple(_random_words(rng, len(names), len(names) - len(rels))))
+
+
+def test_evaluation_check_counts_keys_as_the_legacy_comparison_decides():
+    """evaluation_check decides passed by counting lhs's keys; that equals
+    the legacy push-forward compared with +I_G and -I_G, and lhs equals that
+    push-forward term for term and in order.  raw_det + 1 goes through the
+    same comparison and fails wherever raw_det passes.  rhs is I_G, built on
+    read, and EvalCheck equality does not depend on it."""
+    rng = random.Random(41)
+    seen = collections.Counter()
+    for inp in _check_inputs(rng):
+        res = E.torsion(inp)
+        mutated = dataclasses.replace(res, raw_det=add(res.raw_det, one(res.H)))
+        base_passed = None
+        for r in (res, mutated):
+            ev = E.evaluation_check(r.input, r)
+            assert "rhs" not in ev.__dict__
+            I_G = sum_of_all_elements(ev.G)
+            legacy = legacy_groupring.push_forward(r.raw_det, r.rminus_projection)
+            assert _same(ev.lhs, legacy)
+            assert ev.passed == (equal(legacy, I_G) or equal(neg(legacy), I_G))
+            assert ev.rhs == I_G and ev == E.evaluation_check(r.input, r)
+            if r is res:
+                base_passed = ev.passed
+                seen["infinite" if ev.G.rank else "trivial" if not ev.G.torsion else "finite"] += 1
+            else:
+                assert not (base_passed and ev.passed)
+            seen["passed" if ev.passed else "failed"] += 1
+    assert min(seen.values()) >= 5 and set(seen) == {"infinite", "trivial", "finite", "passed",
+                                                     "failed"}, seen
+
+
+def test_rminus_projection_maps_every_word_in_one_dot_map(monkeypatch):
+    """The R_- words' exponent sums are the columns of one dot_map call, with
+    no word_image per word, and the projection equals the quotient by the
+    word images one at a time."""
+    dot_map = abelian.dot_map
+    counts = []
+
+    def counting(M, columns, count):
+        counts.append(count)
+        return dot_map(M, columns, count)
+
+    def no_word_image(*args):
+        raise AssertionError("word_image called")
+
+    for inp in _spy_inputs():
+        res = E.torsion(inp)
+        monkeypatch.setattr(abelian, "dot_map", counting)
+        monkeypatch.setattr(abelian, "word_image", no_word_image)
+        counts.clear()
+        proj = res.rminus_projection
+        assert counts == [len(inp.rminus)]
+        monkeypatch.undo()
+        words = [word_image(res.abelianization, w) for w in res.input.rminus]
+        assert proj == quotient(res.H, words)
+
+
+def test_equal_compares_packed_keys_without_decoding(monkeypatch):
+    """equal on two packed elements decodes nothing: under codecs of one
+    width it compares the key dicts, otherwise it encodes the narrower
+    one's coordinates in the wider codec.  Its answer is the comparison of
+    the decoded terms.  (normalize returns 0 as it is, so a 0 read from
+    records stays decoded and is left out.)"""
+    rng = random.Random(43)
+    cases = []
+    for det in _determinants(rng):
+        if not det:
+            continue
+        canonical = normalize(det)
+        read = normalize(from_records(to_records(canonical)))
+        pk, keys = canonical.packed
+        k0 = next(iter(keys))
+        changed = [GroupRingElement(det.group, packed=(pk, x)) for x in (
+            dict(keys), {**keys, k0: keys[k0] + 1}, {k: c for k, c in keys.items() if k != k0})]
+        cases += [(det, canonical), (canonical, read), (read, canonical)]
+        cases += [(x, y) for x in changed for y in (canonical, read)]
+    decoded = _count_decodes(monkeypatch)
+    answers = [equal(p, q) for p, q in cases]
+    assert decoded == []
+    monkeypatch.undo()
+    seen = collections.Counter()
+    for (p, q), answer in zip(cases, answers):
+        assert answer == (p.terms == q.terms) == (p == q)
+        same = p.packed[0].width == q.packed[0].width
+        seen[("same width" if same else "other width", answer)] += 1
+    assert len(seen) == 4 and min(seen.values()) >= 5, seen
+
+
+def test_batch_decodes_each_tau_once_and_no_expected_tau(monkeypatch, tmp_path):
+    """sutor batch compares each result with its expected tau on packed keys,
+    so the only decode per entry is the one that formats tau."""
+    entries, sizes = [], []
+    for i, inp in enumerate(_spy_inputs()):
+        path = tmp_path / f"in{i}.json"
+        E.dump_input(inp, str(path))
+        tau = E.torsion(inp).tau
+        entries.append({"path": str(path), "expected_tau": to_records(tau)})
+        sizes.append(len(tau.terms))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(entries))
+    decoded = _count_decodes(monkeypatch)
+    assert main(["batch", str(manifest)]) == 0
+    assert decoded == sizes
+
+
+def _monomial(rng, G):
+    h = AbElement(tuple(rng.randint(-3, 3) for _ in range(G.rank)),
+                  tuple(rng.randrange(d) for d in G.torsion))
+    return element(G, {h: rng.choice((1, -1, 2))})
+
+
+@pytest.mark.parametrize("G", GROUPS, ids=lambda G: G.describe())
+def test_cofactor_with_singleton_lines_matches_legacy(G):
+    """Random sparse matrices, some of whose rows and columns hold one
+    nonzero entry: peeling those lines gives the legacy expansion's terms
+    in the legacy order."""
+    rng = random.Random("peel " + G.describe())
+    empty = element(G, {})
+    singletons = 0
+    for _ in range(25):
+        n = rng.randint(3, 7)
+        rows = [[_random_element(rng, G) if rng.random() < 0.5 else empty for _ in range(n)]
+                for _ in range(n)]
+        for i in rng.sample(range(n), rng.randint(1, n - 1)):
+            j = rng.randrange(n)
+            if rng.random() < 0.5:
+                rows[i] = [_monomial(rng, G) if k == j else empty for k in range(n)]
+            else:
+                for k in range(n):
+                    rows[k][i] = _monomial(rng, G) if k == j else empty
+        A = GRMatrix.from_rows(rows)
+        singletons += sum(sum(map(bool, row)) == 1 for row in rows)
+        assert _same(_cofactor(A), legacy_groupring._cofactor(A))
+    assert singletons > 25
+
+
+def _identity_input(n):
+    names = [f"a{i}" for i in range(1, n + 1)]
+    return E.input_from_dict({"generators": names, "relators": [], "rminus": names})
+
+
+class _CountingRows(list):
+    """A matrix's rows that count every row read: each index, and each row
+    an iteration yields."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        self.reads += len(self)
+        return super().__iter__()
+
+
+def test_cofactor_reads_each_row_of_the_identity_a_constant_number_of_times():
+    """The n x n identity Fox matrix peels one singleton line at a time, so
+    the expansion reads O(n) rows in all; the expansion it replaced recounted
+    the nonzeros of every surviving line at each of its n levels."""
+    for n in (50, 100, 200):
+        inp = _identity_input(n)
+        A = fox_matrix(inp.alphabet, list(inp.rminus), abelianize(inp.alphabet, ()))
+        A.packed = rows = _CountingRows(A.packed)
+        assert _cofactor(A).packed[1] == {0: 1}
+        assert rows.reads <= 4 * n, (n, rows.reads)
+
+
+def test_identity_presentation_of_1200_generators_under_the_default_recursion_limit():
+    """The determinant and both identity checks of the 1200 x 1200 identity
+    Fox matrix need no recursion; the recursive expansion failed here."""
+    inp = _identity_input(1200)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        res = E.torsion(inp)
+        ev, au = E.evaluation_check(inp, res), E.augmentation_order_check(inp, res)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert res.H == AbelianGroup(1200) and res.tau.terms == {AbElement((0,) * 1200, ()): 1}
+    assert ev.passed and au.passed and ev.G == AbelianGroup(0)

@@ -7,6 +7,7 @@ import sys
 import legacy_canonical
 import legacy_polytope
 import pytest
+from hull_edges import edge_lengths_2d
 
 from sutor import engine as E
 from sutor import polytope as P
@@ -424,17 +425,17 @@ def test_convex_hull_2d_ccw():
 
 def test_edge_lengths_2d():
     hull = P.convex_hull_2d([(0, 0), (2, 0), (0, 2)])
-    lengths = P.edge_lengths_2d(hull)
+    lengths = edge_lengths_2d(hull)
     assert sorted(g for _, g in lengths) == [2, 2, 2]
     dirs = [d for d, _ in lengths]
     assert (1, 0) in dirs and (-1, 1) in dirs and (0, -1) in dirs
 
 
 def test_edge_lengths_2d_degenerate_hulls():
-    assert P.edge_lengths_2d([(0, 0)]) == []
-    assert P.edge_lengths_2d([]) == []
-    assert P.edge_lengths_2d(P.convex_hull_2d([(3, 3), (3, 3)])) == []
-    assert P.edge_lengths_2d([(0, 0), (2, 4)]) == [((1, 2), 2), ((-1, -2), 2)]
+    assert edge_lengths_2d([(0, 0)]) == []
+    assert edge_lengths_2d([]) == []
+    assert edge_lengths_2d(P.convex_hull_2d([(3, 3), (3, 3)])) == []
+    assert edge_lengths_2d([(0, 0), (2, 4)]) == [((1, 2), 2), ((-1, -2), 2)]
 
 
 def test_to_svg_smoke():
