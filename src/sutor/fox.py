@@ -2,18 +2,19 @@
 
 Derivatives are computed already composed with the abelianization map, so
 all values live in Z[H] rather than the noncommutative ring Z[pi_1].  They
-are computed on the packed keys of groupring._Packing, and the torsion
-matrix keeps them: fox_matrix builds a GRMatrix straight from the packed
-columns, under a codec wide enough for every sum the determinant forms and
-for normalize's shift of the determinant, so no AbElement is built per Fox
-term, and none per determinant term either.
+are computed on the packed keys of groupring._Packing and stay there: the
+generator images are encoded in one encode_rows call over the rows of the
+Cokernel's image matrix, and fox_matrix builds a GRMatrix straight from the
+packed columns, under a codec wide enough for every sum the determinant
+forms and for normalize's shift of the determinant.  So no AbElement is
+built per image, per Fox term or per determinant term.
 """
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple, Union
 
 from .abelian import Cokernel
-from .groupring import GRMatrix, GroupRingElement, _accumulate, _max_free, _Packing
+from .groupring import GRMatrix, GroupRingElement, _accumulate, _max_abs, _Packing
 from .words import WORK_BUDGET, Generator, Word
 
 
@@ -51,8 +52,9 @@ def _columns(words: Sequence[Word], ab: Cokernel,
     reach = [sum(abs(k) for _, k in w.letters) for w in words]
     if sum(reach) > WORK_BUDGET:
         raise ValueError(f"{sum(reach)} Fox terms are over the work budget of {WORK_BUDGET}")
-    pk = _Packing(ab.group, 2 * rows * _max_free(ab.gen_images) * max(reach, default=0))
-    up = [pk.encode(img) for img in ab.gen_images]
+    free, tor = ab.matrix
+    pk = _Packing(ab.group, 2 * rows * _max_abs(free) * max(reach, default=0))
+    up = pk.encode_rows(free + tuple(row for row, _ in tor), len(ab.U))
     down = [pk.neg(k) for k in up]
     return pk, [_fox_column(w, pk, up, down) for w in words]
 
@@ -60,18 +62,18 @@ def _columns(words: Sequence[Word], ab: Cokernel,
 def fox_derivative(w: Word, gen: Union[Generator, int], ab: Cokernel) -> GroupRingElement:
     """phi(dw/dx) for the generator x, using the closed form for powers:
     d(g^k)/dg = 1 + g + ... + g^(k-1) for k > 0, and
-    d(g^k)/dg = -(g^k + g^(k+1) + ... + g^-1) for k < 0."""
+    d(g^k)/dg = -(g^k + g^(k+1) + ... + g^-1) for k < 0, packed."""
     x = gen.index if isinstance(gen, Generator) else gen
     pk, (column,) = _columns([w], ab, 1)
-    return GroupRingElement(ab.group, pk.decode_terms(column.get(x, {})))
+    return GroupRingElement(ab.group, packed=(pk, column.get(x, {})))
 
 
 def fox_matrix(alphabet: Sequence[Generator], columns: Sequence[Word], ab: Cokernel) -> GRMatrix:
     """Rows indexed by generators, columns by the given words (relators
     first, then the R_- image words), on the packed keys of _columns: one
     codec serves the whole matrix, so each generator image is encoded once,
-    and no term is decoded until a caller reads GRMatrix.entries.  Every
-    zero entry is one shared empty dict, so a sparse matrix costs its
+    and GRMatrix.entries wraps the packed entries, so no term is decoded.
+    Every zero entry is one shared empty dict, so a sparse matrix costs its
     nonzeros."""
     pk, cols = _columns(columns, ab, len(alphabet))
     empty: Dict[int, int] = {}

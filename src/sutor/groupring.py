@@ -6,16 +6,16 @@ representative: translate a support point with the lex-least free part to the
 origin, make its coefficient positive, and take the lexicographically least
 term sequence.  A target already in this form is compared with equal().
 
-The hot loops work on packed keys (_Packing), not on AbElement: one Python
-int holds the coordinates (free..., tor...) as w-bit digits, the first
-coordinate most significant.  Free digits are balanced, in (-2^(w-1),
-2^(w-1)); torsion digits are the lowest and lie in [0, d).  w exceeds the
-bit length of the largest d and of a caller's bound on every |free
-coordinate| an intermediate can reach, so adding keys adds coordinates (a
-torsion digit that reaches d loses d again, see fold) and int order is the
-(free, tor) lex order.  The bound of each caller:
+Every element is held on packed keys (_Packing): one Python int holds the
+coordinates (free..., tor...) as w-bit digits, the first coordinate most
+significant.  Free digits are balanced, in (-2^(w-1), 2^(w-1)); torsion
+digits are the lowest and lie in [0, d).  w exceeds the bit length of the
+largest d and of a caller's bound on every |free coordinate| an
+intermediate can reach, so adding keys adds coordinates (a torsion digit
+that reaches d loses d again, see fold) and int order is the (free, tor)
+lex order.  The bound of each caller:
 
-- mul: the largest |free coordinate| of p plus that of q;
+- mul: 2 x (the largest |free coordinate| of p plus that of q);
 - GRMatrix.from_rows: 2 x rows x the largest |free coordinate| of any
   entry, since every _cofactor memo entry is a sum of one entry key per row
   and normalize shifts the determinant by one of its terms;
@@ -23,24 +23,22 @@ torsion digit that reaches d loses d again, see fold) and int order is the
   image x the longest word's sum of |exponents|, which bounds every prefix
   of a word, so the same keys serve the Fox terms, every _cofactor sum and
   normalize's shift of the determinant;
-- normalize of a decoded element: 2 x the largest |free coordinate|, for a
-  term minus a support point.  A packed element keeps its codec: the
-  determinant's has the factor 2 above, and normalize's own result has the
-  least free part at the origin, so normalizing it again shifts no free
-  coordinate;
-- push_forward: 2 x the largest |free coordinate| of an image, so normalize
-  can shift its result in place too.
+- an element built from terms: 2 x the largest |free coordinate|;
+- push_forward: 2 x the largest |free coordinate| of an image.
 
-A GroupRingElement holds its terms, keyed by AbElement, or its packed keys
-and codec, as GRMatrix does; its terms are decoded on first read and kept.
-fox.fox_matrix hands its packed columns over as they are, determinant reads
-them and returns its packed memo, and normalize shifts and sorts those keys
-in place, so tau stays packed in key order, which is the (free, tor) order.
-augmentation sums the packed coefficients; push_forward reads each source
-coordinate off the digits (_Packing.columns), maps the columns through
-abelian.dot_map and packs the image rows straight into keys of the target
-(_Packing.encode_rows), with no AbElement per term; equal compares packed
-elements on their keys.  So torsion and both identity checks decode
+So every codec holds a term minus a support point, and normalize shifts an
+element's keys in place under its own codec; its result has the least free
+part at the origin, so normalizing it again shifts no free coordinate.
+
+A GroupRingElement holds packed = (codec, {packed key: coefficient}) only.
+Its terms, keyed by AbElement, are a view: the dict it was built from, or
+else decoded once on first read.  fox.fox_matrix hands its packed columns
+over as they are, determinant returns its packed memo, and normalize
+shifts and sorts those keys, so tau stays packed in (free, tor) key order.
+augmentation sums coefficients, equal compares keys, and push_forward
+reads each coordinate off the digits (_Packing.columns), maps the columns
+through abelian.dot_map and packs the image rows straight into target keys
+(_Packing.encode_rows).  So torsion and both identity checks decode
 nothing: only a caller that reads terms, such as to_records or the CLI's
 formatter, decodes, once.
 
@@ -55,12 +53,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import FrozenInstanceError
 from functools import cached_property
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .abelian import (
     AbElement,
     AbelianGroup,
     Projection,
+    _elements,
     det_sparse,
     direct_sum,
     dot_map,
@@ -88,19 +87,22 @@ class UnsupportedTorsionError(UnsupportedStructureError):
 class GroupRingElement:
     """An element of Z[H]: terms maps group elements to nonzero coefficients.
 
-    It holds either terms or packed = (codec, {packed key: coefficient}), as
-    determinant and normalize return it; then terms is decoded on first read,
-    in the packed dict's order, and kept.  Equality compares the group and
-    the terms.  Elements are immutable and not hashable."""
+    It holds packed = (codec, {packed key: coefficient}); given terms, it
+    encodes them once (see the module docstring) and keeps the dict as its
+    terms, else terms is decoded on first read, in key order.  Equality
+    compares the group and the keys.  Immutable and not hashable."""
 
     __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, group: AbelianGroup, terms: Optional[Dict[AbElement, int]] = None,
                  packed: Optional[Tuple[_Packing, Dict[int, int]]] = None):
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "packed", packed)
         if packed is None:
-            self.__dict__["terms"] = {} if terms is None else terms
+            terms = {} if terms is None else terms
+            pk = _Packing(group, 2 * _max_free(terms))
+            packed = (pk, pk.encode_terms(terms))
+            self.__dict__["terms"] = terms
+        object.__setattr__(self, "packed", packed)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -122,7 +124,7 @@ class GroupRingElement:
         return equal(self, other)
 
     def __bool__(self) -> bool:
-        return bool(self.terms if self.packed is None else self.packed[1])
+        return bool(self.packed[1])
 
     def __add__(self, other):
         return add(self, other)
@@ -189,21 +191,15 @@ class _Packing:
     def __init__(self, G: AbelianGroup, bound: int):
         w = max(bound.bit_length(), max(G.torsion, default=0).bit_length()) + 1
         n = G.rank + len(G.torsion)
-        shifts = [w * (n - 1 - i) for i in range(n)]
+        self.shifts = [w * (n - 1 - i) for i in range(n)]
         self.width = w
         self.mask = (1 << w) - 1
-        self.free_shifts = shifts[:G.rank]
-        self.torsion = list(zip(shifts[G.rank:], G.torsion))
+        self.free_shifts = self.shifts[:G.rank]
+        self.torsion = list(zip(self.shifts[G.rank:], G.torsion))
         self.tor_bits = w * len(G.torsion)  # k >> tor_bits orders keys by free part
         self._half = 1 << (w - 1)
         self._offset = sum(self._half << s for s in self.free_shifts)
         self._divisors = sum(d << s for s, d in self.torsion)
-
-    def encode(self, h: AbElement) -> int:
-        k, w = 0, self.width
-        for c in h.free + h.tor:
-            k = (k << w) + c
-        return k
 
     def fold(self, k: int) -> int:
         """k with every torsion digit in [d, 2d) brought back to [0, d)."""
@@ -226,32 +222,36 @@ class _Packing:
         return ([[((u >> s) & m) - half for u in us] for s in self.free_shifts]
                 + [[(u >> s) & m for u in us] for s, _ in self.torsion])
 
-    def decode(self, keys: Iterable[int]) -> Iterator[AbElement]:
-        """The AbElement of each key, in order."""
-        cols, b = self.columns(keys), len(self.free_shifts)
-        return map(AbElement, zip(*cols[:b]) if b else itertools.repeat(()),
-                   zip(*cols[b:]) if self.torsion else itertools.repeat(()))
-
     def encode_rows(self, rows: Sequence[Sequence[int]], count: int) -> List[int]:
         """The key of each of the count columns of the coordinate rows (free,
-        then torsion), one pass over the keys per row."""
-        keys, w = [0] * count, self.width
-        for row in rows:
-            keys = [(k << w) + c for k, c in zip(keys, row)]
+        then torsion): a row adds c << shift to a key for its nonzero
+        coordinates c only (compress skips the others), so a key costs its
+        nonzero digits, not all of them."""
+        keys, everyone = [0] * count, range(count)
+        for s, row in zip(self.shifts, rows):
+            for j in itertools.compress(everyone, row):
+                keys[j] += row[j] << s
         return keys
 
     def encode_terms(self, terms: Dict[AbElement, int]) -> Dict[int, int]:
-        encode = self.encode
-        return {encode(h): c for h, c in terms.items()}
+        rows = list(zip(*(h.free + h.tor for h in terms)))
+        return dict(zip(self.encode_rows(rows, len(terms)), terms.values()))
 
     def decode_terms(self, terms: Dict[int, int]) -> Dict[AbElement, int]:
-        return dict(zip(self.decode(terms), terms.values()))
+        """The AbElement of each key, in order, with its coefficient."""
+        cols, b = self.columns(terms), len(self.free_shifts)
+        return dict(zip(_elements(cols[:b], cols[b:], len(terms)), terms.values()))
+
+
+def _max_abs(rows: Iterable[Iterable[int]]) -> int:
+    """The largest |entry| of the rows, 0 when they have none."""
+    return max(map(abs, itertools.chain.from_iterable(rows)), default=0)
 
 
 def _max_free(terms: Iterable[AbElement]) -> int:
     """The largest |free coordinate| of the elements (torsion digits fit any
     _Packing of the group)."""
-    return max(map(abs, itertools.chain.from_iterable(h.free for h in terms)), default=0)
+    return _max_abs(h.free for h in terms)
 
 
 def _products(pk: _Packing, p: Dict[int, int], q: Dict[int, int], sign: int = 1):
@@ -281,23 +281,21 @@ def scalar_mul(k: int, p: GroupRingElement) -> GroupRingElement:
 
 def mul(p: GroupRingElement, q: GroupRingElement) -> GroupRingElement:
     _check(p, q)
-    pk = _Packing(p.group, _max_free(p.terms) + _max_free(q.terms))
+    pk = _Packing(p.group, 2 * (_max_free(p.terms) + _max_free(q.terms)))
     products = _products(pk, pk.encode_terms(p.terms), pk.encode_terms(q.terms))
-    return GroupRingElement(p.group, pk.decode_terms(_accumulate({}, products)))
+    return GroupRingElement(p.group, packed=(pk, _accumulate({}, products)))
 
 
 def augmentation(p: GroupRingElement) -> int:
-    return sum((p.terms if p.packed is None else p.packed[1]).values())
+    return sum(p.packed[1].values())
 
 
 def equal(p: GroupRingElement, q: GroupRingElement) -> bool:
-    """p == q.  Two packed elements are compared on their keys: under codecs
-    of one width as they are, otherwise after the narrower one's coordinates
-    are encoded in the wider codec, so neither is decoded."""
+    """p == q, compared on packed keys: under codecs of one width as they
+    are, otherwise after the narrower one's coordinates are encoded in the
+    wider codec, so neither is decoded."""
     if p.group != q.group:
         return False
-    if p.packed is None or q.packed is None:
-        return p.terms == q.terms
     (pk, a), (qk, b) = sorted((p.packed, q.packed), key=lambda x: x[0].width)
     if len(a) != len(b):
         return False
@@ -356,8 +354,9 @@ class GRMatrix:
     entry (i, j) as {key: coefficient} under one codec, packing, whose bound
     covers twice every sum of one key per row, so determinant and _cofactor
     use the keys as they are and normalize shifts their result in place.
-    Every zero entry is one shared empty dict.  entries, the
-    GroupRingElement form, is decoded once, on first read."""
+    Every zero entry is one shared empty dict.  entries wraps each packed
+    entry in a GroupRingElement under the matrix's codec, on first read,
+    and decodes nothing."""
 
     def __init__(self, group: AbelianGroup, packing: _Packing,
                  packed: List[List[Dict[int, int]]]):
@@ -390,14 +389,12 @@ class GRMatrix:
 
     @cached_property
     def entries(self) -> Tuple[Tuple[GroupRingElement, ...], ...]:
-        """Each distinct key of the matrix decoded once; every zero entry is
-        one shared empty element."""
+        """Each packed entry under the matrix's codec; every zero entry is one
+        shared empty element."""
         G, pk = self.group, self.packing
-        keys = set().union(*[e for row in self.packed for e in row if e])
-        element = dict(zip(keys, pk.decode(keys)))
-        empty = GroupRingElement(G, {})
-        return tuple([tuple([GroupRingElement(G, {element[k]: c for k, c in e.items()})
-                             if e else empty for e in row]) for row in self.packed])
+        empty = GroupRingElement(G, packed=(pk, {}))
+        return tuple([tuple([GroupRingElement(G, packed=(pk, e)) if e else empty for e in row])
+                      for row in self.packed])
 
     def __eq__(self, other):
         if not isinstance(other, GRMatrix):
@@ -620,16 +617,11 @@ def normalize(p: GroupRingElement) -> GroupRingElement:
     becomes the lex-least key, while a point with a larger free part never
     does.  For torsion-free H that is the one least key, so one shift and
     one sort; otherwise the least signature over the candidates wins.  Keys
-    are packed, so a shift is one int add.  A packed p keeps its codec (see
-    the module docstring); a decoded one is encoded once."""
+    are packed, so a shift is one int add, and p's codec holds every shift
+    tried (see the module docstring)."""
     if not p:
         return p
-    G = p.group
-    if p.packed is None:
-        pk = _Packing(G, 2 * _max_free(p.terms))
-        keys = pk.encode_terms(p.terms)
-    else:
-        pk, keys = p.packed
+    G, (pk, keys) = p.group, p.packed
     if not pk.torsion:
         order = sorted(keys)
         k0 = order[0]
@@ -656,24 +648,18 @@ def sim_equal(p: GroupRingElement, q: GroupRingElement) -> bool:
 
 def push_forward(p: GroupRingElement, proj: Projection) -> GroupRingElement:
     """Apply a group homomorphism to every term: the source coordinates, read
-    off the packed digits or out of terms, are mapped as columns by
-    abelian.dot_map, and its coordinate rows are packed straight into keys
-    of the target, under a codec of bound 2 x their largest |free
-    coordinate| (so normalize can shift the result in place); coefficients
-    are collected on those keys.  No AbElement is built."""
+    off the packed digits, are mapped as columns by abelian.dot_map, and its
+    coordinate rows are packed straight into keys of the target, under a
+    codec of bound 2 x their largest |free coordinate| (so normalize can
+    shift the result in place); coefficients are collected on those keys.
+    No AbElement is built."""
     if proj.source != p.group:
         raise GroupMismatchError("projection source does not match element group")
-    if p.packed is None:
-        coeffs = p.terms.values()
-        columns = list(zip(*(h.free + h.tor for h in p.terms)))
-    else:
-        pk, keys = p.packed
-        coeffs = keys.values()
-        columns = pk.columns(keys)
-    free, tor = dot_map(proj.matrix, columns, len(coeffs))
-    qk = _Packing(proj.target, 2 * max(map(abs, itertools.chain.from_iterable(free)), default=0))
-    keys = qk.encode_rows(free + tor, len(coeffs))
-    return GroupRingElement(proj.target, packed=(qk, _accumulate({}, zip(keys, coeffs))))
+    pk, keys = p.packed
+    free, tor = dot_map(proj.matrix, pk.columns(keys), len(keys))
+    qk = _Packing(proj.target, 2 * _max_abs(free))
+    images = qk.encode_rows(free + tor, len(keys))
+    return GroupRingElement(proj.target, packed=(qk, _accumulate({}, zip(images, keys.values()))))
 
 
 def sum_of_all_elements(G: AbelianGroup) -> GroupRingElement:

@@ -18,6 +18,7 @@ from sutor.abelian import (
     AbElement,
     AbelianGroup,
     ab_add,
+    ab_neg,
     ab_scale,
     abelianize,
     direct_sum,
@@ -25,28 +26,34 @@ from sutor.abelian import (
     word_image,
 )
 from sutor.cli import main
-from sutor.fox import fox_matrix
+from sutor.fox import fox_derivative, fox_matrix
 from sutor.groupring import (
     GRMatrix,
     GroupRingElement,
     _accumulate,
     _cofactor,
     _key,
+    _max_free,
     _Packing,
     add,
     determinant,
     element,
     equal,
+    exact_div,
     from_records,
+    monomial,
     mul,
     neg,
     normalize,
     one,
     push_forward,
+    scalar_mul,
     sim_equal,
     sum_of_all_elements,
     to_records,
+    zero,
 )
+from sutor.polytope import cyclic_sum, extremal_part
 from sutor.words import Word, free_reduce, make_alphabet, parse_word
 from test_abelian import _braid_closure
 
@@ -73,6 +80,12 @@ def group_and_elements(draw):
     return G, bound, draw(elements()), draw(elements())
 
 
+def _keys(pk, elements):
+    """The key of each element, in order, from one encode_rows call over
+    their coordinate rows."""
+    return pk.encode_rows(list(zip(*(h.free + h.tor for h in elements))), len(elements))
+
+
 @settings(max_examples=300, deadline=None)
 @given(group_and_elements())
 def test_codec_round_trips_orders_and_adds(case):
@@ -81,10 +94,11 @@ def test_codec_round_trips_orders_and_adds(case):
     s = ab_add(G, x, y)
     terms = {h: c for c, h in enumerate((x, y, s))}
     assert pk.decode_terms(pk.encode_terms(terms)) == terms
-    assert (pk.encode(x) < pk.encode(y)) == (_key(x) < _key(y))
-    assert (pk.encode(x) < pk.encode(s)) == (_key(x) < _key(s))
-    assert pk.fold(pk.encode(x) + pk.encode(y)) == pk.encode(s)
-    assert (pk.encode(x) >> pk.tor_bits == pk.encode(y) >> pk.tor_bits) == (x.free == y.free)
+    kx, ky, ks = _keys(pk, [x, y, s])
+    assert (kx < ky) == (_key(x) < _key(y))
+    assert (kx < ks) == (_key(x) < _key(s))
+    assert pk.fold(kx + ky) == ks
+    assert (kx >> pk.tor_bits == ky >> pk.tor_bits) == (x.free == y.free)
 
 
 def test_codec_at_the_bound():
@@ -95,8 +109,8 @@ def test_codec_at_the_bound():
                    for a in (-bound, bound) for b in (-bound, 0, bound)]
         terms = dict.fromkeys(corners, 1)
         assert pk.decode_terms(pk.encode_terms(terms)) == terms
-        keys = sorted(corners, key=pk.encode)
-        assert keys == sorted(corners, key=_key)
+        key = dict(zip(corners, _keys(pk, corners)))
+        assert sorted(corners, key=key.get) == sorted(corners, key=_key)
 
 
 def _random_element(rng, G, spread=3, terms=3):
@@ -247,18 +261,36 @@ def test_fox_matrix_encodes_each_image_a_constant_number_of_times(monkeypatch):
     names, relators = PRESENTATIONS[2]
     alphabet = make_alphabet(names)
     ab = abelianize(alphabet, [Word(tuple(r)) for r in relators])
-    encode = _Packing.encode
+    encode_rows = _Packing.encode_rows
     calls = []
 
-    def spy(self, h):
-        calls.append(h)
-        return encode(self, h)
+    def spy(self, rows, count):
+        calls.append(list(zip(*rows)))  # the coordinates of each key encoded
+        return encode_rows(self, rows, count)
 
-    monkeypatch.setattr(groupring._Packing, "encode", spy)
+    monkeypatch.setattr(groupring._Packing, "encode_rows", spy)
     for ncols in (1, 5, 25):
         calls.clear()
         fox_matrix(alphabet, [Word(((0, 2), (1, -3), (4, 1)))] * ncols, ab)
-        assert calls == list(ab.gen_images)
+        assert calls == [[h.free + h.tor for h in ab.gen_images]]
+
+
+def test_encode_rows_indexes_only_the_nonzero_coordinates():
+    """On the coordinate rows of n unit images, encode_rows reads one
+    coordinate of each row, so a key costs its nonzero digits, not one
+    shift per row."""
+    class Indexed(list):
+        reads = 0
+
+        def __getitem__(self, i):
+            Indexed.reads += 1
+            return super().__getitem__(i)
+
+    for n in (1, 30, 300):
+        pk = _Packing(AbelianGroup(n), 1)
+        Indexed.reads = 0
+        keys = pk.encode_rows([Indexed(int(i == j) for j in range(n)) for i in range(n)], n)
+        assert Indexed.reads == n and keys == [1 << s for s in pk.shifts]
 
 
 def _handlebody_words(rng, g, length):
@@ -425,7 +457,7 @@ def test_packed_normalize_matches_legacy_on_determinants_and_records():
         text = json.dumps(to_records(legacy))
         assert json.dumps(to_records(canonical)) == text
         read = from_records(_records_of(rng, det))
-        assert read.packed is None and equal(read, det)
+        assert read.packed is not None and "terms" in read.__dict__ and equal(read, det)
         assert _same(normalize(read), legacy)
         assert json.dumps(to_records(normalize(read))) == text
         assert _same(normalize(canonical), legacy)
@@ -486,14 +518,13 @@ def test_push_forward_of_a_replaced_raw_det_matches_legacy(rminus):
 
 def _count_decodes(monkeypatch):
     decoded = []
-    decode = _Packing.decode
+    decode_terms = _Packing.decode_terms
 
     def counting(self, keys):
-        keys = list(keys)
         decoded.append(len(keys))
-        return decode(self, keys)
+        return decode_terms(self, keys)
 
-    monkeypatch.setattr(groupring._Packing, "decode", counting)
+    monkeypatch.setattr(groupring._Packing, "decode_terms", counting)
     return decoded
 
 
@@ -547,7 +578,8 @@ def test_elements_are_immutable():
     terms cannot fall out of step with the packed keys."""
     inp = next(_spy_inputs())
     tau = E.torsion(inp).tau
-    decoded = GroupRingElement(tau.group, dict(tau.terms))
+    given = dict(tau.terms)
+    decoded = GroupRingElement(tau.group, given)
     for p in (E.torsion(inp).tau, tau, decoded):
         for name in ("group", "packed", "terms", "other"):
             with pytest.raises(dataclasses.FrozenInstanceError):
@@ -555,7 +587,65 @@ def test_elements_are_immutable():
             with pytest.raises(dataclasses.FrozenInstanceError):
                 delattr(p, name)
         assert p == decoded
-    assert tau.packed is not None and decoded.packed is None
+    assert tau.packed is not None and decoded.packed is not None and decoded.terms is given
+
+
+def _constructed(rng, G):
+    """(path, element) for each way a caller makes an element of Z[G], on
+    seeded operands: terms whose free coordinates reach +-9 on both sides,
+    so a normalize shift doubles them."""
+    h = AbElement(tuple(rng.randint(-9, 9) for _ in range(G.rank)),
+                  tuple(rng.randrange(d) for d in G.torsion))
+    p, q = _random_element(rng, G, terms=5), _random_element(rng, G, terms=5)
+    yield "element", element(G, {h: 2, ab_neg(G, h): -1, **p.terms})
+    yield "zero", zero(G)
+    yield "one", one(G)
+    yield "monomial", monomial(G, h, -3)
+    yield "from_records", from_records(_records_of(rng, add(p, monomial(G, h))))
+    yield "add", add(p, monomial(G, h))
+    yield "neg", neg(add(q, monomial(G, h)))
+    yield "scalar_mul", scalar_mul(-2, add(p, q))
+    yield "mul", mul(add(p, monomial(G, h)), q)
+    yield "sum_of_all_elements", sum_of_all_elements(G)
+    if not G.torsion and q:
+        yield "exact_div", exact_div(mul(add(p, monomial(G, h)), q), q)
+    if not G.torsion and G.rank and p:
+        alpha = [rng.randint(-2, 2) for _ in range(G.rank)]
+        yield "extremal_part", extremal_part(add(p, monomial(G, h)), alpha)
+
+
+def test_every_constructor_packs_under_a_codec_normalize_can_shift(monkeypatch):
+    """Whatever makes an element, it comes out packed, under a codec whose
+    free digits hold twice its largest |free coordinate| (a term minus a
+    support point), and normalize on it equals the legacy search over every
+    shift, term for term.  Reading GRMatrix.entries decodes no key."""
+    rng = random.Random(47)
+    made = []
+    for G in GROUPS + [AbelianGroup(0), AbelianGroup(1)]:
+        for _ in range(6):
+            made += _constructed(rng, G)
+    made += [("cyclic_sum", cyclic_sum(p)) for p in (1, 2, 5, 9)]
+    for names, relators in PRESENTATIONS:
+        alphabet = make_alphabet(names)
+        ab = abelianize(alphabet, [Word(tuple(r)) for r in relators])
+        words = _random_words(rng, len(names), len(names))
+        made += [("fox_derivative", fox_derivative(w, g, ab)) for w in words for g in alphabet]
+        A = fox_matrix(alphabet, words, ab)
+        decoded = _count_decodes(monkeypatch)
+        entries = A.entries
+        assert decoded == []
+        monkeypatch.undo()
+        made += [("GRMatrix.entries", e) for row in entries for e in row]
+    seen = collections.Counter()
+    for path, p in made:
+        assert p.packed is not None, path
+        pk, keys = p.packed
+        assert len(keys) == len(p.terms), path
+        assert 2 ** (pk.width - 1) > 2 * _max_free(p.terms), path
+        assert _same(normalize(p), legacy_canonical.normalize(p)), path
+        seen[path] += 1
+        seen["nonzero"] += bool(p)
+    assert len(seen) == 16 and min(seen.values()) >= 4 and seen["nonzero"] > 300, seen
 
 
 # ---------------------------------------------------------------------------
