@@ -23,7 +23,11 @@ lex order.  The bound of each caller:
   image x the longest word's sum of |exponents|, which bounds every prefix
   of a word, so the same keys serve the Fox terms, every _cofactor sum and
   normalize's shift of the determinant;
-- an element built from terms: 2 x the largest |free coordinate|;
+- determinant's unit-pivot front end, on two or more coordinates: 3 x
+  the matrix codec's bound, which holds every key sum h_f - h_u + h_e of
+  three Schur entries' terms that a step forms before its terms cancel;
+- an element built from terms or from records: 2 x the largest |free
+  coordinate|;
 - push_forward: 2 x the largest |free coordinate| of an image.
 
 So every codec holds a term minus a support point, and normalize shifts an
@@ -33,8 +37,9 @@ part at the origin, so normalizing it again shifts no free coordinate.
 A GroupRingElement holds packed = (codec, {packed key: coefficient}) only.
 Its terms, keyed by AbElement, are a view: the dict it was built from, or
 else decoded once on first read.  fox.fox_matrix hands its packed columns
-over as they are, determinant returns its packed memo, and normalize
-shifts and sorts those keys, so tau stays packed in (free, tor) key order.
+over as they are, determinant returns its keys in ascending order, and
+normalize shifts and sorts those keys, so tau stays packed in (free, tor)
+key order.
 augmentation sums coefficients, equal compares keys, and push_forward
 reads each coordinate off the digits (_Packing.columns), maps the columns
 through abelian.dot_map and packs the image rows straight into target keys
@@ -42,24 +47,35 @@ through abelian.dot_map and packs the image rows straight into target keys
 nothing: only a caller that reads terms, such as to_records or the CLI's
 formatter, decodes, once.
 
-determinant stays sparse when H has at most one generator: a key is then
-the one exponent of t, only the nonzero entries are packed into integers,
-and the elimination is the sparse-row Bareiss abelian.det_sparse.  Other H
-use _cofactor, which peels the lines with one nonzero entry off in a loop
-and expands the rest on an explicit stack.
+determinant first peels units: on a matrix of 5 or more rows, _peel takes
+Schur steps on entries +-h, which a Fox matrix is full of, and leaves a
+core (at most 3 rows on a knot's Wirtinger matrix).  Each step counts its
+term products against WORK_BUDGET before it makes them, and a step that
+would cross it ends the front end.  The core, and every matrix of at most 4
+rows, then takes one of two paths.  When H has at most one generator a key
+is the one exponent of t, only the nonzero entries are packed into
+integers, and the elimination is the sparse-row Bareiss abelian.det_sparse
+(_kronecker), after a check of its slots, 1 + the sum of row spans,
+against WORK_BUDGET.  Other H use _cofactor, which continues the front
+end's count of term products, counts the blocks it settles as well, peels
+the lines with one nonzero entry off in a loop and expands the rest on an
+explicit stack.  A 2-row core whose products fit the budget is a*d - b*c.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
+import operator
 from dataclasses import FrozenInstanceError
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .abelian import (
     AbElement,
     AbelianGroup,
     Projection,
     _elements,
+    _sign,
     det_sparse,
     direct_sum,
     dot_map,
@@ -192,6 +208,7 @@ class _Packing:
         w = max(bound.bit_length(), max(G.torsion, default=0).bit_length()) + 1
         n = G.rank + len(G.torsion)
         self.shifts = [w * (n - 1 - i) for i in range(n)]
+        self.bound = bound
         self.width = w
         self.mask = (1 << w) - 1
         self.free_shifts = self.shifts[:G.rank]
@@ -403,49 +420,243 @@ class GRMatrix:
 
 
 def determinant(A: GRMatrix) -> GroupRingElement:
-    """det A in Z[H].  When H has at most one generator (trivial, Z or Z/d)
-    a key is its one coordinate, or 0 when H = 1, so the entries are
-    Laurent polynomials in one variable t whose exponents are the keys, and
-    det is exact integer arithmetic (Kronecker substitution): shift each row
-    into non-negative degrees, substitute t = 2^k in the nonzero entries
-    only, take the sparse fraction-free Bareiss abelian.det_sparse of those
-    rows and read its balanced base-2^k digits back, folding exponents mod
-    d.  On |t| = 1 every entry is at most its sum of |coefficients|, so
-    Hadamard's inequality bounds |det| there, and with it every coefficient
-    of det, by B = prod_rows sqrt(sum_entries (sum |coefficients|)^2); k is
-    chosen with 2^(k-1) > B.  A 1x1 matrix and any other H use the sparse
-    cofactor expansion.  The result stays packed under the matrix's codec;
-    a key of the one-variable path is its exponent, folded mod d."""
+    """det A in Z[H], packed under the matrix's codec in ascending key order.
+
+    A matrix of 5 or more rows first goes through the unit-pivot front end
+    _peel: Schur steps on entries +-h, each counting its term products
+    against WORK_BUDGET before it makes them.  What is left (the core: 0-3
+    rows on a knot's Fox matrix) is 1, its one entry, a*d - b*c for 2 rows
+    whose products fit the budget, or else takes the path that a matrix of
+    at most 4 rows takes whole.  The size rule is measured: on the 3 x 3 and
+    4 x 4 matrices of handlebodies the front end made det 1.25x slower.
+
+    When H has at most one generator (trivial, Z or Z/d) a key is its one
+    coordinate, or 0 when H = 1, so the entries are Laurent polynomials in
+    one variable t whose exponents are the keys, and det is exact integer
+    arithmetic (_kronecker).  Its slots, 1 + the sum of row spans, are
+    checked against WORK_BUDGET on the whole matrix before the front end
+    (unless the codec's bound caps them within it) and on the core before
+    it is packed; a front end stopped by the budget leaves the rest to it.
+    Any other H uses the sparse cofactor expansion _cofactor, which goes on
+    from the front end's count of term products.  With two or more
+    coordinates the front end and the core work in a codec of 3 x the
+    matrix codec's bound, which holds every key sum h_f - h_u + h_e a step
+    forms before its terms cancel, and the result is encoded back: each of
+    its terms is a sum of one entry key per row, which the matrix codec
+    holds."""
     if A.rows != A.cols:
         raise ValueError("determinant of non-square matrix")
     if A.rows == 0:
         raise ValueError("empty matrix")
     G = A.group
-    if A.rows == 1 or G.rank + len(G.torsion) > 1:
-        return _cofactor(A)
+    one_variable = G.rank + len(G.torsion) <= 1
+    if A.rows >= 5:
+        det = _peeled(A, one_variable)
+    elif A.rows > 1 and one_variable:
+        det = _kronecker(G, _sparse(A.packed))
+    else:
+        det = _cofactor(A).packed[1]
+    return GroupRingElement(G, packed=(A.packing, {k: det[k] for k in sorted(det)}))
 
-    def key_at(e: int) -> int:
-        return e if G.rank else e % G.torsion[0] if G.torsion else 0
 
-    rows, shift, bound2, slots = [], 0, 1, 1
-    for row in A.packed:
-        lifted = {j: p for j, p in enumerate(row) if p}
-        if not lifted:
-            return GroupRingElement(G, packed=(A.packing, {}))
-        lo = min(min(p) for p in lifted.values())
+def _sparse(E: List[List[Dict[int, int]]]) -> List[Dict[int, Dict[int, int]]]:
+    """Each row as {column: entry} over its nonzero entries."""
+    lines = range(len(E))
+    return [{j: row[j] for j in itertools.compress(lines, row)} for row in E]
+
+
+def _peeled(A: GRMatrix, one_variable: bool) -> Dict[int, int]:
+    """det A on the keys of A.packing, for A of 5 or more rows: the front
+    end _peel, then its core: 1 for no rows, the entry for one row, a*d -
+    b*c for two rows whose products fit in what is left of WORK_BUDGET,
+    and otherwise _kronecker for one variable or _cofactor, which goes on
+    from the front end's count."""
+    G, pk = A.group, A.packing
+    rows = _sparse(A.packed)
+    if not all(rows):
+        return {}
+    wide = pk
+    if one_variable:
+        # the slots check of the whole matrix; the codec holds every sum of one
+        # key per row, so on Z its bound caps the slots, and on Z/d each row's
+        # span is below d
+        if 1 + (A.rows * (G.torsion[0] - 1) if G.torsion else pk.bound) > WORK_BUDGET:
+            _lift(rows)
+    else:
+        wide = _Packing(G, 3 * pk.bound)
+        rows = _reencode(rows, pk, wide)
+    rows, sign, shift, work = _peel(rows, wide, 0)
+    empty: Dict[int, int] = {}
+    core = [[row.get(j, empty) for j in range(len(rows))] for row in rows]
+    if not core:
+        det = {0: 1}
+    elif len(core) == 1:
+        det = core[0][0]
+    elif len(core) == 2 and work + _det2_products(*core) <= WORK_BUDGET:
+        (a, b), (c, d) = core
+        det = _accumulate(_accumulate({}, _products(wide, a, d)), _products(wide, b, c, -1))
+    elif one_variable:
+        det = _kronecker(G, rows)
+    else:
+        det = _cofactor(GRMatrix(G, wide, core), work).packed[1]
+    if wide.torsion:
+        det = {wide.fold(k + shift): sign * c for k, c in det.items()}
+    else:
+        det = {k + shift: sign * c for k, c in det.items()}
+    if wide is not pk:
+        det = dict(zip(pk.encode_rows(wide.columns(det), len(det)), det.values()))
+    return det
+
+
+def _det2_products(top: List[Dict[int, int]], bottom: List[Dict[int, int]]) -> int:
+    """The term products of the 2 x 2 determinant of the two rows."""
+    return len(top[0]) * len(bottom[1]) + len(top[1]) * len(bottom[0])
+
+
+def _reencode(rows: List[Dict[int, Dict[int, int]]], pk: _Packing,
+              wide: _Packing) -> List[Dict[int, Dict[int, int]]]:
+    """The entries of the rows, keyed under pk, keyed under wide instead:
+    every key in one columns and one encode_rows call."""
+    keys = [k for row in rows for e in row.values() for k in e]
+    coefficients = (c for row in rows for e in row.values() for c in e.values())
+    new = iter(zip(wide.encode_rows(pk.columns(keys), len(keys)), coefficients))
+    return [{j: dict(itertools.islice(new, len(e))) for j, e in row.items()} for row in rows]
+
+
+def _peel(rows: List[Dict[int, Dict[int, int]]], pk: _Packing,
+          work: int) -> Tuple[List[Dict[int, Dict[int, int]]], int, int, int]:
+    """Schur steps on unit pivots over the rows, each {column: entry} on
+    the keys of pk, which must hold every sum a step forms.  A step takes
+    the column with the fewest nonzeros among those holding a unit c*h
+    (c = +-1), in it the unit whose row has the fewest nonzeros (lowest
+    index on ties for both; Markowitz 1957), and replaces every other row i
+    with a nonzero A_iq in that column q by A_i - A_iq * c * h^-1 * A_p,
+    without row p and column q.  Z[H] is commutative and the pivot is
+    invertible, so det A is +-c*h times the det of what is left.  A step
+    counts len(A_iq) x len(A_pj) term products against WORK_BUDGET before
+    it makes them; a step that would cross it ends the front end.
+
+    Returns the core (the rows left, in their order, with their columns
+    renumbered in order), the sign and the key of the pivots' product
+    times the signs of the row and column orders, and the work count.
+    The row dicts are the caller's to reuse; entries are never changed in
+    place."""
+    tor, fold = bool(pk.torsion), pk.fold
+    rows = dict(enumerate(rows))
+    cols: Dict[int, Set[int]] = {j: set() for j in rows}
+    for i, row in rows.items():
+        for j in row:
+            cols[j].add(i)
+    # (nonzeros, column) of every column that may hold a unit; an entry whose
+    # column has changed since is skipped, and a changed column is pushed again
+    heap = [(len(col), j) for j, col in cols.items()]
+    heapq.heapify(heap)
+    order_r, order_c, sign, shift = [], [], 1, 0
+    while heap:
+        count, q = heapq.heappop(heap)
+        col = cols.get(q)
+        if col is None or len(col) != count:
+            continue
+        column = [(i, rows[i][q]) for i in col]
+        units = [(len(rows[i]), i) for i, e in column  # an entry +-h
+                 if len(e) == 1 and next(iter(e.values())) in (1, -1)]
+        if not units:
+            continue
+        p = min(units)[1]
+        prow = rows[p]
+        below = [(i, f) for i, f in column if i != p]
+        cost = (sum(map(len, prow.values())) - 1) * sum([len(f) for _, f in below])
+        if work + cost > WORK_BUDGET:
+            break
+        work += cost
+        del rows[p], cols[q]
+        (h, c), = prow.pop(q).items()
+        nh = pk.neg(h) if tor else -h
+        for i, f in below:
+            row = rows[i]
+            del row[q]
+            for j, e in prow.items():
+                # A_ij - A_iq * c * h^-1 * A_pj, along the shorter factor outermost
+                x, y = (f, e) if len(f) <= len(e) else (e, f)
+                old = row.get(j)
+                new = dict(old) if old else {}
+                get = new.get
+                for kx, a in x.items():
+                    kx = fold(kx + nh) if tor else kx + nh
+                    a *= -c
+                    for k, b in y.items():
+                        k += kx
+                        if tor:
+                            k = fold(k)
+                        v = get(k, 0) + a * b
+                        if v:
+                            new[k] = v
+                        else:
+                            del new[k]
+                if new:
+                    row[j] = new
+                    cols[j].add(i)
+                elif old:
+                    del row[j]
+                    cols[j].discard(i)
+        for j in prow:
+            col = cols[j]
+            col.discard(p)
+            heapq.heappush(heap, (len(col), j))
+        sign *= c
+        shift = fold(shift + h) if tor else shift + h
+        order_r.append(p)
+        order_c.append(q)
+    core_r, core_c = sorted(rows), sorted(cols)
+    sign *= _sign(order_r + core_r) * _sign(order_c + core_c)
+    at = {j: x for x, j in enumerate(core_c)}
+    return [{at[j]: e for j, e in rows[i].items()} for i in core_r], sign, shift, work
+
+
+def _lift(rows: List[Dict[int, Dict[int, int]]]):
+    """The rows, each {column: entry}, each with its least key lo, the sum
+    of those lo and the slots, 1 + the sum of row spans; None when a row is
+    zero.  Slots over WORK_BUDGET raise, before anything is packed."""
+    lifted, shift, slots = [], 0, 1
+    for row in rows:
+        if not row:
+            return None
+        lo = min(map(min, row.values()))
         shift += lo
-        slots += max(max(p) for p in lifted.values()) - lo
-        bound2 *= sum(sum(map(abs, p.values())) ** 2 for p in lifted.values())
-        rows.append((lo, lifted))
+        slots += max(map(max, row.values())) - lo
+        lifted.append((lo, row))
     if slots > WORK_BUDGET:
         raise ValueError(f"a determinant of {slots} powers of t is over the work budget "
                          f"of {WORK_BUDGET}")
+    return lifted, shift, slots
+
+
+def _kronecker(G: AbelianGroup, rows: List[Dict[int, Dict[int, int]]]) -> Dict[int, int]:
+    """det over one variable t of the rows, each {column: entry}, as exact
+    integer arithmetic (Kronecker substitution), once _lift has checked the
+    slots (and 0 when a row is zero): shift each row into non-negative
+    degrees, substitute t = 2^k in the nonzero entries only, take the
+    sparse fraction-free Bareiss abelian.det_sparse of those rows and read
+    its balanced base-2^k digits back, folding exponents mod d.
+    On |t| = 1 every entry is at most its sum of |coefficients|, so
+    Hadamard's inequality bounds |det| there, and with it every coefficient
+    of det, by B = prod_rows sqrt(sum_entries (sum |coefficients|)^2); k is
+    chosen with 2^(k-1) > B.  A key of the result is its exponent, folded
+    mod d."""
+    lift = _lift(rows)
+    if lift is None:
+        return {}
+    rows, shift, slots = lift
+    bound2 = 1
+    for _, row in rows:
+        bound2 *= sum(sum(map(abs, p.values())) ** 2 for p in row.values())
     k = (bound2.bit_length() + 1) // 2 + 1  # 4^(k-1) > bound2 = B^2
     packed = [{j: _pack([p.get(x, 0) for x in range(lo, max(p) + 1)], k)
-               for j, p in lifted.items()} for lo, lifted in rows]
+               for j, p in row.items()} for lo, row in rows]
     digits = _unpack(det_sparse(packed), k, slots)
-    return GroupRingElement(G, packed=(A.packing, _accumulate({}, (
-        (key_at(shift + x), c) for x, c in enumerate(digits) if c))))
+    d = G.torsion[0] if G.torsion else 0
+    return _accumulate({}, (((shift + x) % d if d else shift + x, c)
+                            for x, c in enumerate(digits) if c))
 
 
 def _pack(digits: List[int], k: int) -> int:
@@ -471,46 +682,49 @@ def _unpack(D: int, k: int, n: int) -> List[int]:
     return _unpack(low, k, m) + _unpack(high, k, n - m)
 
 
-def _cofactor(A: GRMatrix) -> GroupRingElement:
+def _cofactor(A: GRMatrix, work: int = 0) -> GroupRingElement:
     """Cofactor expansion on the matrix's own keys and codec.  A block of
     surviving rows and columns expands along its sparsest row, or along a
     column when one is strictly sparser (lowest index on ties).  While that
     line has one nonzero entry e, it is peeled off in a loop: det = +-e *
-    det(minor).  The core left then expands into minors memoized on (rows,
-    columns), each a block again, on an explicit stack of blocks and of
-    frames that wait for their minors, so no recursion bounds the depth.
-    A 2 x 2 block is its own base case (det2).  Nonzero counts are updated
-    along each removed line only, so the n x n identity matrix reads O(n)
-    rows.  The term products are counted against WORK_BUDGET, innermost
-    first, before each line makes them."""
+    det(minor).  The core left then expands into minors memoized on the bit
+    sets of their rows and columns, each a block again, on an explicit
+    stack of blocks and of frames that wait for their minors, so no
+    recursion bounds the depth.  A 2 x 2 block is its own base case (det2),
+    and a zero minor adds no term.  The nonzero counts drop by the 0/1 mask
+    of each removed line, read off the matrix once, so the n x n identity
+    matrix reads O(n) rows.  The term products, from work on, are counted
+    against WORK_BUDGET, innermost first, before each line makes them.  So
+    is, in a count of its own, every block settled, weighted by its rows,
+    so that minors that come out zero and make no products still count."""
     G, pk, E = A.group, A.packing, A.packed
     n = A.rows
     if n == 1:
         return GroupRingElement(G, packed=(pk, E[0][0]))
-    memo: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Dict[int, int]] = {}
-    work = 0
+    memo: Dict[Tuple[int, int], Dict[int, int]] = {}
+    blocks = 0
 
     def combine(pairs: List[Tuple[Dict[int, int], object, int]]) -> Dict[int, int]:
         """The sum of sign * e * minor over the (e, minor, sign) triples; a
-        minor given by its (rows, columns) is read from memo."""
+        minor given by its key is read from memo."""
         nonlocal work
         products = []
         for e, minor, sign in pairs:
             if type(minor) is tuple:
                 minor = memo[minor]
-            work += len(e) * len(minor)
-            products.append(_products(pk, e, minor, sign))
+            if minor:
+                work += len(e) * len(minor)
+                products.append(_products(pk, e, minor, sign))
         if work > WORK_BUDGET:
             raise ValueError(f"a cofactor expansion of at least {work} term products is over "
                              f"the work budget of {WORK_BUDGET}")
         return _accumulate({}, itertools.chain.from_iterable(products))
 
     def drop(rc: List[int], cc: List[int], r: int, c: int) -> None:
-        """Remove row r and column c from the nonzero counts."""
-        for x in nz_cols[r]:
-            cc[x] -= 1
-        for x in nz_rows[c]:
-            rc[x] -= 1
+        """Remove row r and column c from the nonzero counts: each count
+        drops by the removed line's 0/1 nonzero mask."""
+        cc[:] = map(operator.sub, cc, row_nz[r])
+        rc[:] = map(operator.sub, rc, col_nz[c])
         rc[r] = cc[c] = gone
 
     def det2(r0: int, r1: int, c0: int, c1: int) -> Dict[int, int]:
@@ -529,14 +743,21 @@ def _cofactor(A: GRMatrix) -> GroupRingElement:
     if n == 2:
         return GroupRingElement(G, packed=(pk, det2(0, 1, 0, 1)))
     lines = range(n)
-    nz_cols = [list(itertools.compress(lines, row)) for row in E]
-    nz_rows = [list(itertools.compress(lines, col)) for col in zip(*E)]
+    row_nz = [list(map(bool, row)) for row in E]
+    col_nz = [list(col) for col in zip(*row_nz)]
     gone = 2 * n  # a removed line's count: it stays above n however often it drops
 
     def settle(key, rows, cols, rc, cc) -> None:
         """Peel the block's singleton lines and list the minors along its
         core's line; finish the block, or stack its frame and the blocks of
-        the minors not yet in memo."""
+        the minors not yet in memo.  A block's key is the bit sets of its
+        rows and of its columns."""
+        nonlocal blocks
+        rbits, cbits = key
+        blocks += len(rows)
+        if blocks > WORK_BUDGET:
+            raise ValueError(f"a cofactor expansion of at least {blocks} block rows is over "
+                             f"the work budget of {WORK_BUDGET}")
         peeled, pairs, todo, det = [], [], [], None
         while len(rows) > 1:
             low_r, low_c = min(rc), min(cc)
@@ -545,17 +766,18 @@ def _cofactor(A: GRMatrix) -> GroupRingElement:
                 break
             if low_r == 1:
                 r = rc.index(1)
-                c = next(x for x in nz_cols[r] if cc[x] <= n)
+                c = next(x for x in itertools.compress(lines, row_nz[r]) if cc[x] <= n)
             elif low_c == 1:
                 c = cc.index(1)
-                r = next(x for x in nz_rows[c] if rc[x] <= n)
+                r = next(x for x in itertools.compress(lines, col_nz[c]) if rc[x] <= n)
             else:
                 break
             peeled.append((E[r][c], -1 if (rows.index(r) + cols.index(c)) % 2 else 1))
             rows.remove(r)
             cols.remove(c)
             drop(rc, cc, r, c)
-        core = (tuple(rows), tuple(cols))
+            rbits, cbits = rbits ^ (1 << r), cbits ^ (1 << c)
+        core = (rbits, cbits)
         if det is None and len(rows) == 1:
             det = E[rows[0]][cols[0]]
         if det is None:
@@ -572,15 +794,17 @@ def _cofactor(A: GRMatrix) -> GroupRingElement:
                 e = E[r][c]
                 if not e:
                     continue
-                sub_rows, sub_cols = rows[:i] + rows[i + 1:], cols[:j] + cols[j + 1:]
-                minor = (tuple(sub_rows), tuple(sub_cols))
-                if minor in memo:
-                    pass
-                elif len(sub_rows) == 2:
-                    memo[minor] = det2(*sub_rows, *sub_cols)
-                else:
-                    todo.append((minor, sub_rows, sub_cols, rc, cc, r, c))
-                pairs.append((e, minor, -1 if (i + j) % 2 else 1))
+                minor = (rbits ^ (1 << r), cbits ^ (1 << c))
+                m = memo.get(minor)
+                if m is None:
+                    sub_rows, sub_cols = rows[:i] + rows[i + 1:], cols[:j] + cols[j + 1:]
+                    if len(sub_rows) == 2:
+                        m = memo[minor] = det2(*sub_rows, *sub_cols)
+                    else:
+                        todo.append((minor, sub_rows, sub_cols, rc, cc, r, c))
+                        m = minor
+                if m:  # a zero minor adds nothing
+                    pairs.append((e, m, -1 if (i + j) % 2 else 1))
         if todo:
             stack.append((key, core, peeled, pairs, det))
             stack.extend(reversed(todo))
@@ -595,9 +819,9 @@ def _cofactor(A: GRMatrix) -> GroupRingElement:
             det = combine([(e, det, sign)])
         memo[key] = det
 
-    root = (tuple(lines), tuple(lines))
+    root = ((1 << n) - 1, (1 << n) - 1)
     stack: List[tuple] = []
-    settle(root, list(root[0]), list(root[1]), list(map(len, nz_cols)), list(map(len, nz_rows)))
+    settle(root, list(lines), list(lines), list(map(sum, row_nz)), list(map(sum, col_nz)))
     while stack:
         item = stack.pop()
         if len(item) == 5:  # a frame of settle, whose minors are in memo by now
@@ -704,7 +928,11 @@ def _int_list(value, what: str) -> Tuple[int, ...]:
 def from_records(obj: dict) -> GroupRingElement:
     """Inverse of to_records; raises ValueError when obj does not have its
     shape (a bool is not an integer there).  Torsion coordinates are read
-    modulo their divisors."""
+    modulo their divisors.  The shapes of all records are checked at once,
+    and only a failed check walks the records in order for the first bad
+    one.  Every coordinate row is then packed in one encode_rows call, the
+    coefficients are collected in one _accumulate, and the terms view is
+    named from the records' own coordinates, so nothing is decoded."""
     group = obj.get("group") if isinstance(obj, dict) else None
     records = obj.get("terms") if isinstance(obj, dict) else None
     if not isinstance(group, dict) or type(group.get("rank")) is not int:
@@ -712,13 +940,24 @@ def from_records(obj: dict) -> GroupRingElement:
     if not isinstance(records, list) or not all(isinstance(t, dict) for t in records):
         raise ValueError("records need a list of term objects")
     G = AbelianGroup(group["rank"], _int_list(group.get("torsion"), "torsion"))
-    terms: Dict[AbElement, int] = {}
-    for t in records:
-        free, tor = _int_list(t.get("free"), "free"), _int_list(t.get("tor"), "tor")
-        if len(free) != G.rank or len(tor) != len(G.torsion):
-            raise ValueError("term coordinates do not match group")
-        if type(t.get("coeff")) is not int:
-            raise ValueError("coeff must be an integer")
-        h = AbElement(free, tuple(x % d for x, d in zip(tor, G.torsion)))
-        _accumulate(terms, [(h, t["coeff"])])
-    return GroupRingElement(G, terms)
+    frees = [t.get("free") for t in records]
+    tors = [t.get("tor") for t in records]
+    coeffs = [t.get("coeff") for t in records]
+    chain = itertools.chain.from_iterable
+    if not (set(map(type, frees)) <= {list} and set(map(type, tors)) <= {list}
+            and set(map(len, frees)) <= {G.rank} and set(map(len, tors)) <= {len(G.torsion)}
+            and set(map(type, itertools.chain(coeffs, chain(frees), chain(tors)))) <= {int}):
+        for t in records:
+            free, tor = _int_list(t.get("free"), "free"), _int_list(t.get("tor"), "tor")
+            if len(free) != G.rank or len(tor) != len(G.torsion):
+                raise ValueError("term coordinates do not match group")
+            if type(t.get("coeff")) is not int:
+                raise ValueError("coeff must be an integer")
+    free = [[f[i] for f in frees] for i in range(G.rank)]
+    tor = [[t[i] % d for t in tors] for i, d in enumerate(G.torsion)]
+    pk = _Packing(G, 2 * _max_abs(free))
+    keys = pk.encode_rows(free + tor, len(records))
+    p = GroupRingElement(G, packed=(pk, _accumulate({}, zip(keys, coeffs))))
+    named = dict(zip(keys, _elements(free, tor, len(records))))
+    p.__dict__["terms"] = {named[k]: c for k, c in p.packed[1].items()}
+    return p

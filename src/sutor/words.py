@@ -35,12 +35,17 @@ _INT_RE = re.compile(r"-?[0-9]+")
 # "(" is a ParseError.
 _MAX_DEPTH = 200
 
-# Work grows with the value of an exponent, not with its digits, so four
+# Work grows with the value of an exponent, not with its digits, so these
 # sizes are checked against this before the work starts: the letters of w^k
-# (power), the Fox terms, sum over words of sum |exponent| (fox._columns),
-# the slots, 1 + sum of row spans (groupring.determinant), and the running
-# count of term products of a cofactor expansion (groupring._cofactor).  Past
-# it a ValueError ends the CLI with exit 1.  An 800,002-term commutator fits.
+# (power); the Fox terms, sum over words of sum |exponent| (fox._columns);
+# the slots, 1 + sum of row spans, of a one-variable determinant, on the
+# whole matrix and on the core the front end leaves (groupring._lift); the
+# running count of term products of the unit-pivot front end
+# (groupring._peel), which a cofactor expansion (groupring._cofactor)
+# continues; and, in a count of its own, the blocks a cofactor expansion
+# settles, each weighted by its rows.  A front-end step that would cross it
+# ends the front end; past it anywhere else a ValueError ends the CLI with
+# exit 1.  An 800,002-term commutator fits.
 WORK_BUDGET = 1_000_000
 
 

@@ -194,6 +194,25 @@ def test_cofactor_over_work_budget_exits_1(tmp_path, capsys):
                    "is over the work budget of 1000000\n")
 
 
+def test_rank_one_cofactor_over_work_budget_exits_1(tmp_path, capsys):
+    """n generators, no relators and n copies of the R_- word a1^2 ... an^2:
+    a rank-one matrix of two-term entries, so every 2 x 2 minor is zero and
+    the expansion makes no term products.  The blocks it settles still count
+    against the budget; uncounted, n = 18 ran for 8.6 s on a 2-vCPU VM and
+    the time grew 4.4x per two generators."""
+    n = 22
+    names = [f"a{i}" for i in range(1, n + 1)]
+    word = " ".join(f"{a}^2" for a in names)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"generators": names, "relators": [], "rminus": [word] * n}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "compute", str(path))
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (1, "")
+    assert err.startswith("error: a cofactor expansion of at least ")
+    assert err.endswith(" block rows is over the work budget of 1000000\n")
+
+
 def test_polytope_output(capsys):
     code, out, err = run(capsys, "polytope", fx("pretzel_even_1_1_1.json"),
                          "--alpha", "1,0", "--alpha", "0,1", "--diff")

@@ -15,6 +15,8 @@ from sutor.groupring import (
     NotDivisibleError,
     UnsupportedTorsionError,
     _cofactor,
+    _kronecker,
+    _sparse,
     add,
     augmentation,
     determinant,
@@ -237,7 +239,10 @@ def _cyclic(G, x):
     ids=["1", "Z", "Z/2", "Z/6"])
 def test_one_variable_determinant_matches_cofactor(G, monkeypatch):
     """The Kronecker/Bareiss path for H with at most one generator against
-    the cofactor expansion that every other H still uses."""
+    the cofactor expansion that every other H still uses.  A matrix of at
+    most 4 rows takes that path whole: one det_sparse call unless a row is
+    zero.  From 5 rows on the unit-pivot front end goes first, and its core
+    makes at most one call.  Every result is in ascending key order."""
     rng = random.Random(53)
     seen = collections.Counter()
     det_sparse = groupring.det_sparse
@@ -260,7 +265,6 @@ def test_one_variable_determinant_matches_cofactor(G, monkeypatch):
             terms[_cyclic(G, x)] = rng.choice([-1, 1]) * rng.randint(1, cmax)
         return element(G, terms)
 
-    expected_calls = 0
     widest = 0
     for n in range(2, 11):
         for trial in range(6):
@@ -272,11 +276,17 @@ def test_one_variable_determinant_matches_cofactor(G, monkeypatch):
             elif trial == 2:
                 rows[0][0] = zero(G)
                 rows[rng.randrange(1, n)][0] = entry(1.0, cmax)
-            if all(any(row) for row in rows):
-                expected_calls += 1
             A = GRMatrix.from_rows(rows)
+            before = seen["det_sparse"]
             d = determinant(A)
+            calls = seen["det_sparse"] - before
+            if n <= 4:
+                assert calls == all(any(row) for row in rows), (n, trial)
+            else:
+                assert calls <= 1, (n, trial)
+                seen["core_calls"] += calls
             assert equal(d, _cofactor(A)), (n, trial)
+            assert list(d.packed[1]) == sorted(d.packed[1]), (n, trial)
             seen["nonzero"] += bool(d)
             widest = max([widest] + [abs(c) for c in d.terms.values()])
     # Sylvester's 8x8 Hadamard matrix, entry (i, j) times t^(i+j): |det| is
@@ -286,10 +296,14 @@ def test_one_variable_determinant_matches_cofactor(G, monkeypatch):
         H = [r + r for r in H] + [r + [-x for x in r] for r in H]
     A = GRMatrix.from_rows([[monomial(G, _cyclic(G, i + j), H[i][j]) for j in range(8)]
                             for i in range(8)])
-    expected_calls += 1
     assert equal(determinant(A), monomial(G, _cyclic(G, 56), 4096))
     assert equal(_cofactor(A), monomial(G, _cyclic(G, 56), 4096))
-    assert seen["det_sparse"] == expected_calls
+    # its entries are all units, so determinant peels it whole; the Kronecker
+    # core, called on it directly, meets the coefficient bound at full width
+    before = seen["det_sparse"]
+    core = _kronecker(G, _sparse(A.packed))
+    assert equal(GroupRingElement(G, packed=(A.packing, core)), monomial(G, _cyclic(G, 56), 4096))
+    assert seen["det_sparse"] == before + 1 and seen["core_calls"] > 0
     assert seen["leading_swap"] >= 6 and seen["zero_row"] == 9 and seen["nonzero"] >= 25
     assert (seen["negative_exponent"] > 0) == (G.rank == 1)
     assert widest > 10 ** 12  # many base-2^k digits wider than 40 bits

@@ -49,6 +49,7 @@ from sutor.groupring import (
     push_forward,
     scalar_mul,
     sim_equal,
+    sorted_terms,
     sum_of_all_elements,
     to_records,
     zero,
@@ -325,9 +326,9 @@ def _packed_det_matches(alphabet, words, ab, seen):
     assert _same(determinant(B), det)
     legacy = legacy_groupring._cofactor(A)
     G = ab.group
-    # the cofactor path keeps the legacy term order; the one-variable path
-    # reads its terms off digits, lowest exponent first
-    assert _same(det, legacy) if G.rank + len(G.torsion) > 1 else equal(det, legacy)
+    # every path returns the legacy terms in ascending key order, which is the
+    # (free, tor) order
+    assert equal(det, legacy) and list(det.terms.items()) == sorted_terms(legacy)
     seen[G.describe()] += 1
     seen["nonzero"] += bool(det)
     return det
