@@ -136,7 +136,7 @@ def cmd_polytope(args) -> int:
     sym = P.is_centrally_symmetric(S)
     print(f"centrally symmetric: {'yes' if sym else 'no'}")
     if args.diff:
-        dverts = P.difference_vertices(verts)
+        dverts = P.difference_polytope(S)
         print(f"difference polytope: {len(dverts)} vertices: "
               + " ".join(str(v) for v in dverts))
     if args.tsv:

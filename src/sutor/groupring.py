@@ -23,9 +23,6 @@ lex order.  The bound of each caller:
   image x the longest word's sum of |exponents|, which bounds every prefix
   of a word, so the same keys serve the Fox terms, every _cofactor sum and
   normalize's shift of the determinant;
-- determinant's unit-pivot front end, on two or more coordinates: 3 x
-  the matrix codec's bound, which holds every key sum h_f - h_u + h_e of
-  three Schur entries' terms that a step forms before its terms cancel;
 - an element built from terms or from records: 2 x the largest |free
   coordinate|;
 - push_forward: 2 x the largest |free coordinate| of an image.
@@ -33,6 +30,8 @@ lex order.  The bound of each caller:
 So every codec holds a term minus a support point, and normalize shifts an
 element's keys in place under its own codec; its result has the least free
 part at the origin, so normalizing it again shifts no free coordinate.
+determinant's unit-pivot front end alone forms sums that may leave the
+range, and its docstring says why its result is exact all the same.
 
 A GroupRingElement holds packed = (codec, {packed key: coefficient}) only.
 Its terms, keyed by AbElement, are a view: the dict it was built from, or
@@ -438,12 +437,21 @@ def determinant(A: GRMatrix) -> GroupRingElement:
     (unless the codec's bound caps them within it) and on the core before
     it is packed; a front end stopped by the budget leaves the rest to it.
     Any other H uses the sparse cofactor expansion _cofactor, which goes on
-    from the front end's count of term products.  With two or more
-    coordinates the front end and the core work in a codec of 3 x the
-    matrix codec's bound, which holds every key sum h_f - h_u + h_e a step
-    forms before its terms cancel, and the result is encoded back: each of
-    its terms is a sum of one entry key per row, which the matrix codec
-    holds."""
+    from the front end's count of term products.
+
+    The front end and the core work on the matrix codec's own keys, although
+    a Schur step forms key sums h_f - h_u + h_e that may leave the range
+    where the codec decodes them.  That is exact: with t = tor_bits, a key
+    k is the pair (k >> t, its torsion digits) of Z x prod Z/d, and adding
+    keys, with fold on the torsion digits (the lowest, which never carry),
+    is that group's addition for every int key, in range or not; so is
+    _Packing.neg.  Encoding is a group homomorphism Z^r x prod Z/d ->
+    Z x prod Z/d, injective on the box of coordinates the codec holds.  The
+    elimination runs in the group ring of the target, and det commutes with
+    the ring map the homomorphism induces, so it computes the image of
+    det A.  Every term of det A is a sum of one entry key per row, which
+    lies in the box, so distinct terms keep distinct keys and the image
+    is det A on the codec's keys."""
     if A.rows != A.cols:
         raise ValueError("determinant of non-square matrix")
     if A.rows == 0:
@@ -475,17 +483,13 @@ def _peeled(A: GRMatrix, one_variable: bool) -> Dict[int, int]:
     rows = _sparse(A.packed)
     if not all(rows):
         return {}
-    wide = pk
-    if one_variable:
-        # the slots check of the whole matrix; the codec holds every sum of one
-        # key per row, so on Z its bound caps the slots, and on Z/d each row's
-        # span is below d
-        if 1 + (A.rows * (G.torsion[0] - 1) if G.torsion else pk.bound) > WORK_BUDGET:
-            _lift(rows)
-    else:
-        wide = _Packing(G, 3 * pk.bound)
-        rows = _reencode(rows, pk, wide)
-    rows, sign, shift, work = _peel(rows, wide, 0)
+    # the slots check of the whole matrix; the codec holds every sum of one
+    # key per row, so on Z its bound caps the slots, and on Z/d each row's
+    # span is below d
+    if one_variable and 1 + (A.rows * (G.torsion[0] - 1) if G.torsion
+                             else pk.bound) > WORK_BUDGET:
+        _lift(rows)
+    rows, sign, shift, work = _peel(rows, pk, 0)
     empty: Dict[int, int] = {}
     core = [[row.get(j, empty) for j in range(len(rows))] for row in rows]
     if not core:
@@ -494,18 +498,14 @@ def _peeled(A: GRMatrix, one_variable: bool) -> Dict[int, int]:
         det = core[0][0]
     elif len(core) == 2 and work + _det2_products(*core) <= WORK_BUDGET:
         (a, b), (c, d) = core
-        det = _accumulate(_accumulate({}, _products(wide, a, d)), _products(wide, b, c, -1))
+        det = _accumulate(_accumulate({}, _products(pk, a, d)), _products(pk, b, c, -1))
     elif one_variable:
         det = _kronecker(G, rows)
     else:
-        det = _cofactor(GRMatrix(G, wide, core), work).packed[1]
-    if wide.torsion:
-        det = {wide.fold(k + shift): sign * c for k, c in det.items()}
-    else:
-        det = {k + shift: sign * c for k, c in det.items()}
-    if wide is not pk:
-        det = dict(zip(pk.encode_rows(wide.columns(det), len(det)), det.values()))
-    return det
+        det = _cofactor(GRMatrix(G, pk, core), work).packed[1]
+    if pk.torsion:
+        return {pk.fold(k + shift): sign * c for k, c in det.items()}
+    return {k + shift: sign * c for k, c in det.items()}
 
 
 def _det2_products(top: List[Dict[int, int]], bottom: List[Dict[int, int]]) -> int:
@@ -513,25 +513,15 @@ def _det2_products(top: List[Dict[int, int]], bottom: List[Dict[int, int]]) -> i
     return len(top[0]) * len(bottom[1]) + len(top[1]) * len(bottom[0])
 
 
-def _reencode(rows: List[Dict[int, Dict[int, int]]], pk: _Packing,
-              wide: _Packing) -> List[Dict[int, Dict[int, int]]]:
-    """The entries of the rows, keyed under pk, keyed under wide instead:
-    every key in one columns and one encode_rows call."""
-    keys = [k for row in rows for e in row.values() for k in e]
-    coefficients = (c for row in rows for e in row.values() for c in e.values())
-    new = iter(zip(wide.encode_rows(pk.columns(keys), len(keys)), coefficients))
-    return [{j: dict(itertools.islice(new, len(e))) for j, e in row.items()} for row in rows]
-
-
 def _peel(rows: List[Dict[int, Dict[int, int]]], pk: _Packing,
           work: int) -> Tuple[List[Dict[int, Dict[int, int]]], int, int, int]:
     """Schur steps on unit pivots over the rows, each {column: entry} on
-    the keys of pk, which must hold every sum a step forms.  A step takes
-    the column with the fewest nonzeros among those holding a unit c*h
-    (c = +-1), in it the unit whose row has the fewest nonzeros (lowest
-    index on ties for both; Markowitz 1957), and replaces every other row i
-    with a nonzero A_iq in that column q by A_i - A_iq * c * h^-1 * A_p,
-    without row p and column q.  Z[H] is commutative and the pivot is
+    the keys of pk, whose sums may leave pk's range (see determinant).  A
+    step takes the column with the fewest nonzeros among those holding a
+    unit c*h (c = +-1), in it the unit whose row has the fewest nonzeros
+    (lowest index on ties for both; Markowitz 1957), and replaces every
+    other row i with a nonzero A_iq in that column q by A_i - A_iq * c *
+    h^-1 * A_p, without row p and column q.  Z[H] is commutative and the pivot is
     invertible, so det A is +-c*h times the det of what is left.  A step
     counts len(A_iq) x len(A_pj) term products against WORK_BUDGET before
     it makes them; a step that would cross it ends the front end.
@@ -930,9 +920,10 @@ def from_records(obj: dict) -> GroupRingElement:
     shape (a bool is not an integer there).  Torsion coordinates are read
     modulo their divisors.  The shapes of all records are checked at once,
     and only a failed check walks the records in order for the first bad
-    one.  Every coordinate row is then packed in one encode_rows call, the
-    coefficients are collected in one _accumulate, and the terms view is
-    named from the records' own coordinates, so nothing is decoded."""
+    one.  Every coordinate row is then packed in one encode_rows call and
+    the coefficients are collected in one _accumulate; the terms view is
+    left to decode_terms, on first read, so a reader of keys only builds
+    no AbElement."""
     group = obj.get("group") if isinstance(obj, dict) else None
     records = obj.get("terms") if isinstance(obj, dict) else None
     if not isinstance(group, dict) or type(group.get("rank")) is not int:
@@ -957,7 +948,4 @@ def from_records(obj: dict) -> GroupRingElement:
     tor = [[t[i] % d for t in tors] for i, d in enumerate(G.torsion)]
     pk = _Packing(G, 2 * _max_abs(free))
     keys = pk.encode_rows(free + tor, len(records))
-    p = GroupRingElement(G, packed=(pk, _accumulate({}, zip(keys, coeffs))))
-    named = dict(zip(keys, _elements(free, tor, len(records))))
-    p.__dict__["terms"] = {named[k]: c for k, c in p.packed[1].items()}
-    return p
+    return GroupRingElement(G, packed=(pk, _accumulate({}, zip(keys, coeffs))))

@@ -14,18 +14,29 @@ certificate of the final tableau, a separating direction whose
 lex-largest maximizer is the next vertex.  A point set equal to its own
 negation, as every difference set is, has only its lex-positive half
 tested.
+
+A Support hulls its points once, on first read, and keeps the vertices
+(and in the plane the counter-clockwise chain); vertices and
+difference_polytope both read that hull.  The difference polytope P - P =
+P + (-P) is built from P's vertices by its structure: a point or a segment
+gives the origin or +-d, a polygon is the merge of the edge sequences of P
+and -P by angle, and from dimension 3 on the Clarkson loop runs over the
+vertex differences with a witness that reads P's k vertices instead of
+the k^2 differences.  The support, extremal_part and the disk report read
+tau's packed keys (groupring._Packing.columns) and build no AbElement.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .abelian import AbElement, AbelianGroup, bareiss_pivot
+from .abelian import AbElement, AbelianGroup, bareiss_pivot, dot_map
 from .groupring import (
     GroupRingElement,
     UnsupportedStructureError,
     UnsupportedTorsionError,
-    normalize,
 )
 
 Point = Tuple[int, ...]
@@ -33,14 +44,32 @@ Point = Tuple[int, ...]
 
 @dataclass(frozen=True)
 class Support:
+    """The support of tau: each free part in dimension dim, with its
+    coefficient.  hull is computed on the first read and then kept in the
+    instance's __dict__, not as a field, so == still compares dim and
+    points only; points must not be mutated after that read."""
     dim: int
     points: Dict[Point, int]
 
+    @cached_property
+    def hull(self) -> Tuple[List[Point], Optional[List[Point]]]:
+        """The sorted vertices of conv(points) and, in the plane, the
+        counter-clockwise chain of convex_hull_2d they are sorted from
+        (else None)."""
+        if self.dim == 2:
+            chain = convex_hull_2d(list(self.points))
+            return sorted(chain), chain
+        return hull_vertices(list(self.points)), None
+
 
 def support(tau: GroupRingElement) -> Support:
+    """tau's support, read off the coordinate columns of its packed keys."""
     if tau.group.torsion:
         raise UnsupportedTorsionError("support analysis needs a torsion-free group")
-    return Support(tau.group.rank, {h.free: c for h, c in tau.terms.items()})
+    pk, keys = tau.packed
+    cols = pk.columns(keys)
+    points = zip(*cols) if cols else itertools.repeat((), len(keys))
+    return Support(tau.group.rank, dict(zip(points, keys.values())))
 
 
 def width(S: Support, alpha: Sequence[int]) -> int:
@@ -139,19 +168,22 @@ def convex_hull_2d(points: Sequence[Point]) -> List[Point]:
     return lower[:-1] + upper[:-1]
 
 
+def _neg(p: Point) -> Point:
+    return tuple(-x for x in p)
+
+
+def _dot(c: Sequence[int], p: Point) -> int:
+    return sum(a * x for a, x in zip(c, p))
+
+
 def hull_vertices(points: Sequence[Point]) -> List[Point]:
     """Sorted vertex set of conv(points), by the method the dimension allows:
     the two extreme points on a line, the monotone chain in the plane, and
-    from dimension 3 on Clarkson's output-sensitive method (More
-    output-sensitive geometric algorithms, FOCS 1994).
-
-    V holds vertices only: top(c), the point maximizing <c, p> with ties
-    broken to the lex-largest p, is one for every c.  A point p outside
-    conv(V) comes back with a direction c that puts p above every value on
-    V, so top(c) is a vertex not yet in V; it joins V and p is tested again.
-    Each LP has at most |V| columns and there are at most N + |V| of them.
-    A symmetric set has vertices v and -v together, so each vertex joins V
-    with its negative."""
+    from dimension 3 on Clarkson's output-sensitive method (_clarkson),
+    whose witness here is the lex-largest maximizer over all the points.
+    Support.hull keeps the result for a support, so it is hulled once;
+    difference_vertices runs the same loop on a difference set with a
+    witness that reads the vertices only."""
     pts = sorted(set(points))
     dim = len(pts[0]) if pts else 0
     if dim <= 1:
@@ -160,24 +192,37 @@ def hull_vertices(points: Sequence[Point]) -> List[Point]:
         return sorted(convex_hull_2d(pts))
 
     def top(c: Sequence[int]) -> Point:
-        return max(pts, key=lambda p: (sum(a * x for a, x in zip(c, p)), p))
+        return max(pts, key=lambda p: (_dot(c, p), p))
 
-    def neg(p: Point) -> Point:
-        return tuple(-x for x in p)
+    return _clarkson(pts, top, sorted(map(_neg, pts)) == pts)
 
-    symmetric = sorted(map(neg, pts)) == pts
+
+def _clarkson(pts: List[Point], top: Callable[[Sequence[int]], Point],
+              symmetric: bool) -> List[Point]:
+    """Sorted vertex set of conv(pts), pts sorted and distinct, by
+    Clarkson's output-sensitive method (More output-sensitive geometric
+    algorithms, FOCS 1994).  top(c) is the witness: the point of pts
+    maximizing <c, p>, ties broken to the lex-largest p.
+
+    V holds vertices only: top(c) is one for every c.  A point p outside
+    conv(V) comes back with a direction c that puts p above every value on
+    V, so top(c) is a vertex not yet in V; it joins V and p is tested again.
+    Each LP has at most |V| columns and there are at most N + |V| of them.
+    A symmetric set has vertices v and -v together, so each vertex joins V
+    with its negative."""
+    dim = len(pts[0])
     V: Dict[Point, None] = {}  # insertion-ordered, so the LP columns are too
 
     def add(v: Point) -> None:
         V[v] = None
         if symmetric:
-            V[neg(v)] = None
+            V[_neg(v)] = None
 
     for i in range(dim):
         for s in (1, -1):
             add(top([s * int(k == i) for k in range(dim)]))
     for p in pts:
-        if symmetric and p <= neg(p):  # the lex-positive half will do
+        if symmetric and p <= _neg(p):  # the lex-positive half will do
             continue
         while p not in V:
             A = [[v[k] for v in V] for k in range(dim)] + [[1] * len(V)]
@@ -192,22 +237,99 @@ def hull_vertices(points: Sequence[Point]) -> List[Point]:
 
 
 def vertices(S: Support) -> List[Point]:
+    """The sorted vertices of S's hull, a copy of S.hull's."""
     if not S.points:
         raise ValueError("empty support")
-    return hull_vertices(list(S.points))
+    return list(S.hull[0])
 
 
 def difference_polytope(S: Support) -> List[Point]:
-    """Vertex set of conv{x - y : x, y in support}; centrally symmetric."""
-    return difference_vertices(vertices(S))
+    """Vertex set of conv{x - y : x, y in support}; centrally symmetric.
+    It is built from S's hull, which is not computed again."""
+    if not S.points:
+        raise ValueError("empty support")
+    return _difference(*S.hull)
 
 
 def difference_vertices(verts: Sequence[Point]) -> List[Point]:
-    """Vertex set of P + (-P) from the vertices of P.  Every vertex of
-    P + (-P) is a difference of two vertices of P (Gritzmann-Sturmfels),
-    so only the k^2 vertex differences are hulled."""
-    diffs = {tuple(a - b for a, b in zip(x, y)) for x in verts for y in verts}
-    return hull_vertices(list(diffs))
+    """Sorted vertex set of P + (-P), P = conv(verts).  Every vertex of
+    P + (-P) is v - w for vertices v, w of P whose normal cones meet
+    (Gritzmann-Sturmfels, SIAM J. Discrete Math. 6, 1993), so only the
+    vertices are read:
+
+    - one point gives the origin, and a segment [v, w] (every P in
+      dimension 1) gives +-(w - v);
+    - a polygon gives the merge of the counter-clockwise edge sequences of
+      P and -P by angle, exact integer cross products, parallel edges
+      merged into one: a linear pass after P's chain, with no hull of the
+      k^2 differences;
+    - from dimension 3 on, the Clarkson loop of hull_vertices over the
+      distinct differences D = V - V, which is centrally symmetric.  Its
+      witness, the lex-largest maximizer of <c, .> over D, is lexmax
+      argmax_V(c) - lexmin argmin_V(c), since lex order is a group order:
+      one pass over the k vertices instead of the k^2 differences."""
+    pts = sorted(set(verts))
+    if not pts:
+        return []
+    return _difference(pts, convex_hull_2d(pts) if len(pts[0]) == 2 else None)
+
+
+def _difference(verts: List[Point], chain: Optional[List[Point]]) -> List[Point]:
+    """difference_vertices of the sorted distinct points verts, given the
+    counter-clockwise chain of their hull in the plane."""
+    if len(verts) == 1:
+        return [(0,) * len(verts[0])]
+    if chain is not None and len(chain) > 2:
+        return _planar_difference(chain)
+    if len(verts) == 2 or len(verts[0]) <= 2:
+        # a segment, from its lex-least to its lex-largest point
+        d = tuple(b - a for a, b in zip(verts[0], verts[-1]))
+        return [_neg(d), d]
+
+    def top(c: Sequence[int]) -> Point:
+        vals = [_dot(c, v) for v in verts]
+        hi, lo = max(vals), min(vals)
+        return tuple(a - b for a, b in zip(max(v for v, x in zip(verts, vals) if x == hi),
+                                           min(v for v, x in zip(verts, vals) if x == lo)))
+
+    diffs = sorted({tuple(a - b for a, b in zip(x, y)) for x in verts for y in verts})
+    return _clarkson(diffs, top, True)
+
+
+def _planar_difference(chain: List[Point]) -> List[Point]:
+    """Sorted vertices of P + (-P) for the counter-clockwise chain of a
+    polygon P that starts at its lex-least vertex, as convex_hull_2d's does.
+    -P's chain is P's negated and rotated to start at -(P's lex-largest
+    vertex), its lex-least, so its edges are P's negated, rotated the same
+    way: no second hull is needed.  From the lex-least vertex on, each
+    chain's edges turn left, their directions first in the half-turn
+    (-90, 90] degrees and then in (90, 270]; within a half-turn the sign of
+    the cross product orders two directions.  The sum starts at the sum of
+    the two lex-least vertices and follows the two edge sequences merged in
+    that order, taking parallel edges together, so no three of its
+    vertices are collinear."""
+    k = len(chain)
+    a = []  # (half-turn, dx, dy) of each edge of P
+    for (x0, y0), (x1, y1) in zip(chain, chain[1:] + chain[:1]):
+        dx, dy = x1 - x0, y1 - y0
+        a.append((0 if dx > 0 or (dx == 0 and dy > 0) else 1, dx, dy))
+    top = chain.index(max(chain))
+    b = [(1 - h, -dx, -dy) for h, dx, dy in a[top:] + a[:top]]  # -P's, from -chain[top]
+    x, y = chain[0][0] - chain[top][0], chain[0][1] - chain[top][1]
+    out = []
+    i = j = 0
+    while i < k or j < k:
+        out.append((x, y))
+        # > 0: P's edge comes first, < 0: -P's, 0: they are parallel
+        turn = (1 if j == k else -1 if i == k
+                else b[j][0] - a[i][0] or a[i][1] * b[j][2] - a[i][2] * b[j][1])
+        if turn >= 0:
+            x, y = x + a[i][1], y + a[i][2]
+            i += 1
+        if turn <= 0:
+            x, y = x + b[j][1], y + b[j][2]
+            j += 1
+    return sorted(out)
 
 
 def is_centrally_symmetric(S: Support) -> bool:
@@ -232,16 +354,20 @@ def is_centrally_symmetric(S: Support) -> bool:
 
 
 def extremal_part(tau: GroupRingElement, alpha: Sequence[int]) -> GroupRingElement:
-    """Sub-sum of tau over support points maximizing <., alpha>."""
+    """Sub-sum of tau over support points maximizing <., alpha>: one dot
+    product of alpha with the coordinate columns of tau's keys, and the
+    keys that reach the top, packed under tau's codec."""
     if tau.group.torsion:
         raise UnsupportedTorsionError("extremal part needs a torsion-free group")
-    if not tau.terms:
+    pk, keys = tau.packed
+    if not keys:
         raise ValueError("zero element has no extremal part")
     if len(alpha) != tau.group.rank:
         raise ValueError("covector length does not match dimension")
-    vals = {h: sum(a * x for a, x in zip(alpha, h.free)) for h in tau.terms}
-    top = max(vals.values())
-    return GroupRingElement(tau.group, {h: c for h, c in tau.terms.items() if vals[h] == top})
+    (vals,), _ = dot_map(([tuple(alpha)], []), pk.columns(keys), len(keys))
+    top = max(vals)
+    return GroupRingElement(tau.group, packed=(pk, {
+        k: c for (k, c), v in zip(keys.items(), vals) if v == top}))
 
 
 # ---------------------------------------------------------------------------
@@ -287,33 +413,42 @@ def disk_obstruction_report(tau: GroupRingElement, p_max: int) -> DiskReport:
     min(j + 1, p1, n - j) at t^j, so its largest coefficient is p1 and its
     term count is n: at most one pair can match a candidate, and p1 = 1 is
     S(n) itself.  Each candidate is one shape test against that pair, so the
-    cost is linear in its term count."""
+    cost is linear in its term count.  On Z a packed key is its exponent, so
+    everything reads tau's keys: the extremal parts are the least and the
+    greatest key, and the shape test reads a candidate's keys shifted by
+    their least key and signed by that key's coefficient, which is its
+    canonical form (normalize)."""
     if tau.group != _Z:
         raise UnsupportedStructureError("disk obstruction needs a rank-1 torsion-free group")
-    if not tau.terms:
+    pk, keys = tau.packed
+    if not keys:
         raise UnsupportedStructureError("zero torsion")
-    exps = [h.free[0] for h in tau.terms]
-    auto_cap = (max(exps) - min(exps)) + 1
+    lo, hi = min(keys), max(keys)
+    auto_cap = (hi - lo) + 1
     cap = min(p_max, auto_cap)
 
     def analyze(label: str, cand: GroupRingElement) -> DiskCandidate:
         # The canonical form of a rank-1 element starts at t^0 with a
         # positive coefficient, as every product of solid-torus torsions does.
-        nc = normalize(cand)
-        n = len(nc.terms)
-        p1 = max(nc.terms.values())
+        terms = cand.packed[1]
+        n, low = len(terms), min(terms)
+        sign = -1 if terms[low] < 0 else 1
+        p1 = max(terms.values()) if sign > 0 else -min(terms.values())
         p2 = n - p1 + 1
-        if not (p1 <= p2 <= cap and nc.terms == {
-                AbElement((j,), ()): min(j + 1, p1, n - j) for j in range(n)}):
+        if not (p1 <= p2 <= cap and max(terms) - low == n - 1 and all(
+                sign * c == min(k - low + 1, p1, n - k + low) for k, c in terms.items())):
             return DiskCandidate(label, cand, None, None)
         if p1 == 1:
             return DiskCandidate(label, cand, n, None)
         return DiskCandidate(label, cand, None, (p1, p2))
 
+    def part(k: int) -> GroupRingElement:
+        return GroupRingElement(tau.group, packed=(pk, {k: keys[k]}))
+
     cands = (
         analyze("tau", tau),
-        analyze("extremal(+1)", extremal_part(tau, (1,))),
-        analyze("extremal(-1)", extremal_part(tau, (-1,))),
+        analyze("extremal(+1)", part(hi)),
+        analyze("extremal(-1)", part(lo)),
     )
     obstructed = not any(c.matched for c in cands)
     return DiskReport(cands, obstructed, p_max, auto_cap, cap)

@@ -5,6 +5,8 @@ on every input."""
 import itertools
 from typing import Optional, Tuple
 
+from legacy_polytope import extremal_part
+
 from sutor.abelian import AbElement, ab_neg, zero_element
 from sutor.groupring import (
     GroupRingElement,
@@ -19,7 +21,6 @@ from sutor.polytope import (
     DiskReport,
     _Z,
     cyclic_sum,
-    extremal_part,
 )
 
 

@@ -4,12 +4,21 @@ difference_polytope hulled only vertex differences.  One exact LP per point
 against all others, over every pairwise difference of the support.  The LP
 is the phase-1 simplex over Fraction that the integer tableau of
 sutor.polytope replaced, kept here verbatim so that the oracle shares no
-arithmetic with the code under test.  The faster code must agree with these
-on every input."""
+arithmetic with the code under test.  Also extremal_part and the disk
+report as they were before they read packed keys: one AbElement per term,
+and normalize on every candidate.  The faster code must agree with these on
+every input."""
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from sutor.polytope import Point, Support
+from sutor.abelian import AbElement
+from sutor.groupring import (
+    GroupRingElement,
+    UnsupportedStructureError,
+    UnsupportedTorsionError,
+    normalize,
+)
+from sutor.polytope import _Z, DiskCandidate, DiskReport, Point, Support
 
 
 def _lp_feasible(A: List[List[int]], b: List[int]) -> bool:
@@ -94,3 +103,48 @@ def difference_polytope(S: Support) -> List[Point]:
     pts = list(S.points)
     diffs = {tuple(a - b for a, b in zip(x, y)) for x in pts for y in pts}
     return hull_vertices(list(diffs))
+
+
+def extremal_part(tau: GroupRingElement, alpha: Sequence[int]) -> GroupRingElement:
+    """Sub-sum of tau over support points maximizing <., alpha>."""
+    if tau.group.torsion:
+        raise UnsupportedTorsionError("extremal part needs a torsion-free group")
+    if not tau.terms:
+        raise ValueError("zero element has no extremal part")
+    if len(alpha) != tau.group.rank:
+        raise ValueError("covector length does not match dimension")
+    vals = {h: sum(a * x for a, x in zip(alpha, h.free)) for h in tau.terms}
+    top = max(vals.values())
+    return GroupRingElement(tau.group, {h: c for h, c in tau.terms.items() if vals[h] == top})
+
+
+def disk_obstruction_report(tau: GroupRingElement, p_max: int) -> DiskReport:
+    """One shape test per candidate on its normalized terms, against the one
+    pair (p1, p2) that its largest coefficient and term count allow."""
+    if tau.group != _Z:
+        raise UnsupportedStructureError("disk obstruction needs a rank-1 torsion-free group")
+    if not tau.terms:
+        raise UnsupportedStructureError("zero torsion")
+    exps = [h.free[0] for h in tau.terms]
+    auto_cap = (max(exps) - min(exps)) + 1
+    cap = min(p_max, auto_cap)
+
+    def analyze(label: str, cand: GroupRingElement) -> DiskCandidate:
+        nc = normalize(cand)
+        n = len(nc.terms)
+        p1 = max(nc.terms.values())
+        p2 = n - p1 + 1
+        if not (p1 <= p2 <= cap and nc.terms == {
+                AbElement((j,), ()): min(j + 1, p1, n - j) for j in range(n)}):
+            return DiskCandidate(label, cand, None, None)
+        if p1 == 1:
+            return DiskCandidate(label, cand, n, None)
+        return DiskCandidate(label, cand, None, (p1, p2))
+
+    cands = (
+        analyze("tau", tau),
+        analyze("extremal(+1)", extremal_part(tau, (1,))),
+        analyze("extremal(-1)", extremal_part(tau, (-1,))),
+    )
+    obstructed = not any(c.matched for c in cands)
+    return DiskReport(cands, obstructed, p_max, auto_cap, cap)

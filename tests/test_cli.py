@@ -645,10 +645,13 @@ def test_polytope_diff_hulls_the_support_once(capsys, monkeypatch, tmp_path):
     path = tmp_path / "in.json"
     path.write_text(json.dumps({"generators": ["a", "b", "c"], "relators": [],
                                 "rminus": ["a b^-1", "b^2 c", "c a^2"]}))
-    calls = []
-    hull = P.hull_vertices
+    calls, loops = [], []
+    hull, clarkson = P.hull_vertices, P._clarkson
     monkeypatch.setattr(P, "hull_vertices", lambda pts: calls.append(len(pts)) or hull(pts))
+    monkeypatch.setattr(P, "_clarkson", lambda pts, *rest: loops.append(len(pts))
+                        or clarkson(pts, *rest))
     code, out, _ = run(capsys, "polytope", str(path), "--diff")
     assert code == 0
     assert out.splitlines()[0] == "support: 4 points in dimension 3"
-    assert calls == [4, 13]  # the support, then the distinct differences of its 4 vertices
+    assert calls == [4]  # the support; the difference polytope reads its cached hull
+    assert loops == [4, 13]  # the support, then the distinct differences of its 4 vertices

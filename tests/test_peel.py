@@ -19,6 +19,10 @@ from sutor.groupring import (
     GroupRingElement,
     _cofactor,
     _kronecker,
+    _max_free,
+    _Packing,
+    _peel,
+    _peeled,
     _sparse,
     add,
     determinant,
@@ -163,8 +167,7 @@ def test_front_end_at_the_codec_bound(G):
     the codec's bound.  With x^s - x^-s, x = (1, ..., 1), at every other
     diagonal place, det spans the free coordinates from (u - m) s to
     (u + m) s for u units and m binomials, and normalize shifts its terms
-    to 0 .. 2 m s.  The front end works in a codec of 3 x the bound and
-    encodes det back under the matrix's codec."""
+    to 0 .. 2 m s.  The front end works in the matrix's codec."""
     rng = random.Random(7)
     for n, s in ((5, 3), (6, -3), (8, 3)):
         corner = AbElement((s,) * G.rank, tuple(d - 1 for d in G.torsion))
@@ -187,6 +190,58 @@ def test_front_end_at_the_codec_bound(G):
         assert equal(canonical, legacy_canonical.normalize(det))
         top = max(h.free for h in canonical.terms)
         assert top == (2 * ((n + 1) // 2) * abs(s),) * G.rank
+
+
+def _narrow(G: AbelianGroup, rows):
+    """The rows' entries packed under a codec only just wide enough for
+    them and for their determinant, that determinant by _cofactor under the
+    codec of from_rows, and whether a Schur sum of the front end leaves
+    the narrow codec's half-range: read off the core the front end leaves
+    under a codec of 3 x the from_rows bound, which holds every such sum."""
+    A = GRMatrix.from_rows(rows)
+    det = _cofactor(A)
+    pk = _Packing(G, max(_max_free(h for row in rows for e in row for h in e.terms),
+                         _max_free(det.terms)))
+    wide = _Packing(G, 3 * A.packing.bound)
+    core = _peel(_sparse([[wide.encode_terms(e.terms) for e in row] for row in rows]), wide, 0)[0]
+    past = any(abs(x) >= 1 << (pk.width - 1) for row in core for e in row.values()
+               for h in wide.decode_terms(e) for x in h.free)
+    return pk, [[pk.encode_terms(e.terms) for e in row] for row in rows], det, past
+
+
+@pytest.mark.parametrize("G", [AbelianGroup(2), AbelianGroup(3), AbelianGroup(1, (2,)),
+                               AbelianGroup(2, (3,))], ids=lambda G: G.describe())
+def test_front_end_sums_past_the_codec_range(G):
+    """Packed-key addition (with fold on the torsion digits) is a group
+    homomorphism, so the front end is exact in a codec that holds the
+    entries and det but not the sums a Schur step forms.  On diag(B, 1, 1,
+    1) with B = [[y^-3, y^3], [y^3, 1 + x]] (x, y the first and the last
+    free generator) the pivot y^-3 leaves the core
+    1 + x - y^9, past the half-range 8 of a codec for |coordinates| up to
+    6, while det = y^-3 (1 + x) - y^6 is inside it.  Seeded random
+    matrices with scaled coordinates must match _cofactor too, and the
+    cores of some of them must leave the range as well."""
+    def mono(i, v):  # {x_i^v: 1}
+        return {AbElement(tuple(v * (k == i) for k in range(G.rank)), (0,) * len(G.torsion)): 1}
+
+    y = G.rank - 1  # y = x on Z + Z/2
+    B = [[mono(y, -3), mono(y, 3)], [mono(y, 3), {**mono(0, 0), **mono(0, 1)}]]
+    rows = [[element(G, B[i][j]) if i < 2 and j < 2 else one(G) if i == j else zero(G)
+             for j in range(5)] for i in range(5)]
+    pk, packed, det, past = _narrow(G, rows)
+    assert (pk.bound, pk.width, past) == (6, 4, True)
+    assert pk.decode_terms(_peeled(GRMatrix(G, pk, packed), False)) == det.terms
+    rng = random.Random("narrow " + G.describe())
+    outside = 0
+    for _ in range(60):
+        n, s = rng.randint(5, 7), rng.choice((2, 3, 5))
+        rows = [[element(G, {AbElement(tuple(s * x for x in h.free), h.tor): c
+                             for h, c in _entry(rng, G, 0.6).terms.items()})
+                 for _ in range(n)] for _ in range(n)]
+        pk, packed, det, past = _narrow(G, rows)
+        outside += past
+        assert pk.decode_terms(_peeled(GRMatrix(G, pk, packed), False)) == det.terms
+    assert outside >= 2
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 16])

@@ -1,4 +1,6 @@
+import collections
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -13,7 +15,17 @@ from sutor import engine as E
 from sutor import polytope as P
 from sutor.abelian import AbElement, AbelianGroup
 from sutor.families import cantwell_conlon, goda_tau, pretzel_even, pretzel_odd, solid_torus
-from sutor.groupring import UnsupportedTorsionError, element, monomial, mul, one
+from sutor.families import torus_2n_pd, wirtinger_knot
+from sutor.groupring import (
+    UnsupportedTorsionError,
+    element,
+    equal,
+    from_records,
+    monomial,
+    mul,
+    one,
+    to_records,
+)
 
 Z = AbelianGroup(1)
 Z2 = AbelianGroup(2)
@@ -256,6 +268,111 @@ def test_difference_polytope_of_8_points_matches_legacy(dim):
     assert P.difference_polytope(S) == legacy_polytope.difference_polytope(S)
 
 
+def _differences(pts):
+    return list({tuple(a - b for a, b in zip(x, y)) for x in pts for y in pts})
+
+
+def _difference_sets(rng):
+    """(kind, points): seeded random sets in dimensions 1-4, and the
+    degenerate ones: a single point, collinear points in the plane and in
+    space, coplanar points in space, and polygons with parallel edges
+    (centrally symmetric ones, where every edge has a parallel partner,
+    trapezoids and lattice rectangles)."""
+    for dim in (1, 2, 3, 4):
+        for n in (2, 3, 4, 5, 7, 10):
+            for _ in range(4):
+                yield "random", [tuple(rng.randint(-4, 4) for _ in range(dim)) for _ in range(n)]
+        yield "point", [tuple(rng.randint(-4, 4) for _ in range(dim))] * 3
+    for dim in (2, 3):
+        for n in (2, 3, 6):
+            base = [rng.randint(-3, 3) for _ in range(dim)]
+            step = [rng.randint(-2, 2) for _ in range(dim)]
+            yield "collinear", [tuple(b + k * x for b, x in zip(base, step))
+                                for k in rng.sample(range(-4, 5), n)]
+    for n in (3, 5, 8):
+        for _ in range(3):
+            base, u, w = ([rng.randint(-2, 2) for _ in range(3)] for _ in range(3))
+            ijs = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(n)]
+            yield "coplanar", [tuple(b + i * x + j * y for b, x, y in zip(base, u, w))
+                               for i, j in ijs]
+    for n in (2, 3, 4, 6):
+        for _ in range(3):
+            half = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(n)]
+            c = (rng.randint(-3, 3), rng.randint(-3, 3))
+            yield "parallel", half + [(c[0] - x, c[1] - y) for x, y in half]
+    for _ in range(6):
+        y0, h = rng.randint(-3, 3), rng.randint(1, 4)
+        a, b = sorted(rng.sample(range(-5, 6), 2))
+        c, d = sorted(rng.sample(range(-5, 6), 2))
+        yield "parallel", [(a, y0), (b, y0), (c, y0 + h), (d, y0 + h)]
+        yield "parallel", [(x, y) for x in (a, b) for y in (y0, y0 + h)]
+
+
+def test_difference_vertices_match_the_hull_of_all_differences_and_legacy():
+    """The planar merge, the segment and point shortcuts and the
+    difference-set witness against hull_vertices of every difference and,
+    on up to 6 distinct points, the one-LP-per-difference legacy oracle.
+    difference_polytope of a Support reads its cached hull and agrees."""
+    seen = collections.Counter()
+    for kind, pts in _difference_sets(random.Random(20261019)):
+        dim = len(pts[0])
+        got = P.difference_vertices(pts)
+        assert got == P.hull_vertices(_differences(pts)), (kind, pts)
+        assert got == P.difference_vertices(P.hull_vertices(pts)) == sorted(got)
+        assert sorted(P._neg(v) for v in got) == got
+        S = P.Support(dim, dict.fromkeys(pts, 1))
+        assert P.difference_polytope(S) == got
+        if len(S.points) <= 6:
+            assert got == legacy_polytope.difference_polytope(S), (kind, pts)
+            seen["legacy"] += 1
+        if dim == 2 and kind == "parallel":
+            chain = S.hull[1]
+            edges = {(q[0] - p[0], q[1] - p[1]) for p, q in zip(chain, chain[1:] + chain[:1])}
+            seen["parallel"] += any(e[0] * f[1] == e[1] * f[0] and e != f
+                                    for e in edges for f in edges)
+        seen[kind, dim] += 1
+    assert seen["legacy"] > 60 and seen["parallel"] > 20, seen
+    assert all(seen["point", dim] for dim in (1, 2, 3, 4)), seen
+    assert P.difference_vertices([]) == []
+
+
+def test_support_hull_is_computed_once(monkeypatch):
+    """vertices and difference_polytope read the hull a Support keeps in its
+    __dict__; it is no field, so == still compares dim and points, and
+    vertices hands out a copy."""
+    calls = []
+    for name in ("hull_vertices", "convex_hull_2d"):
+        fn = getattr(P, name)
+        monkeypatch.setattr(P, name, lambda pts, fn=fn, name=name: calls.append(name) or fn(pts))
+    for dim, pts in ((2, [(0, 0), (3, 0), (0, 2), (1, 1), (3, 2)]),
+                     (3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])):
+        calls.clear()
+        S = P.Support(dim, dict.fromkeys(pts, 1))
+        V = P.vertices(S)
+        V.append(None)
+        assert None not in P.vertices(S)
+        D = P.difference_polytope(S)
+        assert len(calls) == 1 and "hull" in S.__dict__
+        assert S == P.Support(dim, dict.fromkeys(pts, 1))
+        assert D == P.hull_vertices(_differences(pts))
+
+
+def test_difference_polytopes_of_the_seed_1_polytope_corpus():
+    """Every support of the polytope workload's seed-1 corpus: the planar
+    pretzels, the segments of T(2,n) and the solid tori, and the genus-3
+    supports in dimension 3."""
+    from perfbench import corpus
+
+    dims = collections.Counter()
+    for case in corpus.build("polytope", 1):
+        S = P.support(E.torsion(E.input_from_dict(json.loads(case.text))).tau)
+        assert P.difference_polytope(S) == P.hull_vertices(_differences(P.vertices(S)))
+        if len(S.points) <= 6:
+            assert P.difference_polytope(S) == legacy_polytope.difference_polytope(S)
+        dims[S.dim] += 1
+    assert dims == {2: 81, 1: 17, 3: 8}
+
+
 # the words of perfbench.corpus.handlebody_words(random.Random(seed), g, 12)
 HANDLEBODY_103 = {"generators": ["a", "b", "c"], "relators": [], "rminus": [
     "c^-1 a c b^-1 c b a c a c b c^-1", "c^-1 a b c b^-1 c^-1 a^-1 c b a b^-1 a^-1",
@@ -291,6 +408,31 @@ def test_hull_lps_are_output_sensitive(monkeypatch):
         assert columns and max(columns) <= len(V)
         assert len(columns) <= len(pts) + len(V)
     assert P.hull_vertices(grid) == sorted(itertools.product((-2, 2), repeat=3))
+
+
+def test_handlebody_difference_polytopes_and_the_witness(monkeypatch):
+    """Seed 103 against hull_vertices of all vertex differences.  On seed 104
+    every call of the Clarkson witness, over the support and over its 5,025
+    distinct vertex differences, must give the lex-largest maximizer over
+    the whole point set, so the loop runs as it would on the brute-force
+    witness and gives the same 496 vertices."""
+    S = _support_of(HANDLEBODY_103)
+    assert P.difference_polytope(S) == P.hull_vertices(_differences(P.vertices(S)))
+    clarkson, checked = P._clarkson, []
+
+    def spy(pts, top, symmetric):
+        def checked_top(c):
+            q = top(c)
+            assert q == max(pts, key=lambda p: (sum(a * x for a, x in zip(c, p)), p))
+            checked.append(len(pts))
+            return q
+        return clarkson(pts, checked_top, symmetric)
+
+    monkeypatch.setattr(P, "_clarkson", spy)
+    S = _support_of(HANDLEBODY_104)
+    D = P.difference_polytope(S)
+    assert (len(P.vertices(S)), len(D), max(checked)) == (94, 496, 5025)
+    assert sorted(P._neg(v) for v in D) == D
 
 
 def test_genus_4_vertices_certified_by_point_in_hull():
@@ -342,6 +484,65 @@ def test_extremal_part():
     for alpha in ((1,), (1, 5, 7)):
         with pytest.raises(ValueError, match="covector length does not match dimension"):
             P.extremal_part(tau, alpha)
+
+
+def _records(rng, rank, n, spread=4):
+    """The records of a random element of Z^rank with up to n terms."""
+    terms = {tuple(rng.randint(-spread, spread) for _ in range(rank)): rng.choice((-2, -1, 1, 3))
+             for _ in range(n)}
+    return {"group": {"rank": rank, "torsion": []},
+            "terms": [{"coeff": c, "free": list(f), "tor": []} for f, c in terms.items()]}
+
+
+def test_support_and_extremal_part_read_packed_keys():
+    """support and extremal_part read tau's key columns and decode nothing;
+    they agree with the per-term readers they replaced on random elements
+    of rank 0-3, and the extremal part stays under tau's codec."""
+    rng = random.Random(1019)
+    for rank in (0, 1, 2, 3):
+        for n in (1, 2, 5, 12):
+            tau = from_records(_records(rng, rank, n))
+            S = P.support(tau)
+            alphas = [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(4)]
+            parts = [P.extremal_part(tau, a) for a in alphas + [(0,) * rank]]
+            assert "terms" not in tau.__dict__
+            assert S == P.Support(rank, {h.free: c for h, c in tau.terms.items()})
+            for a, part in zip(alphas + [(0,) * rank], parts):
+                assert part.packed[0] is tau.packed[0]
+                assert equal(part, legacy_polytope.extremal_part(tau, a)), (tau, a)
+            assert equal(parts[-1], tau)
+
+
+def test_disk_report_matches_the_per_term_report():
+    """The report on keys against the report as it was, with one AbElement
+    per term and normalize on every candidate: solid tori, T(2,n) and
+    random rank-1 elements (with products of cyclic sums moved by units),
+    at caps below, at and past the span.  No term of tau is decoded."""
+    taus = [E.torsion(solid_torus(p)).tau for p in (1, 2, 3, 7, 12, 25)]
+    taus += [E.torsion(wirtinger_knot(torus_2n_pd(n))).tau for n in (3, 5, 9, 15)]
+    rng = random.Random(2026)
+    taus += [from_records(_records(rng, 1, n, spread)) for n in (1, 2, 4, 8)
+             for spread in (1, 3, 6) for _ in range(3)]
+    for prod in _cyclic_products():
+        shift = poly1((rng.randint(-5, 5), rng.choice((1, -1))))
+        taus.append(from_records(to_records(mul(shift, prod))))
+    matched = unmatched = fresh = 0
+    for tau in taus:
+        if "terms" not in tau.__dict__:
+            P.disk_obstruction_report(tau, 5)
+            assert "terms" not in tau.__dict__
+            fresh += 1
+        keys = tau.packed[1]
+        span = max(keys) - min(keys)
+        for cap in sorted({1, 2, span, span + 1, span + 4}):
+            if cap < 1:
+                continue
+            rep = P.disk_obstruction_report(tau, cap)
+            assert rep == legacy_polytope.disk_obstruction_report(tau, cap), (tau, cap)
+            assert not any("terms" in c.element.__dict__ for c in rep.candidates[1:])
+            matched += sum(c.matched for c in rep.candidates)
+            unmatched += sum(not c.matched for c in rep.candidates)
+    assert matched > 100 and unmatched > 100 and fresh == len(taus), (matched, unmatched)
 
 
 def test_disk_report_single_match():
