@@ -167,6 +167,9 @@ def cmd_check(args) -> int:
     tau, result = _load_tau_or_input(args.path)
     if (args.eval or args.aug) and result is None:
         raise ValueError("--eval/--aug need a presentation input")
+    # the disk report first: an input it refuses ends the command before any
+    # verdict is printed
+    report = None if args.disk is None else P.disk_obstruction_report(tau, args.disk)
     all_ok = True
     ran_any = False
     if args.eval:
@@ -180,9 +183,8 @@ def cmd_check(args) -> int:
         au = E.augmentation_order_check(result.input, result)
         all_ok &= au.passed
         print(f"{_mark(au.passed)} aug: |eps(tau)| = {au.aug}, |G| = {au.ord}")
-    if args.disk is not None:
+    if report is not None:
         ran_any = True
-        report = P.disk_obstruction_report(tau, args.disk)
         verdict = "OBSTRUCTED" if report.obstructed else "NOT OBSTRUCTED"
         cap_note = (f"p capped at {report.effective_cap} by degree span"
                     if report.effective_cap < report.p_max

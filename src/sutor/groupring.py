@@ -36,9 +36,9 @@ range, and its docstring says why its result is exact all the same.
 A GroupRingElement holds packed = (codec, {packed key: coefficient}) only.
 Its terms, keyed by AbElement, are a view: the dict it was built from, or
 else decoded once on first read.  fox.fox_matrix hands its packed columns
-over as they are, determinant returns its keys in ascending order, and
-normalize shifts and sorts those keys, so tau stays packed in (free, tor)
-key order.
+over as they are, determinant returns its keys in the order its path made
+them, and normalize, the one place that orders keys, shifts and sorts them,
+so tau stays packed in (free, tor) key order.
 augmentation sums coefficients, equal compares keys, and push_forward
 reads each coordinate off the digits (_Packing.columns), maps the columns
 through abelian.dot_map and packs the image rows straight into target keys
@@ -46,25 +46,21 @@ through abelian.dot_map and packs the image rows straight into target keys
 nothing: only a caller that reads terms, such as to_records or the CLI's
 formatter, decodes, once.
 
-determinant first peels units: on a matrix of 5 or more rows, _peel takes
-Schur steps on entries +-h, which a Fox matrix is full of, and leaves a
-core (at most 3 rows on a knot's Wirtinger matrix).  Each step counts its
-term products against WORK_BUDGET before it makes them, and a step that
-would cross it ends the front end.  The core, and every matrix of at most 4
-rows, then takes one of two paths.  When H has at most one generator a key
-is the one exponent of t, only the nonzero entries are packed into
-integers, and the elimination is the sparse-row Bareiss abelian.det_sparse
-(_kronecker), after a check of its slots, 1 + the sum of row spans,
-against WORK_BUDGET.  Other H use _cofactor, which continues the front
-end's count of term products, counts the blocks it settles as well, peels
-the lines with one nonzero entry off in a loop and expands the rest on an
-explicit stack.  A 2-row core whose products fit the budget is a*d - b*c.
+determinant has one dispatch (see its docstring): the unit-pivot front end
+_peel on a sparse matrix of 5 or more rows, then 1, the one entry or
+a*d - b*c for a core of 0, 1 or 2 rows, and otherwise one of two paths.
+When H has at most one generator a key is the one exponent of t, only the
+nonzero entries are packed into integers, and the elimination is the
+sparse-row Bareiss abelian.det_sparse (_kronecker), after a check of its
+slots, 1 + the sum of row spans, against WORK_BUDGET.  Other H use
+_cofactor, which continues the front end's count of term products, counts
+the blocks it settles as well, holds a block as two bit sets and expands
+it on an explicit stack.
 """
 from __future__ import annotations
 
 import heapq
 import itertools
-import operator
 from dataclasses import FrozenInstanceError
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -419,15 +415,21 @@ class GRMatrix:
 
 
 def determinant(A: GRMatrix) -> GroupRingElement:
-    """det A in Z[H], packed under the matrix's codec in ascending key order.
+    """det A in Z[H], packed under the matrix's codec, its keys in the order
+    its path made them.
 
-    A matrix of 5 or more rows first goes through the unit-pivot front end
-    _peel: Schur steps on entries +-h, each counting its term products
-    against WORK_BUDGET before it makes them.  What is left (the core: 0-3
-    rows on a knot's Fox matrix) is 1, its one entry, a*d - b*c for 2 rows
-    whose products fit the budget, or else takes the path that a matrix of
-    at most 4 rows takes whole.  The size rule is measured: on the 3 x 3 and
-    4 x 4 matrices of handlebodies the front end made det 1.25x slower.
+    Every matrix takes one path.  A row of zeros gives 0.  A matrix of 5 or
+    more rows and at most 4 x rows nonzero entries goes through the
+    unit-pivot front end _peel: Schur steps on entries +-h, each counting
+    its term products against WORK_BUDGET before it makes them.  What is
+    left, the core or the whole matrix, is 1 for no rows, its entry for one
+    row, a*d - b*c for two rows whose products fit in what is left of the
+    budget, _kronecker for one variable, and else _cofactor, which goes on
+    from the front end's count.  The gate is measured (CHANGES.md): the
+    front end leaves T(2,n) and torus-link Wirtinger matrices (2.6-3.0
+    nonzeros per row) at most 3 rows, but its fill made the cofactor
+    expansion of handlebodies of genus 5-8 (5.0-6.4) 1.8-6.7x costlier, and
+    det of their 3 x 3 and 4 x 4 matrices 1.25x slower.
 
     When H has at most one generator (trivial, Z or Z/d) a key is its one
     coordinate, or 0 when H = 1, so the entries are Laurent polynomials in
@@ -436,8 +438,6 @@ def determinant(A: GRMatrix) -> GroupRingElement:
     checked against WORK_BUDGET on the whole matrix before the front end
     (unless the codec's bound caps them within it) and on the core before
     it is packed; a front end stopped by the budget leaves the rest to it.
-    Any other H uses the sparse cofactor expansion _cofactor, which goes on
-    from the front end's count of term products.
 
     The front end and the core work on the matrix codec's own keys, although
     a Schur step forms key sums h_f - h_u + h_e that may leave the range
@@ -456,42 +456,22 @@ def determinant(A: GRMatrix) -> GroupRingElement:
         raise ValueError("determinant of non-square matrix")
     if A.rows == 0:
         raise ValueError("empty matrix")
-    G = A.group
-    one_variable = G.rank + len(G.torsion) <= 1
-    if A.rows >= 5:
-        det = _peeled(A, one_variable)
-    elif A.rows > 1 and one_variable:
-        det = _kronecker(G, _sparse(A.packed))
-    else:
-        det = _cofactor(A).packed[1]
-    return GroupRingElement(G, packed=(A.packing, {k: det[k] for k in sorted(det)}))
-
-
-def _sparse(E: List[List[Dict[int, int]]]) -> List[Dict[int, Dict[int, int]]]:
-    """Each row as {column: entry} over its nonzero entries."""
-    lines = range(len(E))
-    return [{j: row[j] for j in itertools.compress(lines, row)} for row in E]
-
-
-def _peeled(A: GRMatrix, one_variable: bool) -> Dict[int, int]:
-    """det A on the keys of A.packing, for A of 5 or more rows: the front
-    end _peel, then its core: 1 for no rows, the entry for one row, a*d -
-    b*c for two rows whose products fit in what is left of WORK_BUDGET,
-    and otherwise _kronecker for one variable or _cofactor, which goes on
-    from the front end's count."""
     G, pk = A.group, A.packing
-    rows = _sparse(A.packed)
-    if not all(rows):
-        return {}
-    # the slots check of the whole matrix; the codec holds every sum of one
-    # key per row, so on Z its bound caps the slots, and on Z/d each row's
-    # span is below d
-    if one_variable and 1 + (A.rows * (G.torsion[0] - 1) if G.torsion
-                             else pk.bound) > WORK_BUDGET:
-        _lift(rows)
-    rows, sign, shift, work = _peel(rows, pk, 0)
-    empty: Dict[int, int] = {}
-    core = [[row.get(j, empty) for j in range(len(rows))] for row in rows]
+    one_variable = G.rank + len(G.torsion) <= 1
+    if not all(map(any, A.packed)):
+        return GroupRingElement(G, packed=(pk, {}))
+    sign, shift, work, core = 1, 0, 0, A.packed
+    rows = _sparse(core) if A.rows >= 5 or one_variable else None  # for _peel and _kronecker
+    if A.rows >= 5 and sum(map(len, rows)) <= 4 * A.rows:  # the gate of the front end
+        # the slots check of the whole matrix; the codec holds every sum of one
+        # key per row, so on Z its bound caps the slots, and on Z/d each row's
+        # span is below d
+        if one_variable and 1 + (A.rows * (G.torsion[0] - 1) if G.torsion
+                                 else pk.bound) > WORK_BUDGET:
+            _lift(rows)
+        rows, sign, shift, work = _peel(rows, pk, work)
+        empty: Dict[int, int] = {}
+        core = [[row.get(j, empty) for j in range(len(rows))] for row in rows]
     if not core:
         det = {0: 1}
     elif len(core) == 1:
@@ -503,9 +483,15 @@ def _peeled(A: GRMatrix, one_variable: bool) -> Dict[int, int]:
         det = _kronecker(G, rows)
     else:
         det = _cofactor(GRMatrix(G, pk, core), work).packed[1]
-    if pk.torsion:
-        return {pk.fold(k + shift): sign * c for k, c in det.items()}
-    return {k + shift: sign * c for k, c in det.items()}
+    if shift or sign < 0:  # times the pivots' product, sign * h
+        det = dict(_products(pk, det, {shift: sign}))
+    return GroupRingElement(G, packed=(pk, det))
+
+
+def _sparse(E: List[List[Dict[int, int]]]) -> List[Dict[int, Dict[int, int]]]:
+    """Each row as {column: entry} over its nonzero entries."""
+    lines = range(len(E))
+    return [{j: row[j] for j in itertools.compress(lines, row)} for row in E]
 
 
 def _det2_products(top: List[Dict[int, int]], bottom: List[Dict[int, int]]) -> int:
@@ -672,21 +658,33 @@ def _unpack(D: int, k: int, n: int) -> List[int]:
     return _unpack(low, k, m) + _unpack(high, k, n - m)
 
 
+def _selectors(bits: int) -> bytes:
+    """Byte i is 1 when bit i of bits is set and 0 otherwise, up to the
+    highest set bit: itertools.compress(seq, _selectors(bits)) keeps the
+    items of seq at the set bits."""
+    return f"{bits:b}"[::-1].encode().translate(_BINARY)
+
+
+_BINARY = bytes.maketrans(b"01", b"\0\1")
+
+
 def _cofactor(A: GRMatrix, work: int = 0) -> GroupRingElement:
-    """Cofactor expansion on the matrix's own keys and codec.  A block of
-    surviving rows and columns expands along its sparsest row, or along a
-    column when one is strictly sparser (lowest index on ties).  While that
-    line has one nonzero entry e, it is peeled off in a loop: det = +-e *
-    det(minor).  The core left then expands into minors memoized on the bit
-    sets of their rows and columns, each a block again, on an explicit
-    stack of blocks and of frames that wait for their minors, so no
-    recursion bounds the depth.  A 2 x 2 block is its own base case (det2),
-    and a zero minor adds no term.  The nonzero counts drop by the 0/1 mask
-    of each removed line, read off the matrix once, so the n x n identity
-    matrix reads O(n) rows.  The term products, from work on, are counted
-    against WORK_BUDGET, innermost first, before each line makes them.  So
-    is, in a count of its own, every block settled, weighted by its rows,
-    so that minors that come out zero and make no products still count."""
+    """Cofactor expansion on the matrix's own keys and codec.  A block is
+    the bit sets of its rows and of its columns, and a line's nonzero count
+    in it is the number of bits that the line's 0/1 nonzero mask, read off
+    the matrix once, shares with the block's other bit set.  A block expands
+    along its sparsest row, or along a column when one is strictly sparser
+    (lowest index on ties), into one minor per nonzero entry of that line,
+    so a line with one entry gives one minor and the n x n identity matrix
+    reads O(n) rows.  Minors are memoized on their bit sets and settled on an explicit
+    stack of blocks, a block going back on it below the minors it waits
+    for, so no recursion bounds the depth.  A 2 x 2 block is its own base
+    case (det2), and a zero minor adds no term.  The term products, from
+    work on, are counted against WORK_BUDGET, innermost first, before each
+    line makes them.  So is, in a count of its own, every block settled
+    along a line without exactly one entry, weighted by its rows, so that
+    minors that come out zero and make no products still count, while a
+    chain of lines with one entry each adds nothing."""
     G, pk, E = A.group, A.packing, A.packed
     n = A.rows
     if n == 1:
@@ -710,17 +708,10 @@ def _cofactor(A: GRMatrix, work: int = 0) -> GroupRingElement:
                              f"the work budget of {WORK_BUDGET}")
         return _accumulate({}, itertools.chain.from_iterable(products))
 
-    def drop(rc: List[int], cc: List[int], r: int, c: int) -> None:
-        """Remove row r and column c from the nonzero counts: each count
-        drops by the removed line's 0/1 nonzero mask."""
-        cc[:] = map(operator.sub, cc, row_nz[r])
-        rc[:] = map(operator.sub, rc, col_nz[c])
-        rc[r] = cc[c] = gone
-
     def det2(r0: int, r1: int, c0: int, c1: int) -> Dict[int, int]:
         """det of the 2 x 2 block on rows r0 < r1 and columns c0 < c1, along
         the line the expansion rule picks; a line with one nonzero entry
-        gives the same product as peeling it."""
+        gives one product."""
         a, b, c, d = E[r0][c0], E[r0][c1], E[r1][c0], E[r1][c1]
         row0, row1 = bool(a) + bool(b), bool(c) + bool(d)
         col0, col1 = bool(a) + bool(c), bool(b) + bool(d)
@@ -733,94 +724,61 @@ def _cofactor(A: GRMatrix, work: int = 0) -> GroupRingElement:
     if n == 2:
         return GroupRingElement(G, packed=(pk, det2(0, 1, 0, 1)))
     lines = range(n)
-    row_nz = [list(map(bool, row)) for row in E]
-    col_nz = [list(col) for col in zip(*row_nz)]
-    gone = 2 * n  # a removed line's count: it stays above n however often it drops
+    row_nz, col_nz = [0] * n, [0] * n  # the 0/1 nonzero masks of the lines
+    for i, row in enumerate(E):
+        for j in itertools.compress(lines, row):
+            row_nz[i] |= 1 << j
+            col_nz[j] |= 1 << i
 
-    def settle(key, rows, cols, rc, cc) -> None:
-        """Peel the block's singleton lines and list the minors along its
-        core's line; finish the block, or stack its frame and the blocks of
-        the minors not yet in memo.  A block's key is the bit sets of its
-        rows and of its columns."""
+    def expand(rbits: int, cbits: int):
+        """The (entry, minor, sign) triples of the block's line, a minor
+        not yet in memo given by its key, and the keys of those minors."""
         nonlocal blocks
-        rbits, cbits = key
-        blocks += len(rows)
-        if blocks > WORK_BUDGET:
-            raise ValueError(f"a cofactor expansion of at least {blocks} block rows is over "
-                             f"the work budget of {WORK_BUDGET}")
-        peeled, pairs, todo, det = [], [], [], None
-        while len(rows) > 1:
-            low_r, low_c = min(rc), min(cc)
-            if not (low_r and low_c):
-                det = {}
-                break
-            if low_r == 1:
-                r = rc.index(1)
-                c = next(x for x in itertools.compress(lines, row_nz[r]) if cc[x] <= n)
-            elif low_c == 1:
-                c = cc.index(1)
-                r = next(x for x in itertools.compress(lines, col_nz[c]) if rc[x] <= n)
-            else:
-                break
-            peeled.append((E[r][c], -1 if (rows.index(r) + cols.index(c)) % 2 else 1))
-            rows.remove(r)
-            cols.remove(c)
-            drop(rc, cc, r, c)
-            rbits, cbits = rbits ^ (1 << r), cbits ^ (1 << c)
-        core = (rbits, cbits)
-        if det is None and len(rows) == 1:
-            det = E[rows[0]][cols[0]]
-        if det is None:
-            det = memo.get(core)
-        if det is None and len(rows) == 2:
-            memo[core] = det = det2(*rows, *cols)
-        if det is None:
-            if low_r <= low_c:
-                line = zip(itertools.repeat(rows.index(rc.index(low_r))), range(len(cols)))
-            else:
-                line = zip(range(len(rows)), itertools.repeat(cols.index(cc.index(low_c))))
-            for i, j in line:
-                r, c = rows[i], cols[j]
-                e = E[r][c]
-                if not e:
-                    continue
-                minor = (rbits ^ (1 << r), cbits ^ (1 << c))
-                m = memo.get(minor)
-                if m is None:
-                    sub_rows, sub_cols = rows[:i] + rows[i + 1:], cols[:j] + cols[j + 1:]
-                    if len(sub_rows) == 2:
-                        m = memo[minor] = det2(*sub_rows, *sub_cols)
-                    else:
-                        todo.append((minor, sub_rows, sub_cols, rc, cc, r, c))
-                        m = minor
-                if m:  # a zero minor adds nothing
-                    pairs.append((e, m, -1 if (i + j) % 2 else 1))
-        if todo:
-            stack.append((key, core, peeled, pairs, det))
-            stack.extend(reversed(todo))
+        rsel, csel = _selectors(rbits), _selectors(cbits)
+        rows, cols = list(itertools.compress(lines, rsel)), list(itertools.compress(lines, csel))
+        rc = [(m & cbits).bit_count() for m in itertools.compress(row_nz, rsel)]
+        cc = [(m & rbits).bit_count() for m in itertools.compress(col_nz, csel)]
+        low_r, low_c = min(rc), min(cc)
+        if low_r <= low_c:
+            r = rows[rc.index(low_r)]
+            line = [(r, c) for c in itertools.compress(lines, _selectors(row_nz[r] & cbits))]
         else:
-            finish(key, core, peeled, pairs, det)
-
-    def finish(key, core, peeled, pairs, det) -> None:
-        """Combine the block's minors, known by now, and its peeled entries."""
-        if det is None:
-            memo[core] = det = combine(pairs)
-        for e, sign in reversed(peeled):
-            det = combine([(e, det, sign)])
-        memo[key] = det
+            c = cols[cc.index(low_c)]
+            line = [(r, c) for r in itertools.compress(lines, _selectors(col_nz[c] & rbits))]
+        if len(line) != 1:
+            blocks += len(rows)
+            if blocks > WORK_BUDGET:
+                raise ValueError(f"a cofactor expansion of at least {blocks} block rows is over "
+                                 f"the work budget of {WORK_BUDGET}")
+        pairs, todo = [], []
+        for r, c in line:
+            # the entry's place in the block: its rows above r, its columns left of c
+            i, j = (rbits & ((1 << r) - 1)).bit_count(), (cbits & ((1 << c) - 1)).bit_count()
+            minor = (rbits ^ (1 << r), cbits ^ (1 << c))
+            m = memo.get(minor)
+            if m is None:
+                if len(rows) == 3:
+                    m = memo[minor] = det2(*rows[:i], *rows[i + 1:], *cols[:j], *cols[j + 1:])
+                else:
+                    todo.append(minor)
+                    m = minor
+            if m:  # a zero minor adds nothing
+                pairs.append((E[r][c], m, -1 if (i + j) % 2 else 1))
+        return pairs, todo
 
     root = ((1 << n) - 1, (1 << n) - 1)
-    stack: List[tuple] = []
-    settle(root, list(lines), list(lines), list(map(sum, row_nz)), list(map(sum, col_nz)))
-    while stack:
-        item = stack.pop()
-        if len(item) == 5:  # a frame of settle, whose minors are in memo by now
-            finish(*item)
-        elif item[0] not in memo:  # a block: it and the counts of the block it is a minor of
-            key, rows, cols, rc, cc, r, c = item
-            rc, cc = rc[:], cc[:]
-            drop(rc, cc, r, c)
-            settle(key, rows, cols, rc, cc)
+    stack, waiting = [root], {}
+    while stack:  # a block is stacked once: while it waits, only smaller ones expand
+        key = stack.pop()
+        pairs = waiting.pop(key, None)
+        if pairs is None:
+            pairs, todo = expand(*key)
+            if todo:  # settle the minors first, the line's first minor first
+                waiting[key] = pairs
+                stack.append(key)
+                stack.extend(reversed(todo))
+                continue
+        memo[key] = combine(pairs)
     return GroupRingElement(G, packed=(pk, memo[root]))
 
 

@@ -41,11 +41,15 @@ _MAX_DEPTH = 200
 # the slots, 1 + sum of row spans, of a one-variable determinant, on the
 # whole matrix and on the core the front end leaves (groupring._lift); the
 # running count of term products of the unit-pivot front end
-# (groupring._peel), which a cofactor expansion (groupring._cofactor)
-# continues; and, in a count of its own, the blocks a cofactor expansion
-# settles, each weighted by its rows.  A front-end step that would cross it
-# ends the front end; past it anywhere else a ValueError ends the CLI with
-# exit 1.  An 800,002-term commutator fits.
+# (groupring._peel, on matrices of 5 or more rows with at most 4 nonzero
+# entries per row on average), which a 2 x 2 core or a cofactor expansion
+# (groupring._cofactor) continues; and, in a count of its own, the blocks a
+# cofactor expansion settles, each weighted by its rows, except a block
+# expanded along a line with one nonzero entry.  A front-end step that would
+# cross it ends the front end; past it anywhere else a ValueError ends the
+# CLI with exit 1.  An 800,002-term commutator and the genus-8 handlebody of
+# perfbench.corpus.handlebody_words(random.Random(108), 8, 12) (866,680
+# term products) fit.
 WORK_BUDGET = 1_000_000
 
 

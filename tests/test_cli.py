@@ -329,6 +329,21 @@ def test_check_stdin(capsys, monkeypatch):
     assert out.startswith("disk decomposition: ")
 
 
+@pytest.mark.parametrize("inp, message", [
+    ({"generators": ["a"], "relators": [], "rminus": ["a^0"]}, "zero torsion"),
+    ({"generators": ["a", "b"], "relators": ["a^2"], "rminus": ["b"]},
+     "disk obstruction needs a rank-1 torsion-free group"),
+])
+def test_check_disk_refuses_before_any_output(capsys, monkeypatch, inp, message):
+    """Both identity checks pass on these inputs, but the disk report refuses
+    them, so nothing is printed before exit 3: no verdict of --eval/--aug."""
+    import sys
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(inp)))
+    code, out, err = run(capsys, "check", "-", "--eval", "--aug", "--disk", "3")
+    assert (code, out) == (3, "")
+    assert err == f"error: {message}\n"
+
+
 def test_check_eval_needs_presentation(capsys):
     for flags in (["--eval"], ["--disk", "10", "--aug"]):
         code, out, err = run(capsys, "check", fx("goda_tau.json"), *flags)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import random
 
 import legacy_canonical
 import legacy_groupring
@@ -9,7 +10,15 @@ import pytest
 from sutor import engine as E
 from sutor import fox, groupring
 from sutor import words as W
-from sutor.abelian import INFINITE, AbElement, AbelianGroup, Projection, image_matrix, quotient
+from sutor.abelian import (
+    INFINITE,
+    AbElement,
+    AbelianGroup,
+    Projection,
+    abelianize,
+    image_matrix,
+    quotient,
+)
 from sutor.engine import (
     SuturedInput,
     ValidationError,
@@ -28,7 +37,7 @@ from sutor.engine import (
 from sutor.families import cantwell_conlon, pretzel_odd, solid_torus
 from sutor.groupring import augmentation, element, equal, normalize, sim_equal
 from sutor.polytope import cyclic_sum
-from sutor.words import make_alphabet, parse_word
+from sutor.words import free_reduce, make_alphabet, parse_word
 
 
 def simple_input(rminus_texts, names=("a", "b"), relator_texts=()):
@@ -147,7 +156,9 @@ def test_work_budget_admits_its_bound(monkeypatch):
     terms, determinant slots (2^n for the chain of n relators
     a_i^2 a_(i+1)^-1) and the term products of a cofactor expansion (on
     diag(a^3, b^4, c^5) over Z^3, 4 * 5 for the minor and 3 * 20 for the
-    top line)."""
+    top line, and on the Fox matrices of handlebodies of genus 3-8).  The
+    determinant of a handlebody of genus 5 or more needs no more term
+    products than _cofactor alone: the front end leaves it whole."""
     monkeypatch.setattr(W, "WORK_BUDGET", 6)
     alphabet = make_alphabet(["a", "b"])
     assert len(parse_word("(a b)^3", alphabet).letters) == 6
@@ -174,6 +185,22 @@ def test_work_budget_admits_its_bound(monkeypatch):
     monkeypatch.setattr(groupring, "WORK_BUDGET", 79)
     with pytest.raises(ValueError, match="at least 80 term products"):
         torsion(cube)
+    # R_- words handlebody_words(random.Random(100 + g), g, 12) over g
+    # generators; at genus 8 tau has 123,858 terms
+    from perfbench import corpus
+
+    for g, bound in zip(range(3, 9), (210, 1_364, 8_023, 36_512, 137_542, 866_680)):
+        alphabet = make_alphabet("abcdefgh"[:g])
+        words = [free_reduce(w) for w in corpus.handlebody_words(random.Random(100 + g), g, 12)]
+        A = fox.fox_matrix(alphabet, words, abelianize(alphabet, []))
+        monkeypatch.setattr(groupring, "WORK_BUDGET", bound)
+        det = groupring._cofactor(A)
+        if g >= 5:
+            assert equal(groupring.determinant(A), det)
+        monkeypatch.setattr(groupring, "WORK_BUDGET", bound - 1)
+        with pytest.raises(ValueError, match=f"at least {bound} term products"):
+            groupring._cofactor(A)
+    assert len(det.packed[1]) == 123_858
 
 
 def test_solid_torus_2000_torsion_and_eval():

@@ -326,9 +326,8 @@ def _packed_det_matches(alphabet, words, ab, seen):
     assert _same(determinant(B), det)
     legacy = legacy_groupring._cofactor(A)
     G = ab.group
-    # every path returns the legacy terms in ascending key order, which is the
-    # (free, tor) order
-    assert equal(det, legacy) and list(det.terms.items()) == sorted_terms(legacy)
+    # every path returns the legacy terms, in the order its path made them
+    assert equal(det, legacy) and sorted_terms(det) == sorted_terms(legacy)
     seen[G.describe()] += 1
     seen["nonzero"] += bool(det)
     return det
@@ -857,3 +856,28 @@ def test_identity_presentation_of_1200_generators_under_the_default_recursion_li
         sys.setrecursionlimit(limit)
     assert res.H == AbelianGroup(1200) and res.tau.terms == {AbElement((0,) * 1200, ()): 1}
     assert ev.passed and au.passed and ev.G == AbelianGroup(0)
+
+
+def test_bidiagonal_chain_of_1200_rows_reaches_the_cofactor_expansion():
+    """Upper bidiagonal over Z^n, n = 1200: 2 x_i on the diagonal and 3 x_(i+1)
+    above it.  No entry is a unit, so the front end takes no step, and the
+    cofactor expansion meets a chain of n lines with one entry each: the
+    last row, then the last row of its minor, and so on.  det = 2^n x_1 ...
+    x_n, under the default recursion limit and within the block count.  The
+    matrix is built on packed keys: through from_rows, 1.44 million entries
+    take seconds."""
+    n = 1200
+    G = AbelianGroup(n)
+    pk = _Packing(G, 2 * n)  # the from_rows bound: 2 x rows x 1
+    x = [1 << s for s in pk.shifts]
+    empty = {}
+    packed = [[{x[i]: 2} if j == i else {x[j]: 3} if j == i + 1 else empty for j in range(n)]
+              for i in range(n)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        dets = [determinant(GRMatrix(G, pk, packed)), _cofactor(GRMatrix(G, pk, packed))]
+    finally:
+        sys.setrecursionlimit(limit)
+    for det in dets:
+        assert det.packed[1] == {sum(x): 2 ** n}
