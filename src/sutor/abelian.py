@@ -434,11 +434,6 @@ def word_images(ck: Cokernel, words: Sequence[Word]) -> Tuple[AbElement, ...]:
     return _elements(*dot_map(ck.matrix, sums, len(words)), len(words))
 
 
-def word_image(ck: Cokernel, w: Word) -> AbElement:
-    """word_images of the one word w."""
-    return word_images(ck, [w])[0]
-
-
 @dataclass(frozen=True)
 class Projection:
     """The homomorphism source -> target of the given matrix, whose column i

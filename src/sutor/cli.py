@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -44,33 +45,23 @@ def free_var_names(result: E.TorsionResult) -> List[str]:
 
 
 def format_element(p: GroupRingElement, names: Sequence[str]) -> str:
-    if not p.terms:
+    """p's terms in (free, tor) order, each factor string made one
+    coordinate row at a time: names[i] for free coordinate i, si for
+    torsion coordinate i, a power when the exponent is not 1."""
+    rows, coeffs = GR.sorted_columns(p)
+    if not coeffs:
         return "0"
-    parts: List[str] = []
-    for h, c in GR.sorted_terms(p):
-        factors = []
-        for name, e in zip(names, h.free):
-            if e == 1:
-                factors.append(name)
-            elif e != 0:
-                factors.append(f"{name}^{e}")
-        for i, e in enumerate(h.tor):
-            if e == 1:
-                factors.append(f"s{i + 1}")
-            elif e != 0:
-                factors.append(f"s{i + 1}^{e}")
-        mono = " ".join(factors)
-        coeff = abs(c)
-        if not mono:
-            body = str(coeff)
-        elif coeff == 1:
-            body = mono
-        else:
-            body = f"{coeff} {mono}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(("+ " if c > 0 else "- ") + body)
+    rank = p.group.rank
+    named = list(zip(names, rows[:rank])) + [(f"s{i + 1}", row)
+                                             for i, row in enumerate(rows[rank:])]
+    factors = [[name if e == 1 else f"{name}^{e}" if e else "" for e in row]
+               for name, row in named]
+    parts = []
+    for fs, c in zip(zip(*factors) if factors else itertools.repeat(()), coeffs):
+        mono, coeff = " ".join(filter(None, fs)), abs(c)
+        body = f"{coeff} {mono}" if coeff != 1 and mono else mono or str(coeff)
+        parts.append(("+ " if c > 0 else "- ") + body)
+    parts[0] = ("" if coeffs[0] > 0 else "-") + parts[0][2:]
     return " ".join(parts)
 
 

@@ -308,7 +308,7 @@ def two_bridge_expected(even_cf: Sequence[int]) -> GroupRingElement:
 # Pinwheel stretch goal (user supplies the word model; we check the mass)
 
 def coefficient_mass(p: GroupRingElement) -> int:
-    return sum(abs(c) for c in p.terms.values())
+    return sum(map(abs, p.packed[1].values()))
 
 
 def pinwheel_expected_mass(n: int) -> int:

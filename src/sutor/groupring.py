@@ -16,6 +16,8 @@ that reaches d loses d again, see fold) and int order is the (free, tor)
 lex order.  The bound of each caller:
 
 - mul: 2 x (the largest |free coordinate| of p plus that of q);
+- add: the wider of its operands' codecs, which holds twice the largest
+  |free coordinate| of either, so of the sum;
 - GRMatrix.from_rows: 2 x rows x the largest |free coordinate| of any
   entry, since every _cofactor memo entry is a sum of one entry key per row
   and normalize shifts the determinant by one of its terms;
@@ -33,18 +35,16 @@ part at the origin, so normalizing it again shifts no free coordinate.
 determinant's unit-pivot front end alone forms sums that may leave the
 range, and its docstring says why its result is exact all the same.
 
-A GroupRingElement holds packed = (codec, {packed key: coefficient}) only.
-Its terms, keyed by AbElement, are a view: the dict it was built from, or
-else decoded once on first read.  fox.fox_matrix hands its packed columns
-over as they are, determinant returns its keys in the order its path made
-them, and normalize, the one place that orders keys, shifts and sorts them,
-so tau stays packed in (free, tor) key order.
-augmentation sums coefficients, equal compares keys, and push_forward
-reads each coordinate off the digits (_Packing.columns), maps the columns
-through abelian.dot_map and packs the image rows straight into target keys
-(_Packing.encode_rows).  So torsion and both identity checks decode
-nothing: only a caller that reads terms, such as to_records or the CLI's
-formatter, decodes, once.
+A GroupRingElement holds packed = (codec, {packed key: coefficient}) only;
+its terms, keyed by AbElement, are a view: the dict it was built from, or
+else decoded on first read.  Only exact_div, which divides in graded-lex
+order, reads terms.  equal, add, mul and GRMatrix.from_rows bring their
+operands to one codec with _keys_under, which re-encodes the coordinates
+of a narrower codec's keys; normalize shifts and sorts keys, so tau stays
+packed in (free, tor) key order; push_forward maps the coordinate columns
+(_Packing.columns) through abelian.dot_map and packs the image rows into
+target keys (_Packing.encode_rows); to_records and the CLI's formatter
+write from sorted_columns, the terms in key order as coordinate rows.
 
 determinant has one dispatch (see its docstring): the unit-pivot front end
 _peel on a sparse matrix of 5 or more rows, then 1, the one entry or
@@ -157,10 +157,6 @@ class GroupRingElement:
         return NotImplemented
 
 
-def _key(e: AbElement):
-    return (e.free, e.tor)
-
-
 def element(group: AbelianGroup, terms: Dict[AbElement, int]) -> GroupRingElement:
     return GroupRingElement(group, {h: c for h, c in terms.items() if c})
 
@@ -210,8 +206,9 @@ class _Packing:
         self.torsion = list(zip(self.shifts[G.rank:], G.torsion))
         self.tor_bits = w * len(G.torsion)  # k >> tor_bits orders keys by free part
         self._half = 1 << (w - 1)
-        self._offset = sum(self._half << s for s in self.free_shifts)
-        self._divisors = sum(d << s for s, d in self.torsion)
+        # digits half (free) and d (torsion) as binary numerals: linear in the rank
+        self._offset = int("1".ljust(w, "0") * G.rank or "0", 2) << self.tor_bits
+        self._divisors = int("".join(f"{d:0{w}b}" for d in G.torsion) or "0", 2)
 
     def fold(self, k: int) -> int:
         """k with every torsion digit in [d, 2d) brought back to [0, d)."""
@@ -245,6 +242,10 @@ class _Packing:
                 keys[j] += row[j] << s
         return keys
 
+    def max_free(self, keys: Iterable[int]) -> int:
+        """The largest |free coordinate| of the keys, 0 when there are none."""
+        return _max_abs(self.columns(keys)[:len(self.free_shifts)])
+
     def encode_terms(self, terms: Dict[AbElement, int]) -> Dict[int, int]:
         rows = list(zip(*(h.free + h.tor for h in terms)))
         return dict(zip(self.encode_rows(rows, len(terms)), terms.values()))
@@ -276,25 +277,39 @@ def _products(pk: _Packing, p: Dict[int, int], q: Dict[int, int], sign: int = 1)
     return ((h1 + h2, sign * c1 * c2) for h1, c1 in p.items() for h2, c2 in q.items())
 
 
+def _keys_under(p: GroupRingElement, pk: _Packing) -> Dict[int, int]:
+    """p's {key: coefficient} under pk, a codec of p's group that holds p's
+    coordinates: p's own dict when the widths match, else re-encoded."""
+    qk, keys = p.packed
+    if qk.width == pk.width:
+        return keys
+    return dict(zip(pk.encode_rows(qk.columns(keys), len(keys)), keys.values()))
+
+
 def add(p: GroupRingElement, q: GroupRingElement) -> GroupRingElement:
+    """p + q under the wider of the operands' codecs, which holds twice the
+    largest |free coordinate| of either, so of the sum."""
     _check(p, q)
-    return GroupRingElement(p.group, _accumulate(dict(p.terms), q.terms.items()))
+    pk = max(p.packed[0], q.packed[0], key=lambda k: k.width)
+    return GroupRingElement(p.group, packed=(pk, _accumulate(dict(_keys_under(p, pk)),
+                                                             _keys_under(q, pk).items())))
 
 
 def neg(p: GroupRingElement) -> GroupRingElement:
-    return GroupRingElement(p.group, {h: -c for h, c in p.terms.items()})
+    return scalar_mul(-1, p)
 
 
 def scalar_mul(k: int, p: GroupRingElement) -> GroupRingElement:
-    if k == 0:
-        return zero(p.group)
-    return GroupRingElement(p.group, {h: k * c for h, c in p.terms.items()})
+    """k * p under p's codec."""
+    pk, keys = p.packed
+    return GroupRingElement(p.group, packed=(pk, {h: k * c for h, c in keys.items()} if k else {}))
 
 
 def mul(p: GroupRingElement, q: GroupRingElement) -> GroupRingElement:
     _check(p, q)
-    pk = _Packing(p.group, 2 * (_max_free(p.terms) + _max_free(q.terms)))
-    products = _products(pk, pk.encode_terms(p.terms), pk.encode_terms(q.terms))
+    (ak, a), (bk, b) = p.packed, q.packed
+    pk = _Packing(p.group, 2 * (ak.max_free(a) + bk.max_free(b)))
+    products = _products(pk, _keys_under(p, pk), _keys_under(q, pk))
     return GroupRingElement(p.group, packed=(pk, _accumulate({}, products)))
 
 
@@ -308,12 +323,10 @@ def equal(p: GroupRingElement, q: GroupRingElement) -> bool:
     wider codec, so neither is decoded."""
     if p.group != q.group:
         return False
-    (pk, a), (qk, b) = sorted((p.packed, q.packed), key=lambda x: x[0].width)
-    if len(a) != len(b):
+    p, q = sorted((p, q), key=lambda x: x.packed[0].width)
+    if len(p.packed[1]) != len(q.packed[1]):
         return False
-    if pk.width != qk.width:
-        a = dict(zip(qk.encode_rows(pk.columns(a), len(a)), a.values()))
-    return a == b
+    return _keys_under(p, q.packed[0]) == q.packed[1]
 
 
 def exact_div(p: GroupRingElement, q: GroupRingElement) -> GroupRingElement:
@@ -392,10 +405,10 @@ class GRMatrix:
             G = data[0][0].group  # by identity first: entries usually share it
             if any(e.group is not G and e.group != G for row in data for e in row):
                 raise GroupMismatchError("matrix entries over different groups")
-            pk = _Packing(G, 2 * rows * _max_free(h for row in data for e in row for h in e.terms))
+            pk = _Packing(G, 2 * rows * max(e.packed[0].max_free(e.packed[1])
+                                            for row in data for e in row))
         empty: Dict[int, int] = {}
-        A = cls(G, pk, [[pk.encode_terms(e.terms) if e.terms else empty for e in row]
-                        for row in data])
+        A = cls(G, pk, [[_keys_under(e, pk) if e else empty for e in row] for row in data])
         A.__dict__["entries"] = tuple(tuple(row) for row in data)
         return A
 
@@ -851,19 +864,22 @@ def external_product(p: GroupRingElement, q: GroupRingElement) -> GroupRingEleme
     return mul(push_forward(p, i1), push_forward(q, i2))
 
 
-def sorted_terms(p: GroupRingElement) -> List[Tuple[AbElement, int]]:
-    """The terms in (free, tor) order."""
-    return sorted(p.terms.items(), key=lambda item: _key(item[0]))
+def sorted_columns(p: GroupRingElement) -> Tuple[List[List[int]], List[int]]:
+    """p's terms in key order, which is the (free, tor) order: the
+    coordinate rows (free, then torsion) and the coefficients."""
+    pk, keys = p.packed
+    order = sorted(keys)
+    return pk.columns(order), [keys[k] for k in order]
 
 
 def to_records(p: GroupRingElement) -> dict:
     """Serialized form; bit-exact round-trip with from_records."""
+    rows, coeffs = sorted_columns(p)
+    b, points = p.group.rank, zip(*rows) if rows else itertools.repeat((), len(coeffs))
     return {
-        "group": {"rank": p.group.rank, "torsion": list(p.group.torsion)},
-        "terms": [
-            {"coeff": c, "free": list(h.free), "tor": list(h.tor)}
-            for h, c in sorted_terms(p)
-        ],
+        "group": {"rank": b, "torsion": list(p.group.torsion)},
+        "terms": [{"coeff": c, "free": list(x[:b]), "tor": list(x[b:])}
+                  for c, x in zip(coeffs, points)],
     }
 
 
@@ -888,7 +904,11 @@ def from_records(obj: dict) -> GroupRingElement:
         raise ValueError("records need a group with an integer rank")
     if not isinstance(records, list) or not all(isinstance(t, dict) for t in records):
         raise ValueError("records need a list of term objects")
-    G = AbelianGroup(group["rank"], _int_list(group.get("torsion"), "torsion"))
+    torsion = _int_list(group.get("torsion"), "torsion")
+    if group["rank"] + len(torsion) > WORK_BUDGET:  # every codec is linear in it
+        raise ValueError(f"a group of {group['rank'] + len(torsion)} coordinates is over "
+                         f"the work budget of {WORK_BUDGET}")
+    G = AbelianGroup(group["rank"], torsion)
     frees = [t.get("free") for t in records]
     tors = [t.get("tor") for t in records]
     coeffs = [t.get("coeff") for t in records]

@@ -182,7 +182,7 @@ def hull_vertices(points: Sequence[Point]) -> List[Point]:
     from dimension 3 on Clarkson's output-sensitive method (_clarkson),
     whose witness here is the lex-largest maximizer over all the points.
     Support.hull keeps the result for a support, so it is hulled once;
-    difference_vertices runs the same loop on a difference set with a
+    difference_polytope runs the same loop on a difference set with a
     witness that reads the vertices only."""
     pts = sorted(set(points))
     dim = len(pts[0]) if pts else 0
@@ -251,11 +251,12 @@ def difference_polytope(S: Support) -> List[Point]:
     return _difference(*S.hull)
 
 
-def difference_vertices(verts: Sequence[Point]) -> List[Point]:
-    """Sorted vertex set of P + (-P), P = conv(verts).  Every vertex of
-    P + (-P) is v - w for vertices v, w of P whose normal cones meet
-    (Gritzmann-Sturmfels, SIAM J. Discrete Math. 6, 1993), so only the
-    vertices are read:
+def _difference(verts: List[Point], chain: Optional[List[Point]]) -> List[Point]:
+    """Sorted vertex set of P + (-P), P = conv(verts), for verts the sorted
+    vertices of P and chain their counter-clockwise chain in the plane.
+    Every vertex of P + (-P) is v - w for vertices v, w of P whose normal
+    cones meet (Gritzmann-Sturmfels, SIAM J. Discrete Math. 6, 1993), so
+    only the vertices are read:
 
     - one point gives the origin, and a segment [v, w] (every P in
       dimension 1) gives +-(w - v);
@@ -268,15 +269,6 @@ def difference_vertices(verts: Sequence[Point]) -> List[Point]:
       witness, the lex-largest maximizer of <c, .> over D, is lexmax
       argmax_V(c) - lexmin argmin_V(c), since lex order is a group order:
       one pass over the k vertices instead of the k^2 differences."""
-    pts = sorted(set(verts))
-    if not pts:
-        return []
-    return _difference(pts, convex_hull_2d(pts) if len(pts[0]) == 2 else None)
-
-
-def _difference(verts: List[Point], chain: Optional[List[Point]]) -> List[Point]:
-    """difference_vertices of the sorted distinct points verts, given the
-    counter-clockwise chain of their hull in the plane."""
     if len(verts) == 1:
         return [(0,) * len(verts[0])]
     if chain is not None and len(chain) > 2:

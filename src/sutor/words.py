@@ -36,8 +36,9 @@ _INT_RE = re.compile(r"-?[0-9]+")
 _MAX_DEPTH = 200
 
 # Work grows with the value of an exponent, not with its digits, so these
-# sizes are checked against this before the work starts: the letters of w^k
-# (power); the Fox terms, sum over words of sum |exponent| (fox._columns);
+# sizes are checked against this before the work starts: the rank plus the
+# torsion divisors of a serialized tau (groupring.from_records); the letters
+# of w^k (power); the Fox terms, sum over words of sum |exponent| (fox._columns);
 # the slots, 1 + sum of row spans, of a one-variable determinant, on the
 # whole matrix and on the core the front end leaves (groupring._lift); the
 # running count of term products of the unit-pivot front end

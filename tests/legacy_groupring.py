@@ -4,9 +4,15 @@
 (`ab_add`, `ab_scale`); the packed code must agree with them on every input,
 key for key and in the same term order.  `combine` is the per-coordinate
 fold that abelian.dot_map replaced, so `push_forward` maps each term without
-calling the map it checks."""
+calling the map it checks.
+
+The element helpers (`add`, `neg`, `scalar_mul`, `mul`, `from_rows`) and the
+two writers (`to_records`, `format_element`) are the per-term versions that
+read `terms`: each decodes a packed operand and encodes the result again, and
+the writers sort the decoded terms by (free, tor).  The packed code must give
+the same terms in the same order, the same codecs and the same text."""
 import itertools
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from sutor.abelian import (
     AbElement,
@@ -17,11 +23,16 @@ from sutor.abelian import (
     ab_scale,
     zero_element,
 )
+from sutor import groupring as GR
 from sutor.groupring import (
     GRMatrix,
     GroupMismatchError,
     GroupRingElement,
     _accumulate,
+    _check,
+    _max_free,
+    _Packing,
+    zero,
 )
 from sutor.words import Word
 
@@ -99,3 +110,94 @@ def _fox_column(w: Word, ab: Cokernel) -> Dict[int, Dict[AbElement, int]]:
                     ((ab_add(G, prefix, ab_scale(G, img, j)), sign) for j in js))
         prefix = ab_add(G, prefix, ab_scale(G, img, k))
     return column
+
+
+def add(p: GroupRingElement, q: GroupRingElement) -> GroupRingElement:
+    _check(p, q)
+    return GroupRingElement(p.group, _accumulate(dict(p.terms), q.terms.items()))
+
+
+def neg(p: GroupRingElement) -> GroupRingElement:
+    return GroupRingElement(p.group, {h: -c for h, c in p.terms.items()})
+
+
+def scalar_mul(k: int, p: GroupRingElement) -> GroupRingElement:
+    if k == 0:
+        return zero(p.group)
+    return GroupRingElement(p.group, {h: k * c for h, c in p.terms.items()})
+
+
+def mul(p: GroupRingElement, q: GroupRingElement) -> GroupRingElement:
+    _check(p, q)
+    pk = _Packing(p.group, 2 * (_max_free(p.terms) + _max_free(q.terms)))
+    products = GR._products(pk, pk.encode_terms(p.terms), pk.encode_terms(q.terms))
+    return GroupRingElement(p.group, packed=(pk, _accumulate({}, products)))
+
+
+def from_rows(data: Sequence[Sequence[GroupRingElement]]) -> GRMatrix:
+    """GRMatrix.from_rows, bounding and encoding the decoded terms."""
+    rows = len(data)
+    cols = len(data[0]) if rows else 0
+    if any(len(row) != cols for row in data):
+        raise ValueError("ragged rows")
+    G = pk = None
+    if rows and cols:
+        G = data[0][0].group
+        if any(e.group is not G and e.group != G for row in data for e in row):
+            raise GroupMismatchError("matrix entries over different groups")
+        pk = _Packing(G, 2 * rows * _max_free(h for row in data for e in row for h in e.terms))
+    empty: Dict[int, int] = {}
+    A = GRMatrix(G, pk, [[pk.encode_terms(e.terms) if e.terms else empty for e in row]
+                         for row in data])
+    A.__dict__["entries"] = tuple(tuple(row) for row in data)
+    return A
+
+
+def _key(e: AbElement):
+    return (e.free, e.tor)
+
+
+def sorted_terms(p: GroupRingElement) -> List[Tuple[AbElement, int]]:
+    """The terms in (free, tor) order."""
+    return sorted(p.terms.items(), key=lambda item: _key(item[0]))
+
+
+def to_records(p: GroupRingElement) -> dict:
+    return {
+        "group": {"rank": p.group.rank, "torsion": list(p.group.torsion)},
+        "terms": [
+            {"coeff": c, "free": list(h.free), "tor": list(h.tor)}
+            for h, c in sorted_terms(p)
+        ],
+    }
+
+
+def format_element(p: GroupRingElement, names: Sequence[str]) -> str:
+    if not p.terms:
+        return "0"
+    parts: List[str] = []
+    for h, c in sorted_terms(p):
+        factors = []
+        for name, e in zip(names, h.free):
+            if e == 1:
+                factors.append(name)
+            elif e != 0:
+                factors.append(f"{name}^{e}")
+        for i, e in enumerate(h.tor):
+            if e == 1:
+                factors.append(f"s{i + 1}")
+            elif e != 0:
+                factors.append(f"s{i + 1}^{e}")
+        mono = " ".join(factors)
+        coeff = abs(c)
+        if not mono:
+            body = str(coeff)
+        elif coeff == 1:
+            body = mono
+        else:
+            body = f"{coeff} {mono}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(("+ " if c > 0 else "- ") + body)
+    return " ".join(parts)

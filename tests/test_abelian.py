@@ -1,7 +1,6 @@
 import collections
 import random
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
@@ -29,7 +28,6 @@ from sutor.abelian import (
     order,
     quotient,
     smith_normal_form,
-    word_image,
     word_images,
     zero_element,
 )
@@ -280,7 +278,7 @@ def test_cokernel_matches_legacy_at_knot_sizes(monkeypatch):
         for _ in range(4):
             words = [W.free_reduce([(rng.randrange(g), rng.choice([-2, -1, 1, 2, 3]))
                                     for _ in range(rng.randint(1, 4))]) for _ in range(g)]
-            quotient(ck.group, [word_image(ck, w) for w in words])
+            quotient(ck.group, list(word_images(ck, words)))
     for _ in range(30):
         G1 = AbelianGroup(rng.randint(0, 2), rng.choice([(), (2,), (3,), (2, 4), (6, 12)]))
         G2 = AbelianGroup(rng.randint(0, 2), rng.choice([(), (4,), (3, 9), (2, 6)]))
@@ -384,10 +382,11 @@ def test_cokernel_and_lifts():
 
 
 def test_dot_map_matches_legacy_fold():
-    """word_image, Cokernel.from_vector and Projection.__call__ equal the
-    ab_add/ab_scale fold they replaced, on seeded groups with torsion, for
-    negative exponents, exponents >= d and generators absent from a word;
-    word_images maps a batch of words as word_image maps each."""
+    """word_images of one word, Cokernel.from_vector and
+    Projection.__call__ equal the ab_add/ab_scale fold they replaced, on
+    seeded groups with torsion, for negative exponents, exponents >= d and
+    generators absent from a word; word_images maps a batch of words as it
+    maps each one alone."""
     rng = random.Random(12)
     alphabet = make_alphabet(["a", "b", "c", "d"])
     fold = legacy_groupring.combine
@@ -411,11 +410,11 @@ def test_dot_map_matches_legacy_fold():
             seen["negative"] += any(e < 0 for _, e in w.letters)
             seen["at least d"] += any(abs(e) >= d for _, e in w.letters)
             seen["absent"] += len({g for g, _ in w.letters}) < 4
-            assert word_image(ck, w) == fold(G, ((e, ck.gen_images[g]) for g, e in w.letters))
+            assert word_images(ck, [w])[0] == fold(G, ((e, ck.gen_images[g]) for g, e in w.letters))
             batch.append(w)
             v = [rng.randint(-2 * d, 2 * d) for _ in range(4)]
             assert ck.from_vector(v) == fold(G, zip(v, ck.gen_images))
-        assert word_images(ck, batch) == tuple(map(partial(word_image, ck), batch))
+        assert word_images(ck, batch) == tuple(word_images(ck, [w])[0] for w in batch)
         killed = [element(G, [rng.randint(-3, 3) for _ in range(G.rank)],
                           [rng.randrange(t) for t in G.torsion]) for _ in range(rng.randint(0, 2))]
         projections = [quotient(G, killed), *direct_sum(G, AbelianGroup(1, (2,)))[1:]]
@@ -438,9 +437,9 @@ def test_abelianize_with_relator():
     ab = abelianize(alphabet, [parse_word("a^2 b^-2", alphabet)])
     assert ab.group.rank == 1
     w = parse_word("a b", alphabet)
-    img = word_image(ab, w)
+    img = word_images(ab, [w])[0]
     # a and b agree in H up to torsion, so a*b has even free coordinate
-    assert word_image(ab, parse_word("a b^-1", alphabet)).free == (0,)
+    assert word_images(ab, [parse_word("a b^-1", alphabet)])[0].free == (0,)
     assert img == ab_add(ab.group, ab.gen_images[0], ab.gen_images[1])
 
 

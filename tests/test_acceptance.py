@@ -20,7 +20,7 @@ from sutor.abelian import (
     IntMatrix,
     abelianize,
     smith_normal_form,
-    word_image,
+    word_images,
 )
 from sutor.fox import fox_derivative
 from sutor.groupring import (
@@ -184,7 +184,7 @@ def test_criterion_09a_fox_rules():
     H = ab.group
 
     def phi(w):
-        return monomial(H, word_image(ab, w))
+        return monomial(H, word_images(ab, [w])[0])
 
     for _ in range(1000):
         u = _random_word(rng, 3)

@@ -15,6 +15,7 @@ from sutor.cli import format_element, main
 from sutor.abelian import AbElement, AbelianGroup
 from sutor.fox import fox_matrix
 from sutor.groupring import _cofactor, element, from_records, normalize, to_records
+from sutor.words import WORK_BUDGET
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -382,6 +383,22 @@ def test_torsion_below_2_in_a_serialized_tau_exits_1(capsys, tmp_path, torsion):
     code, out, err = run(capsys, "check", str(path), "--disk", "3")
     assert (code, out) == (1, "")
     assert err == "error: torsion divisors must be >= 2\n"
+
+
+def test_a_serialized_tau_of_a_huge_rank_ends_in_time(capsys, tmp_path):
+    """A 50-byte record of rank WORK_BUDGET is read, and refused by the disk
+    report (exit 3), in time linear in the rank; one coordinate more is
+    refused before any codec is built (exit 1)."""
+    path = tmp_path / "r.json"
+    for rank, torsion, code, seconds in ((WORK_BUDGET, [], 3, 20),
+                                         (WORK_BUDGET + 1, [], 1, 1), (WORK_BUDGET, [2], 1, 1)):
+        path.write_text(json.dumps({"group": {"rank": rank, "torsion": torsion}, "terms": []}))
+        start = time.perf_counter()
+        assert run(capsys, "check", str(path), "--disk", "3")[:2] == (code, "")
+        assert time.perf_counter() - start < seconds, rank
+    err = run(capsys, "check", str(path), "--disk", "3")[2]
+    assert err == (f"error: a group of {WORK_BUDGET + 1} coordinates is over the work "
+                   f"budget of {WORK_BUDGET}\n")
 
 
 def test_gen_round_trip(capsys):

@@ -7,7 +7,7 @@ from sutor import engine as E
 from sutor import families as F
 from sutor import groupring
 from sutor import words as W
-from sutor.abelian import AbElement, abelianize, word_image
+from sutor.abelian import AbElement, abelianize, word_images
 from sutor.cli import main
 from sutor.fox import fox_derivative, fox_matrix
 from sutor.groupring import add, equal, monomial, mul, neg, one, zero
@@ -19,7 +19,7 @@ H = FREE.group
 
 
 def phi(w):
-    return monomial(H, word_image(FREE, w))
+    return monomial(H, word_images(FREE, [w])[0])
 
 
 def d(text, gen):
@@ -63,7 +63,7 @@ def test_inverse_rule_example():
     w = parse_word("a b^-1 a^2 b", AB)
     for g in (0, 1):
         lhs = fox_derivative(W.invert(w), g, FREE)
-        rhs = neg(mul(monomial(H, word_image(FREE, W.invert(w))),
+        rhs = neg(mul(monomial(H, word_images(FREE, [W.invert(w)])[0]),
                       fox_derivative(w, g, FREE)))
         assert equal(lhs, rhs)
 
@@ -88,7 +88,7 @@ def test_fundamental_identity_example():
             for g in alphabet:
                 factor = add(monomial(G, ab.gen_images[g.index]), neg(one(G)))
                 acc = add(acc, mul(factor, A.entries[g.index][j]))
-            assert equal(acc, add(monomial(G, word_image(ab, w)), neg(one(G)))), (names, j)
+            assert equal(acc, add(monomial(G, word_images(ab, [w])[0]), neg(one(G)))), (names, j)
 
 
 def test_derivative_sees_quotient_group():

@@ -23,16 +23,15 @@ from sutor.abelian import (
     abelianize,
     direct_sum,
     quotient,
-    word_image,
+    word_images,
 )
-from sutor.cli import main
+from sutor.cli import format_element, free_var_names, main
 from sutor.fox import fox_derivative, fox_matrix
 from sutor.groupring import (
     GRMatrix,
     GroupRingElement,
     _accumulate,
     _cofactor,
-    _key,
     _max_free,
     _Packing,
     add,
@@ -49,7 +48,6 @@ from sutor.groupring import (
     push_forward,
     scalar_mul,
     sim_equal,
-    sorted_terms,
     sum_of_all_elements,
     to_records,
     zero,
@@ -96,8 +94,8 @@ def test_codec_round_trips_orders_and_adds(case):
     terms = {h: c for c, h in enumerate((x, y, s))}
     assert pk.decode_terms(pk.encode_terms(terms)) == terms
     kx, ky, ks = _keys(pk, [x, y, s])
-    assert (kx < ky) == (_key(x) < _key(y))
-    assert (kx < ks) == (_key(x) < _key(s))
+    assert (kx < ky) == ((x.free, x.tor) < (y.free, y.tor))
+    assert (kx < ks) == ((x.free, x.tor) < (s.free, s.tor))
     assert pk.fold(kx + ky) == ks
     assert (kx >> pk.tor_bits == ky >> pk.tor_bits) == (x.free == y.free)
 
@@ -111,7 +109,7 @@ def test_codec_at_the_bound():
         terms = dict.fromkeys(corners, 1)
         assert pk.decode_terms(pk.encode_terms(terms)) == terms
         key = dict(zip(corners, _keys(pk, corners)))
-        assert sorted(corners, key=key.get) == sorted(corners, key=_key)
+        assert sorted(corners, key=key.get) == sorted(corners, key=lambda h: (h.free, h.tor))
 
 
 def _random_element(rng, G, spread=3, terms=3):
@@ -327,7 +325,8 @@ def _packed_det_matches(alphabet, words, ab, seen):
     legacy = legacy_groupring._cofactor(A)
     G = ab.group
     # every path returns the legacy terms, in the order its path made them
-    assert equal(det, legacy) and sorted_terms(det) == sorted_terms(legacy)
+    assert equal(det, legacy)
+    assert legacy_groupring.sorted_terms(det) == legacy_groupring.sorted_terms(legacy)
     seen[G.describe()] += 1
     seen["nonzero"] += bool(det)
     return det
@@ -563,15 +562,26 @@ def test_torsion_and_checks_decode_no_term_of_tau(monkeypatch):
 
 
 @pytest.mark.parametrize("flags", [[], ["--json"]])
-def test_compute_decodes_tau_exactly_once(monkeypatch, tmp_path, flags):
+def test_compute_decodes_tau_exactly_once(monkeypatch, tmp_path, capsys, flags):
+    """sutor compute formats tau, and compute --json serializes it, from its
+    packed keys: no term of tau is decoded, and the output is the legacy
+    writers' on the decoded terms."""
     for i, inp in enumerate(_spy_inputs()):
         path = tmp_path / f"in{i}.json"
         E.dump_input(inp, str(path))
-        n = len(E.torsion(inp).tau.terms)
+        res = E.torsion(inp)
+        tau = res.tau
+        assert tau
+        capsys.readouterr()
         decoded = _count_decodes(monkeypatch)
         assert main(["compute", *flags, str(path)]) == 0
-        assert decoded == [n]
+        assert decoded == []
         monkeypatch.undo()
+        out = capsys.readouterr().out
+        if flags:
+            assert json.loads(out)["tau"] == legacy_groupring.to_records(tau)
+        else:
+            assert f"tau ~ {legacy_groupring.format_element(tau, free_var_names(res))}\n" in out
 
 
 def test_elements_are_immutable():
@@ -707,9 +717,9 @@ def test_evaluation_check_counts_keys_as_the_legacy_comparison_decides():
 
 
 def test_rminus_projection_maps_every_word_in_one_dot_map(monkeypatch):
-    """The R_- words' exponent sums are the columns of one dot_map call, with
-    no word_image per word, and the projection equals the quotient by the
-    word images one at a time."""
+    """The R_- words' exponent sums are the columns of one dot_map call, not
+    one call per word, and the projection equals the quotient by the word
+    images one at a time."""
     dot_map = abelian.dot_map
     counts = []
 
@@ -717,18 +727,14 @@ def test_rminus_projection_maps_every_word_in_one_dot_map(monkeypatch):
         counts.append(count)
         return dot_map(M, columns, count)
 
-    def no_word_image(*args):
-        raise AssertionError("word_image called")
-
     for inp in _spy_inputs():
         res = E.torsion(inp)
         monkeypatch.setattr(abelian, "dot_map", counting)
-        monkeypatch.setattr(abelian, "word_image", no_word_image)
         counts.clear()
         proj = res.rminus_projection
         assert counts == [len(inp.rminus)]
         monkeypatch.undo()
-        words = [word_image(res.abelianization, w) for w in res.input.rminus]
+        words = [word_images(res.abelianization, [w])[0] for w in res.input.rminus]
         assert proj == quotient(res.H, words)
 
 
@@ -764,8 +770,8 @@ def test_equal_compares_packed_keys_without_decoding(monkeypatch):
 
 
 def test_batch_decodes_each_tau_once_and_no_expected_tau(monkeypatch, tmp_path):
-    """sutor batch compares each result with its expected tau on packed keys,
-    so the only decode per entry is the one that formats tau."""
+    """sutor batch compares each result with its expected tau on packed keys
+    and formats tau from its keys, so no entry decodes a term."""
     entries, sizes = [], []
     for i, inp in enumerate(_spy_inputs()):
         path = tmp_path / f"in{i}.json"
@@ -777,7 +783,87 @@ def test_batch_decodes_each_tau_once_and_no_expected_tau(monkeypatch, tmp_path):
     manifest.write_text(json.dumps(entries))
     decoded = _count_decodes(monkeypatch)
     assert main(["batch", str(manifest)]) == 0
-    assert decoded == sizes
+    assert all(sizes) and decoded == []
+
+
+def _same_packed(p: GroupRingElement, q: GroupRingElement) -> bool:
+    """The same codec width and bound, and the same keys in the same order."""
+    (pk, a), (qk, b) = p.packed, q.packed
+    return (p.group == q.group and (pk.width, pk.bound) == (qk.width, qk.bound)
+            and list(a.items()) == list(b.items()))
+
+
+@pytest.mark.parametrize("names, relators", PRESENTATIONS + [DET_GROUPS[3][:2]])
+def test_helpers_and_writers_on_keys_match_the_per_term_legacy(monkeypatch, names, relators):
+    """add, neg, scalar_mul, mul, GRMatrix.from_rows, to_records and
+    format_element on packed keys against their per-term legacy versions,
+    over every group of GROUPS and over Z^0: random elements built from
+    terms, Fox determinants under the Fox matrix's wider codec, the same
+    determinants read back from records, and zero.  None of them decodes a
+    term of a packed operand.  mul and from_rows keep the legacy codecs and
+    keys; add keeps the wider operand codec, neg and scalar_mul the
+    operand's, with the legacy terms in the legacy order."""
+    alphabet = make_alphabet(names)
+    ab = abelianize(alphabet, [Word(tuple(r)) for r in relators])
+    G = ab.group
+    rng = random.Random("keys " + G.describe())
+    dets = [determinant(fox_matrix(alphabet, _random_words(rng, len(names), len(names)), ab))
+            for _ in range(6)]
+    read = [from_records(to_records(d)) for d in dets]
+    made = [_random_element(rng, G, terms=5) for _ in range(6)] + dets + read + [zero(G)]
+    assert not any("terms" in p.__dict__ for p in dets + read)
+    var = [f"x{i + 1}" for i in range(G.rank)]
+    pairs = [(p, q) for p in made for q in made  # products of up to 2,000 terms
+             if len(p.packed[1]) * len(q.packed[1]) <= 2000]
+    grids = [[[rng.choice(made) for _ in range(n)] for _ in range(n)]
+             for n in (1, 2, 3, 3, 4) for _ in range(4)]
+    decoded = _count_decodes(monkeypatch)
+    unary = [(p, neg(p), [scalar_mul(k, p) for k in (0, 1, -3)], to_records(p),
+              format_element(p, var)) for p in made]
+    binary = [(add(p, q), mul(p, q)) for p, q in pairs]
+    matrices = [GRMatrix.from_rows(grid) for grid in grids]
+    assert decoded == []
+    monkeypatch.undo()
+    seen = collections.Counter()
+    for p, n, scaled, records, text in unary:
+        assert _same(n, legacy_groupring.neg(p)) and n.packed[0] is p.packed[0]
+        for k, s in zip((0, 1, -3), scaled):
+            assert _same(s, legacy_groupring.scalar_mul(k, p)) and s.packed[0] is p.packed[0]
+        assert json.dumps(records) == json.dumps(legacy_groupring.to_records(p))
+        assert text == legacy_groupring.format_element(p, var)
+        seen["nonzero"] += bool(p)
+    for (p, q), (s, m) in zip(pairs, binary):
+        assert _same(s, legacy_groupring.add(p, q))
+        assert s.packed[0].width == max(p.packed[0].width, q.packed[0].width)
+        assert 2 ** (s.packed[0].width - 1) > 2 * _max_free(s.terms)
+        assert _same_packed(m, legacy_groupring.mul(p, q))
+        seen["other width" if p.packed[0].width != q.packed[0].width else "same width"] += 1
+    for grid, A in zip(grids, matrices):
+        L = legacy_groupring.from_rows(grid)
+        assert (A.packing.width, A.packing.bound) == (L.packing.width, L.packing.bound)
+        assert [[list(e.items()) for e in row] for row in A.packed] == \
+            [[list(e.items()) for e in row] for row in L.packed]
+        assert A.entries == L.entries
+    # on Z^b, b > 0, the Fox codec is wider than a codec of terms; with no
+    # free coordinate every codec of G has one width
+    assert seen["nonzero"] >= 12 and seen["same width"] >= 50, seen
+    assert seen["other width"] >= 50 if G.rank else not seen["other width"], seen
+
+
+def test_codec_constants_equal_the_sums_of_shifted_digits():
+    """_Packing builds its free-digit offset and its torsion divisors as one
+    binary numeral each; they equal the sums of shifted digits they
+    replaced, on seeded groups of rank 0-8 with torsion and bounds of up to
+    80 bits."""
+    rng = random.Random(53)
+    for _ in range(300):
+        torsion = []
+        for _ in range(rng.randint(0, 3)):
+            torsion.append(torsion[-1] * rng.randint(1, 5) if torsion else rng.randint(2, 9))
+        G = AbelianGroup(rng.randint(0, 8), tuple(torsion))
+        pk = _Packing(G, rng.choice((0, 1, rng.randint(2, 99), rng.getrandbits(80))))
+        assert pk._offset == sum(pk._half << s for s in pk.free_shifts)
+        assert pk._divisors == sum(d << s for s, d in pk.torsion)
 
 
 def _monomial(rng, G):

@@ -310,17 +310,19 @@ def _difference_sets(rng):
 
 def test_difference_vertices_match_the_hull_of_all_differences_and_legacy():
     """The planar merge, the segment and point shortcuts and the
-    difference-set witness against hull_vertices of every difference and,
-    on up to 6 distinct points, the one-LP-per-difference legacy oracle.
-    difference_polytope of a Support reads its cached hull and agrees."""
+    difference-set witness of difference_polytope against hull_vertices of
+    every difference, against difference_polytope of the hull's vertices
+    alone and, on up to 6 distinct points, the one-LP-per-difference legacy
+    oracle.  A second read of the Support's cached hull agrees."""
     seen = collections.Counter()
     for kind, pts in _difference_sets(random.Random(20261019)):
         dim = len(pts[0])
-        got = P.difference_vertices(pts)
-        assert got == P.hull_vertices(_differences(pts)), (kind, pts)
-        assert got == P.difference_vertices(P.hull_vertices(pts)) == sorted(got)
-        assert sorted(P._neg(v) for v in got) == got
         S = P.Support(dim, dict.fromkeys(pts, 1))
+        got = P.difference_polytope(S)
+        assert got == P.hull_vertices(_differences(pts)), (kind, pts)
+        hull = P.Support(dim, dict.fromkeys(P.hull_vertices(pts), 1))
+        assert got == P.difference_polytope(hull) == sorted(got)
+        assert sorted(P._neg(v) for v in got) == got
         assert P.difference_polytope(S) == got
         if len(S.points) <= 6:
             assert got == legacy_polytope.difference_polytope(S), (kind, pts)
@@ -333,7 +335,8 @@ def test_difference_vertices_match_the_hull_of_all_differences_and_legacy():
         seen[kind, dim] += 1
     assert seen["legacy"] > 60 and seen["parallel"] > 20, seen
     assert all(seen["point", dim] for dim in (1, 2, 3, 4)), seen
-    assert P.difference_vertices([]) == []
+    with pytest.raises(ValueError, match="empty support"):
+        P.difference_polytope(P.Support(2, {}))
 
 
 def test_support_hull_is_computed_once(monkeypatch):
