@@ -5,9 +5,10 @@ all values live in Z[H] rather than the noncommutative ring Z[pi_1].  They
 are computed on the packed keys of groupring._Packing and stay there: the
 generator images are encoded in one encode_rows call over the rows of the
 Cokernel's image matrix, and fox_matrix builds a GRMatrix straight from the
-packed columns, under a codec wide enough for every sum the determinant
-forms and for normalize's shift of the determinant.  So no AbElement is
-built per image, per Fox term or per determinant term.
+packed columns, as sparse rows that hold the nonzero entries only, under
+a codec wide enough for every sum the determinant forms and for
+normalize's shift of the determinant.  So no AbElement is built per image,
+per Fox term or per determinant term, and nothing per zero entry.
 """
 from __future__ import annotations
 
@@ -73,14 +74,13 @@ def fox_matrix(alphabet: Sequence[Generator], columns: Sequence[Word], ab: Coker
     first, then the R_- image words), on the packed keys of _columns: one
     codec serves the whole matrix, so each generator image is encoded once,
     and GRMatrix.entries wraps the packed entries, so no term is decoded.
-    Every zero entry is one shared empty dict, so a sparse matrix costs its
-    nonzeros."""
+    Each row is {column: entry} over its nonzero entries, so a sparse matrix
+    costs its nonzeros."""
     pk, cols = _columns(columns, ab, len(alphabet))
-    empty: Dict[int, int] = {}
     position = {g.index: i for i, g in enumerate(alphabet)}
-    rows = [[empty] * len(columns) for _ in alphabet]
+    rows: List[Dict[int, Dict[int, int]]] = [{} for _ in alphabet]
     for j, col in enumerate(cols):
         for g, terms in col.items():
             if terms and g in position:
                 rows[position[g]][j] = terms
-    return GRMatrix(ab.group, pk, rows)
+    return GRMatrix(ab.group, pk, rows, len(columns))

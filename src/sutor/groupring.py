@@ -46,16 +46,17 @@ packed in (free, tor) key order; push_forward maps the coordinate columns
 target keys (_Packing.encode_rows); to_records and the CLI's formatter
 write from sorted_columns, the terms in key order as coordinate rows.
 
-determinant has one dispatch (see its docstring): the unit-pivot front end
-_peel on a sparse matrix of 5 or more rows, then 1, the one entry or
-a*d - b*c for a core of 0, 1 or 2 rows, and otherwise one of two paths.
-When H has at most one generator a key is the one exponent of t, only the
-nonzero entries are packed into integers, and the elimination is the
-sparse-row Bareiss abelian.det_sparse (_kronecker), after a check of its
-slots, 1 + the sum of row spans, against WORK_BUDGET.  Other H use
-_cofactor, which continues the front end's count of term products, counts
-the blocks it settles as well, holds a block as two bit sets and expands
-it on an explicit stack.
+A GRMatrix row is {column: entry} over its nonzero entries only, from
+fox_matrix to every determinant path.  determinant has one dispatch (see
+its docstring): the unit-pivot front end _peel on a sparse matrix of 5 or
+more rows, then 1, the one entry or a*d - b*c for a core of 0, 1 or 2
+rows, and otherwise one of two paths.  When H has at most one generator a
+key is the one exponent of t, only the nonzero entries are packed into
+integers, and the elimination is the sparse-row Bareiss abelian.det_sparse
+(_kronecker), after a check of its slots, 1 + the sum of row spans, against
+WORK_BUDGET.  Other H use _cofactor, which continues the front end's count
+of term products, counts the blocks it settles as well, holds a block as
+two bit sets and expands it on an explicit stack.
 """
 from __future__ import annotations
 
@@ -198,7 +199,7 @@ class _Packing:
     def __init__(self, G: AbelianGroup, bound: int):
         w = max(bound.bit_length(), max(G.torsion, default=0).bit_length()) + 1
         n = G.rank + len(G.torsion)
-        self.shifts = [w * (n - 1 - i) for i in range(n)]
+        self.shifts = range(w * (n - 1), -w, -w)  # coordinate i at w * (n - 1 - i)
         self.bound = bound
         self.width = w
         self.mask = (1 << w) - 1
@@ -375,21 +376,22 @@ def exact_div(p: GroupRingElement, q: GroupRingElement) -> GroupRingElement:
 
 
 class GRMatrix:
-    """A rows x cols matrix over Z[H], kept on packed keys: packed[i][j] is
-    entry (i, j) as {key: coefficient} under one codec, packing, whose bound
-    covers twice every sum of one key per row, so determinant and _cofactor
-    use the keys as they are and normalize shifts their result in place.
-    Every zero entry is one shared empty dict.  entries wraps each packed
-    entry in a GroupRingElement under the matrix's codec, on first read,
-    and decodes nothing."""
+    """A rows x cols matrix over Z[H] as sparse rows: packed[i] is {column:
+    entry} over the nonzero entries of row i, each entry {key: coefficient}
+    under one codec, packing, whose bound covers twice every sum of one key
+    per row, so determinant and _cofactor use the keys as they are and
+    normalize shifts their result in place.  A zero entry is in no row, so
+    cols is given.  entries, the dense view, wraps each packed entry in a
+    GroupRingElement under the matrix's codec, on first read, and decodes
+    nothing."""
 
     def __init__(self, group: AbelianGroup, packing: _Packing,
-                 packed: List[List[Dict[int, int]]]):
+                 packed: List[Dict[int, Dict[int, int]]], cols: int):
         self.group = group
         self.packing = packing
         self.packed = packed
         self.rows = len(packed)
-        self.cols = len(packed[0]) if packed else 0
+        self.cols = cols
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence[GroupRingElement]]) -> "GRMatrix":
@@ -407,19 +409,19 @@ class GRMatrix:
                 raise GroupMismatchError("matrix entries over different groups")
             pk = _Packing(G, 2 * rows * max(e.packed[0].max_free(e.packed[1])
                                             for row in data for e in row))
-        empty: Dict[int, int] = {}
-        A = cls(G, pk, [[_keys_under(e, pk) if e else empty for e in row] for row in data])
+        A = cls(G, pk, [{j: _keys_under(e, pk) for j, e in enumerate(row) if e} for row in data],
+                cols)
         A.__dict__["entries"] = tuple(tuple(row) for row in data)
         return A
 
     @cached_property
     def entries(self) -> Tuple[Tuple[GroupRingElement, ...], ...]:
-        """Each packed entry under the matrix's codec; every zero entry is one
-        shared empty element."""
-        G, pk = self.group, self.packing
+        """Each packed entry under the matrix's codec, rows x cols; every
+        zero entry is one shared empty element."""
+        G, pk, cols = self.group, self.packing, range(self.cols)
         empty = GroupRingElement(G, packed=(pk, {}))
-        return tuple([tuple([GroupRingElement(G, packed=(pk, e)) if e else empty for e in row])
-                      for row in self.packed])
+        return tuple([tuple([GroupRingElement(G, packed=(pk, row[j])) if j in row else empty
+                             for j in cols]) for row in self.packed])
 
     def __eq__(self, other):
         if not isinstance(other, GRMatrix):
@@ -431,18 +433,19 @@ def determinant(A: GRMatrix) -> GroupRingElement:
     """det A in Z[H], packed under the matrix's codec, its keys in the order
     its path made them.
 
-    Every matrix takes one path.  A row of zeros gives 0.  A matrix of 5 or
-    more rows and at most 4 x rows nonzero entries goes through the
-    unit-pivot front end _peel: Schur steps on entries +-h, each counting
-    its term products against WORK_BUDGET before it makes them.  What is
-    left, the core or the whole matrix, is 1 for no rows, its entry for one
-    row, a*d - b*c for two rows whose products fit in what is left of the
-    budget, _kronecker for one variable, and else _cofactor, which goes on
-    from the front end's count.  The gate is measured (CHANGES.md): the
-    front end leaves T(2,n) and torus-link Wirtinger matrices (2.6-3.0
-    nonzeros per row) at most 3 rows, but its fill made the cofactor
-    expansion of handlebodies of genus 5-8 (5.0-6.4) 1.8-6.7x costlier, and
-    det of their 3 x 3 and 4 x 4 matrices 1.25x slower.
+    Every matrix takes one path, on its sparse rows.  An empty row gives 0.
+    A matrix of 5 or more rows and at most 4 x rows nonzero entries goes
+    through the unit-pivot front end _peel, on a copy of each row: Schur
+    steps on entries +-h, each counting its term products against
+    WORK_BUDGET before it makes them.  What is left, the core or the whole
+    matrix, as sparse rows, is 1 for no rows, its entry for one row, a*d -
+    b*c for two rows whose products fit in what is left of the budget,
+    _kronecker for one variable, and else _cofactor, which goes on from the
+    front end's count.  The gate is measured (CHANGES.md): the front end
+    leaves T(2,n) and torus-link Wirtinger matrices (2.6-3.0 nonzeros per
+    row) at most 3 rows, but its fill made the cofactor expansion of
+    handlebodies of genus 5-8 (5.0-6.4) 1.8-6.7x costlier, and det of their
+    3 x 3 and 4 x 4 matrices 1.25x slower.
 
     When H has at most one generator (trivial, Z or Z/d) a key is its one
     coordinate, or 0 when H = 1, so the entries are Laurent polynomials in
@@ -471,45 +474,38 @@ def determinant(A: GRMatrix) -> GroupRingElement:
         raise ValueError("empty matrix")
     G, pk = A.group, A.packing
     one_variable = G.rank + len(G.torsion) <= 1
-    if not all(map(any, A.packed)):
+    if not all(A.packed):
         return GroupRingElement(G, packed=(pk, {}))
     sign, shift, work, core = 1, 0, 0, A.packed
-    rows = _sparse(core) if A.rows >= 5 or one_variable else None  # for _peel and _kronecker
-    if A.rows >= 5 and sum(map(len, rows)) <= 4 * A.rows:  # the gate of the front end
+    if A.rows >= 5 and sum(map(len, core)) <= 4 * A.rows:  # the gate of the front end
         # the slots check of the whole matrix; the codec holds every sum of one
         # key per row, so on Z its bound caps the slots, and on Z/d each row's
         # span is below d
         if one_variable and 1 + (A.rows * (G.torsion[0] - 1) if G.torsion
                                  else pk.bound) > WORK_BUDGET:
-            _lift(rows)
-        rows, sign, shift, work = _peel(rows, pk, work)
-        empty: Dict[int, int] = {}
-        core = [[row.get(j, empty) for j in range(len(rows))] for row in rows]
+            _lift(core)
+        core, sign, shift, work = _peel([dict(row) for row in core], pk, work)
+    empty: Dict[int, int] = {}
     if not core:
         det = {0: 1}
     elif len(core) == 1:
-        det = core[0][0]
+        det = core[0].get(0, empty)
     elif len(core) == 2 and work + _det2_products(*core) <= WORK_BUDGET:
-        (a, b), (c, d) = core
+        (a, b), (c, d) = ([row.get(j, empty) for j in (0, 1)] for row in core)
         det = _accumulate(_accumulate({}, _products(pk, a, d)), _products(pk, b, c, -1))
     elif one_variable:
-        det = _kronecker(G, rows)
+        det = _kronecker(G, core)
     else:
-        det = _cofactor(GRMatrix(G, pk, core), work).packed[1]
+        det = _cofactor(GRMatrix(G, pk, core, len(core)), work).packed[1]
     if shift or sign < 0:  # times the pivots' product, sign * h
         det = dict(_products(pk, det, {shift: sign}))
     return GroupRingElement(G, packed=(pk, det))
 
 
-def _sparse(E: List[List[Dict[int, int]]]) -> List[Dict[int, Dict[int, int]]]:
-    """Each row as {column: entry} over its nonzero entries."""
-    lines = range(len(E))
-    return [{j: row[j] for j in itertools.compress(lines, row)} for row in E]
-
-
-def _det2_products(top: List[Dict[int, int]], bottom: List[Dict[int, int]]) -> int:
-    """The term products of the 2 x 2 determinant of the two rows."""
-    return len(top[0]) * len(bottom[1]) + len(top[1]) * len(bottom[0])
+def _det2_products(top: Dict[int, Dict[int, int]], bottom: Dict[int, Dict[int, int]]) -> int:
+    """The term products of the 2 x 2 determinant of the two sparse rows."""
+    return (len(top.get(0, ())) * len(bottom.get(1, ()))
+            + len(top.get(1, ())) * len(bottom.get(0, ())))
 
 
 def _peel(rows: List[Dict[int, Dict[int, int]]], pk: _Packing,
@@ -528,8 +524,7 @@ def _peel(rows: List[Dict[int, Dict[int, int]]], pk: _Packing,
     Returns the core (the rows left, in their order, with their columns
     renumbered in order), the sign and the key of the pivots' product
     times the signs of the row and column orders, and the work count.
-    The row dicts are the caller's to reuse; entries are never changed in
-    place."""
+    The given row dicts are edited in place; entries never are."""
     tor, fold = bool(pk.torsion), pk.fold
     rows = dict(enumerate(rows))
     cols: Dict[int, Set[int]] = {j: set() for j in rows}
@@ -685,23 +680,23 @@ def _cofactor(A: GRMatrix, work: int = 0) -> GroupRingElement:
     """Cofactor expansion on the matrix's own keys and codec.  A block is
     the bit sets of its rows and of its columns, and a line's nonzero count
     in it is the number of bits that the line's 0/1 nonzero mask, read off
-    the matrix once, shares with the block's other bit set.  A block expands
-    along its sparsest row, or along a column when one is strictly sparser
-    (lowest index on ties), into one minor per nonzero entry of that line,
-    so a line with one entry gives one minor and the n x n identity matrix
-    reads O(n) rows.  Minors are memoized on their bit sets and settled on an explicit
-    stack of blocks, a block going back on it below the minors it waits
-    for, so no recursion bounds the depth.  A 2 x 2 block is its own base
-    case (det2), and a zero minor adds no term.  The term products, from
-    work on, are counted against WORK_BUDGET, innermost first, before each
-    line makes them.  So is, in a count of its own, every block settled
-    along a line without exactly one entry, weighted by its rows, so that
-    minors that come out zero and make no products still count, while a
-    chain of lines with one entry each adds nothing."""
+    the sparse rows once, shares with the block's other bit set.  A block
+    expands along its sparsest row, or along a column when one is strictly
+    sparser (lowest index on ties), into one minor per nonzero entry of that
+    line, so a line with one entry gives one minor and the n x n identity
+    matrix reads O(n) rows.  Minors are memoized on their bit sets and
+    settled on an explicit stack of blocks, a block going back on it below
+    the minors it waits for, so no recursion bounds the depth.  A 2 x 2
+    block is its own base case (det2), and a zero minor adds no term.  The
+    term products, from work on, are counted against WORK_BUDGET, innermost
+    first, before each line makes them.  So is, in a count of its own, every
+    block settled along a line without exactly one entry, weighted by its
+    rows, so that minors that come out zero and make no products still
+    count, while a chain of lines with one entry each adds nothing."""
     G, pk, E = A.group, A.packing, A.packed
-    n = A.rows
+    n, empty = A.rows, {}
     if n == 1:
-        return GroupRingElement(G, packed=(pk, E[0][0]))
+        return GroupRingElement(G, packed=(pk, E[0].get(0, empty)))
     memo: Dict[Tuple[int, int], Dict[int, int]] = {}
     blocks = 0
 
@@ -725,7 +720,7 @@ def _cofactor(A: GRMatrix, work: int = 0) -> GroupRingElement:
         """det of the 2 x 2 block on rows r0 < r1 and columns c0 < c1, along
         the line the expansion rule picks; a line with one nonzero entry
         gives one product."""
-        a, b, c, d = E[r0][c0], E[r0][c1], E[r1][c0], E[r1][c1]
+        a, b, c, d = (E[r].get(k, empty) for r in (r0, r1) for k in (c0, c1))
         row0, row1 = bool(a) + bool(b), bool(c) + bool(d)
         col0, col1 = bool(a) + bool(c), bool(b) + bool(d)
         if min(row0, row1) <= min(col0, col1):
@@ -739,7 +734,7 @@ def _cofactor(A: GRMatrix, work: int = 0) -> GroupRingElement:
     lines = range(n)
     row_nz, col_nz = [0] * n, [0] * n  # the 0/1 nonzero masks of the lines
     for i, row in enumerate(E):
-        for j in itertools.compress(lines, row):
+        for j in row:
             row_nz[i] |= 1 << j
             col_nz[j] |= 1 << i
 
@@ -894,10 +889,11 @@ def from_records(obj: dict) -> GroupRingElement:
     shape (a bool is not an integer there).  Torsion coordinates are read
     modulo their divisors.  The shapes of all records are checked at once,
     and only a failed check walks the records in order for the first bad
-    one.  Every coordinate row is then packed in one encode_rows call and
-    the coefficients are collected in one _accumulate; the terms view is
-    left to decode_terms, on first read, so a reader of keys only builds
-    no AbElement."""
+    one.  The coordinate rows, zipped from the records (none per declared
+    coordinate), are then packed in one encode_rows call and the
+    coefficients are collected in one _accumulate; the terms view is left
+    to decode_terms, on first read, so a reader of keys only builds no
+    AbElement."""
     group = obj.get("group") if isinstance(obj, dict) else None
     records = obj.get("terms") if isinstance(obj, dict) else None
     if not isinstance(group, dict) or type(group.get("rank")) is not int:
@@ -922,8 +918,8 @@ def from_records(obj: dict) -> GroupRingElement:
                 raise ValueError("term coordinates do not match group")
             if type(t.get("coeff")) is not int:
                 raise ValueError("coeff must be an integer")
-    free = [[f[i] for f in frees] for i in range(G.rank)]
-    tor = [[t[i] % d for t in tors] for i, d in enumerate(G.torsion)]
+    free = list(zip(*frees))  # one row per coordinate; none when there are no records
+    tor = [[x % d for x in row] for row, d in zip(zip(*tors), G.torsion)]
     pk = _Packing(G, 2 * _max_abs(free))
     keys = pk.encode_rows(free + tor, len(records))
     return GroupRingElement(G, packed=(pk, _accumulate({}, zip(keys, coeffs))))

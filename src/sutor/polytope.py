@@ -459,7 +459,8 @@ def to_tsv(S: Support) -> str:
 
 def to_svg(S: Support) -> str:
     """Deterministic SVG for dim <= 2: 32 px/unit, labeled lattice points,
-    hull drawn as a polygon."""
+    hull drawn as a polygon: S.hull's chain in the plane, its two extreme
+    points on the line, so the support is not hulled again."""
     if S.dim > 2:
         raise UnsupportedStructureError("SVG emitter supports dimension <= 2 only")
     scale = 32
@@ -482,7 +483,8 @@ def to_svg(S: Support) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
         f'viewBox="0 0 {w} {h}">'
     ]
-    hull = convex_hull_2d(list(pts2))
+    verts, chain = S.hull
+    hull = chain if S.dim == 2 else [(x, 0) for x, in verts]
     if len(hull) >= 2:
         coords = " ".join(f"{sx(x)},{sy(y)}" for x, y in hull)
         parts.append(

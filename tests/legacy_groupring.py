@@ -146,9 +146,8 @@ def from_rows(data: Sequence[Sequence[GroupRingElement]]) -> GRMatrix:
         if any(e.group is not G and e.group != G for row in data for e in row):
             raise GroupMismatchError("matrix entries over different groups")
         pk = _Packing(G, 2 * rows * _max_free(h for row in data for e in row for h in e.terms))
-    empty: Dict[int, int] = {}
-    A = GRMatrix(G, pk, [[pk.encode_terms(e.terms) if e.terms else empty for e in row]
-                         for row in data])
+    A = GRMatrix(G, pk, [{j: pk.encode_terms(e.terms) for j, e in enumerate(row) if e.terms}
+                         for row in data], cols)
     A.__dict__["entries"] = tuple(tuple(row) for row in data)
     return A
 

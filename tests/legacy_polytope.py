@@ -6,8 +6,9 @@ is the phase-1 simplex over Fraction that the integer tableau of
 sutor.polytope replaced, kept here verbatim so that the oracle shares no
 arithmetic with the code under test.  Also extremal_part and the disk
 report as they were before they read packed keys: one AbElement per term,
-and normalize on every candidate.  The faster code must agree with these on
-every input."""
+and normalize on every candidate.  And to_svg as it was before it read the
+support's cached hull: it hulled the points again with convex_hull_2d.  The
+faster code must agree with these on every input."""
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
@@ -18,7 +19,7 @@ from sutor.groupring import (
     UnsupportedTorsionError,
     normalize,
 )
-from sutor.polytope import _Z, DiskCandidate, DiskReport, Point, Support
+from sutor.polytope import _Z, DiskCandidate, DiskReport, Point, Support, convex_hull_2d
 
 
 def _lp_feasible(A: List[List[int]], b: List[int]) -> bool:
@@ -148,3 +149,44 @@ def disk_obstruction_report(tau: GroupRingElement, p_max: int) -> DiskReport:
     )
     obstructed = not any(c.matched for c in cands)
     return DiskReport(cands, obstructed, p_max, auto_cap, cap)
+
+
+def to_svg(S: Support) -> str:
+    """Deterministic SVG for dim <= 2: 32 px/unit, labeled lattice points,
+    hull drawn as a polygon."""
+    if S.dim > 2:
+        raise UnsupportedStructureError("SVG emitter supports dimension <= 2 only")
+    scale = 32
+    pad = 24
+    pts2 = {((p[0], p[1]) if S.dim == 2 else (p[0], 0)): c for p, c in S.points.items()}
+    xs = [p[0] for p in pts2]
+    ys = [p[1] for p in pts2]
+    x0, x1 = min(xs), max(xs)
+    y0, y1 = min(ys), max(ys)
+    w = (x1 - x0) * scale + 2 * pad
+    h = (y1 - y0) * scale + 2 * pad
+
+    def sx(x):
+        return pad + (x - x0) * scale
+
+    def sy(y):
+        return pad + (y1 - y) * scale
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
+        f'viewBox="0 0 {w} {h}">'
+    ]
+    hull = convex_hull_2d(list(pts2))
+    if len(hull) >= 2:
+        coords = " ".join(f"{sx(x)},{sy(y)}" for x, y in hull)
+        parts.append(
+            f'<polygon points="{coords}" fill="none" stroke="black" stroke-width="1"/>'
+        )
+    for p in sorted(pts2):
+        c = pts2[p]
+        parts.append(f'<circle cx="{sx(p[0])}" cy="{sy(p[1])}" r="4" fill="black"/>')
+        parts.append(
+            f'<text x="{sx(p[0]) + 6}" y="{sy(p[1]) - 6}" font-size="11">{c}</text>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

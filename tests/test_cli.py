@@ -687,3 +687,19 @@ def test_polytope_diff_hulls_the_support_once(capsys, monkeypatch, tmp_path):
     assert out.splitlines()[0] == "support: 4 points in dimension 3"
     assert calls == [4]  # the support; the difference polytope reads its cached hull
     assert loops == [4, 13]  # the support, then the distinct differences of its 4 vertices
+    # in the plane and on a line, --svg draws the cached hull too, and the
+    # file is the legacy SVG of the support
+    chains = []
+    hull_2d = P.convex_hull_2d
+    monkeypatch.setattr(P, "convex_hull_2d", lambda pts: chains.append(len(pts)) or hull_2d(pts))
+    for rminus, dim in ((["a b^-1 a", "b^2 a b"], 2), (["a^3"], 1)):
+        path.write_text(json.dumps({"generators": ["a", "b"][:len(rminus)], "relators": [],
+                                    "rminus": rminus}))
+        svg = tmp_path / f"{dim}.svg"
+        tau = E.torsion(E.input_from_dict(json.loads(path.read_text()))).tau
+        chains.clear()
+        code, out, _ = run(capsys, "polytope", str(path), "--diff", "--svg", str(svg))
+        assert code == 0 and out.splitlines()[-1] == f"wrote {svg}"
+        assert out.splitlines()[0] == f"support: {len(tau.terms)} points in dimension {dim}"
+        assert chains == ([len(tau.terms)] if dim == 2 else [])  # the support's chain only
+        assert svg.read_text() == legacy_polytope.to_svg(P.support(tau))

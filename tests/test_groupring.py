@@ -1,6 +1,7 @@
 import collections
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,6 @@ from sutor.groupring import (
     UnsupportedTorsionError,
     _cofactor,
     _kronecker,
-    _sparse,
     add,
     augmentation,
     determinant,
@@ -305,7 +305,7 @@ def test_one_variable_determinant_matches_cofactor(G, monkeypatch):
     # its entries are all units, so determinant peels it whole; the Kronecker
     # core, called on it directly, meets the coefficient bound at full width
     before = seen["det_sparse"]
-    core = _kronecker(G, _sparse(A.packed))
+    core = _kronecker(G, A.packed)
     assert equal(GroupRingElement(G, packed=(A.packing, core)), monomial(G, _cyclic(G, 56), 4096))
     assert seen["det_sparse"] == before + 1 and seen["core_calls"] > 0
     assert seen["leading_swap"] >= 6 and seen["zero_row"] == 9 and seen["nonzero"] >= 25
@@ -329,6 +329,104 @@ def test_from_rows_rejects_ragged_rows():
     for rows in ([[a, b], [b, a, one(Z2)]], [[a, b], [b]]):
         with pytest.raises(ValueError, match="ragged rows"):
             GRMatrix.from_rows(rows)
+
+
+SPARSE_GROUPS = [AbelianGroup(0), Z, AbelianGroup(0, (5,)), Z2, AbelianGroup(1, (3,))]
+
+
+@pytest.mark.parametrize("G", SPARSE_GROUPS, ids=lambda G: G.describe())
+def test_sparse_rows_keep_a_trailing_zero_column(G):
+    """A GRMatrix row holds its nonzero entries only, so a last column of
+    zeros is in no row: from_rows keeps cols from the grid, entries gives
+    the grid back, and the same rows given cols give the same entries.  det
+    is 0 on determinant, _cofactor and, on one variable, _kronecker, for
+    matrices below the front end's 5 rows and for matrices it peels."""
+    rng = random.Random("trailing " + G.describe())
+    h = AbElement((1,) * G.rank, tuple(d - 1 for d in G.torsion))
+    for n in (2, 3, 4, 5, 6, 8):
+        grid = [[zero(G) if j == n - 1 else monomial(G, h, rng.choice((1, -1))) if j == i % (n - 1)
+                 else rng.choice((zero(G), monomial(G, h, 2))) for j in range(n)] for i in range(n)]
+        A = GRMatrix.from_rows(grid)
+        assert (A.rows, A.cols) == (n, n) and all(A.packed)
+        assert not any(n - 1 in row for row in A.packed)
+        assert A.entries == tuple(map(tuple, grid))
+        B = GRMatrix(G, A.packing, A.packed, A.cols)
+        assert "entries" not in B.__dict__ and B.entries == A.entries and B == A
+        assert all(len(row) == n and not row[-1] for row in B.entries)
+        assert not determinant(A) and not _cofactor(A)
+        if G.rank + len(G.torsion) <= 1:
+            assert _kronecker(G, A.packed) == {}
+
+
+def test_determinant_refuses_a_non_square_grid():
+    """cols is the grid's width, also when its last columns are zero, so a
+    matrix that is not square is refused whatever its rows hold."""
+    a, o = one(Z2), zero(Z2)
+    for grid in ([[a, o, o], [a, a, o]], [[a, a], [a, o], [o, a]], [[o] * 3] * 2, [[a, o]]):
+        A = GRMatrix.from_rows(grid)
+        assert (A.rows, A.cols) == (len(grid), len(grid[0]))
+        with pytest.raises(ValueError, match="non-square"):
+            determinant(A)
+    with pytest.raises(ValueError, match="non-square"):
+        determinant(GRMatrix(Z2, A.packing, [{0: {0: 1}}, {1: {0: 1}}], 3))
+
+
+@pytest.mark.parametrize("G", SPARSE_GROUPS, ids=lambda G: G.describe())
+def test_front_end_can_leave_a_zero_one_row_core(G):
+    """Units on the diagonal of the first four rows, a fifth row that
+    repeats the first and a last column of zeros: the front end peels the
+    four units and leaves a 1 x 1 core whose one entry is zero, an empty
+    row, so det is 0 on every path."""
+    h = AbElement((1,) * G.rank, tuple(d - 1 for d in G.torsion))
+    grid = [[monomial(G, h, -1) if j == i % 4 else zero(G) for j in range(5)] for i in range(5)]
+    A = GRMatrix.from_rows(grid)
+    assert groupring._peel([dict(row) for row in A.packed], A.packing, 0)[0] == [{}]
+    assert not determinant(A) and not _cofactor(A)
+    if G.rank + len(G.torsion) <= 1:
+        assert _kronecker(G, A.packed) == {}
+
+
+@pytest.mark.parametrize("G", SPARSE_GROUPS, ids=lambda G: G.describe())
+def test_determinant_leaves_the_rows_it_peels_as_they_were(G):
+    """The front end edits its rows in place, so determinant hands it a
+    shallow copy of each: after det, every row holds the same entries, in
+    the same order and unchanged, and det again gives the same keys in the
+    same order."""
+    rng = random.Random("rows " + G.describe())
+    steps = 0
+    for n in (5, 6, 8):
+        grid = [[monomial(G, AbElement(tuple(rng.randint(-2, 2) for _ in range(G.rank)),
+                                       tuple(rng.randrange(d) for d in G.torsion)),
+                          rng.choice((1, -1, 2))) if rng.random() < 0.25 or i == j else zero(G)
+                 for j in range(n)] for i in range(n)]
+        A = GRMatrix.from_rows(grid)
+        assert sum(map(len, A.packed)) <= 4 * n  # past the front end's gate
+        before = [[(j, e, dict(e)) for j, e in row.items()] for row in A.packed]
+        det = determinant(A)
+        assert [[(j, e, dict(e)) for j, e in row.items()] for row in A.packed] == before
+        assert all(e is f for row, was in zip(A.packed, before) for e, (_, f, _) in
+                   zip(row.values(), was))
+        assert list(determinant(A).packed[1].items()) == list(det.packed[1].items())
+        assert equal(det, _cofactor(A))
+        steps += n - len(groupring._peel([dict(row) for row in A.packed], A.packing, 0)[0])
+    assert steps >= 6
+
+
+def test_from_records_of_a_huge_rank_allocates_nothing_per_coordinate():
+    """A record of rank WORK_BUDGET with no terms: the coordinate rows are
+    the records' coordinates zipped and the codec's shifts a range, so
+    reading it allocates the codec's constants only, about 1 MB, not a list
+    and a shift per coordinate (over 100 MB)."""
+    rank = groupring.WORK_BUDGET
+    tracemalloc.start()
+    try:
+        p = from_records({"group": {"rank": rank, "torsion": []}, "terms": []})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p.group == AbelianGroup(rank) and not p
+    assert len(p.packed[0].shifts) == rank
+    assert peak < 8 * 2 ** 20, peak
 
 
 def test_sum_of_all_elements():

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -841,8 +842,10 @@ def test_helpers_and_writers_on_keys_match_the_per_term_legacy(monkeypatch, name
     for grid, A in zip(grids, matrices):
         L = legacy_groupring.from_rows(grid)
         assert (A.packing.width, A.packing.bound) == (L.packing.width, L.packing.bound)
-        assert [[list(e.items()) for e in row] for row in A.packed] == \
-            [[list(e.items()) for e in row] for row in L.packed]
+        assert (A.rows, A.cols) == (L.rows, L.cols)
+        # the same columns and the same keys, each in the same order
+        assert [[(j, list(e.items())) for j, e in row.items()] for row in A.packed] == \
+            [[(j, list(e.items())) for j, e in row.items()] for row in L.packed]
         assert A.entries == L.entries
     # on Z^b, b > 0, the Fox codec is wider than a codec of terms; with no
     # free coordinate every codec of G has one width
@@ -944,25 +947,45 @@ def test_identity_presentation_of_1200_generators_under_the_default_recursion_li
     assert ev.passed and au.passed and ev.G == AbelianGroup(0)
 
 
+def test_fox_matrix_and_determinant_allocate_nothing_per_zero_entry():
+    """The 1200 x 1200 identity Fox matrix has 1200 nonzero entries.  Built
+    as sparse rows and taken through determinant, each stays under half a
+    pointer per entry of the dense grid, which a list per row takes alone
+    (8 bytes per entry)."""
+    n = 1200
+    inp = _identity_input(n)
+    ab = abelianize(inp.alphabet, ())
+    tracemalloc.start()
+    try:
+        A = fox_matrix(inp.alphabet, list(inp.rminus), ab)
+        built = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        det = determinant(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert det.packed[1] == {0: 1} and "entries" not in A.__dict__
+    assert max(built, peak) < 4 * n * n, (built, peak)
+
+
 def test_bidiagonal_chain_of_1200_rows_reaches_the_cofactor_expansion():
     """Upper bidiagonal over Z^n, n = 1200: 2 x_i on the diagonal and 3 x_(i+1)
     above it.  No entry is a unit, so the front end takes no step, and the
     cofactor expansion meets a chain of n lines with one entry each: the
     last row, then the last row of its minor, and so on.  det = 2^n x_1 ...
     x_n, under the default recursion limit and within the block count.  The
-    matrix is built on packed keys: through from_rows, 1.44 million entries
-    take seconds."""
+    matrix is built as sparse rows on packed keys: through from_rows, 1.44
+    million entries take seconds."""
     n = 1200
     G = AbelianGroup(n)
     pk = _Packing(G, 2 * n)  # the from_rows bound: 2 x rows x 1
     x = [1 << s for s in pk.shifts]
-    empty = {}
-    packed = [[{x[i]: 2} if j == i else {x[j]: 3} if j == i + 1 else empty for j in range(n)]
-              for i in range(n)]
+    packed = [{j: {x[j]: 2 if j == i else 3} for j in (i, i + 1) if j < n} for i in range(n)]
+    assert sum(map(len, packed)) == 2 * n - 1
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        dets = [determinant(GRMatrix(G, pk, packed)), _cofactor(GRMatrix(G, pk, packed))]
+        dets = [determinant(GRMatrix(G, pk, packed, n)), _cofactor(GRMatrix(G, pk, packed, n))]
     finally:
         sys.setrecursionlimit(limit)
     for det in dets:

@@ -22,7 +22,6 @@ from sutor.groupring import (
     _max_free,
     _Packing,
     _peel,
-    _sparse,
     add,
     determinant,
     element,
@@ -73,7 +72,7 @@ def _every_path(A: GRMatrix) -> GroupRingElement:
     assert equal(det, _cofactor(A))
     G = A.group
     if G.rank + len(G.torsion) <= 1 and A.rows > 1:
-        core = _kronecker(G, _sparse(A.packed))
+        core = _kronecker(G, A.packed)
         assert equal(det, GroupRingElement(G, packed=(A.packing, core)))
     return det
 
@@ -199,20 +198,27 @@ def test_front_end_at_the_codec_bound(G):
 
 
 def _narrow(G: AbelianGroup, rows):
-    """The rows' entries packed under a codec only just wide enough for
-    them and for their determinant, that determinant by _cofactor under the
-    codec of from_rows, and whether a Schur sum of the front end leaves
-    the narrow codec's half-range: read off the core the front end leaves
-    under a codec of 3 x the from_rows bound, which holds every such sum."""
+    """The matrix of the rows' entries under a codec only just wide enough
+    for them and for their determinant, that determinant by _cofactor
+    under the codec of from_rows, and whether a Schur sum of the front end
+    leaves the narrow codec's half-range: read off the core the front end
+    leaves under a codec of 3 x the from_rows bound, which holds every such
+    sum."""
     A = GRMatrix.from_rows(rows)
     det = _cofactor(A)
     pk = _Packing(G, max(_max_free(h for row in rows for e in row for h in e.terms),
                          _max_free(det.terms)))
     wide = _Packing(G, 3 * A.packing.bound)
-    core = _peel(_sparse([[wide.encode_terms(e.terms) for e in row] for row in rows]), wide, 0)[0]
+    core = _peel(_encoded(wide, rows), wide, 0)[0]
     past = any(abs(x) >= 1 << (pk.width - 1) for row in core for e in row.values()
                for h in wide.decode_terms(e) for x in h.free)
-    return pk, [[pk.encode_terms(e.terms) for e in row] for row in rows], det, past
+    return GRMatrix(G, pk, _encoded(pk, rows), len(rows)), det, past
+
+
+def _encoded(pk: _Packing, rows):
+    """The sparse rows of the entries' terms under pk: {column: keys} over
+    the nonzero entries."""
+    return [{j: pk.encode_terms(e.terms) for j, e in enumerate(row) if e} for row in rows]
 
 
 @pytest.mark.parametrize("G", [AbelianGroup(2), AbelianGroup(3), AbelianGroup(1, (2,)),
@@ -234,9 +240,9 @@ def test_front_end_sums_past_the_codec_range(G):
     B = [[mono(y, -3), mono(y, 3)], [mono(y, 3), {**mono(0, 0), **mono(0, 1)}]]
     rows = [[element(G, B[i][j]) if i < 2 and j < 2 else one(G) if i == j else zero(G)
              for j in range(5)] for i in range(5)]
-    pk, packed, det, past = _narrow(G, rows)
-    assert (pk.bound, pk.width, past) == (6, 4, True)
-    assert pk.decode_terms(determinant(GRMatrix(G, pk, packed)).packed[1]) == det.terms
+    N, det, past = _narrow(G, rows)
+    assert (N.packing.bound, N.packing.width, past) == (6, 4, True)
+    assert N.packing.decode_terms(determinant(N).packed[1]) == det.terms
     rng = random.Random("narrow " + G.describe())
     outside = 0
     for _ in range(60):
@@ -244,9 +250,9 @@ def test_front_end_sums_past_the_codec_range(G):
         rows = [[element(G, {AbElement(tuple(s * x for x in h.free), h.tor): c
                              for h, c in _entry(rng, G, 0.6).terms.items()})
                  for _ in range(n)] for _ in range(n)]
-        pk, packed, det, past = _narrow(G, rows)
+        N, det, past = _narrow(G, rows)
         outside += past
-        assert pk.decode_terms(determinant(GRMatrix(G, pk, packed)).packed[1]) == det.terms
+        assert N.packing.decode_terms(determinant(N).packed[1]) == det.terms
     assert outside >= 2
 
 

@@ -654,6 +654,39 @@ def test_to_svg_smoke():
         P.to_svg(P.support(one(G3)))
 
 
+def test_to_svg_reads_the_cached_hull_and_matches_legacy(monkeypatch):
+    """to_svg draws S.hull (the chain in the plane, the two extreme points
+    on a line) and hulls nothing once the hull is cached; its SVG is the
+    legacy SVG byte for byte, on seeded 1-D, planar and collinear planar
+    supports and on the supports of T(2,n) and pretzel knots."""
+    rng = random.Random(67)
+    supports = [P.support(E.torsion(wirtinger_knot(torus_2n_pd(n))).tau) for n in (3, 7)]
+    supports.append(P.support(E.torsion(pretzel_even(1, 1, 1)).tau))
+    for _ in range(40):
+        k = rng.randint(1, 6)
+        supports.append(P.support(poly1(*((rng.randint(-5, 5), rng.choice((1, -2, 3)))
+                                          for _ in range(k)))))
+        supports.append(P.support(poly2(*((rng.randint(-4, 4), rng.randint(-4, 4),
+                                           rng.choice((1, -1, 2))) for _ in range(k + 2)))))
+        d, o = (rng.randint(-2, 2), rng.randint(1, 2)), (rng.randint(-3, 3), rng.randint(-3, 3))
+        supports.append(P.support(poly2(*((o[0] + t * d[0], o[1] + t * d[1], 1)
+                                          for t in rng.sample(range(-3, 4), k)))))
+    kinds = collections.Counter()
+    hulled = []
+    hull_2d = P.convex_hull_2d
+    monkeypatch.setattr(P, "convex_hull_2d", lambda pts: hulled.append(len(pts)) or hull_2d(pts))
+    for S in supports:
+        chain = S.hull[1]
+        hulled.clear()
+        svg = P.to_svg(S)
+        assert hulled == [] and svg == legacy_polytope.to_svg(S)
+        collinear = S.dim == 2 and len(chain) == 2 and len(S.points) > 2
+        kinds["line" if S.dim == 1 else "collinear" if collinear else "plane"] += 1
+        kinds["polygon"] += "<polygon" in svg
+    assert min(kinds[k] for k in ("line", "collinear", "plane")) >= 10, kinds
+    assert kinds["polygon"] >= 60, kinds
+
+
 def test_pretzel_even_asymmetry():
     S = P.support(E.torsion(pretzel_even(1, 1, 1)).tau)
     assert len(S.points) == 3
