@@ -2,7 +2,10 @@
 
 Groups are presented in Smith normal form: rank b plus a divisor chain
 d_1 | d_2 | ... with every d_i >= 2.  Elements are exponent vectors
-(free part) together with reduced torsion residues.
+(free part) together with reduced torsion residues.  AbElement is such an
+element as a value that crosses the API only; nothing here adds or scales
+one.  Computation is on coordinates: coordinate rows through dot_map here,
+packed keys in groupring.
 
 A homomorphism into such a group is its matrix (ImageMatrix): row i holds
 target coordinate i of the image of every basis element.  cokernel reads it
@@ -11,8 +14,10 @@ direct_sum hand it to their Projection; the images as AbElements are
 derived from it only when read.  dot_map is the one place that maps
 coordinate vectors through such a matrix: it takes them as coordinate
 columns and returns coordinate rows, so word_images maps all its words,
-and groupring.push_forward every term of an element, in one call, without
-an AbElement per vector; a single vector is a batch of one.
+groupring.push_forward every term of an element, and engine.induced_hom
+every lift of a canonical factor, in one call, without an AbElement per
+vector; a single vector is a batch of one, and Cokernel.from_vector and
+Projection.__call__ refuse one whose coordinate count is not the source's.
 
 _smith is the one Smith normal form.  It works in place on a list of rows,
 and the transforms ride in blocks beside and below the matrix: cokernel
@@ -254,11 +259,18 @@ def _smith(A: List[List[int]], m: int, n: int) -> None:
             row_add(t, bad, 1)
 
 
+def _unit_rows(k: int) -> List[List[int]]:
+    """The rows of the k x k identity matrix, built as rows."""
+    rows = [[0] * k for _ in range(k)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
+
+
 def smith_normal_form(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
     """U, D, V with U*M*V = D diagonal, d_i | d_{i+1}, d_i >= 0, U and V unimodular."""
     m, n = M.rows, M.cols
-    A = ([r + e for r, e in zip(M.to_rows(), IntMatrix.identity(m).to_rows())]
-         + IntMatrix.identity(n).to_rows())
+    A = [r + e for r, e in zip(M.to_rows(), _unit_rows(m))] + _unit_rows(n)
     _smith(A, m, n)
     mk = lambda rows, r, c: IntMatrix(r, c, tuple(x for row in rows for x in row))
     return (mk([r[n:] for r in A[:m]], m, m), mk([r[:n] for r in A[:m]], m, n),
@@ -295,46 +307,8 @@ def zero_element(G: AbelianGroup) -> AbElement:
     return AbElement((0,) * G.rank, (0,) * len(G.torsion))
 
 
-def ab_add(G: AbelianGroup, x: AbElement, y: AbElement) -> AbElement:
-    return AbElement(
-        tuple(a + b for a, b in zip(x.free, y.free)),
-        tuple((a + b) % d for a, b, d in zip(x.tor, y.tor, G.torsion)),
-    )
-
-
-def ab_neg(G: AbelianGroup, x: AbElement) -> AbElement:
-    return AbElement(
-        tuple(-a for a in x.free),
-        tuple((-a) % d for a, d in zip(x.tor, G.torsion)),
-    )
-
-
-def ab_scale(G: AbelianGroup, x: AbElement, k: int) -> AbElement:
-    return AbElement(
-        tuple(k * a for a in x.free),
-        tuple((k * a) % d for a, d in zip(x.tor, G.torsion)),
-    )
-
-
-def element(G: AbelianGroup, free: Sequence[int] = (), tor: Sequence[int] = ()) -> AbElement:
-    free = tuple(free) + (0,) * (G.rank - len(free))
-    tor = tuple(tor) + (0,) * (len(G.torsion) - len(tor))
-    if len(free) != G.rank or len(tor) != len(G.torsion):
-        raise ValueError("coordinate length mismatch")
-    return AbElement(free, tuple(t % d for t, d in zip(tor, G.torsion)))
-
-
 ImageMatrix = Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[Tuple[int, ...], int], ...]]
 CoordinateRows = Tuple[List[List[int]], List[List[int]]]
-
-
-def image_matrix(G: AbelianGroup, images: Sequence[AbElement]) -> ImageMatrix:
-    """The matrix of the homomorphism Z^len(images) -> G sending e_j to
-    images[j] (row i holds coordinate i of every image), split into its
-    free rows and its (torsion row, d) pairs."""
-    vs = [img.free + img.tor for img in images]
-    rows = [tuple(v[i] for v in vs) for i in range(G.rank + len(G.torsion))]
-    return tuple(rows[:G.rank]), tuple(zip(rows[G.rank:], G.torsion))
 
 
 def dot_map(M: ImageMatrix, columns: Sequence[Sequence[int]], count: int) -> CoordinateRows:
@@ -364,8 +338,15 @@ def _elements(free: Sequence[Sequence[int]], tor: Sequence[Sequence[int]],
 
 
 def _map_vector(M: ImageMatrix, v: Sequence[int]) -> AbElement:
-    """dot_map of the one vector v."""
+    """dot_map of the one vector v, which has a coordinate per column of M."""
     return _elements(*dot_map(M, [(x,) for x in v], 1), 1)[0]
+
+
+def _coordinates(G: AbelianGroup, x: AbElement) -> Tuple[int, ...]:
+    """x.free + x.tor, once x has the coordinate counts of G."""
+    if len(x.free) != G.rank or len(x.tor) != len(G.torsion):
+        raise ValueError(f"{x} is not an element of {G.describe()}")
+    return x.free + x.tor
 
 
 @dataclass(frozen=True)
@@ -396,11 +377,13 @@ class Cokernel:
         return tuple(tuple(row[r] for row in inverse) for r in self.factor_rows)
 
     def from_vector(self, v: Sequence[int]) -> AbElement:
+        if len(v) != len(self.U):  # dot_map would drop or zero-fill the others
+            raise ValueError(f"a vector of {len(v)} coordinates for {len(self.U)} generators")
         return _map_vector(self.matrix, v)
 
 
 def cokernel(rel_rows: Sequence[Sequence[int]], m: int, n: int) -> Cokernel:
-    A = [list(r) + e for r, e in zip(rel_rows, IntMatrix.identity(m).to_rows())]
+    A = [list(r) + e for r, e in zip(rel_rows, _unit_rows(m))]
     _smith(A, m, n)
     diag = [A[i][i] for i in range(min(m, n))]
     tor_rows = [i for i, d in enumerate(diag) if d >= 2]
@@ -450,7 +433,7 @@ class Projection:
                         self.source.rank + len(self.source.torsion))
 
     def __call__(self, x: AbElement) -> AbElement:
-        return _map_vector(self.matrix, x.free + x.tor)
+        return _map_vector(self.matrix, _coordinates(self.source, x))
 
 
 def _torsion_relations(G: AbelianGroup, at: int, m: int) -> List[List[int]]:
@@ -464,10 +447,7 @@ def quotient(H: AbelianGroup, killed: Sequence[AbElement]) -> Projection:
     """G = H / <killed>, with the canonical surjection."""
     m = H.rank + len(H.torsion)
     cols = _torsion_relations(H, 0, m)
-    for x in killed:
-        if len(x.free) != H.rank or len(x.tor) != len(H.torsion):
-            raise ValueError("killed element not in the group")
-        cols.append(list(x.free + x.tor))
+    cols.extend(list(_coordinates(H, x)) for x in killed)
     ck = cokernel([[col[i] for col in cols] for i in range(m)], m, len(cols))
     return Projection(H, ck.group, ck.matrix)
 

@@ -20,7 +20,7 @@ from .abelian import (
     INFINITE,
     Projection,
     abelianize,
-    image_matrix,
+    dot_map,
     order,
     quotient,
     word_images,
@@ -198,13 +198,13 @@ def tietze_add_generator(inp: SuturedInput, w: Word, name: Optional[str] = None)
 
 def induced_hom(old: TorsionResult, new: TorsionResult) -> Projection:
     """The canonical map H_old -> H_new for presentations sharing their first
-    generators (e.g. after a Tietze extension): each canonical factor of
-    H_old lifts to an exponent vector over the old generators, which maps
-    through the new abelianization."""
-    old_ab, new_ab = old.abelianization, new.abelianization
-    pad = (0,) * (len(new_ab.gen_images) - len(old_ab.gen_images))
-    return Projection(old.H, new.H, image_matrix(new.H, [
-        new_ab.from_vector(col + pad) for col in old_ab.lifts]))
+    generators (e.g. after a Tietze extension): the lifts of the canonical
+    factors of H_old, zero on the new generators, go through one dot_map."""
+    lifts, pad = old.abelianization.lifts, len(new.abelianization.U) - len(old.abelianization.U)
+    free, tor = dot_map(new.abelianization.matrix, [*zip(*lifts), *[(0,) * len(lifts)] * pad],
+                        len(lifts))
+    return Projection(old.H, new.H, (tuple(map(tuple, free)),
+                                     tuple(zip(map(tuple, tor), new.H.torsion))))
 
 
 def transport_tau(old: TorsionResult, new: TorsionResult) -> GroupRingElement:

@@ -27,7 +27,9 @@ lex order.  The bound of each caller:
   normalize's shift of the determinant;
 - an element built from terms or from records: 2 x the largest |free
   coordinate|;
-- push_forward: 2 x the largest |free coordinate| of an image.
+- push_forward: 2 x the largest |free coordinate| of an image;
+- exact_div: 2 x (P + 3Q), for P and Q the largest |free coordinate| of
+  the dividend and the divisor, which holds every candidate quotient key.
 
 So every codec holds a term minus a support point, and normalize shifts an
 element's keys in place under its own codec; its result has the least free
@@ -36,9 +38,10 @@ determinant's unit-pivot front end alone forms sums that may leave the
 range, and its docstring says why its result is exact all the same.
 
 A GroupRingElement holds packed = (codec, {packed key: coefficient}) only;
-its terms, keyed by AbElement, are a view: the dict it was built from, or
-else decoded on first read.  Only exact_div, which divides in graded-lex
-order, reads terms.  equal, add, mul and GRMatrix.from_rows bring their
+its terms, keyed by AbElement, are a view: the dict it was built from, whose
+coordinates the constructor checks against the group, or else decoded on
+first read.  No computation reads terms: exact_div divides on keys in their
+lex order, and equal, add, mul and GRMatrix.from_rows bring their
 operands to one codec with _keys_under, which re-encodes the coordinates
 of a narrower codec's keys; normalize shifts and sorts keys, so tau stays
 packed in (free, tor) key order; push_forward maps the coordinate columns
@@ -64,6 +67,7 @@ import heapq
 import itertools
 from dataclasses import FrozenInstanceError
 from functools import cached_property
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .abelian import (
@@ -100,9 +104,11 @@ class GroupRingElement:
     """An element of Z[H]: terms maps group elements to nonzero coefficients.
 
     It holds packed = (codec, {packed key: coefficient}); given terms, it
-    encodes them once (see the module docstring) and keeps the dict as its
-    terms, else terms is decoded on first read, in key order.  Equality
-    compares the group and the keys.  Immutable and not hashable."""
+    refuses them with ValueError unless each has the group's coordinate
+    counts and torsion residues in [0, d), encodes them once (see the module
+    docstring) and keeps the dict as its terms, else terms is decoded on
+    first read, in key order.  Equality compares the group and the keys.
+    Immutable and not hashable."""
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -111,6 +117,7 @@ class GroupRingElement:
         object.__setattr__(self, "group", group)
         if packed is None:
             terms = {} if terms is None else terms
+            _check_terms(group, terms)
             pk = _Packing(group, 2 * _max_free(terms))
             packed = (pk, pk.encode_terms(terms))
             self.__dict__["terms"] = terms
@@ -257,6 +264,17 @@ class _Packing:
         return dict(zip(_elements(cols[:b], cols[b:], len(terms)), terms.values()))
 
 
+def _check_terms(G: AbelianGroup, terms: Dict[AbElement, int]):
+    """Refuse a term whose coordinate counts are not those of G, or whose
+    torsion coordinate lies outside [0, d): its digits would be packed into
+    the wrong coordinate or onto another term's key."""
+    tors = list(map(attrgetter("tor"), terms))
+    if (set(map(len, map(attrgetter("free"), terms))) - {G.rank}
+            or set(map(len, tors)) - {len(G.torsion)}
+            or any(min(row) < 0 or max(row) >= d for row, d in zip(zip(*tors), G.torsion))):
+        raise ValueError(f"term coordinates do not match {G.describe()}")
+
+
 def _max_abs(rows: Iterable[Iterable[int]]) -> int:
     """The largest |entry| of the rows, 0 when they have none."""
     return max(map(abs, itertools.chain.from_iterable(rows)), default=0)
@@ -331,48 +349,42 @@ def equal(p: GroupRingElement, q: GroupRingElement) -> bool:
 
 
 def exact_div(p: GroupRingElement, q: GroupRingElement) -> GroupRingElement:
-    """Exact quotient p/q in Z[H] for torsion-free H; raises NotDivisibleError
-    when no quotient exists.  Both operands are shifted into the non-negative
-    cone, then reduced by single-divisor division under graded-lex order."""
+    """Exact quotient p/q in Z[H] for torsion-free H, on packed keys; raises
+    NotDivisibleError when there is none.  Key order is lex order, a group
+    order, so the greatest key left of p minus the greatest of q is the next
+    quotient key, and these candidates strictly decrease.  A quotient lies in
+    the box from min p - min q to max p - max q, per coordinate, so a
+    candidate outside it raises, and the finite box ends the loop.  A
+    candidate is within P + 3Q of the origin, for P and Q the largest |free
+    coordinate| of p and q, so one codec of bound 2 (P + 3Q) holds every key."""
     _check(p, q)
     if p.group.torsion:
         raise UnsupportedTorsionError("exact division needs a torsion-free group")
-    if not q.terms:
+    if not q:
         raise ZeroDivisionError("division by zero in group ring")
-    if not p.terms:
+    if not p:
         return zero(p.group)
-    b = p.group.rank
-
-    def anchored(x: GroupRingElement):
-        pts = [h.free for h in x.terms]
-        mins = tuple(min(pt[i] for pt in pts) for i in range(b))
-        return {tuple(a - m for a, m in zip(h.free, mins)): c for h, c in x.terms.items()}, mins
-
-    P, pmin = anchored(p)
-    Q, qmin = anchored(q)
-
-    def grlex(e):
-        return (sum(e), e)
-
-    ltq = max(Q, key=grlex)
-    cq = Q[ltq]
-    R = dict(P)
-    quot: Dict[Tuple[int, ...], int] = {}
-    while R:
-        ltr = max(R, key=grlex)
-        cr = R[ltr]
-        mono = tuple(a - c for a, c in zip(ltr, ltq))
-        if any(x < 0 for x in mono) or cr % cq != 0:
-            raise NotDivisibleError("no exact quotient")
-        c = cr // cq
-        quot[mono] = c
-        _accumulate(R, ((tuple(a + d for a, d in zip(mono, e)), -c * ce)
-                        for e, ce in Q.items()))
-    offset = tuple(a - c for a, c in zip(pmin, qmin))
-    return GroupRingElement(
-        p.group,
-        {AbElement(tuple(a + o for a, o in zip(e, offset)), ()): c for e, c in quot.items()},
-    )
+    (ak, a), (bk, b) = p.packed, q.packed
+    pc, qc = ak.columns(a), bk.columns(b)
+    box = [(min(x) - min(y), max(x) - max(y)) for x, y in zip(pc, qc)]
+    pk = _Packing(p.group, 2 * (_max_abs(pc) + 3 * _max_abs(qc)))
+    rest, divisor, quot = dict(_keys_under(p, pk)), _keys_under(q, pk), {}
+    top = max(divisor)
+    heap = [-k for k in rest]  # the keys of rest, greatest first, and some gone since
+    heapq.heapify(heap)
+    while rest:
+        k = -heapq.heappop(heap)
+        if k in rest:
+            c, r = divmod(rest[k], divisor[top])
+            k -= top
+            if r or not all(lo <= x <= hi for (lo, hi), (x,) in zip(box, pk.columns((k,)))):
+                raise NotDivisibleError("no exact quotient")
+            quot[k] = c
+            products = [(k + h, -c * e) for h, e in divisor.items()]
+            _accumulate(rest, products)
+            for h, _ in products:
+                heapq.heappush(heap, -h)
+    return GroupRingElement(p.group, packed=(pk, quot))
 
 
 class GRMatrix:

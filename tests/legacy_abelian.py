@@ -1,6 +1,9 @@
 """Test-only oracles: det_int (tests/int_matrix.py), abelian._smith and abelian.cokernel as
 they were before the sparse determinant, the Smith pivot shortcut and the
-transforms carried as blocks of the Smith rows.
+transforms carried as blocks of the Smith rows, and the per-element
+arithmetic on AbElement tuples (`ab_add`, `ab_neg`, `ab_scale`, `element`,
+`image_matrix`) that src/ computed with before it moved to packed keys and
+coordinate rows.
 
 `det_int` is the dense fraction-free Bareiss elimination: it pivots on the
 diagonal, swapping in the first row below with a nonzero in the pivot
@@ -13,7 +16,45 @@ group, generator images and lifts (the columns of Ui) that abelian.cokernel
 must return."""
 from typing import List, Sequence
 
-from sutor.abelian import AbElement, AbelianGroup, IntMatrix
+from sutor.abelian import AbElement, AbelianGroup, ImageMatrix, IntMatrix
+
+
+def ab_add(G: AbelianGroup, x: AbElement, y: AbElement) -> AbElement:
+    return AbElement(
+        tuple(a + b for a, b in zip(x.free, y.free)),
+        tuple((a + b) % d for a, b, d in zip(x.tor, y.tor, G.torsion)),
+    )
+
+
+def ab_neg(G: AbelianGroup, x: AbElement) -> AbElement:
+    return AbElement(
+        tuple(-a for a in x.free),
+        tuple((-a) % d for a, d in zip(x.tor, G.torsion)),
+    )
+
+
+def ab_scale(G: AbelianGroup, x: AbElement, k: int) -> AbElement:
+    return AbElement(
+        tuple(k * a for a in x.free),
+        tuple((k * a) % d for a, d in zip(x.tor, G.torsion)),
+    )
+
+
+def element(G: AbelianGroup, free: Sequence[int] = (), tor: Sequence[int] = ()) -> AbElement:
+    free = tuple(free) + (0,) * (G.rank - len(free))
+    tor = tuple(tor) + (0,) * (len(G.torsion) - len(tor))
+    if len(free) != G.rank or len(tor) != len(G.torsion):
+        raise ValueError("coordinate length mismatch")
+    return AbElement(free, tuple(t % d for t, d in zip(tor, G.torsion)))
+
+
+def image_matrix(G: AbelianGroup, images: Sequence[AbElement]) -> ImageMatrix:
+    """The matrix of the homomorphism Z^len(images) -> G sending e_j to
+    images[j] (row i holds coordinate i of every image), split into its
+    free rows and its (torsion row, d) pairs."""
+    vs = [img.free + img.tor for img in images]
+    rows = [tuple(v[i] for v in vs) for i in range(G.rank + len(G.torsion))]
+    return tuple(rows[:G.rank]), tuple(zip(rows[G.rank:], G.torsion))
 
 
 def bareiss_pivot(rows: List[List[int]], k: int, c: int, den: int,

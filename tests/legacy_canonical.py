@@ -7,7 +7,8 @@ from typing import Optional, Tuple
 
 from legacy_polytope import extremal_part
 
-from sutor.abelian import AbElement, ab_neg, zero_element
+from legacy_abelian import ab_neg
+from sutor.abelian import AbElement, zero_element
 from sutor.groupring import (
     GroupRingElement,
     NotDivisibleError,

@@ -10,17 +10,20 @@ The element helpers (`add`, `neg`, `scalar_mul`, `mul`, `from_rows`) and the
 two writers (`to_records`, `format_element`) are the per-term versions that
 read `terms`: each decodes a packed operand and encodes the result again, and
 the writers sort the decoded terms by (free, tor).  The packed code must give
-the same terms in the same order, the same codecs and the same text."""
+the same terms in the same order, the same codecs and the same text.
+
+`exact_div` is the division on decoded terms, in graded-lex order on
+exponents shifted into the non-negative cone; the division on packed keys
+must give the same quotient and raise NotDivisibleError on the same pairs."""
 import itertools
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+from legacy_abelian import ab_add, ab_scale
 from sutor.abelian import (
     AbElement,
     AbelianGroup,
     Cokernel,
     Projection,
-    ab_add,
-    ab_scale,
     zero_element,
 )
 from sutor import groupring as GR
@@ -28,6 +31,8 @@ from sutor.groupring import (
     GRMatrix,
     GroupMismatchError,
     GroupRingElement,
+    NotDivisibleError,
+    UnsupportedTorsionError,
     _accumulate,
     _check,
     _max_free,
@@ -200,3 +205,48 @@ def format_element(p: GroupRingElement, names: Sequence[str]) -> str:
         else:
             parts.append(("+ " if c > 0 else "- ") + body)
     return " ".join(parts)
+
+
+def exact_div(p: GroupRingElement, q: GroupRingElement) -> GroupRingElement:
+    """Exact quotient p/q in Z[H] for torsion-free H; raises NotDivisibleError
+    when no quotient exists.  Both operands are shifted into the non-negative
+    cone, then reduced by single-divisor division under graded-lex order."""
+    _check(p, q)
+    if p.group.torsion:
+        raise UnsupportedTorsionError("exact division needs a torsion-free group")
+    if not q.terms:
+        raise ZeroDivisionError("division by zero in group ring")
+    if not p.terms:
+        return zero(p.group)
+    b = p.group.rank
+
+    def anchored(x: GroupRingElement):
+        pts = [h.free for h in x.terms]
+        mins = tuple(min(pt[i] for pt in pts) for i in range(b))
+        return {tuple(a - m for a, m in zip(h.free, mins)): c for h, c in x.terms.items()}, mins
+
+    P, pmin = anchored(p)
+    Q, qmin = anchored(q)
+
+    def grlex(e):
+        return (sum(e), e)
+
+    ltq = max(Q, key=grlex)
+    cq = Q[ltq]
+    R = dict(P)
+    quot: Dict[Tuple[int, ...], int] = {}
+    while R:
+        ltr = max(R, key=grlex)
+        cr = R[ltr]
+        mono = tuple(a - c for a, c in zip(ltr, ltq))
+        if any(x < 0 for x in mono) or cr % cq != 0:
+            raise NotDivisibleError("no exact quotient")
+        c = cr // cq
+        quot[mono] = c
+        _accumulate(R, ((tuple(a + d for a, d in zip(mono, e)), -c * ce)
+                        for e, ce in Q.items()))
+    offset = tuple(a - c for a, c in zip(pmin, qmin))
+    return GroupRingElement(
+        p.group,
+        {AbElement(tuple(a + o for a, o in zip(e, offset)), ()): c for e, c in quot.items()},
+    )

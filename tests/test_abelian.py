@@ -6,6 +6,7 @@ import pytest
 
 import legacy_abelian
 import legacy_groupring
+from legacy_abelian import ab_add, ab_neg, ab_scale, element
 from int_matrix import det_int, diagonal
 from sutor import abelian
 from sutor import engine as E
@@ -16,15 +17,11 @@ from sutor.abelian import (
     AbElement,
     AbelianGroup,
     IntMatrix,
-    ab_add,
-    ab_neg,
-    ab_scale,
     abelianize,
     bareiss_pivot,
     cokernel,
     det_sparse,
     direct_sum,
-    element,
     order,
     quotient,
     smith_normal_form,
@@ -379,6 +376,24 @@ def test_cokernel_and_lifts():
     for x in [element(ck.group, [5], [1]), element(ck.group, [-2], [0])]:
         v = [sum(c * lift[i] for c, lift in zip(x.free + x.tor, ck.lifts)) for i in range(2)]
         assert ck.from_vector(v) == x
+
+
+def test_maps_refuse_vectors_of_the_wrong_shape():
+    """Projection.__call__ and Cokernel.from_vector refuse an element or a
+    vector whose coordinate counts are not the source's; dot_map would drop
+    the extra coordinates or read the missing ones as 0."""
+    Z2 = AbelianGroup(2)
+    proj = quotient(Z2, [AbElement((1, 1), ())])
+    assert proj(AbElement((1, 0), ())) == proj(AbElement((0, -1), ()))
+    for x in (AbElement((1,), ()), AbElement((1, 0, 5), ()), AbElement((1, 0), (5,))):
+        with pytest.raises(ValueError, match="not an element"):
+            proj(x)
+    with pytest.raises(ValueError, match="not an element"):
+        quotient(Z2, [AbElement((1,), ())])
+    ck = cokernel([[2], [0]], 2, 1)
+    for v in ([1], [1, 0, 0], []):
+        with pytest.raises(ValueError, match="coordinates for 2 generators"):
+            ck.from_vector(v)
 
 
 def test_dot_map_matches_legacy_fold():

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import json
@@ -5,6 +6,7 @@ import random
 
 import legacy_canonical
 import legacy_groupring
+from legacy_abelian import image_matrix
 import pytest
 
 from sutor import engine as E
@@ -16,7 +18,6 @@ from sutor.abelian import (
     AbelianGroup,
     Projection,
     abelianize,
-    image_matrix,
     quotient,
 )
 from sutor.engine import (
@@ -271,6 +272,42 @@ def test_transport_tau_with_torsion_matches_legacy_fold():
     moved = transport_tau(base, res)
     assert moved.terms and equal(moved, expected)
     assert sim_equal(moved, res.tau)
+
+
+def test_induced_hom_matches_per_lift_images():
+    """induced_hom, one dot_map of the padded lifts, gives the matrix the
+    parent code built from one Cokernel.from_vector per lift and
+    image_matrix, on seeded Tietze extensions by one to three generators of
+    presentations whose H has torsion, and on the identity of H."""
+    def per_lift(old, new):
+        old_ab, new_ab = old.abelianization, new.abelianization
+        pad = (0,) * (len(new_ab.gen_images) - len(old_ab.gen_images))
+        return Projection(old.H, new.H, image_matrix(new.H, [
+            new_ab.from_vector(col + pad) for col in old_ab.lifts]))
+
+    rng = random.Random(26)
+    names = ("a", "b", "c")
+    seen = collections.Counter()
+    for _ in range(25):
+        relator = " ".join(f"{rng.choice(names)}^{rng.choice([2, 3, 4, -2, -6])}"
+                           for _ in range(rng.randint(1, 3)))
+        rminus = [" ".join(f"{rng.choice(names)}^{rng.choice([-2, -1, 1, 3])}"
+                           for _ in range(rng.randint(1, 3))) for _ in range(2)]
+        inp = simple_input(rminus, names=names, relator_texts=[relator])
+        base = torsion(inp)
+        seen["torsion"] += bool(base.H.torsion)
+        assert E.induced_hom(base, base) == per_lift(base, base)
+        ext = inp
+        for _ in range(rng.randint(1, 3)):
+            w = W.free_reduce([(rng.randrange(len(ext.alphabet)), rng.choice([-2, -1, 1, 2]))
+                               for _ in range(rng.randint(0, 4))])
+            ext = tietze_add_generator(ext, w)
+            res = torsion(ext)
+            hom = E.induced_hom(base, res)
+            assert hom == per_lift(base, res)
+            seen["extension"] += 1
+            assert sim_equal(transport_tau(base, res), res.tau)
+    assert seen["torsion"] >= 10 and seen["extension"] >= 40, seen
 
 
 def test_tietze_fresh_name_avoids_collision():

@@ -1,12 +1,14 @@
 import collections
 import itertools
 import random
+import time
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import legacy_canonical
+import legacy_groupring
 from sutor import groupring
 from sutor.abelian import AbElement, AbelianGroup, zero_element
 from sutor.groupring import (
@@ -109,6 +111,104 @@ def test_exact_div_multivariate():
     p = (one(Z2) + x) * (one(Z2) - y) * (x + y)
     assert equal(exact_div(p, one(Z2) + x), (one(Z2) - y) * (x + y))
     assert equal(exact_div(p, x + y), (one(Z2) + x) * (one(Z2) - y))
+
+
+def _laurent(rank):
+    return st.dictionaries(st.tuples(*[st.integers(-3, 3)] * rank),
+                           st.integers(-4, 4).filter(bool), max_size=5)
+
+
+def _element(G, d):
+    return element(G, {AbElement(k, ()): c for k, c in d.items()})
+
+
+def _divide(div, p, q):
+    """div(p, q), or NotDivisibleError when it raises that."""
+    try:
+        return div(p, q)
+    except NotDivisibleError:
+        return NotDivisibleError
+
+
+@given(st.sampled_from([0, 1, 2, 3]).flatmap(
+    lambda b: st.tuples(st.just(AbelianGroup(b)), _laurent(b), _laurent(b), _laurent(b))))
+@settings(deadline=None, max_examples=300)
+def test_exact_div_matches_legacy(case):
+    """The division on packed keys against the graded-lex division on
+    decoded terms it replaced (tests/legacy_groupring.py), over Z^0 to Z^3:
+    a product f * q divides back to f, zero numerator included, and f
+    reaches every side of the quotient box in every coordinate; f * q plus
+    a perturbation r gives the same quotient, or NotDivisibleError, in both."""
+    G, f, q, r = case
+    f, q, r = _element(G, f), _element(G, q), _element(G, r)
+    if not q:
+        with pytest.raises(ZeroDivisionError):
+            exact_div(f, q)
+        return
+    p = mul(f, q)
+    assert equal(exact_div(p, q), f) and equal(legacy_groupring.exact_div(p, q), f)
+    if f:
+        cols = [groupring.sorted_columns(x)[0] for x in (f, p, q)]
+        for fi, pi, qi in zip(*cols):
+            assert (min(fi), max(fi)) == (min(pi) - min(qi), max(pi) - max(qi))
+    p = add(p, r)
+    new, old = _divide(exact_div, p, q), _divide(legacy_groupring.exact_div, p, q)
+    assert new is old is NotDivisibleError or equal(new, old)
+
+
+def test_exact_div_rank_zero_and_box_sides():
+    """Over Z^0 division is integer division.  Over Z^2, three pairs whose
+    second candidate leaves the box, each through another side: below it in
+    x, below it in y and above it in y (in x the first candidate is the top
+    of the box, and later ones are lex smaller).  Both divisions refuse them."""
+    Z0 = AbelianGroup(0)
+    assert equal(exact_div(one(Z0) * 6, one(Z0) * -3), one(Z0) * -2)
+    with pytest.raises(NotDivisibleError):
+        exact_div(one(Z0) * 5, one(Z0) * 3)
+
+    def z2(*terms):
+        return element(Z2, {AbElement(h, ()): c for h, c in terms})
+
+    for p, q in [(z2(((0, 0), 1), ((1, 0), -1)), z2(((0, 1), 1), ((1, 1), 1))),  # x low
+                 (z2(((-1, -1), -1), ((1, 0), 1)), z2(((0, -1), -1), ((1, 0), -1))),  # y low
+                 (z2(((-1, 0), 1), ((1, -1), -1)), z2(((0, 0), -1), ((1, -1), 1)))]:  # y high
+        for div in (exact_div, legacy_groupring.exact_div):
+            with pytest.raises(NotDivisibleError):
+                div(p, q)
+
+
+def test_exact_div_wide_box_ends_fast():
+    """(1 + x^M y^M) / (1 - x^-1 y), M = 10^9: the box is [1, M] x [0, M - 1]
+    and the first candidate x^M y^M lies above it in y, so the division
+    raises at once.  Lex order is no well-order on Z^2: past the box, the
+    candidates x^(M-k) y^(M+k) would go on descending (and the graded-lex
+    division of the old code walks M steps)."""
+    M = 10 ** 9
+    p = add(one(Z2), monomial(Z2, AbElement((M, M), ())))
+    q = add(one(Z2), monomial(Z2, AbElement((-1, 1), ()), -1))
+    start = time.perf_counter()
+    with pytest.raises(NotDivisibleError):
+        exact_div(p, q)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_term_constructor_refuses_coordinates_outside_the_group():
+    """A term with another coordinate count, or a torsion coordinate outside
+    [0, d), is refused.  Let through, s^5 in Z/3 packed to a key of its own,
+    unequal to s^2, and to_records wrote tor 5 and 7 for s^5 + s^-1."""
+    Z3 = AbelianGroup(0, (3,))
+    for h in (AbElement((), (5,)), AbElement((), (-1,)), AbElement((), (3,)),
+              AbElement((1,), (0,)), AbElement((), ()), AbElement((), (0, 0))):
+        with pytest.raises(ValueError, match="term coordinates"):
+            monomial(Z3, h)
+    with pytest.raises(ValueError):
+        GroupRingElement(Z3, {AbElement((), (2,)): 1, AbElement((), (5,)): 1})
+    for h in (AbElement((1,), ()), AbElement((1, 0, 5), ()), AbElement((1, 0), (5,))):
+        with pytest.raises(ValueError):
+            element(Z2, {h: 1})
+    assert to_records(monomial(Z3, AbElement((), (2,))))["terms"] == [
+        {"coeff": 1, "free": [], "tor": [2]}]
+    assert equal(GroupRingElement(Z3, {}), zero(Z3))
 
 
 def test_normalize_picks_orbit_representative():

@@ -12,15 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 import legacy_canonical
 import legacy_groupring
+from legacy_abelian import ab_add, ab_neg, ab_scale
 from sutor import engine as E
 from sutor import families as F
 from sutor import abelian, groupring
 from sutor.abelian import (
     AbElement,
     AbelianGroup,
-    ab_add,
-    ab_neg,
-    ab_scale,
     abelianize,
     direct_sum,
     quotient,

@@ -8,11 +8,12 @@ import pytest
 
 import legacy_canonical
 import legacy_groupring
+from legacy_abelian import ab_add, ab_scale
 from sutor import engine as E
 from sutor import families as F
 from sutor import groupring
 from sutor import words as W
-from sutor.abelian import AbElement, AbelianGroup, ab_add, ab_scale, abelianize, quotient
+from sutor.abelian import AbElement, AbelianGroup, abelianize, quotient
 from sutor.fox import fox_matrix
 from sutor.groupring import (
     GRMatrix,
