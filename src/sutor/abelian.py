@@ -23,7 +23,8 @@ _smith is the one Smith normal form.  It works in place on a list of rows,
 and the transforms ride in blocks beside and below the matrix: cokernel
 reads U to the right of the relation rows, and smith_normal_form also reads
 V below them.  U^-1, whose columns lift the canonical factors back to
-generator vectors, is not tracked; Cokernel.lifts derives it on first read.
+generator vectors, is not tracked; Cokernel.lifts derives its factor
+columns on first read, from _smith of U itself.
 """
 from __future__ import annotations
 
@@ -198,7 +199,7 @@ def _smith(A: List[List[int]], m: int, n: int) -> None:
     columns 0..n-1 of every row of A, so blocks placed beside and below M
     carry the transforms of U*M*V = D: I_m to the right of the first m rows
     ends as U (cokernel reads it there), and I_n below them ends as V
-    (smith_normal_form reads both)."""
+    (smith_normal_form and Cokernel.lifts read both)."""
 
     def row_add(i, j, c):  # row_i += c * row_j
         A[i] = [a + c * b for a, b in zip(A[i], A[j])]
@@ -371,10 +372,14 @@ class Cokernel:
     def lifts(self) -> Tuple[Tuple[int, ...], ...]:
         """An integer lift back to Z^m of each canonical factor: the column of
         U^-1 at its factor row.  Derived on first read, as U^-1 = V2*U2 from
-        the Smith form U2*U*V2 = I of the unimodular U."""
-        U2, _, V2 = smith_normal_form(IntMatrix.from_rows(self.U))
-        inverse = (V2 @ U2).to_rows()
-        return tuple(tuple(row[r] for row in inverse) for r in self.factor_rows)
+        the Smith form U2*U*V2 = I of the unimodular U: _smith runs on [U | I]
+        over I, and only the factor columns of U2 are mapped through V2, in
+        one dot_map, so no m x m product is formed."""
+        m, rs = len(self.U), self.factor_rows
+        A = [list(r) + e for r, e in zip(self.U, _unit_rows(m))] + _unit_rows(m)
+        _smith(A, m, m)
+        lifted, _ = dot_map((A[m:], ()), [[row[m + r] for r in rs] for row in A[:m]], len(rs))
+        return tuple(zip(*lifted))
 
     def from_vector(self, v: Sequence[int]) -> AbElement:
         if len(v) != len(self.U):  # dot_map would drop or zero-fill the others

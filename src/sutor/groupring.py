@@ -25,9 +25,9 @@ lex order.  The bound of each caller:
   image x the longest word's sum of |exponents|, which bounds every prefix
   of a word, so the same keys serve the Fox terms, every _cofactor sum and
   normalize's shift of the determinant;
-- an element built from terms or from records: 2 x the largest |free
-  coordinate|;
-- push_forward: 2 x the largest |free coordinate| of an image;
+- an element built from coordinates (_from_rows: the term constructor,
+  from_records, push_forward's images, I_G, polytope.cyclic_sum): 2 x the
+  largest |free coordinate|;
 - exact_div: 2 x (P + 3Q), for P and Q the largest |free coordinate| of
   the dividend and the divisor, which holds every candidate quotient key.
 
@@ -39,15 +39,16 @@ range, and its docstring says why its result is exact all the same.
 
 A GroupRingElement holds packed = (codec, {packed key: coefficient}) only;
 its terms, keyed by AbElement, are a view: the dict it was built from, whose
-coordinates the constructor checks against the group, or else decoded on
-first read.  No computation reads terms: exact_div divides on keys in their
-lex order, and equal, add, mul and GRMatrix.from_rows bring their
-operands to one codec with _keys_under, which re-encodes the coordinates
-of a narrower codec's keys; normalize shifts and sorts keys, so tau stays
-packed in (free, tor) key order; push_forward maps the coordinate columns
-(_Packing.columns) through abelian.dot_map and packs the image rows into
-target keys (_Packing.encode_rows); to_records and the CLI's formatter
-write from sorted_columns, the terms in key order as coordinate rows.
+coordinates the constructor checks against the group before _from_rows
+packs them, or else decoded on first read.  No computation reads terms:
+exact_div divides on keys in their lex order, and equal, add, mul and
+GRMatrix.from_rows bring their operands to one codec with _keys_under,
+which re-encodes the coordinates of a narrower codec's keys; normalize
+shifts and sorts keys, so tau stays packed in (free, tor) key order;
+push_forward maps the coordinate columns (_Packing.columns) through
+abelian.dot_map and hands the image rows to _from_rows; to_records and the
+CLI's formatter write from sorted_columns, the terms in key order as
+coordinate rows.
 
 A GRMatrix row is {column: entry} over its nonzero entries only, from
 fox_matrix to every determinant path.  determinant has one dispatch (see
@@ -68,7 +69,7 @@ import itertools
 from dataclasses import FrozenInstanceError
 from functools import cached_property
 from operator import attrgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .abelian import (
     AbElement,
@@ -105,10 +106,11 @@ class GroupRingElement:
 
     It holds packed = (codec, {packed key: coefficient}); given terms, it
     refuses them with ValueError unless each has the group's coordinate
-    counts and torsion residues in [0, d), encodes them once (see the module
-    docstring) and keeps the dict as its terms, else terms is decoded on
-    first read, in key order.  Equality compares the group and the keys.
-    Immutable and not hashable."""
+    counts, torsion residues in [0, d) and a nonzero coefficient (element()
+    drops zeros), splits them into coordinate rows once for _from_rows and
+    keeps the dict as its terms, else terms is decoded on first read, in key
+    order.  Equality compares the group and the keys.  Immutable and not
+    hashable."""
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -117,9 +119,16 @@ class GroupRingElement:
         object.__setattr__(self, "group", group)
         if packed is None:
             terms = {} if terms is None else terms
-            _check_terms(group, terms)
-            pk = _Packing(group, 2 * _max_free(terms))
-            packed = (pk, pk.encode_terms(terms))
+            frees, tors = list(map(attrgetter("free"), terms)), list(map(attrgetter("tor"), terms))
+            rows, coeffs = list(zip(*frees)) + list(zip(*tors)), terms.values()
+            # a digit of the wrong count or range would land in another coordinate or key
+            if (set(map(len, frees)) - {group.rank} or set(map(len, tors)) - {len(group.torsion)}
+                    or any(min(row) < 0 or max(row) >= d
+                           for row, d in zip(rows[group.rank:], group.torsion))):
+                raise ValueError(f"term coordinates do not match {group.describe()}")
+            if not all(coeffs):
+                raise ValueError("a term has coefficient 0")
+            packed = _from_rows(group, rows, coeffs).packed
             self.__dict__["terms"] = terms
         object.__setattr__(self, "packed", packed)
 
@@ -188,7 +197,9 @@ def _check(p: GroupRingElement, q: GroupRingElement):
 
 def _accumulate(out: Dict, pairs: Iterable[Tuple[object, int]]) -> Dict:
     """Add each (key, coefficient) pair into out, dropping a key as soon as
-    its coefficient sums to 0; the one accumulation loop of the package."""
+    its coefficient sums to 0.  _peel's Schur update keeps an inline copy of
+    this loop: a kernel shared with it, called once per update, made the
+    knots benchmark's median about 5% slower (CHANGES.md)."""
     get = out.get
     for h, c in pairs:
         nc = get(h, 0) + c
@@ -254,25 +265,10 @@ class _Packing:
         """The largest |free coordinate| of the keys, 0 when there are none."""
         return _max_abs(self.columns(keys)[:len(self.free_shifts)])
 
-    def encode_terms(self, terms: Dict[AbElement, int]) -> Dict[int, int]:
-        rows = list(zip(*(h.free + h.tor for h in terms)))
-        return dict(zip(self.encode_rows(rows, len(terms)), terms.values()))
-
     def decode_terms(self, terms: Dict[int, int]) -> Dict[AbElement, int]:
         """The AbElement of each key, in order, with its coefficient."""
         cols, b = self.columns(terms), len(self.free_shifts)
         return dict(zip(_elements(cols[:b], cols[b:], len(terms)), terms.values()))
-
-
-def _check_terms(G: AbelianGroup, terms: Dict[AbElement, int]):
-    """Refuse a term whose coordinate counts are not those of G, or whose
-    torsion coordinate lies outside [0, d): its digits would be packed into
-    the wrong coordinate or onto another term's key."""
-    tors = list(map(attrgetter("tor"), terms))
-    if (set(map(len, map(attrgetter("free"), terms))) - {G.rank}
-            or set(map(len, tors)) - {len(G.torsion)}
-            or any(min(row) < 0 or max(row) >= d for row, d in zip(zip(*tors), G.torsion))):
-        raise ValueError(f"term coordinates do not match {G.describe()}")
 
 
 def _max_abs(rows: Iterable[Iterable[int]]) -> int:
@@ -280,10 +276,15 @@ def _max_abs(rows: Iterable[Iterable[int]]) -> int:
     return max(map(abs, itertools.chain.from_iterable(rows)), default=0)
 
 
-def _max_free(terms: Iterable[AbElement]) -> int:
-    """The largest |free coordinate| of the elements (torsion digits fit any
-    _Packing of the group)."""
-    return _max_abs(h.free for h in terms)
+def _from_rows(G: AbelianGroup, rows: Sequence[Sequence[int]],
+               coeffs: Collection[int]) -> GroupRingElement:
+    """The sum of c * h over the columns h of the coordinate rows (free rows,
+    then torsion rows with residues in [0, d)) and their coefficients c:
+    one codec of bound 2 x the largest |free coordinate|, one encode_rows
+    call, and the coefficients collected on the keys by _accumulate."""
+    pk = _Packing(G, 2 * _max_abs(rows[:G.rank]))
+    keys = pk.encode_rows(rows, len(coeffs))
+    return GroupRingElement(G, packed=(pk, _accumulate({}, zip(keys, coeffs))))
 
 
 def _products(pk: _Packing, p: Dict[int, int], q: Dict[int, int], sign: int = 1):
@@ -840,29 +841,22 @@ def sim_equal(p: GroupRingElement, q: GroupRingElement) -> bool:
 
 def push_forward(p: GroupRingElement, proj: Projection) -> GroupRingElement:
     """Apply a group homomorphism to every term: the source coordinates, read
-    off the packed digits, are mapped as columns by abelian.dot_map, and its
-    coordinate rows are packed straight into keys of the target, under a
-    codec of bound 2 x their largest |free coordinate| (so normalize can
-    shift the result in place); coefficients are collected on those keys.
-    No AbElement is built."""
+    off the packed digits, are mapped as columns by abelian.dot_map, whose
+    coordinate rows _from_rows packs into keys of the target.  No AbElement
+    is built."""
     if proj.source != p.group:
         raise GroupMismatchError("projection source does not match element group")
     pk, keys = p.packed
     free, tor = dot_map(proj.matrix, pk.columns(keys), len(keys))
-    qk = _Packing(proj.target, 2 * _max_abs(free))
-    images = qk.encode_rows(free + tor, len(keys))
-    return GroupRingElement(proj.target, packed=(qk, _accumulate({}, zip(images, keys.values()))))
+    return _from_rows(proj.target, free + tor, keys.values())
 
 
 def sum_of_all_elements(G: AbelianGroup) -> GroupRingElement:
     """I_G: the sum of all group elements for finite G, zero otherwise."""
     if G.rank > 0:
         return zero(G)
-    terms = {
-        AbElement((), tt): 1
-        for tt in itertools.product(*[range(d) for d in G.torsion])
-    }
-    return GroupRingElement(G, terms)
+    points = list(itertools.product(*[range(d) for d in G.torsion]))
+    return _from_rows(G, list(zip(*points)), [1] * len(points))
 
 
 def external_product(p: GroupRingElement, q: GroupRingElement) -> GroupRingElement:
@@ -902,10 +896,8 @@ def from_records(obj: dict) -> GroupRingElement:
     modulo their divisors.  The shapes of all records are checked at once,
     and only a failed check walks the records in order for the first bad
     one.  The coordinate rows, zipped from the records (none per declared
-    coordinate), are then packed in one encode_rows call and the
-    coefficients are collected in one _accumulate; the terms view is left
-    to decode_terms, on first read, so a reader of keys only builds no
-    AbElement."""
+    coordinate), go to _from_rows; the terms view is left to decode_terms,
+    on first read, so a reader of keys only builds no AbElement."""
     group = obj.get("group") if isinstance(obj, dict) else None
     records = obj.get("terms") if isinstance(obj, dict) else None
     if not isinstance(group, dict) or type(group.get("rank")) is not int:
@@ -932,6 +924,4 @@ def from_records(obj: dict) -> GroupRingElement:
                 raise ValueError("coeff must be an integer")
     free = list(zip(*frees))  # one row per coordinate; none when there are no records
     tor = [[x % d for x in row] for row, d in zip(zip(*tors), G.torsion)]
-    pk = _Packing(G, 2 * _max_abs(free))
-    keys = pk.encode_rows(free + tor, len(records))
-    return GroupRingElement(G, packed=(pk, _accumulate({}, zip(keys, coeffs))))
+    return _from_rows(G, free + tor, coeffs)

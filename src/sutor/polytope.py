@@ -32,11 +32,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .abelian import AbElement, AbelianGroup, bareiss_pivot, dot_map
+from .abelian import AbelianGroup, bareiss_pivot, dot_map
 from .groupring import (
     GroupRingElement,
     UnsupportedStructureError,
     UnsupportedTorsionError,
+    _from_rows,
 )
 
 Point = Tuple[int, ...]
@@ -372,7 +373,7 @@ def cyclic_sum(p: int) -> GroupRingElement:
     """1 + t + ... + t^(p-1), the torsion of the p-times-twisted solid torus."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    return GroupRingElement(_Z, {AbElement((j,), ()): 1 for j in range(p)})
+    return _from_rows(_Z, [range(p)], [1] * p)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,10 @@ read `terms`: each decodes a packed operand and encodes the result again, and
 the writers sort the decoded terms by (free, tor).  The packed code must give
 the same terms in the same order, the same codecs and the same text.
 
+`_max_free` and `encode_terms` are the term-dict constructor's bound and
+encoder from before every element made from coordinates went through
+`groupring._from_rows`; tests use them to build codecs and keys from terms.
+
 `exact_div` is the division on decoded terms, in graded-lex order on
 exponents shifted into the non-negative cone; the division on packed keys
 must give the same quotient and raise NotDivisibleError on the same pairs."""
@@ -35,11 +39,23 @@ from sutor.groupring import (
     UnsupportedTorsionError,
     _accumulate,
     _check,
-    _max_free,
+    _max_abs,
     _Packing,
     zero,
 )
 from sutor.words import Word
+
+
+def _max_free(terms: Iterable[AbElement]) -> int:
+    """The largest |free coordinate| of the elements (torsion digits fit any
+    _Packing of the group)."""
+    return _max_abs(h.free for h in terms)
+
+
+def encode_terms(pk: _Packing, terms: Dict[AbElement, int]) -> Dict[int, int]:
+    """The terms on pk's keys, in order, from one encode_rows call."""
+    rows = list(zip(*(h.free + h.tor for h in terms)))
+    return dict(zip(pk.encode_rows(rows, len(terms)), terms.values()))
 
 
 def combine(G: AbelianGroup, pairs: Iterable[Tuple[int, AbElement]]) -> AbElement:
@@ -135,7 +151,7 @@ def scalar_mul(k: int, p: GroupRingElement) -> GroupRingElement:
 def mul(p: GroupRingElement, q: GroupRingElement) -> GroupRingElement:
     _check(p, q)
     pk = _Packing(p.group, 2 * (_max_free(p.terms) + _max_free(q.terms)))
-    products = GR._products(pk, pk.encode_terms(p.terms), pk.encode_terms(q.terms))
+    products = GR._products(pk, encode_terms(pk, p.terms), encode_terms(pk, q.terms))
     return GroupRingElement(p.group, packed=(pk, _accumulate({}, products)))
 
 
@@ -151,7 +167,7 @@ def from_rows(data: Sequence[Sequence[GroupRingElement]]) -> GRMatrix:
         if any(e.group is not G and e.group != G for row in data for e in row):
             raise GroupMismatchError("matrix entries over different groups")
         pk = _Packing(G, 2 * rows * _max_free(h for row in data for e in row for h in e.terms))
-    A = GRMatrix(G, pk, [{j: pk.encode_terms(e.terms) for j, e in enumerate(row) if e.terms}
+    A = GRMatrix(G, pk, [{j: encode_terms(pk, e.terms) for j, e in enumerate(row) if e.terms}
                          for row in data], cols)
     A.__dict__["entries"] = tuple(tuple(row) for row in data)
     return A

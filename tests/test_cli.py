@@ -703,3 +703,18 @@ def test_polytope_diff_hulls_the_support_once(capsys, monkeypatch, tmp_path):
         assert out.splitlines()[0] == f"support: {len(tau.terms)} points in dimension {dim}"
         assert chains == ([len(tau.terms)] if dim == 2 else [])  # the support's chain only
         assert svg.read_text() == legacy_polytope.to_svg(P.support(tau))
+
+
+def test_no_subcommand_prints_help(capsys):
+    code, out, err = run(capsys)
+    assert code == 1 and out.startswith("usage: sutor") and err == ""
+
+
+def test_compute_notes_an_unasserted_irreducibility(tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"generators": ["a"], "relators": [], "rminus": ["a^3"],
+                                "claimed_irreducible": False}))
+    code, out, err = run(capsys, "compute", str(path))
+    assert code == 0
+    assert "note: irreducibility not asserted; det(A) reported as-is\n" in out
+    assert "tau ~ 1 + t + t^2" in out

@@ -337,6 +337,14 @@ def test_json_round_trip(tmp_path):
                                 "claimed_irreducible": False}).claimed_irreducible
 
 
+def test_notes_round_trip():
+    inp = dataclasses.replace(cantwell_conlon(), notes="the example of section 8")
+    d = input_to_dict(inp)
+    assert d["notes"] == "the example of section 8"
+    assert list(d) == ["generators", "relators", "rminus", "name", "notes", "claimed_irreducible"]
+    assert input_from_dict(d) == inp
+
+
 @pytest.mark.parametrize("d, key", [
     ({"generators": ["a"], "rminus": ["a"], "claimed_irreducible": "false"},
      "claimed_irreducible"),

@@ -144,6 +144,10 @@ def test_pd_validation():
         F.wirtinger_knot(((1, 2, 3), (3, 6, 4, 1), (5, 2, 6, 3)))  # arity
     with pytest.raises(F.PDError):
         F.wirtinger_knot(F.TREFOIL_PD, drop_relation=5)
+    with pytest.raises(F.PDError, match="over edges must be consecutive"):
+        F.wirtinger_knot(((1, 4, 2, 6), (3, 5, 4, 1), (5, 2, 6, 3)))
+    with pytest.raises(F.PDError, match="arc count"):
+        F.wirtinger_knot(((1, 3, 2, 4), (1, 5, 2, 6), (3, 5, 4, 6)))
 
 
 def test_alexander_from_seifert_det():

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import legacy_canonical
 import legacy_groupring
 from sutor import groupring
-from sutor.abelian import AbElement, AbelianGroup, zero_element
+from sutor.abelian import AbElement, AbelianGroup, quotient, zero_element
 from sutor.groupring import (
     GRMatrix,
     GroupMismatchError,
@@ -73,6 +73,10 @@ def test_mul_collects_and_drops_zeros():
 def test_group_mismatch():
     with pytest.raises(GroupMismatchError):
         add(one(Z), one(Z2))
+    with pytest.raises(GroupMismatchError, match="different groups"):
+        GRMatrix.from_rows([[one(Z), one(Z2)]])
+    with pytest.raises(GroupMismatchError, match="projection source"):
+        groupring.push_forward(one(Z), quotient(Z2, []))
 
 
 def test_augmentation_is_ring_hom():
@@ -460,7 +464,8 @@ def test_sparse_rows_keep_a_trailing_zero_column(G):
 
 def test_determinant_refuses_a_non_square_grid():
     """cols is the grid's width, also when its last columns are zero, so a
-    matrix that is not square is refused whatever its rows hold."""
+    matrix that is not square is refused whatever its rows hold; a 0 x 0
+    matrix is refused too."""
     a, o = one(Z2), zero(Z2)
     for grid in ([[a, o, o], [a, a, o]], [[a, a], [a, o], [o, a]], [[o] * 3] * 2, [[a, o]]):
         A = GRMatrix.from_rows(grid)
@@ -469,6 +474,8 @@ def test_determinant_refuses_a_non_square_grid():
             determinant(A)
     with pytest.raises(ValueError, match="non-square"):
         determinant(GRMatrix(Z2, A.packing, [{0: {0: 1}}, {1: {0: 1}}], 3))
+    with pytest.raises(ValueError, match="empty matrix"):
+        determinant(GRMatrix.from_rows([]))
 
 
 @pytest.mark.parametrize("G", SPARSE_GROUPS, ids=lambda G: G.describe())
@@ -635,3 +642,17 @@ def test_normalize_orbit_constant(p, shift, sign):
     moved = scalar_mul(sign, mul(monomial(Z2, AbElement(shift, ())), p))
     assert equal(normalize(moved), normalize(p))
     assert sim_equal(moved, p)
+
+
+def test_term_constructor_refuses_zero_coefficients():
+    """Coefficients are nonzero.  A zero one let through made t^3 with
+    coefficient 0 a truthy element unequal to 0 whose record wrote coeff 0,
+    and normalize shifted {1: 0, t^2: -1} by its zero term, so that -t^2 was
+    not ~ 1.  element() drops zeros instead."""
+    for terms in ({AbElement((3,), ()): 0}, {AbElement((0,), ()): 0, AbElement((2,), ()): -1}):
+        with pytest.raises(ValueError, match="coefficient 0"):
+            GroupRingElement(Z, terms)
+    assert not element(Z, {AbElement((3,), ()): 0})
+    p = element(Z, {AbElement((0,), ()): 0, AbElement((2,), ()): -1})
+    assert sim_equal(p, one(Z))
+    assert to_records(p)["terms"] == [{"coeff": -1, "free": [2], "tor": []}]

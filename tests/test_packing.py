@@ -2,6 +2,7 @@
 AbElement code they replaced (tests/legacy_groupring.py)."""
 import collections
 import dataclasses
+import itertools
 import json
 import random
 import sys
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import legacy_canonical
 import legacy_groupring
+from legacy_groupring import _max_free, encode_terms
 from legacy_abelian import ab_add, ab_neg, ab_scale
 from sutor import engine as E
 from sutor import families as F
@@ -31,7 +33,6 @@ from sutor.groupring import (
     GroupRingElement,
     _accumulate,
     _cofactor,
-    _max_free,
     _Packing,
     add,
     determinant,
@@ -91,7 +92,7 @@ def test_codec_round_trips_orders_and_adds(case):
     pk = _Packing(G, 2 * bound)  # the sum x + y reaches 2 * bound
     s = ab_add(G, x, y)
     terms = {h: c for c, h in enumerate((x, y, s))}
-    assert pk.decode_terms(pk.encode_terms(terms)) == terms
+    assert pk.decode_terms(encode_terms(pk, terms)) == terms
     kx, ky, ks = _keys(pk, [x, y, s])
     assert (kx < ky) == ((x.free, x.tor) < (y.free, y.tor))
     assert (kx < ks) == ((x.free, x.tor) < (s.free, s.tor))
@@ -106,7 +107,7 @@ def test_codec_at_the_bound():
         corners = [AbElement((a, b, -a), (1, 3))
                    for a in (-bound, bound) for b in (-bound, 0, bound)]
         terms = dict.fromkeys(corners, 1)
-        assert pk.decode_terms(pk.encode_terms(terms)) == terms
+        assert pk.decode_terms(encode_terms(pk, terms)) == terms
         key = dict(zip(corners, _keys(pk, corners)))
         assert sorted(corners, key=key.get) == sorted(corners, key=lambda h: (h.free, h.tor))
 
@@ -988,3 +989,30 @@ def test_bidiagonal_chain_of_1200_rows_reaches_the_cofactor_expansion():
         sys.setrecursionlimit(limit)
     for det in dets:
         assert det.packed[1] == {sum(x): 2 ** n}
+
+
+def test_elements_from_coordinates_match_the_term_dicts_they_replaced():
+    """cyclic_sum, sum_of_all_elements and the term constructor pack their
+    coordinate rows through _from_rows: each gives the codec bound, the keys
+    and the key order that encoding its term dict gave (legacy_groupring),
+    and the constructor keeps the given dict as its terms."""
+    def legacy(G, terms):
+        pk = _Packing(G, 2 * _max_free(terms))
+        return pk.bound, list(encode_terms(pk, terms).items())
+
+    def packed(p):
+        return p.packed[0].bound, list(p.packed[1].items())
+
+    for p in range(1, 51):
+        assert packed(cyclic_sum(p)) == legacy(AbelianGroup(1), {
+            AbElement((j,), ()): 1 for j in range(p)})
+    for G in GROUPS + [AbelianGroup(0), AbelianGroup(0, (2, 4, 8))]:
+        points = itertools.product(*map(range, G.torsion)) if not G.rank else ()
+        assert packed(sum_of_all_elements(G)) == legacy(G, {
+            AbElement((), t): 1 for t in points})
+    rng = random.Random(27)
+    for G in GROUPS:
+        for _ in range(50):
+            terms = dict(_random_element(rng, G, spread=9, terms=6).terms)
+            p = GroupRingElement(G, terms)
+            assert packed(p) == legacy(G, terms) and p.terms is terms

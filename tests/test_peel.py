@@ -8,6 +8,7 @@ import pytest
 
 import legacy_canonical
 import legacy_groupring
+from legacy_groupring import _max_free, encode_terms
 from legacy_abelian import ab_add, ab_scale
 from sutor import engine as E
 from sutor import families as F
@@ -20,7 +21,6 @@ from sutor.groupring import (
     GroupRingElement,
     _cofactor,
     _kronecker,
-    _max_free,
     _Packing,
     _peel,
     add,
@@ -219,7 +219,7 @@ def _narrow(G: AbelianGroup, rows):
 def _encoded(pk: _Packing, rows):
     """The sparse rows of the entries' terms under pk: {column: keys} over
     the nonzero entries."""
-    return [{j: pk.encode_terms(e.terms) for j, e in enumerate(row) if e} for row in rows]
+    return [{j: encode_terms(pk, e.terms) for j, e in enumerate(row) if e} for row in rows]
 
 
 @pytest.mark.parametrize("G", [AbelianGroup(2), AbelianGroup(3), AbelianGroup(1, (2,)),

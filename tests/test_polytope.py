@@ -335,8 +335,10 @@ def test_difference_vertices_match_the_hull_of_all_differences_and_legacy():
         seen[kind, dim] += 1
     assert seen["legacy"] > 60 and seen["parallel"] > 20, seen
     assert all(seen["point", dim] for dim in (1, 2, 3, 4)), seen
-    with pytest.raises(ValueError, match="empty support"):
-        P.difference_polytope(P.Support(2, {}))
+    for call in (P.difference_polytope, P.vertices, P.is_centrally_symmetric,
+                 lambda S: P.width(S, (1, 0))):
+        with pytest.raises(ValueError, match="empty support"):
+            call(P.Support(2, {}))
 
 
 def test_support_hull_is_computed_once(monkeypatch):
@@ -487,6 +489,10 @@ def test_extremal_part():
     for alpha in ((1,), (1, 5, 7)):
         with pytest.raises(ValueError, match="covector length does not match dimension"):
             P.extremal_part(tau, alpha)
+    with pytest.raises(UnsupportedTorsionError):
+        P.extremal_part(one(AbelianGroup(1, (2,))), (1,))
+    with pytest.raises(ValueError, match="zero element"):
+        P.extremal_part(poly1(), (1,))
 
 
 def _records(rng, rank, n, spread=4):
