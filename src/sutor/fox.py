@@ -15,30 +15,43 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple, Union
 
 from .abelian import Cokernel
-from .groupring import GRMatrix, GroupRingElement, _accumulate, _max_abs, _Packing
+from .groupring import GRMatrix, GroupRingElement, _max_abs, _Packing
 from .words import WORK_BUDGET, Generator, Word
 
 
 def _fox_column(w: Word, pk: _Packing, up: List[int], down: List[int]) -> Dict[int, Dict[int, int]]:
     """phi(dw/dx) on packed keys for every generator index x, in one walk
     over w: the syllable g^k at prefix u contributes phi(u) * d(g^k)/dg to
-    row g.  up[g] and down[g] are the packed images of g and g^-1."""
-    fold = pk.fold
+    row g, its terms in exponent order u, u*g, ..., u*g^(k-1) for k > 0 and
+    u*g^k, ..., u*g^-1 for k < 0, so a negative syllable first steps the
+    prefix back to u*g^k (by k * up[g] at once when H has no torsion, else
+    step by step through down[g] and fold).  up[g] and down[g] are the
+    packed images of g and g^-1.  Each term adds +-1 straight into the row,
+    dropping a key whose coefficient sums to 0: _accumulate's loop, inline,
+    so that a syllable builds no key list and no generator."""
+    fold = pk.fold if pk.torsion else None
     column: Dict[int, Dict[int, int]] = {}
     prefix = 0
     for g, k in w.letters:
-        keys = []
+        row = column.setdefault(g, {})
+        get, step, sign = row.get, up[g], 1
+        if k < 0:
+            sign, back = -1, down[g]
+            if fold:
+                for _ in range(-k):
+                    prefix = fold(prefix + back)
+            else:
+                prefix += k * step
+        key = prefix
+        for _ in range(abs(k)):
+            c = get(key, 0) + sign
+            if c:
+                row[key] = c
+            else:
+                del row[key]
+            key = fold(key + step) if fold else key + step
         if k > 0:
-            for _ in range(k):
-                keys.append(prefix)
-                prefix = fold(prefix + up[g])
-        else:
-            for _ in range(-k):
-                prefix = fold(prefix + down[g])
-                keys.append(prefix)
-            keys.reverse()  # the exponent order u*g^k, ..., u*g^-1
-        sign = 1 if k > 0 else -1
-        _accumulate(column.setdefault(g, {}), ((h, sign) for h in keys))
+            prefix = key
     return column
 
 

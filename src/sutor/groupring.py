@@ -197,9 +197,11 @@ def _check(p: GroupRingElement, q: GroupRingElement):
 
 def _accumulate(out: Dict, pairs: Iterable[Tuple[object, int]]) -> Dict:
     """Add each (key, coefficient) pair into out, dropping a key as soon as
-    its coefficient sums to 0.  _peel's Schur update keeps an inline copy of
-    this loop: a kernel shared with it, called once per update, made the
-    knots benchmark's median about 5% slower (CHANGES.md)."""
+    its coefficient sums to 0.  _peel's Schur update and fox._fox_column's
+    walk keep inline copies of this loop: a kernel shared with the first,
+    called once per update, made the knots benchmark's median about 5%
+    slower, and the second builds no key list or generator per syllable
+    (CHANGES.md)."""
     get = out.get
     for h, c in pairs:
         nc = get(h, 0) + c
@@ -554,24 +556,32 @@ def _peel(rows: List[Dict[int, Dict[int, int]]], pk: _Packing,
         col = cols.get(q)
         if col is None or len(col) != count:
             continue
-        column = [(i, rows[i][q]) for i in col]
-        units = [(len(rows[i]), i) for i, e in column  # an entry +-h
-                 if len(e) == 1 and next(iter(e.values())) in (1, -1)]
-        if not units:
+        # one pass over the column: the unit +-h whose row is shortest
+        # (lowest index on ties) and the terms of the whole column
+        p, fewest, terms = -1, 0, 0
+        for i in col:
+            row = rows[i]
+            e = row[q]
+            terms += len(e)
+            if len(e) == 1:
+                c, = e.values()
+                if (c == 1 or c == -1) and (p < 0 or (len(row), i) < (fewest, p)):
+                    p, fewest = i, len(row)
+        if p < 0:
             continue
-        p = min(units)[1]
         prow = rows[p]
-        below = [(i, f) for i, f in column if i != p]
-        cost = (sum(map(len, prow.values())) - 1) * sum([len(f) for _, f in below])
+        cost = (sum(map(len, prow.values())) - 1) * (terms - 1)
         if work + cost > WORK_BUDGET:
             break
         work += cost
         del rows[p], cols[q]
         (h, c), = prow.pop(q).items()
         nh = pk.neg(h) if tor else -h
-        for i, f in below:
+        for i in col:
+            if i == p:
+                continue
             row = rows[i]
-            del row[q]
+            f = row.pop(q)
             for j, e in prow.items():
                 # A_ij - A_iq * c * h^-1 * A_pj, along the shorter factor outermost
                 x, y = (f, e) if len(f) <= len(e) else (e, f)

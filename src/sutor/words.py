@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 
 class WordError(ValueError):
@@ -29,7 +29,11 @@ class UnknownGeneratorError(WordError):
 
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_INT_RE = re.compile(r"-?[0-9]+")
+# One token of the word grammar after its leading blanks: "(" (group 1), or
+# a generator name or ")" (group 2) with an optional "^" (group 3) and the
+# exponent's digits (group 4).  It always matches; no group is set where the
+# blanks end the text or are followed by a character no token starts with.
+_TOKEN_RE = re.compile(r"[ \t]*(?:(\()|([A-Za-z][A-Za-z0-9_]*|\))(\^(-?[0-9]+)?)?)?")
 
 # The deepest parenthesis nesting the word grammar accepts: the 201st open
 # "(" is a ParseError.
@@ -131,17 +135,6 @@ def power(w: Word, k: int) -> Word:
     return free_reduce(w.letters * k)
 
 
-def _exponent(text: str, pos: int) -> Tuple[Optional[int], int]:
-    """The k of a "^k" at pos (None if there is no "^") and the position
-    after it."""
-    if pos >= len(text) or text[pos] != "^":
-        return None, pos
-    m = _INT_RE.match(text, pos + 1)
-    if not m:
-        raise ParseError("expected integer exponent after '^'", pos + 1)
-    return int(m.group(0)), m.end()
-
-
 def parse_words(texts: Iterable[str], alphabet: Sequence[Generator]) -> Tuple[Word, ...]:
     """Parse each text in the word grammar:
 
@@ -150,43 +143,60 @@ def parse_words(texts: Iterable[str], alphabet: Sequence[Generator]) -> Tuple[Wo
         atom   := ident | "(" word ")"
 
     where ws is a space or a tab.  The bare string "1" (surrounded by
-    whitespace) also denotes the identity.  One left-to-right scan per text:
-    stack[-1] collects the letters of the innermost open group, stack[0]
-    those of the whole word.  A generator's letter goes straight onto it (g^0
-    too: free_reduce drops it); a closed group is reduced once and goes
-    through power.  Free reduction is confluent, so this gives the word that
-    concatenating factor by factor would, in time linear in the letters.
+    whitespace) also denotes the identity.  One left-to-right scan per text,
+    one _TOKEN_RE match per token: stack[-1] collects the letters of the
+    innermost open group, stack[0] those of the whole word.  A generator's
+    letter goes straight onto it (g^0 too: free_reduce drops it); a closed
+    group is reduced once and goes through power.  Free reduction is
+    confluent, so this gives the word that concatenating factor by factor
+    would, in time linear in the letters.
     """
     index = {g.name: g.index for g in alphabet}
+    match = _TOKEN_RE.match
     out = []
     for text in texts:
         if text.strip() == "1":
             out.append(IDENTITY)
             continue
         stack: List[List[Tuple[int, int]]] = [[]]
+        top = stack[0]
         pos, n = 0, len(text)
         while pos < n:
-            c = text[pos]
-            if c in " \t":
-                pos += 1
-            elif c == "(":
+            m = match(text, pos)
+            opening, atom, caret, digits = m.groups()
+            pos = m.end()
+            if opening:
                 if len(stack) > _MAX_DEPTH:
-                    raise ParseError(f"parentheses nested deeper than {_MAX_DEPTH}", pos)
-                stack.append([])
-                pos += 1
-            elif c == ")" and len(stack) > 1:
+                    raise ParseError(f"parentheses nested deeper than {_MAX_DEPTH}", pos - 1)
+                top = []
+                stack.append(top)
+                continue
+            g = index.get(atom)
+            if g is None:  # ")", a name not in the alphabet, or no token
+                if atom == ")":
+                    if len(stack) == 1:
+                        raise ParseError("unexpected character ')'", m.start(2))
+                elif atom:
+                    raise UnknownGeneratorError(atom, m.start(2))
+                elif pos < n:
+                    raise ParseError(f"unexpected character {text[pos]!r}", pos)
+                else:
+                    break
+            k = 1
+            if caret:
+                if digits is None:
+                    raise ParseError("expected integer exponent after '^'", pos)
+                try:
+                    k = int(digits)
+                except ValueError:  # longer than sys.get_int_max_str_digits()
+                    raise ParseError(f"exponent of {len(digits.lstrip('-'))} digits is too long",
+                                     m.start(4)) from None
+            if g is None:
                 inner = free_reduce(stack.pop())
-                k, pos = _exponent(text, pos + 1)
-                stack[-1].extend((inner if k is None else power(inner, k)).letters)
+                top = stack[-1]
+                top.extend((inner if caret is None else power(inner, k)).letters)
             else:
-                m = _IDENT_RE.match(text, pos)
-                if not m:
-                    raise ParseError(f"unexpected character {c!r}", pos)
-                g = index.get(m.group(0))
-                if g is None:
-                    raise UnknownGeneratorError(m.group(0), pos)
-                k, pos = _exponent(text, m.end())
-                stack[-1].append((g, 1 if k is None else k))
+                top.append((g, k))
         if len(stack) > 1:
             raise ParseError("expected ')'", n)
         out.append(free_reduce(stack[0]))

@@ -16,11 +16,17 @@ the same terms in the same order, the same codecs and the same text.
 encoder from before every element made from coordinates went through
 `groupring._from_rows`; tests use them to build codecs and keys from terms.
 
+`_peel` is the unit-pivot front end of `groupring.determinant` as it was
+before one loop over the pivot column picked the unit, found the rows below
+it and counted the step's cost; the front end must return the same core
+rows, sign, shift and work count.
+
 `exact_div` is the division on decoded terms, in graded-lex order on
 exponents shifted into the non-negative cone; the division on packed keys
 must give the same quotient and raise NotDivisibleError on the same pairs."""
+import heapq
 import itertools
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from legacy_abelian import ab_add, ab_scale
 from sutor.abelian import (
@@ -28,6 +34,7 @@ from sutor.abelian import (
     AbelianGroup,
     Cokernel,
     Projection,
+    _sign,
     zero_element,
 )
 from sutor import groupring as GR
@@ -266,3 +273,92 @@ def exact_div(p: GroupRingElement, q: GroupRingElement) -> GroupRingElement:
         p.group,
         {AbElement(tuple(a + o for a, o in zip(e, offset)), ()): c for e, c in quot.items()},
     )
+
+
+def _peel(rows: List[Dict[int, Dict[int, int]]], pk: _Packing,
+          work: int) -> Tuple[List[Dict[int, Dict[int, int]]], int, int, int]:
+    """Schur steps on unit pivots over the rows, each {column: entry} on
+    the keys of pk, whose sums may leave pk's range (see determinant).  A
+    step takes the column with the fewest nonzeros among those holding a
+    unit c*h (c = +-1), in it the unit whose row has the fewest nonzeros
+    (lowest index on ties for both; Markowitz 1957), and replaces every
+    other row i with a nonzero A_iq in that column q by A_i - A_iq * c *
+    h^-1 * A_p, without row p and column q.  Z[H] is commutative and the pivot is
+    invertible, so det A is +-c*h times the det of what is left.  A step
+    counts len(A_iq) x len(A_pj) term products against WORK_BUDGET before
+    it makes them; a step that would cross it ends the front end.
+
+    Returns the core (the rows left, in their order, with their columns
+    renumbered in order), the sign and the key of the pivots' product
+    times the signs of the row and column orders, and the work count.
+    The given row dicts are edited in place; entries never are."""
+    tor, fold = bool(pk.torsion), pk.fold
+    rows = dict(enumerate(rows))
+    cols: Dict[int, Set[int]] = {j: set() for j in rows}
+    for i, row in rows.items():
+        for j in row:
+            cols[j].add(i)
+    # (nonzeros, column) of every column that may hold a unit; an entry whose
+    # column has changed since is skipped, and a changed column is pushed again
+    heap = [(len(col), j) for j, col in cols.items()]
+    heapq.heapify(heap)
+    order_r, order_c, sign, shift = [], [], 1, 0
+    while heap:
+        count, q = heapq.heappop(heap)
+        col = cols.get(q)
+        if col is None or len(col) != count:
+            continue
+        column = [(i, rows[i][q]) for i in col]
+        units = [(len(rows[i]), i) for i, e in column  # an entry +-h
+                 if len(e) == 1 and next(iter(e.values())) in (1, -1)]
+        if not units:
+            continue
+        p = min(units)[1]
+        prow = rows[p]
+        below = [(i, f) for i, f in column if i != p]
+        cost = (sum(map(len, prow.values())) - 1) * sum([len(f) for _, f in below])
+        if work + cost > GR.WORK_BUDGET:  # read at the call, as a test may lower it
+            break
+        work += cost
+        del rows[p], cols[q]
+        (h, c), = prow.pop(q).items()
+        nh = pk.neg(h) if tor else -h
+        for i, f in below:
+            row = rows[i]
+            del row[q]
+            for j, e in prow.items():
+                # A_ij - A_iq * c * h^-1 * A_pj, along the shorter factor outermost
+                x, y = (f, e) if len(f) <= len(e) else (e, f)
+                old = row.get(j)
+                new = dict(old) if old else {}
+                get = new.get
+                for kx, a in x.items():
+                    kx = fold(kx + nh) if tor else kx + nh
+                    a *= -c
+                    for k, b in y.items():
+                        k += kx
+                        if tor:
+                            k = fold(k)
+                        v = get(k, 0) + a * b
+                        if v:
+                            new[k] = v
+                        else:
+                            del new[k]
+                if new:
+                    row[j] = new
+                    cols[j].add(i)
+                elif old:
+                    del row[j]
+                    cols[j].discard(i)
+        for j in prow:
+            col = cols[j]
+            col.discard(p)
+            heapq.heappush(heap, (len(col), j))
+        sign *= c
+        shift = fold(shift + h) if tor else shift + h
+        order_r.append(p)
+        order_c.append(q)
+    core_r, core_c = sorted(rows), sorted(cols)
+    sign *= _sign(order_r + core_r) * _sign(order_c + core_c)
+    at = {j: x for x, j in enumerate(core_c)}
+    return [{at[j]: e for j, e in rows[i].items()} for i in core_r], sign, shift, work

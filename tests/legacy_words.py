@@ -2,13 +2,15 @@
 straight onto the enclosing letter list.  parse_factor returns one Word per
 factor and every factor, a lone generator too, goes through power; the
 parser in sutor.words must return the same Word, or raise the same
-exception with the same message and position, on every text."""
+exception with the same message and position, on every text.  _INT_RE is
+the exponent pattern the parser in sutor.words matched before its one token
+pattern took in the exponent too."""
+import re
 from typing import List, Sequence, Tuple
 
 from sutor.words import (
     IDENTITY,
     _IDENT_RE,
-    _INT_RE,
     _MAX_DEPTH,
     Generator,
     ParseError,
@@ -17,6 +19,8 @@ from sutor.words import (
     free_reduce,
     power,
 )
+
+_INT_RE = re.compile(r"-?[0-9]+")
 
 
 def parse_word(text: str, alphabet: Sequence[Generator]) -> Word:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import sys
 import time
 import unittest.mock
 
@@ -57,6 +58,28 @@ def test_compute_json_report(capsys):
     assert rep["H"] == {"rank": 3, "torsion": []}
     assert len(rep["tau"]["terms"]) == 4
     assert rep["checks"] == {"evaluation": True, "augmentation_order": True}
+
+
+@pytest.mark.parametrize("name", [None, "", 'say "hi"', "back\\slash \\\\n",
+                                  "\u00e9 \u2603 \U0001d53d", "tab\tnew\nline\x00 \x7f"])
+def test_report_json_matches_the_indenting_encoder(name):
+    """The hand-written report is the text json.dumps(report, indent=2,
+    sort_keys=True) writes: names with quotes, backslashes, non-ASCII and
+    control characters, H free or with torsion, tau with no terms."""
+    from sutor.cli import _report_json
+
+    for names, relators, rminus in [("abc", [], ["a b^-1", "c a", "b c"]),      # Z^3
+                                    ("abc", ["a^4", "b^6 a^2"], ["c a b"]),     # Z + Z/2 + Z/12
+                                    ("ab", ["a^3"], ["b^2 a"]),                 # Z + Z/3
+                                    ("ab", [], ["1", "b"])]:                    # tau = 0
+        inp = E.input_from_dict({"generators": list(names), "relators": relators,
+                                 "rminus": rminus, "name": name})
+        result = E.torsion(inp)
+        report = {"name": name, "H": {"rank": result.H.rank, "torsion": list(result.H.torsion)},
+                  "tau": to_records(result.tau),
+                  "checks": {"evaluation": E.evaluation_check(inp, result).passed,
+                             "augmentation_order": E.augmentation_order_check(inp, result).passed}}
+        assert _report_json(result) == json.dumps(report, indent=2, sort_keys=True)
 
 
 def test_compute_nonsquare_exits_2(capsys):
@@ -176,6 +199,24 @@ def test_over_work_budget_exits_1_fast(payload, error, tmp_path, capsys):
     code, out, err = run(capsys, "compute", str(path))
     assert time.perf_counter() - start < 1
     assert (code, out, err) == (1, "", error + "\n")
+
+
+def test_exponent_past_the_int_string_limit_exits_1(tmp_path, capsys):
+    """5,000 digits are past CPython's default int-string limit of 4,300:
+    a ParseError at the exponent, not int()'s message without a position."""
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"generators": ["a", "b"], "relators": [],
+                                "rminus": ["b a^-" + "9" * 5000]}))
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python converts ints of any length")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(capsys, "compute", str(path))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (1, "")
+    assert err == "error: exponent of 5000 digits is too long (at position 4)\n"
 
 
 def test_cofactor_over_work_budget_exits_1(tmp_path, capsys):

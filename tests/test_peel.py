@@ -96,6 +96,52 @@ def test_front_end_matches_cofactor_and_kronecker_on_the_seed_1_corpora(monkeypa
     assert len(peeled) >= 100  # the gate lets the knots through
 
 
+def _ordered(core):
+    """The core rows as lists, so that == compares the order of columns and
+    of keys too."""
+    return [[(j, list(e.items())) for j, e in row.items()] for row in core]
+
+
+def test_front_end_matches_the_legacy_front_end(monkeypatch):
+    """_peel, which reads the pivot column in one loop, against
+    legacy_groupring._peel, which built the column, its units and the rows
+    below as three lists: the same core (rows, columns and keys in the same
+    order), sign, shift and work count on every matrix the front end gets
+    from the seed-1 corpora, T(2, n) for odd n <= 61, the torus links and
+    random matrices over every group, and on T(2, 31) with a budget that
+    stops the front end partway."""
+    from perfbench import corpus
+
+    peel, cores = groupring._peel, []
+
+    def both(rows, pk, work):
+        old = legacy_groupring._peel([dict(row) for row in rows], pk, work)
+        new = peel(rows, pk, work)
+        assert (_ordered(new[0]),) + new[1:] == (_ordered(old[0]),) + old[1:]
+        cores.append(len(new[0]))
+        return new
+
+    monkeypatch.setattr(groupring, "_peel", both)
+    for workload in ("knots", "surfaces", "polytope"):
+        for case in corpus.build(workload, 1):
+            determinant(_fox(E.input_from_dict(json.loads(case.text))))
+    for n in range(3, 62, 2):
+        determinant(_fox(F.wirtinger_knot(F.torus_2n_pd(n))))
+    for n in (4, 6, 8, 16, 64, 200, 256):
+        determinant(_fox(torus_link(n)))
+    rng = random.Random("legacy front end")
+    for G in GROUPS:
+        for _ in range(10):
+            n = rng.randint(5, 8)
+            determinant(GRMatrix.from_rows([[_entry(rng, G) for _ in range(n)]
+                                            for _ in range(n)]))
+    assert len(cores) >= 150 and max(cores) > 1
+    cores.clear()
+    monkeypatch.setattr(groupring, "WORK_BUDGET", 400)
+    determinant(_fox(F.wirtinger_knot(F.torus_2n_pd(31))))
+    assert len(cores) == 1 and 4 <= cores[0] < 31
+
+
 def _seifert_form(V):
     """V - t V^T over Z[t^+-1], whose determinant is the Alexander
     polynomial (families.alexander_from_seifert)."""

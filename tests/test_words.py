@@ -1,4 +1,5 @@
 import collections
+import itertools
 import random
 import sys
 
@@ -199,6 +200,34 @@ def test_parse_matches_legacy_parser():
                  "( \t)^0", "(a^", "(" * 200 + "a" + ")" * 199,
                  "(" * 200 + ")" * 200 + "^5"]:
         assert _outcome(parse_word, text) == _outcome(legacy_words.parse_word, text), repr(text)
+    # every text of up to 4 characters over a small alphabet: a "^" at the
+    # start, after a blank or after "(" is an unexpected character, and x is
+    # no generator
+    for length in range(5):
+        for chars in itertools.product("ab()^-1x \t", repeat=length):
+            text = "".join(chars)
+            assert _outcome(parse_word, text) == _outcome(legacy_words.parse_word, text), repr(text)
+
+
+def test_parse_refuses_an_exponent_past_the_int_string_limit():
+    """An exponent with more digits than int() converts is a ParseError at
+    the exponent, after the checks that come before it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python converts ints of any length")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for text, position, digits in [("a^-" + "9" * 4301, 2, 4301),
+                                       ("b (a c)^" + "1" * 5000, 8, 5000)]:
+            with pytest.raises(ParseError) as ei:
+                parse_word(text, AB)
+            assert str(ei.value) == (f"exponent of {digits} digits is too long "
+                                     f"(at position {position})")
+        with pytest.raises(UnknownGeneratorError):
+            parse_word("d^" + "9" * 4301, AB)
+        assert parse_word("a^" + "9" * 4300, AB) == Word(((0, int("9" * 4300)),))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_deepest_nesting_needs_no_recursion():
