@@ -199,13 +199,18 @@ def _smith(A: List[List[int]], m: int, n: int) -> None:
     columns 0..n-1 of every row of A, so blocks placed beside and below M
     carry the transforms of U*M*V = D: I_m to the right of the first m rows
     ends as U (cokernel reads it there), and I_n below them ends as V
-    (smith_normal_form and Cokernel.lifts read both)."""
+    (smith_normal_form and Cokernel.lifts read both).
+
+    Once step s is done, row s and column s of M are zero off the diagonal,
+    and no later operation refills them: step t eliminates below and right
+    of its pivot only, and swaps columns and adds them on rows t onward
+    (the V block included), since the rows above are zero there."""
 
     def row_add(i, j, c):  # row_i += c * row_j
         A[i] = [a + c * b for a, b in zip(A[i], A[j])]
 
-    def col_add(i, j, c):  # col_i += c * col_j
-        for row in A:
+    def col_add(i, j, c):  # col_i += c * col_j, on rows t onward
+        for row in A[t:]:
             row[i] += c * row[j]
 
     t = 0
@@ -227,21 +232,21 @@ def _smith(A: List[List[int]], m: int, n: int) -> None:
         i, j = piv
         A[t], A[i] = A[i], A[t]
         if j != t:
-            for row in A:
+            for row in A[t:]:
                 row[t], row[j] = row[j], row[t]
         if A[t][t] < 0:
             A[t] = [-a for a in A[t]]
         p = A[t][t]
         dirty = False
-        for i in range(m):
-            if i != t and A[i][t] != 0:
+        for i in range(t + 1, m):
+            if A[i][t] != 0:
                 q = A[i][t] // p
                 if q:
                     row_add(i, t, -q)
                 if A[i][t] != 0:
                     dirty = True
-        for j in range(n):
-            if j != t and A[t][j] != 0:
+        for j in range(t + 1, n):
+            if A[t][j] != 0:
                 q = A[t][j] // p
                 if q:
                     col_add(j, t, -q)

@@ -50,6 +50,15 @@ abelian.dot_map and hands the image rows to _from_rows; to_records and the
 CLI's formatter write from sorted_columns, the terms in key order as
 coordinate rows.
 
+Every product of two elements goes through one kernel, _mul_into, which
+adds sign * p * q into a dict in place: mul, determinant's 2 x 2 core and
+its multiplication by the pivots' unit, _cofactor's lines and 2 x 2 blocks,
+and exact_div's subtraction of c * x^k * q.  Two loops keep an inline copy
+of its inner loop: _peel's Schur update, where a kernel call per update
+made the knots benchmark's median about 5% slower (CHANGES.md), and
+fox._fox_column's walk, which adds each +-1 term straight into its row
+with no key list or generator per syllable.
+
 A GRMatrix row is {column: entry} over its nonzero entries only, from
 fox_matrix to every determinant path.  determinant has one dispatch (see
 its docstring): the unit-pivot front end _peel on a sparse matrix of 5 or
@@ -197,11 +206,9 @@ def _check(p: GroupRingElement, q: GroupRingElement):
 
 def _accumulate(out: Dict, pairs: Iterable[Tuple[object, int]]) -> Dict:
     """Add each (key, coefficient) pair into out, dropping a key as soon as
-    its coefficient sums to 0.  _peel's Schur update and fox._fox_column's
-    walk keep inline copies of this loop: a kernel shared with the first,
-    called once per update, made the knots benchmark's median about 5%
-    slower, and the second builds no key list or generator per syllable
-    (CHANGES.md)."""
+    its coefficient sums to 0, and return out: the collector of terms that
+    are not products (_from_rows, add, _kronecker's digits).  Products go
+    through _mul_into, which runs the same loop on each h1 + h2."""
     get = out.get
     for h, c in pairs:
         nc = get(h, 0) + c
@@ -289,14 +296,28 @@ def _from_rows(G: AbelianGroup, rows: Sequence[Sequence[int]],
     return GroupRingElement(G, packed=(pk, _accumulate({}, zip(keys, coeffs))))
 
 
-def _products(pk: _Packing, p: Dict[int, int], q: Dict[int, int], sign: int = 1):
-    """The (h1 + h2, sign * c1 * c2) terms of sign * p * q on packed keys,
-    uncollected."""
-    if pk.torsion:
-        fold = pk.fold
-        return ((fold(h1 + h2), sign * c1 * c2)
-                for h1, c1 in p.items() for h2, c2 in q.items())
-    return ((h1 + h2, sign * c1 * c2) for h1, c1 in p.items() for h2, c2 in q.items())
+def _mul_into(out: Dict[int, int], pk: _Packing, p: Dict[int, int], q: Dict[int, int],
+              sign: int = 1) -> Dict[int, int]:
+    """Add sign * p * q into out on pk's keys, in place, and return out: the
+    one product kernel of Z[H].  The outer loop runs over p's keys, the
+    inner one over q's, and a key is dropped as soon as its coefficient
+    reaches 0, so out's keys come in the order that collecting the term
+    products h1 + h2 one by one gives them; fold runs only when H has
+    torsion."""
+    get, qs = out.get, q.items()
+    fold = pk.fold if pk.torsion else None
+    for h1, c1 in p.items():
+        c1 *= sign
+        for h2, c2 in qs:
+            h = h1 + h2
+            if fold:
+                h = fold(h)
+            c = get(h, 0) + c1 * c2
+            if c:
+                out[h] = c
+            else:
+                del out[h]
+    return out
 
 
 def _keys_under(p: GroupRingElement, pk: _Packing) -> Dict[int, int]:
@@ -331,8 +352,8 @@ def mul(p: GroupRingElement, q: GroupRingElement) -> GroupRingElement:
     _check(p, q)
     (ak, a), (bk, b) = p.packed, q.packed
     pk = _Packing(p.group, 2 * (ak.max_free(a) + bk.max_free(b)))
-    products = _products(pk, _keys_under(p, pk), _keys_under(q, pk))
-    return GroupRingElement(p.group, packed=(pk, _accumulate({}, products)))
+    return GroupRingElement(p.group, packed=(pk, _mul_into({}, pk, _keys_under(p, pk),
+                                                           _keys_under(q, pk))))
 
 
 def augmentation(p: GroupRingElement) -> int:
@@ -383,10 +404,9 @@ def exact_div(p: GroupRingElement, q: GroupRingElement) -> GroupRingElement:
             if r or not all(lo <= x <= hi for (lo, hi), (x,) in zip(box, pk.columns((k,)))):
                 raise NotDivisibleError("no exact quotient")
             quot[k] = c
-            products = [(k + h, -c * e) for h, e in divisor.items()]
-            _accumulate(rest, products)
-            for h, _ in products:
-                heapq.heappush(heap, -h)
+            _mul_into(rest, pk, {k: -c}, divisor)  # rest -= c * x^k * q
+            for h in divisor:
+                heapq.heappush(heap, -k - h)
     return GroupRingElement(p.group, packed=(pk, quot))
 
 
@@ -507,13 +527,13 @@ def determinant(A: GRMatrix) -> GroupRingElement:
         det = core[0].get(0, empty)
     elif len(core) == 2 and work + _det2_products(*core) <= WORK_BUDGET:
         (a, b), (c, d) = ([row.get(j, empty) for j in (0, 1)] for row in core)
-        det = _accumulate(_accumulate({}, _products(pk, a, d)), _products(pk, b, c, -1))
+        det = _mul_into(_mul_into({}, pk, a, d), pk, b, c, -1)
     elif one_variable:
         det = _kronecker(G, core)
     else:
         det = _cofactor(GRMatrix(G, pk, core, len(core)), work).packed[1]
     if shift or sign < 0:  # times the pivots' product, sign * h
-        det = dict(_products(pk, det, {shift: sign}))
+        det = _mul_into({}, pk, det, {shift: sign})
     return GroupRingElement(G, packed=(pk, det))
 
 
@@ -727,23 +747,28 @@ def _cofactor(A: GRMatrix, work: int = 0) -> GroupRingElement:
         """The sum of sign * e * minor over the (e, minor, sign) triples; a
         minor given by its key is read from memo."""
         nonlocal work
-        products = []
+        factors = []
         for e, minor, sign in pairs:
             if type(minor) is tuple:
                 minor = memo[minor]
             if minor:
                 work += len(e) * len(minor)
-                products.append(_products(pk, e, minor, sign))
+                factors.append((e, minor, sign))
         if work > WORK_BUDGET:
             raise ValueError(f"a cofactor expansion of at least {work} term products is over "
                              f"the work budget of {WORK_BUDGET}")
-        return _accumulate({}, itertools.chain.from_iterable(products))
+        out: Dict[int, int] = {}
+        for e, minor, sign in factors:
+            _mul_into(out, pk, e, minor, sign)
+        return out
 
     def det2(r0: int, r1: int, c0: int, c1: int) -> Dict[int, int]:
         """det of the 2 x 2 block on rows r0 < r1 and columns c0 < c1, along
         the line the expansion rule picks; a line with one nonzero entry
         gives one product."""
-        a, b, c, d = (E[r].get(k, empty) for r in (r0, r1) for k in (c0, c1))
+        top, bottom = E[r0], E[r1]
+        a, b = top.get(c0, empty), top.get(c1, empty)
+        c, d = bottom.get(c0, empty), bottom.get(c1, empty)
         row0, row1 = bool(a) + bool(b), bool(c) + bool(d)
         col0, col1 = bool(a) + bool(c), bool(b) + bool(d)
         if min(row0, row1) <= min(col0, col1):

@@ -145,11 +145,13 @@ def parse_words(texts: Iterable[str], alphabet: Sequence[Generator]) -> Tuple[Wo
     where ws is a space or a tab.  The bare string "1" (surrounded by
     whitespace) also denotes the identity.  One left-to-right scan per text,
     one _TOKEN_RE match per token: stack[-1] collects the letters of the
-    innermost open group, stack[0] those of the whole word.  A generator's
-    letter goes straight onto it (g^0 too: free_reduce drops it); a closed
-    group is reduced once and goes through power.  Free reduction is
-    confluent, so this gives the word that concatenating factor by factor
-    would, in time linear in the letters.
+    innermost open group, stack[0] those of the whole word, each list
+    freely reduced at all times.  A generator's letter is reduced against
+    the top of its list as it goes on (g^0 is dropped); a closed group,
+    already reduced, goes through power when it has an exponent, and its
+    letters go onto the enclosing list the same way (_push).  Free
+    reduction is confluent, so this gives the word that concatenating
+    factor by factor would, in one pass over the letters.
     """
     index = {g.name: g.index for g in alphabet}
     match = _TOKEN_RE.match
@@ -192,15 +194,30 @@ def parse_words(texts: Iterable[str], alphabet: Sequence[Generator]) -> Tuple[Wo
                     raise ParseError(f"exponent of {len(digits.lstrip('-'))} digits is too long",
                                      m.start(4)) from None
             if g is None:
-                inner = free_reduce(stack.pop())
+                inner = stack.pop()
                 top = stack[-1]
-                top.extend((inner if caret is None else power(inner, k)).letters)
-            else:
+                _push(top, inner if caret is None else power(Word(tuple(inner)), k).letters)
+            elif top and top[-1][0] == g:  # _push's step, inline for one letter
+                k += top.pop()[1]
+                if k:
+                    top.append((g, k))
+            elif k:
                 top.append((g, k))
         if len(stack) > 1:
             raise ParseError("expected ')'", n)
-        out.append(free_reduce(stack[0]))
+        out.append(Word(tuple(stack[0])))
     return tuple(out)
+
+
+def _push(top: List[Tuple[int, int]], letters: Iterable[Tuple[int, int]]) -> None:
+    """Append the letters of a reduced word to the reduced list top, each
+    reduced against the last letter of top as it goes on."""
+    for g, e in letters:
+        if top and top[-1][0] == g:
+            e += top.pop()[1]
+            if not e:
+                continue
+        top.append((g, e))
 
 
 def parse_word(text: str, alphabet: Sequence[Generator]) -> Word:

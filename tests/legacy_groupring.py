@@ -12,6 +12,11 @@ read `terms`: each decodes a packed operand and encodes the result again, and
 the writers sort the decoded terms by (free, tor).  The packed code must give
 the same terms in the same order, the same codecs and the same text.
 
+`_packed_products` is the uncollected product generator on packed keys
+that every product site of `groupring` fed to `_accumulate` before the
+in-place kernel `_mul_into`; the kernel must give the same keys in the same
+order.
+
 `_max_free` and `encode_terms` are the term-dict constructor's bound and
 encoder from before every element made from coordinates went through
 `groupring._from_rows`; tests use them to build codecs and keys from terms.
@@ -80,6 +85,17 @@ def _products(G: AbelianGroup, p: Dict[AbElement, int], q: Dict[AbElement, int],
     """The (h1 + h2, sign * c1 * c2) terms of sign * p * q, uncollected."""
     return ((ab_add(G, h1, h2), sign * c1 * c2)
             for h1, c1 in p.items() for h2, c2 in q.items())
+
+
+def _packed_products(pk: _Packing, p: Dict[int, int], q: Dict[int, int], sign: int = 1):
+    """The (h1 + h2, sign * c1 * c2) terms of sign * p * q on packed keys,
+    uncollected: the generator every product site of groupring collected
+    with _accumulate before the in-place kernel _mul_into."""
+    if pk.torsion:
+        fold = pk.fold
+        return ((fold(h1 + h2), sign * c1 * c2)
+                for h1, c1 in p.items() for h2, c2 in q.items())
+    return ((h1 + h2, sign * c1 * c2) for h1, c1 in p.items() for h2, c2 in q.items())
 
 
 def _cofactor(A: GRMatrix) -> GroupRingElement:
@@ -158,7 +174,7 @@ def scalar_mul(k: int, p: GroupRingElement) -> GroupRingElement:
 def mul(p: GroupRingElement, q: GroupRingElement) -> GroupRingElement:
     _check(p, q)
     pk = _Packing(p.group, 2 * (_max_free(p.terms) + _max_free(q.terms)))
-    products = GR._products(pk, encode_terms(pk, p.terms), encode_terms(pk, q.terms))
+    products = _packed_products(pk, encode_terms(pk, p.terms), encode_terms(pk, q.terms))
     return GroupRingElement(p.group, packed=(pk, _accumulate({}, products)))
 
 

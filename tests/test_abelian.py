@@ -1,5 +1,7 @@
 import collections
+import inspect
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -204,6 +206,47 @@ def test_smith_matches_the_full_pivot_scan():
         seen["unit"] += 1 in diag
         seen["non_unit_pivot"] += min((abs(v) for r in rows for v in r if v), default=1) > 1
     assert seen["torsion"] > 100 and seen["unit"] > 100 and seen["non_unit_pivot"] > 50
+
+
+def test_smith_skips_the_lines_it_has_cleared():
+    """_smith eliminates below and right of each pivot only, and swaps and
+    adds columns on the rows from the pivot's on, the V block included.
+    smith_normal_form's U, D and V and the cokernel's group, images and
+    lifts equal those of the legacy elimination over every row and column,
+    on matrices up to 9 x 9 whose entries share factors, so that a pivot
+    leaves remainders (the dirty path) and fails to divide a later entry
+    (the fold path); both paths are seen to run."""
+    source, first = inspect.getsourcelines(abelian._smith)
+    at = {what: first + next(i for i, line in enumerate(source) if what in line)
+          for what in ("dirty = True", "row_add(t, bad, 1)")}
+    code, ran = abelian._smith.__code__, collections.Counter()
+
+    def lines(frame, event, arg):
+        if event == "line":
+            ran[frame.f_lineno] += 1
+        return lines
+
+    rng, cases = random.Random(29), []
+    for trial in range(150):
+        m, n = rng.randint(1, 9), rng.randint(1, 9)
+        rows = [[rng.choice((2, 3, 4, 6, 9, 10)) * rng.randint(-4, 4) if rng.random() < 0.7
+                 else rng.choice((0, 1, -1)) for _ in range(n)] for _ in range(m)]
+        cases.append((rows, m, n))
+    got = []
+    old = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: lines if frame.f_code is code else None)
+    try:
+        for rows, m, n in cases:
+            ck = cokernel(rows, m, n)
+            got.append(([M.to_rows() for M in smith_normal_form(IntMatrix.from_rows(rows))],
+                        (ck.group, ck.gen_images, ck.lifts)))
+    finally:
+        sys.settrace(old)
+    for (rows, m, n), (snf, ck) in zip(cases, got):
+        U, _, D, V = legacy_abelian._smith([list(r) for r in rows], m, n)
+        assert snf == [U, D, V], rows
+        assert ck == legacy_abelian.cokernel(rows, m, n), rows
+    assert ran[at["dirty = True"]] > 20 and ran[at["row_add(t, bad, 1)"]] > 20, ran
 
 
 def _braid_closure(rng, strands, crossings):
