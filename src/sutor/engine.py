@@ -179,7 +179,8 @@ def nielsen_move(inp: SuturedInput, move: Tuple) -> SuturedInput:
 
 
 def tietze_add_generator(inp: SuturedInput, w: Word, name: Optional[str] = None) -> SuturedInput:
-    """Append a fresh generator g and the relator g * w^-1."""
+    """Append a fresh generator g and the relator g * w^-1.  A given name
+    must be new and, as in make_alphabet, one the word grammar parses."""
     existing = {g.name for g in inp.alphabet}
     if name is None:
         base = "g"
@@ -190,9 +191,8 @@ def tietze_add_generator(inp: SuturedInput, w: Word, name: Optional[str] = None)
             name = f"{base}{i}"
     elif name in existing:
         raise ValueError(f"generator name {name!r} already in use")
-    new_idx = len(inp.alphabet)
-    alphabet = inp.alphabet + (Generator(name, new_idx),)
-    relator = W.concat(W.Word(((new_idx, 1),)), W.invert(w))
+    alphabet = W.make_alphabet([*(g.name for g in inp.alphabet), name])
+    relator = W.concat(W.Word(((len(inp.alphabet), 1),)), W.invert(w))
     return replace(inp, alphabet=alphabet, relators=inp.relators + (relator,))
 
 

@@ -16,7 +16,8 @@ from typing import Dict, List, Sequence, Tuple, Union
 
 from .abelian import Cokernel
 from .groupring import GRMatrix, GroupRingElement, _max_abs, _Packing
-from .words import WORK_BUDGET, Generator, Word
+from . import words as W
+from .words import Generator, Word
 
 
 def _fox_column(w: Word, pk: _Packing, up: List[int], down: List[int]) -> Dict[int, Dict[int, int]]:
@@ -64,8 +65,7 @@ def _columns(words: Sequence[Word], ab: Cokernel,
     2 x rows times the largest of these, so a sum of one term per row fits,
     and so does normalize's shift of the determinant by one of its terms."""
     reach = [sum(abs(k) for _, k in w.letters) for w in words]
-    if sum(reach) > WORK_BUDGET:
-        raise ValueError(f"{sum(reach)} Fox terms are over the work budget of {WORK_BUDGET}")
+    W.check_budget(sum(reach), "{} Fox terms are")
     free, tor = ab.matrix
     pk = _Packing(ab.group, 2 * rows * _max_abs(free) * max(reach, default=0))
     up = pk.encode_rows(free + tuple(row for row, _ in tor), len(ab.U))

@@ -69,7 +69,9 @@ integers, and the elimination is the sparse-row Bareiss abelian.det_sparse
 (_kronecker), after a check of its slots, 1 + the sum of row spans, against
 WORK_BUDGET.  Other H use _cofactor, which continues the front end's count
 of term products, counts the blocks it settles as well, holds a block as
-two bit sets and expands it on an explicit stack.
+two bit sets and expands it on an explicit stack.  WORK_BUDGET is
+words.WORK_BUDGET: determinant and _peel read it once per call, and every
+refusal is words.check_budget.
 """
 from __future__ import annotations
 
@@ -91,7 +93,7 @@ from .abelian import (
     dot_map,
     zero_element,
 )
-from .words import WORK_BUDGET
+from . import words as W
 
 
 class GroupMismatchError(ValueError):
@@ -511,13 +513,13 @@ def determinant(A: GRMatrix) -> GroupRingElement:
     one_variable = G.rank + len(G.torsion) <= 1
     if not all(A.packed):
         return GroupRingElement(G, packed=(pk, {}))
-    sign, shift, work, core = 1, 0, 0, A.packed
+    sign, shift, work, core, budget = 1, 0, 0, A.packed, W.WORK_BUDGET
     if A.rows >= 5 and sum(map(len, core)) <= 4 * A.rows:  # the gate of the front end
         # the slots check of the whole matrix; the codec holds every sum of one
         # key per row, so on Z its bound caps the slots, and on Z/d each row's
         # span is below d
         if one_variable and 1 + (A.rows * (G.torsion[0] - 1) if G.torsion
-                                 else pk.bound) > WORK_BUDGET:
+                                 else pk.bound) > budget:
             _lift(core)
         core, sign, shift, work = _peel([dict(row) for row in core], pk, work)
     empty: Dict[int, int] = {}
@@ -525,7 +527,7 @@ def determinant(A: GRMatrix) -> GroupRingElement:
         det = {0: 1}
     elif len(core) == 1:
         det = core[0].get(0, empty)
-    elif len(core) == 2 and work + _det2_products(*core) <= WORK_BUDGET:
+    elif len(core) == 2 and work + _det2_products(*core) <= budget:
         (a, b), (c, d) = ([row.get(j, empty) for j in (0, 1)] for row in core)
         det = _mul_into(_mul_into({}, pk, a, d), pk, b, c, -1)
     elif one_variable:
@@ -560,7 +562,7 @@ def _peel(rows: List[Dict[int, Dict[int, int]]], pk: _Packing,
     renumbered in order), the sign and the key of the pivots' product
     times the signs of the row and column orders, and the work count.
     The given row dicts are edited in place; entries never are."""
-    tor, fold = bool(pk.torsion), pk.fold
+    tor, fold, budget = bool(pk.torsion), pk.fold, W.WORK_BUDGET
     rows = dict(enumerate(rows))
     cols: Dict[int, Set[int]] = {j: set() for j in rows}
     for i, row in rows.items():
@@ -591,7 +593,7 @@ def _peel(rows: List[Dict[int, Dict[int, int]]], pk: _Packing,
             continue
         prow = rows[p]
         cost = (sum(map(len, prow.values())) - 1) * (terms - 1)
-        if work + cost > WORK_BUDGET:
+        if work + cost > budget:
             break
         work += cost
         del rows[p], cols[q]
@@ -652,9 +654,7 @@ def _lift(rows: List[Dict[int, Dict[int, int]]]):
         shift += lo
         slots += max(map(max, row.values())) - lo
         lifted.append((lo, row))
-    if slots > WORK_BUDGET:
-        raise ValueError(f"a determinant of {slots} powers of t is over the work budget "
-                         f"of {WORK_BUDGET}")
+    W.check_budget(slots, "a determinant of {} powers of t is")
     return lifted, shift, slots
 
 
@@ -754,9 +754,7 @@ def _cofactor(A: GRMatrix, work: int = 0) -> GroupRingElement:
             if minor:
                 work += len(e) * len(minor)
                 factors.append((e, minor, sign))
-        if work > WORK_BUDGET:
-            raise ValueError(f"a cofactor expansion of at least {work} term products is over "
-                             f"the work budget of {WORK_BUDGET}")
+        W.check_budget(work, "a cofactor expansion of at least {} term products is")
         out: Dict[int, int] = {}
         for e, minor, sign in factors:
             _mul_into(out, pk, e, minor, sign)
@@ -803,9 +801,7 @@ def _cofactor(A: GRMatrix, work: int = 0) -> GroupRingElement:
             line = [(r, c) for r in itertools.compress(lines, _selectors(col_nz[c] & rbits))]
         if len(line) != 1:
             blocks += len(rows)
-            if blocks > WORK_BUDGET:
-                raise ValueError(f"a cofactor expansion of at least {blocks} block rows is over "
-                                 f"the work budget of {WORK_BUDGET}")
+            W.check_budget(blocks, "a cofactor expansion of at least {} block rows is")
         pairs, todo = [], []
         for r, c in line:
             # the entry's place in the block: its rows above r, its columns left of c
@@ -940,9 +936,8 @@ def from_records(obj: dict) -> GroupRingElement:
     if not isinstance(records, list) or not all(isinstance(t, dict) for t in records):
         raise ValueError("records need a list of term objects")
     torsion = _int_list(group.get("torsion"), "torsion")
-    if group["rank"] + len(torsion) > WORK_BUDGET:  # every codec is linear in it
-        raise ValueError(f"a group of {group['rank'] + len(torsion)} coordinates is over "
-                         f"the work budget of {WORK_BUDGET}")
+    # every codec is linear in the coordinates
+    W.check_budget(group["rank"] + len(torsion), "a group of {} coordinates is")
     G = AbelianGroup(group["rank"], torsion)
     frees = [t.get("free") for t in records]
     tors = [t.get("tor") for t in records]

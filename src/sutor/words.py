@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, List, Sequence, Tuple
 
 
@@ -51,11 +52,21 @@ _MAX_DEPTH = 200
 # (groupring._cofactor) continues; and, in a count of its own, the blocks a
 # cofactor expansion settles, each weighted by its rows, except a block
 # expanded along a line with one nonzero entry.  A front-end step that would
-# cross it ends the front end; past it anywhere else a ValueError ends the
-# CLI with exit 1.  An 800,002-term commutator and the genus-8 handlebody of
-# perfbench.corpus.handlebody_words(random.Random(108), 8, 12) (866,680
-# term products) fit.
+# cross it ends the front end; past it anywhere else check_budget raises a
+# ValueError, which ends the CLI with exit 1.  An 800,002-term commutator and
+# the genus-8 handlebody of perfbench.corpus.handlebody_words(random.Random(108),
+# 8, 12) (866,680 term products) fit.  This is the budget's one binding: fox
+# and groupring read words.WORK_BUDGET at the call, so a program may set it
+# before one.
 WORK_BUDGET = 1_000_000
+
+
+def check_budget(count: int, what: str) -> None:
+    """Refuse a count over WORK_BUDGET, read at the call: a ValueError whose
+    message is what, formatted with the count, then "over the work budget
+    of" the budget.  The message is built only when it refuses."""
+    if count > WORK_BUDGET:
+        raise ValueError(f"{what.format(count)} over the work budget of {WORK_BUDGET}")
 
 
 @dataclass(frozen=True)
@@ -98,19 +109,11 @@ def is_reduced(letters: Sequence[Tuple[int, int]]) -> bool:
 
 
 def free_reduce(letters: Iterable[Tuple[int, int]]) -> Word:
-    """Freely reduce a raw letter sequence; idempotent."""
-    stack: List[Tuple[int, int]] = []
-    for g, e in letters:
-        if e == 0:
-            continue
-        if stack and stack[-1][0] == g:
-            merged = stack[-1][1] + e
-            stack.pop()
-            if merged:
-                stack.append((g, merged))
-        else:
-            stack.append((g, e))
-    return Word(tuple(stack))
+    """Freely reduce a raw letter sequence; idempotent: _push of its letters
+    with a nonzero exponent onto an empty list."""
+    top: List[Tuple[int, int]] = []
+    _push(top, filter(itemgetter(1), letters))
+    return Word(tuple(top))
 
 
 def concat(u: Word, v: Word) -> Word:
@@ -127,9 +130,7 @@ def power(w: Word, k: int) -> Word:
     if len(w.letters) == 1:
         g, e = w.letters[0]
         return Word(((g, e * k),))
-    n = len(w.letters) * abs(k)
-    if n > WORK_BUDGET:
-        raise ValueError(f"a power of {n} letters is over the work budget of {WORK_BUDGET}")
+    check_budget(len(w.letters) * abs(k), "a power of {} letters is")
     if k < 0:
         w, k = invert(w), -k
     return free_reduce(w.letters * k)

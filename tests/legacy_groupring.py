@@ -42,7 +42,7 @@ from sutor.abelian import (
     _sign,
     zero_element,
 )
-from sutor import groupring as GR
+from sutor import words as W
 from sutor.groupring import (
     GRMatrix,
     GroupMismatchError,
@@ -333,7 +333,7 @@ def _peel(rows: List[Dict[int, Dict[int, int]]], pk: _Packing,
         prow = rows[p]
         below = [(i, f) for i, f in column if i != p]
         cost = (sum(map(len, prow.values())) - 1) * sum([len(f) for _, f in below])
-        if work + cost > GR.WORK_BUDGET:  # read at the call, as a test may lower it
+        if work + cost > W.WORK_BUDGET:  # read at the call, as a test may lower it
             break
         work += cost
         del rows[p], cols[q]

@@ -4,9 +4,13 @@ factor and every factor, a lone generator too, goes through power; the
 parser in sutor.words must return the same Word, or raise the same
 exception with the same message and position, on every text.  _INT_RE is
 the exponent pattern the parser in sutor.words matched before its one token
-pattern took in the exponent too."""
+pattern took in the exponent too.
+
+free_reduce is the stack loop that sutor.words.free_reduce was before it
+became _push over the letters with a nonzero exponent; both must give the
+same Word on every letter sequence."""
 import re
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from sutor.words import (
     IDENTITY,
@@ -16,11 +20,26 @@ from sutor.words import (
     ParseError,
     UnknownGeneratorError,
     Word,
-    free_reduce,
     power,
 )
 
 _INT_RE = re.compile(r"-?[0-9]+")
+
+
+def free_reduce(letters: Iterable[Tuple[int, int]]) -> Word:
+    """Freely reduce a raw letter sequence; idempotent."""
+    stack: List[Tuple[int, int]] = []
+    for g, e in letters:
+        if e == 0:
+            continue
+        if stack and stack[-1][0] == g:
+            merged = stack[-1][1] + e
+            stack.pop()
+            if merged:
+                stack.append((g, merged))
+        else:
+            stack.append((g, e))
+    return Word(tuple(stack))
 
 
 def parse_word(text: str, alphabet: Sequence[Generator]) -> Word:

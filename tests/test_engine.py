@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import json
 import random
+import re
 
 import legacy_canonical
 import legacy_groupring
@@ -10,6 +11,7 @@ from legacy_abelian import image_matrix
 import pytest
 
 from sutor import engine as E
+from sutor import families as F
 from sutor import fox, groupring
 from sutor import words as W
 from sutor.abelian import (
@@ -159,31 +161,39 @@ def test_work_budget_admits_its_bound(monkeypatch):
     diag(a^3, b^4, c^5) over Z^3, 4 * 5 for the minor and 3 * 20 for the
     top line, and on the Fox matrices of handlebodies of genus 3-8).  The
     determinant of a handlebody of genus 5 or more needs no more term
-    products than _cofactor alone: the front end leaves it whole."""
-    monkeypatch.setattr(W, "WORK_BUDGET", 6)
+    products than _cofactor alone: the front end leaves it whole.  Only
+    words.WORK_BUDGET is set; where a lower budget would trip the Fox-term
+    check first, the matrix is built at the default and its determinant
+    taken under the lowered one."""
+    def budget(n):
+        monkeypatch.setattr(W, "WORK_BUDGET", n)
+
+    budget(6)
     alphabet = make_alphabet(["a", "b"])
     assert len(parse_word("(a b)^3", alphabet).letters) == 6
     with pytest.raises(ValueError, match="work budget"):
         parse_word("(a b)^-4", alphabet)
-    monkeypatch.setattr(fox, "WORK_BUDGET", 6)
     assert torsion(simple_input(["b"], relator_texts=["a^5"])).H == AbelianGroup(1, (5,))
     with pytest.raises(ValueError, match="7 Fox terms"):
         torsion(simple_input(["b"], relator_texts=["a^-6"]))
-    monkeypatch.setattr(fox, "WORK_BUDGET", 100)
-    monkeypatch.setattr(groupring, "WORK_BUDGET", 8)
 
     def chain(n):
-        return input_from_dict({"generators": [f"a{i}" for i in range(n + 1)],
-                                "relators": [f"a{i}^2 a{i + 1}^-1" for i in range(n)],
-                                "rminus": [f"a{n}"]})
-    assert len(torsion(chain(3)).tau.terms) == 8
+        inp = input_from_dict({"generators": [f"a{i}" for i in range(n + 1)],
+                               "relators": [f"a{i}^2 a{i + 1}^-1" for i in range(n)],
+                               "rminus": [f"a{n}"]})
+        return fox.fox_matrix(inp.alphabet, inp.relators + inp.rminus,
+                              abelianize(inp.alphabet, inp.relators))
+    budget(100)
+    three, four = chain(3), chain(4)
+    budget(8)
+    assert len(groupring.determinant(three).packed[1]) == 8
     with pytest.raises(ValueError, match="16 powers of t"):
-        torsion(chain(4))
+        groupring.determinant(four)
     cube = input_from_dict({"generators": ["a", "b", "c"], "relators": [],
                             "rminus": ["a^3", "b^4", "c^5"]})
-    monkeypatch.setattr(groupring, "WORK_BUDGET", 80)
+    budget(80)
     assert len(torsion(cube).tau.terms) == 60
-    monkeypatch.setattr(groupring, "WORK_BUDGET", 79)
+    budget(79)
     with pytest.raises(ValueError, match="at least 80 term products"):
         torsion(cube)
     # R_- words handlebody_words(random.Random(100 + g), g, 12) over g
@@ -193,15 +203,92 @@ def test_work_budget_admits_its_bound(monkeypatch):
     for g, bound in zip(range(3, 9), (210, 1_364, 8_023, 36_512, 137_542, 866_680)):
         alphabet = make_alphabet("abcdefgh"[:g])
         words = [free_reduce(w) for w in corpus.handlebody_words(random.Random(100 + g), g, 12)]
+        budget(100)
         A = fox.fox_matrix(alphabet, words, abelianize(alphabet, []))
-        monkeypatch.setattr(groupring, "WORK_BUDGET", bound)
+        budget(bound)
         det = groupring._cofactor(A)
         if g >= 5:
             assert equal(groupring.determinant(A), det)
-        monkeypatch.setattr(groupring, "WORK_BUDGET", bound - 1)
+        budget(bound - 1)
         with pytest.raises(ValueError, match=f"at least {bound} term products"):
             groupring._cofactor(A)
     assert len(det.packed[1]) == 123_858
+
+
+def test_one_work_budget_reaches_every_site(monkeypatch):
+    """Setting words.WORK_BUDGET alone moves all nine checks, each at its
+    bound: the six refusals, whose messages name the budget set (the letters
+    of a power, the Fox terms, a record's coordinates, the slots of _lift,
+    and _cofactor's term products and block rows), and the three compares
+    (the stop of _peel, the 2 x 2 gate, and the slots check of a whole
+    one-variable matrix before the front end)."""
+    def budget(n):
+        monkeypatch.setattr(W, "WORK_BUDGET", n)
+
+    def refused(what, n, call, *args):
+        """call(*args) is refused under a budget of n - 1 and admitted under n."""
+        budget(n - 1)
+        with pytest.raises(ValueError, match=f"^{what} over the work budget of {n - 1}$"):
+            call(*args)
+        budget(n)
+        return call(*args)
+
+    def matrix(G, rows):  # each entry {free coordinates: coefficient}
+        return groupring.GRMatrix.from_rows(
+            [[element(G, {AbElement(h, ()): c for h, c in e.items()}) for e in row] for row in rows])
+
+    # the matrices, built under the default budget
+    knot = F.wirtinger_knot(F.torus_2n_pd(31))  # 31 rows over Z, 32 slots, codec bound 248
+    A = fox.fox_matrix(knot.alphabet, knot.relators + knot.rminus,
+                       abelianize(knot.alphabet, knot.relators))
+    cube = make_alphabet(["a", "b", "c"])
+    cube = fox.fox_matrix(cube, [parse_word(w, cube) for w in ("a^3", "b^4", "c^5")],
+                          abelianize(cube, []))
+    # rank one: every 2 x 2 minor of t1^(i + j) is zero
+    rank_one = matrix(AbelianGroup(2), [[{(i + j, 0): 1} for j in range(4)] for i in range(4)])
+    # (1 + t)(1 + t) - t * 1: 5 term products
+    two = matrix(AbelianGroup(1), [[{(0,): 1, (1,): 1}, {(1,): 1}],
+                                   [{(0,): 1}, {(0,): 1, (1,): 1}]])
+
+    refused("a power of 6 letters is", 6, W.power, W.Word(((0, 1), (1, 1))), -3)
+    refused("6 Fox terms are", 6, fox.fox_derivative, W.Word(((0, 6),)), 0,
+            abelianize(make_alphabet(["a"]), []))
+    refused("a group of 4 coordinates is", 4, groupring.from_records,
+            {"group": {"rank": 3, "torsion": [2]}, "terms": []})
+    refused("a determinant of 32 powers of t is", 32, groupring._lift, A.packed)
+    refused("a cofactor expansion of at least 80 term products is", 80, groupring._cofactor, cube)
+    assert not refused("a cofactor expansion of at least 16 block rows is", 16,
+                       groupring._cofactor, rank_one)
+
+    def peel():
+        return groupring._peel([dict(row) for row in A.packed], A.packing, 0)
+
+    budget(1274)
+    assert len(peel()[0]) == 1 and peel()[3] == 1274
+    budget(1273)
+    assert len(peel()[0]) == 2 and peel()[3] == 1216
+    # the whole matrix's slots are checked before the front end, as 1 + the
+    # codec bound is over the budget
+    budget(31)
+    peels = []
+    monkeypatch.setattr(groupring, "_peel", lambda *args: peels.append(args))
+    with pytest.raises(ValueError, match="^a determinant of 32 powers of t is over the work "
+                                         "budget of 31$"):
+        groupring.determinant(A)
+    assert peels == []
+    # the 2 x 2 gate
+    kronecker, cores = groupring._kronecker, []
+
+    def spy(G, rows):
+        cores.append(len(rows))
+        return kronecker(G, rows)
+
+    monkeypatch.setattr(groupring, "_kronecker", spy)
+    budget(5)
+    det = groupring.determinant(two)
+    assert cores == [] and dict(det.packed[1]) == {0: 1, 1: 1, 2: 1}
+    budget(4)
+    assert equal(groupring.determinant(two), det) and cores == [2]
 
 
 def test_solid_torus_2000_torsion_and_eval():
@@ -308,6 +395,22 @@ def test_induced_hom_matches_per_lift_images():
             seen["extension"] += 1
             assert sim_equal(transport_tau(base, res), res.tau)
     assert seen["torsion"] >= 10 and seen["extension"] >= 40, seen
+
+
+def test_tietze_name_round_trips():
+    """A given name is held to make_alphabet's rule and message, so every
+    extension reads back from its dict: taken, 'x y' would be written as the
+    relator "x y a^-3", which input_from_dict refuses."""
+    inp = cantwell_conlon()
+    w = parse_word("b a^-3", inp.alphabet)
+    for name in ("x y", "2x", "x^2", "", "x-1"):
+        with pytest.raises(W.WordError, match=f"^invalid generator name {re.escape(repr(name))}$"):
+            tietze_add_generator(inp, w, name=name)
+    for name in ("x_1", "Y2", None):
+        ext = tietze_add_generator(inp, w, name=name)
+        back = input_from_dict(input_to_dict(ext))
+        assert (back.alphabet, back.relators, back.rminus) == (ext.alphabet, ext.relators,
+                                                               ext.rminus)
 
 
 def test_tietze_fresh_name_avoids_collision():

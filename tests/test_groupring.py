@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import legacy_canonical
 import legacy_groupring
 from sutor import groupring
+from sutor import words as W
 from sutor.abelian import AbElement, AbelianGroup, quotient, zero_element
 from sutor.groupring import (
     GRMatrix,
@@ -524,7 +525,7 @@ def test_from_records_of_a_huge_rank_allocates_nothing_per_coordinate():
     the records' coordinates zipped and the codec's shifts a range, so
     reading it allocates the codec's constants only, about 1 MB, not a list
     and a shift per coordinate (over 100 MB)."""
-    rank = groupring.WORK_BUDGET
+    rank = W.WORK_BUDGET
     tracemalloc.start()
     try:
         p = from_records({"group": {"rank": rank, "torsion": []}, "terms": []})

@@ -137,7 +137,7 @@ def test_front_end_matches_the_legacy_front_end(monkeypatch):
                                             for _ in range(n)]))
     assert len(cores) >= 150 and max(cores) > 1
     cores.clear()
-    monkeypatch.setattr(groupring, "WORK_BUDGET", 400)
+    monkeypatch.setattr(W, "WORK_BUDGET", 400)
     determinant(_fox(F.wirtinger_knot(F.torus_2n_pd(31))))
     assert len(cores) == 1 and 4 <= cores[0] < 31
 
@@ -346,7 +346,7 @@ def test_front_end_counts_its_term_products(monkeypatch):
 
     monkeypatch.setattr(groupring, "det_sparse", spy)
     assert equal(determinant(A), whole) and cores == []  # peeled to one row
-    monkeypatch.setattr(groupring, "WORK_BUDGET", 400)
+    monkeypatch.setattr(W, "WORK_BUDGET", 400)
     assert equal(determinant(A), whole) and len(cores) == 1 and 4 <= cores[0] < 31
 
     B = _fox(torus_link(16))
@@ -358,7 +358,7 @@ def test_front_end_counts_its_term_products(monkeypatch):
         return cofactor(M, work)
 
     monkeypatch.setattr(groupring, "_cofactor", cofactor_spy)
-    monkeypatch.setattr(groupring, "WORK_BUDGET", 60)
+    monkeypatch.setattr(W, "WORK_BUDGET", 60)
     with pytest.raises(ValueError, match="term products is over the work budget of 60"):
         determinant(B)
     assert continued and 0 < continued[0] <= 60

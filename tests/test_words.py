@@ -54,6 +54,24 @@ def test_free_reduce_cascading_cancellation():
     assert w == Word(((0, 2),))
 
 
+def test_free_reduce_matches_legacy_stack():
+    """free_reduce, _push over the letters with a nonzero exponent, gives
+    the Word of the stack loop it replaced on seeded raw sequences over 3
+    generators with exponents -2..2, zeros and repeated generators included,
+    whether the letters come as a list or as a one-pass iterator."""
+    rng = random.Random("free_reduce")
+    seen = collections.Counter()
+    for _ in range(6000):
+        letters = [(rng.randrange(3), rng.randint(-2, 2)) for _ in range(rng.randint(0, 12))]
+        expected = legacy_words.free_reduce(letters)
+        assert free_reduce(letters) == expected == free_reduce(iter(letters)), letters
+        assert free_reduce(expected.letters) == expected
+        seen["zero"] += any(e == 0 for _, e in letters)
+        seen["repeat"] += any(g == h for (g, _), (h, _) in zip(letters, letters[1:]))
+        seen["shorter"] += len(expected.letters) < sum(e != 0 for _, e in letters)
+    assert min(seen.values()) >= 1000, seen
+
+
 def test_is_reduced():
     assert is_reduced(())
     assert is_reduced(((0, 1), (1, -2)))
