@@ -9,26 +9,28 @@ packed keys in groupring.
 
 A homomorphism into such a group is its matrix (ImageMatrix): row i holds
 target coordinate i of the image of every basis element.  cokernel reads it
-straight off the factor rows of the Smith U block, and quotient and
-direct_sum hand it to their Projection; the images as AbElements are
-derived from it only when read.  dot_map is the one place that maps
-coordinate vectors through such a matrix: it takes them as coordinate
-columns and returns coordinate rows, so word_images maps all its words,
-groupring.push_forward every term of an element, and engine.induced_hom
-every lift of a canonical factor, in one call, without an AbElement per
-vector; a single vector is a batch of one, and Cokernel.from_vector and
-Projection.__call__ refuse one whose coordinate count is not the source's.
+straight off the factor rows of U, the row transform of the Smith form, and
+quotient and direct_sum hand it to their Projection; the images as
+AbElements are derived from it only when read.  dot_map is the one place
+that maps coordinate vectors through such a matrix: it takes them as
+coordinate columns and returns coordinate rows, so word_images maps all its
+words, groupring.push_forward every term of an element, and
+engine.induced_hom every lift of a canonical factor, in one call, without
+an AbElement per vector; a single vector is a batch of one, and
+Cokernel.from_vector and Projection.__call__ refuse one whose coordinate
+count is not the source's.
 
-_smith is the one Smith normal form.  It works in place on a list of rows,
-and the transforms ride in blocks beside and below the matrix: cokernel
-reads U to the right of the relation rows, and smith_normal_form also reads
-V below them.  U^-1, whose columns lift the canonical factors back to
-generator vectors, is not tracked; Cokernel.lifts derives its factor
-columns on first read, from _smith of U itself.
+_smith is the one Smith normal form.  It reduces sparse rows ({column:
+value}) in place and carries no transform: it logs its row and column
+operations, and a transform is replayed from the log where it is read.
+cokernel replays only the factor rows of U, which give the generator
+images; Cokernel.U and Cokernel.lifts (the factor columns of U^-1, which
+lift the canonical factors back to generator vectors) are replayed on first
+read, and smith_normal_form replays U and V whole.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, repeat
 from typing import Dict, List, Sequence, Set, Tuple
@@ -192,95 +194,162 @@ def bareiss_pivot(rows: List[List[int]], k: int, c: int, den: int) -> None:
                 row[:] = [v * p // den for v in row]
 
 
-def _smith(A: List[List[int]], m: int, n: int) -> None:
-    """Bring the top-left m x n block M of the rows A to Smith form D in place.
+Op = Tuple[int, int, int]  # (a, b, c), the elementary matrix I + c * e_a * e_b^T
 
-    Row operations act on the whole of rows 0..m-1 and column operations on
-    columns 0..n-1 of every row of A, so blocks placed beside and below M
-    carry the transforms of U*M*V = D: I_m to the right of the first m rows
-    ends as U (cokernel reads it there), and I_n below them ends as V
-    (smith_normal_form and Cokernel.lifts read both).
 
-    Once step s is done, row s and column s of M are zero off the diagonal,
-    and no later operation refills them: step t eliminates below and right
-    of its pivot only, and swaps columns and adds them on rows t onward
-    (the V block included), since the rows above are zero there."""
+def _smith(R: List[Dict[int, int]], m: int, n: int
+           ) -> Tuple[List[int], List[int], List[int], List[Op], List[Op]]:
+    """The Smith form D = U*M*V of the m x n matrix M whose row i is R[i],
+    given as {column: value}; R is reduced in place.  Returns (diag, at,
+    cat, row_ops, col_ops).
 
-    def row_add(i, j, c):  # row_i += c * row_j
-        A[i] = [a + c * b for a, b in zip(A[i], A[j])]
+    Rows and columns keep their ids, and a swap moves ids between positions
+    only: at[p] and cat[p] are the row and the column id at position p, and
+    diag[p] the entry there, for p < min(m, n).  No transform is carried;
+    each operation is logged as an elementary matrix Op instead: row a +=
+    c * row b is (a, b, c) in row_ops, row a negated (a, a, -2), and column
+    b += c * column a is (a, b, c) in col_ops.  So U' = E_k ... E_1 and
+    V' = F_1 ... F_l give U'*M*V' = D with rows and columns at their ids:
+    U's row p is row at[p] of U', and V's column q is column cat[q] of V'
+    (_times replays them).
 
-    def col_add(i, j, c):  # col_i += c * col_j, on rows t onward
-        for row in A[t:]:
-            row[i] += c * row[j]
-
-    t = 0
-    while t < min(m, n):
-        # pick the first nonzero entry of minimal absolute value in row-major
-        # order as pivot; a unit is minimal, so the scan stops at the first
+    Step t takes, over the rows and columns at positions t onward, the first
+    nonzero entry of least |value| in row-major order of positions (a unit
+    is least, so the scan stops at the first row that holds one), moves it
+    to (t, t), makes it positive and clears its column and then its row by
+    floor quotients.  A remainder left behind (dirty) repeats the step;
+    else the first later row that the pivot does not divide is folded into
+    row t and the step repeats, and when there is none step t is done: row
+    and column t are zero off the diagonal, and no later operation touches
+    them.  cols[j] holds every row with an entry in column j, and maybe
+    some that lost it, so a step reads only the rows it changes."""
+    cols: List[Set[int]] = [set() for _ in range(n)]
+    for i, r in enumerate(R):
+        for j in r:
+            cols[j].add(i)
+    at, cat, cpos = list(range(m)), list(range(n)), list(range(n))
+    row_ops: List[Op] = []
+    col_ops: List[Op] = []
+    t, k = 0, min(m, n)
+    while t < k:
         piv, least = None, 0
-        for i in range(t, m):
-            for j in range(t, n):
-                a = abs(A[i][j])
-                if a and (piv is None or a < least):
-                    piv, least = (i, j), a
+        for pos in range(t, m):
+            r = R[at[pos]]
+            if r:
+                a = min(map(abs, r.values()))
+                if piv is None or a < least:
+                    piv, least = pos, a
                     if a == 1:
                         break
-            if least == 1:
-                break
         if piv is None:
             break
-        i, j = piv
-        A[t], A[i] = A[i], A[t]
-        if j != t:
-            for row in A[t:]:
-                row[t], row[j] = row[j], row[t]
-        if A[t][t] < 0:
-            A[t] = [-a for a in A[t]]
-        p = A[t][t]
-        dirty = False
-        for i in range(t + 1, m):
-            if A[i][t] != 0:
-                q = A[i][t] // p
+        i0 = at[piv]
+        at[piv], at[t] = at[t], i0
+        pr = R[i0]
+        pos = n
+        for j, v in pr.items():
+            if (v == least or v == -least) and cpos[j] < pos:
+                pos = cpos[j]
+        c0 = cat[pos]
+        if pos != t:
+            c1 = cat[t]
+            cat[pos], cat[t], cpos[c1], cpos[c0] = c1, c0, pos, t
+        # row t is s * pr, with s the sign that makes the pivot positive
+        s = 1
+        p = pr[c0]
+        if p < 0:
+            s, p = -1, -p
+            row_ops.append((i0, i0, -2))
+        dirty = []
+        for i in cols[c0]:
+            if i != i0:
+                ri = R[i]
+                a = ri.get(c0)
+                if a:
+                    q = a // p
+                    if q:
+                        row_ops.append((i, i0, -q))
+                        q *= s
+                        for j, v in pr.items():
+                            w = ri.get(j)
+                            if w is None:
+                                ri[j] = -q * v
+                                cols[j].add(i)
+                            else:
+                                w -= q * v
+                                if w:
+                                    ri[j] = w
+                                else:
+                                    del ri[j]
+                    if c0 in ri:
+                        dirty.append(i)
+        # clear row t: it keeps the remainders, and the column operations
+        # reach only the dirty rows, the others with an entry in column c0
+        R[i0] = left = {c0: p}
+        for j, a in pr.items():
+            if j != c0:
+                a *= s
+                q = a // p
                 if q:
-                    row_add(i, t, -q)
-                if A[i][t] != 0:
-                    dirty = True
-        for j in range(t + 1, n):
-            if A[t][j] != 0:
-                q = A[t][j] // p
-                if q:
-                    col_add(j, t, -q)
-                if A[t][j] != 0:
-                    dirty = True
-        if dirty:
+                    for i in dirty:
+                        ri = R[i]
+                        w = ri.get(j)
+                        if w is None:
+                            ri[j] = -q * ri[c0]
+                            cols[j].add(i)
+                        else:
+                            w -= q * ri[c0]
+                            if w:
+                                ri[j] = w
+                            else:
+                                del ri[j]
+                    col_ops.append((c0, j, -q))
+                    a -= q * p
+                if a:
+                    left[j] = a
+        if dirty or len(left) > 1:  # a remainder is left: pivot again
             continue
-        bad = None
-        if p != 1:  # 1 divides every entry
-            bad = next((i for i in range(t + 1, m)
-                        if any(A[i][j] % p for j in range(t + 1, n))), None)
-        if bad is None:
-            t += 1
-        else:
-            # fold a row the pivot does not divide into row t and pivot again
-            row_add(t, bad, 1)
+        if p != 1:
+            rem = p.__rmod__
+            bad = next((i for i in at[t + 1:] if any(map(rem, R[i].values()))), None)
+            if bad is not None:
+                row_ops.append((i0, bad, 1))
+                left.update(R[bad])  # row t is {c0: p}, and row bad has nothing in c0
+                for j in R[bad]:
+                    cols[j].add(i0)
+                continue
+        t += 1
+    diag = [R[at[pos]][cat[pos]] for pos in range(t)] + [0] * (k - t)
+    return diag, at, cat, row_ops, col_ops
 
 
-def _unit_rows(k: int) -> List[List[int]]:
-    """The rows of the k x k identity matrix, built as rows."""
-    rows = [[0] * k for _ in range(k)]
-    for i, row in enumerate(rows):
-        row[i] = 1
-    return rows
+def _times(ops: Sequence[Op], size: int, ids: Sequence[int]) -> List[List[int]]:
+    """Row i of the product of the elementary matrices ops, in order, for
+    each i of ids: e_i * ops[0] * ops[1] * ..., one op at a time."""
+    out = []
+    for i in ids:
+        x = [0] * size
+        x[i] = 1
+        for a, b, c in ops:
+            if x[a]:
+                x[b] += c * x[a]
+        out.append(x)
+    return out
 
 
 def smith_normal_form(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """U, D, V with U*M*V = D diagonal, d_i | d_{i+1}, d_i >= 0, U and V unimodular."""
+    """U, D, V with U*M*V = D diagonal, d_i | d_{i+1}, d_i >= 0, U and V
+    unimodular: _smith's logs replayed onto the rows of the identity."""
     m, n = M.rows, M.cols
-    A = [r + e for r, e in zip(M.to_rows(), _unit_rows(m))] + _unit_rows(n)
-    _smith(A, m, n)
-    mk = lambda rows, r, c: IntMatrix(r, c, tuple(x for row in rows for x in row))
-    return (mk([r[n:] for r in A[:m]], m, m), mk([r[:n] for r in A[:m]], m, n),
-            mk(A[m:], n, n))
+    diag, at, cat, row_ops, col_ops = _smith(
+        [{j: v for j, v in enumerate(r) if v} for r in M.to_rows()], m, n)
+    U = _times(row_ops[::-1], m, at)
+    V = [[x[j] for j in cat] for x in _times(col_ops, n, range(n))]
+    D = [0] * (m * n)
+    for p, d in enumerate(diag):
+        D[p * n + p] = d
+    return (IntMatrix(m, m, tuple(x for r in U for x in r)), IntMatrix(m, n, tuple(D)),
+            IntMatrix(n, n, tuple(x for r in V for x in r)))
 
 
 @dataclass(frozen=True)
@@ -359,51 +428,64 @@ def _coordinates(G: AbelianGroup, x: AbElement) -> Tuple[int, ...]:
 class Cokernel:
     """The cokernel Z^m / im(M) of a relation matrix, with generator images.
 
-    U is the row transform of the Smith form U*M*V = D, and factor_rows are
-    the rows of D that give the canonical factors, free ones first; matrix
-    holds the generator images, read straight off those rows of U."""
+    For the Smith form U*M*V = D, factor_rows are the positions of the rows
+    of D that give the canonical factors, free ones first, and matrix holds
+    the generator images: the rows of U at those positions, torsion ones
+    mod d.  generators is m.  The cokernel keeps _smith's row ids (_at) and
+    row operations (_ops), and derives U and the lifts from them on first
+    read only; cokernel replays just the factor rows of U."""
 
     group: AbelianGroup
     matrix: ImageMatrix
-    U: Tuple[Tuple[int, ...], ...]
     factor_rows: Tuple[int, ...]
+    generators: int
+    _at: List[int] = field(repr=False, compare=False)
+    _ops: List[Op] = field(repr=False, compare=False)
+
+    @cached_property
+    def U(self) -> Tuple[Tuple[int, ...], ...]:
+        """The row transform of the Smith form, all m rows."""
+        return tuple(map(tuple, _times(self._ops[::-1], self.generators, self._at)))
 
     @cached_property
     def gen_images(self) -> Tuple[AbElement, ...]:
         free, tor = self.matrix
-        return _elements(free, [row for row, _ in tor], len(self.U))
+        return _elements(free, [row for row, _ in tor], self.generators)
 
     @cached_property
     def lifts(self) -> Tuple[Tuple[int, ...], ...]:
         """An integer lift back to Z^m of each canonical factor: the column of
-        U^-1 at its factor row.  Derived on first read, as U^-1 = V2*U2 from
-        the Smith form U2*U*V2 = I of the unimodular U: _smith runs on [U | I]
-        over I, and only the factor columns of U2 are mapped through V2, in
-        one dot_map, so no m x m product is formed."""
-        m, rs = len(self.U), self.factor_rows
-        A = [list(r) + e for r, e in zip(self.U, _unit_rows(m))] + _unit_rows(m)
-        _smith(A, m, m)
-        lifted, _ = dot_map((A[m:], ()), [[row[m + r] for r in rs] for row in A[:m]], len(rs))
-        return tuple(zip(*lifted))
+        U^-1 at its factor row.  U^-1 undoes the logged row operations, last
+        to first, so the column is a row of its transpose, which _times
+        replays: the transposed inverse of Op (a, b, c) is (b, a, -c), and a
+        negation (a, a, -2) is its own."""
+        at, undo = self._at, [(b, a, -c) if a != b else (a, b, c)
+                              for a, b, c in reversed(self._ops)]
+        return tuple(map(tuple, _times(undo, self.generators,
+                                       [at[p] for p in self.factor_rows])))
 
     def from_vector(self, v: Sequence[int]) -> AbElement:
-        if len(v) != len(self.U):  # dot_map would drop or zero-fill the others
-            raise ValueError(f"a vector of {len(v)} coordinates for {len(self.U)} generators")
+        if len(v) != self.generators:  # dot_map would drop or zero-fill the others
+            raise ValueError(f"a vector of {len(v)} coordinates for {self.generators} generators")
         return _map_vector(self.matrix, v)
 
 
-def cokernel(rel_rows: Sequence[Sequence[int]], m: int, n: int) -> Cokernel:
-    A = [list(r) + e for r, e in zip(rel_rows, _unit_rows(m))]
-    _smith(A, m, n)
-    diag = [A[i][i] for i in range(min(m, n))]
-    tor_rows = [i for i, d in enumerate(diag) if d >= 2]
-    free_rows = [i for i, d in enumerate(diag) if d == 0] + list(range(len(diag), m))
-    G = AbelianGroup(len(free_rows), tuple(diag[i] for i in tor_rows))
-    U = tuple(tuple(row[n:]) for row in A)
+def cokernel(rows: List[Dict[int, int]], m: int, n: int) -> Cokernel:
+    """Z^m / im(M) for the m x n relation matrix M whose row i is rows[i],
+    given as {column: value}.  _smith reduces the rows in place, so a caller
+    hands over rows built for the call."""
+    diag, at, _, ops, _ = _smith(rows, m, n)
+    free = [p for p, d in enumerate(diag) if d == 0]
+    free += range(len(diag), m)
+    tor = [p for p, d in enumerate(diag) if d > 1]
+    G = AbelianGroup(len(free), tuple([diag[p] for p in tor]))
+    rs = free + tor
+    U = _times(ops[::-1], m, [at[p] for p in rs])
     # free factor rows of U as they are, torsion ones mod d
-    matrix = (tuple(U[r] for r in free_rows),
-              tuple((tuple(x % diag[r] for x in U[r]), diag[r]) for r in tor_rows))
-    return Cokernel(G, matrix, U, tuple(free_rows + tor_rows))
+    r = len(free)
+    matrix = (tuple(map(tuple, U[:r])),
+              tuple([(tuple([x % d for x in row]), d) for row, d in zip(U[r:], G.torsion)]))
+    return Cokernel(G, matrix, tuple(rs), m, at, ops)
 
 
 def _exponent_sums(words: Sequence[Word], m: int) -> List[List[int]]:
@@ -416,14 +498,25 @@ def _exponent_sums(words: Sequence[Word], m: int) -> List[List[int]]:
 
 
 def abelianize(alphabet: Sequence[Generator], relators: Sequence[Word]) -> Cokernel:
-    """H = cokernel of the exponent-sum matrix (rows = generators, cols = relators)."""
-    return cokernel(_exponent_sums(relators, len(alphabet)), len(alphabet), len(relators))
+    """H = cokernel of the exponent-sum matrix (rows = generators, cols =
+    relators), built as sparse rows: row g holds generator g's exponent sum
+    in each relator it has letters in."""
+    rows: List[Dict[int, int]] = [{} for _ in alphabet]
+    for j, w in enumerate(relators):
+        for g, e in w.letters:
+            row = rows[g]
+            s = row.get(j, 0) + e
+            if s:
+                row[j] = s
+            else:
+                del row[j]
+    return cokernel(rows, len(alphabet), len(relators))
 
 
 def word_images(ck: Cokernel, words: Sequence[Word]) -> Tuple[AbElement, ...]:
     """phi extended multiplicatively to each word: the words' exponent sums
     are the columns of one dot_map."""
-    sums = _exponent_sums(words, len(ck.U))
+    sums = _exponent_sums(words, ck.generators)
     return _elements(*dot_map(ck.matrix, sums, len(words)), len(words))
 
 
@@ -446,28 +539,30 @@ class Projection:
         return _map_vector(self.matrix, _coordinates(self.source, x))
 
 
-def _torsion_relations(G: AbelianGroup, at: int, m: int) -> List[List[int]]:
-    """The relation d * e_(at + rank + j) in Z^m of each torsion factor Z/d
-    of G, for G's coordinates placed from position at on."""
-    return [[d if i == at + G.rank + j else 0 for i in range(m)]
-            for j, d in enumerate(G.torsion)]
+def _torsion_relations(G: AbelianGroup, col: int) -> List[Dict[int, int]]:
+    """One relation row, as {column: value}, per coordinate of G: the
+    relation d * e_(rank + j) of torsion factor j, Z/d, is column col + j,
+    and the free coordinates' rows are empty."""
+    return [{} for _ in range(G.rank)] + [{col + j: d} for j, d in enumerate(G.torsion)]
 
 
 def quotient(H: AbelianGroup, killed: Sequence[AbElement]) -> Projection:
     """G = H / <killed>, with the canonical surjection."""
-    m = H.rank + len(H.torsion)
-    cols = _torsion_relations(H, 0, m)
-    cols.extend(list(_coordinates(H, x)) for x in killed)
-    ck = cokernel([[col[i] for col in cols] for i in range(m)], m, len(cols))
+    rows = _torsion_relations(H, 0)
+    for j, x in enumerate(killed, len(H.torsion)):
+        for row, v in zip(rows, _coordinates(H, x)):
+            if v:
+                row[j] = v
+    ck = cokernel(rows, len(rows), len(H.torsion) + len(killed))
     return Projection(H, ck.group, ck.matrix)
 
 
 def direct_sum(G1: AbelianGroup, G2: AbelianGroup) -> Tuple[AbelianGroup, Projection, Projection]:
     """G1 + G2 in canonical form, with the two inclusion maps."""
     m1 = G1.rank + len(G1.torsion)
-    m = m1 + G2.rank + len(G2.torsion)
-    cols = _torsion_relations(G1, 0, m) + _torsion_relations(G2, m1, m)
-    ck = cokernel([[col[i] for col in cols] for i in range(m)], m, len(cols))
+    rows = _torsion_relations(G1, 0) + _torsion_relations(G2, len(G1.torsion))
+    m = len(rows)
+    ck = cokernel(rows, m, len(G1.torsion) + len(G2.torsion))
     free, tor = ck.matrix
 
     def columns(lo: int, hi: int) -> ImageMatrix:

@@ -200,8 +200,9 @@ def induced_hom(old: TorsionResult, new: TorsionResult) -> Projection:
     """The canonical map H_old -> H_new for presentations sharing their first
     generators (e.g. after a Tietze extension): the lifts of the canonical
     factors of H_old, zero on the new generators, go through one dot_map."""
-    lifts, pad = old.abelianization.lifts, len(new.abelianization.U) - len(old.abelianization.U)
-    free, tor = dot_map(new.abelianization.matrix, [*zip(*lifts), *[(0,) * len(lifts)] * pad],
+    old_ab, new_ab = old.abelianization, new.abelianization
+    lifts, pad = old_ab.lifts, new_ab.generators - old_ab.generators
+    free, tor = dot_map(new_ab.matrix, [*zip(*lifts), *[(0,) * len(lifts)] * pad],
                         len(lifts))
     return Projection(old.H, new.H, (tuple(map(tuple, free)),
                                      tuple(zip(map(tuple, tor), new.H.torsion))))

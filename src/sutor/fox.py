@@ -68,7 +68,7 @@ def _columns(words: Sequence[Word], ab: Cokernel,
     W.check_budget(sum(reach), "{} Fox terms are")
     free, tor = ab.matrix
     pk = _Packing(ab.group, 2 * rows * _max_abs(free) * max(reach, default=0))
-    up = pk.encode_rows(free + tuple(row for row, _ in tor), len(ab.U))
+    up = pk.encode_rows(free + tuple(row for row, _ in tor), ab.generators)
     down = [pk.neg(k) for k in up]
     return pk, [_fox_column(w, pk, up, down) for w in words]
 

@@ -1,9 +1,11 @@
 """Test-only oracles: det_int (tests/int_matrix.py), abelian._smith and abelian.cokernel as
 they were before the sparse determinant, the Smith pivot shortcut and the
-transforms carried as blocks of the Smith rows, and the per-element
-arithmetic on AbElement tuples (`ab_add`, `ab_neg`, `ab_scale`, `element`,
-`image_matrix`) that src/ computed with before it moved to packed keys and
-coordinate rows.
+transforms carried as blocks of the Smith rows, the same two with the pivot
+shortcut and the blocks (`_block_smith`, `block_smith_normal_form`,
+`block_cokernel`) as they were before the sparse rows and the operation
+log, and the per-element arithmetic on AbElement tuples (`ab_add`,
+`ab_neg`, `ab_scale`, `element`, `image_matrix`) that src/ computed with
+before it moved to packed keys and coordinate rows.
 
 `det_int` is the dense fraction-free Bareiss elimination: it pivots on the
 diagonal, swapping in the first row below with a nonzero in the pivot
@@ -13,7 +15,10 @@ scans the whole remaining block for its pivot, always runs the
 divisibility scan and keeps U, its inverse Ui and V as separate matrices;
 smith_normal_form must return the same U, D and V, and `cokernel` gives the
 group, generator images and lifts (the columns of Ui) that abelian.cokernel
-must return."""
+must return.  `_block_smith` runs abelian._smith's pivot sequence on dense
+rows with I_m beside them and I_n below, so `block_cokernel` and
+`block_smith_normal_form` give the image matrix, U, the factor rows, the
+lifts and U, D and V that the sparse elimination must give exactly."""
 from typing import List, Sequence
 
 from sutor.abelian import AbElement, AbelianGroup, ImageMatrix, IntMatrix
@@ -210,3 +215,105 @@ def cokernel(rel_rows: Sequence[Sequence[int]], m: int, n: int):
     )
     lifts = tuple(tuple(Ui[i][r] for i in range(m)) for r in free_rows + tor_rows)
     return G, gen_images, lifts
+
+
+def _unit_rows(k: int) -> List[List[int]]:
+    rows = [[0] * k for _ in range(k)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
+
+
+def _block_smith(A: List[List[int]], m: int, n: int) -> None:
+    """abelian._smith before its sparse rows and operation log: the top-left
+    m x n block M of the rows A goes to Smith form D in place, with the
+    first-unit pivot scan, and row operations act on the whole of rows
+    0..m-1 and column operations on columns 0..n-1 of every row of A, so I_m
+    beside the first m rows ends as U and I_n below them as V.  Step t
+    eliminates below and right of its pivot only."""
+
+    def row_add(i, j, c):  # row_i += c * row_j
+        A[i] = [a + c * b for a, b in zip(A[i], A[j])]
+
+    def col_add(i, j, c):  # col_i += c * col_j, on rows t onward
+        for row in A[t:]:
+            row[i] += c * row[j]
+
+    t = 0
+    while t < min(m, n):
+        piv, least = None, 0
+        for i in range(t, m):
+            for j in range(t, n):
+                a = abs(A[i][j])
+                if a and (piv is None or a < least):
+                    piv, least = (i, j), a
+                    if a == 1:
+                        break
+            if least == 1:
+                break
+        if piv is None:
+            break
+        i, j = piv
+        A[t], A[i] = A[i], A[t]
+        if j != t:
+            for row in A[t:]:
+                row[t], row[j] = row[j], row[t]
+        if A[t][t] < 0:
+            A[t] = [-a for a in A[t]]
+        p = A[t][t]
+        dirty = False
+        for i in range(t + 1, m):
+            if A[i][t] != 0:
+                q = A[i][t] // p
+                if q:
+                    row_add(i, t, -q)
+                if A[i][t] != 0:
+                    dirty = True
+        for j in range(t + 1, n):
+            if A[t][j] != 0:
+                q = A[t][j] // p
+                if q:
+                    col_add(j, t, -q)
+                if A[t][j] != 0:
+                    dirty = True
+        if dirty:
+            continue
+        bad = None
+        if p != 1:
+            bad = next((i for i in range(t + 1, m)
+                        if any(A[i][j] % p for j in range(t + 1, n))), None)
+        if bad is None:
+            t += 1
+        else:
+            row_add(t, bad, 1)
+
+
+def block_smith_normal_form(M: IntMatrix):
+    """U, D and V of M as row lists, from _block_smith on [M | I] over I."""
+    m, n = M.rows, M.cols
+    A = [r + e for r, e in zip(M.to_rows(), _unit_rows(m))] + _unit_rows(n)
+    _block_smith(A, m, n)
+    return [r[n:] for r in A[:m]], [r[:n] for r in A[:m]], A[m:]
+
+
+def block_cokernel(rel_rows: Sequence[Sequence[int]], m: int, n: int):
+    """(group, matrix, U, factor_rows, lifts) as abelian.cokernel built them
+    from _block_smith: U is read to the right of the relation rows, the
+    image matrix off its factor rows, and the lifts are the factor columns
+    of U^-1 = V2*U2 from _block_smith on [U | I] over I."""
+    A = [list(r) + e for r, e in zip(rel_rows, _unit_rows(m))]
+    _block_smith(A, m, n)
+    diag = [A[i][i] for i in range(min(m, n))]
+    tor_rows = [i for i, d in enumerate(diag) if d >= 2]
+    free_rows = [i for i, d in enumerate(diag) if d == 0] + list(range(len(diag), m))
+    G = AbelianGroup(len(free_rows), tuple(diag[i] for i in tor_rows))
+    U = tuple(tuple(row[n:]) for row in A)
+    matrix = (tuple(U[r] for r in free_rows),
+              tuple((tuple(x % diag[r] for x in U[r]), diag[r]) for r in tor_rows))
+    rs = free_rows + tor_rows
+    B = [list(r) + e for r, e in zip(U, _unit_rows(m))] + _unit_rows(m)
+    _block_smith(B, m, m)
+    V2 = B[m:]
+    lifts = tuple(tuple(sum(V2[i][k] * B[k][m + r] for k in range(m)) for i in range(m))
+                  for r in rs)
+    return G, matrix, U, tuple(rs), lifts

@@ -183,11 +183,29 @@ def test_det_sparse_rescales_banded_rows_lazily(monkeypatch):
             assert updates["rows"] <= b * n, (n, b)
 
 
+def _sparse(rows):
+    """The rows of a dense matrix as cokernel takes them, {column: value}."""
+    return [{j: v for j, v in enumerate(r) if v} for r in rows]
+
+
+def _matches_the_blocks(ck, rows, m, n):
+    """ck, the cokernel of the m x n matrix rows, and smith_normal_form of
+    rows equal what the elimination that carried its transforms as blocks
+    of its rows gives (legacy_abelian.block_cokernel and
+    block_smith_normal_form): the group, the image matrix, U read on
+    demand, the factor rows and the lifts, and U, D and V."""
+    assert (ck.group, ck.matrix, ck.U, ck.factor_rows, ck.lifts) == \
+        legacy_abelian.block_cokernel(rows, m, n), rows
+    M = IntMatrix(m, n, tuple(v for r in rows for v in r))
+    assert [X.to_rows() for X in smith_normal_form(M)] == \
+        list(legacy_abelian.block_smith_normal_form(M)), rows
+
+
 def test_smith_matches_the_full_pivot_scan():
     """_smith stops its pivot scan at the first unit, skips the divisibility
-    scan for a unit pivot and carries U and V as blocks of its rows;
-    smith_normal_form's U, D and V stay those of the full scan, and the
-    cokernel's lifts the columns of its Ui, on matrices with unit and
+    scan for a unit pivot and logs its operations in place of carrying U
+    and V; smith_normal_form's U, D and V stay those of the full scan, and
+    the cokernel's lifts the columns of its Ui, on matrices with unit and
     non-unit pivots and with torsion."""
     rng = random.Random(13)
     seen = collections.Counter()
@@ -199,7 +217,7 @@ def test_smith_matches_the_full_pivot_scan():
         U, _, D, V = legacy_abelian._smith([list(r) for r in rows], m, n)
         got = smith_normal_form(IntMatrix.from_rows(rows))
         assert [M.to_rows() for M in got] == [U, D, V], rows
-        ck = cokernel(rows, m, n)
+        ck = cokernel(_sparse(rows), m, n)
         assert (ck.group, ck.gen_images, ck.lifts) == legacy_abelian.cokernel(rows, m, n), rows
         diag = [D[i][i] for i in range(min(m, n))]
         seen["torsion"] += any(d >= 2 for d in diag)
@@ -209,16 +227,18 @@ def test_smith_matches_the_full_pivot_scan():
 
 
 def test_smith_skips_the_lines_it_has_cleared():
-    """_smith eliminates below and right of each pivot only, and swaps and
-    adds columns on the rows from the pivot's on, the V block included.
-    smith_normal_form's U, D and V and the cokernel's group, images and
-    lifts equal those of the legacy elimination over every row and column,
-    on matrices up to 9 x 9 whose entries share factors, so that a pivot
-    leaves remainders (the dirty path) and fails to divide a later entry
-    (the fold path); both paths are seen to run."""
+    """_smith eliminates below and right of each pivot only, on the rows
+    with an entry in the pivot column.  smith_normal_form's U, D and V and
+    the cokernel's group, images and lifts equal those of the legacy
+    elimination over every row and column, and the block elimination's
+    matrix, U and factor rows too, on matrices up to 9 x 9 whose entries
+    share factors, so that a pivot leaves remainders (the dirty path) and
+    fails to divide a later entry (the fold path); both paths are seen to
+    run, and so are the 0 x 0, 0 x 2 and 2 x 0 shapes."""
     source, first = inspect.getsourcelines(abelian._smith)
-    at = {what: first + next(i for i, line in enumerate(source) if what in line)
-          for what in ("dirty = True", "row_add(t, bad, 1)")}
+    at = {what: first + next(i for i, line in enumerate(source) if what in line) + after
+          for what, after in (("if dirty or len(left) > 1:", 1),
+                              ("row_ops.append((i0, bad, 1))", 0))}
     code, ran = abelian._smith.__code__, collections.Counter()
 
     def lines(frame, event, arg):
@@ -226,7 +246,7 @@ def test_smith_skips_the_lines_it_has_cleared():
             ran[frame.f_lineno] += 1
         return lines
 
-    rng, cases = random.Random(29), []
+    rng, cases = random.Random(29), [([], 0, 0), ([], 0, 2), ([[], []], 2, 0)]
     for trial in range(150):
         m, n = rng.randint(1, 9), rng.randint(1, 9)
         rows = [[rng.choice((2, 3, 4, 6, 9, 10)) * rng.randint(-4, 4) if rng.random() < 0.7
@@ -237,16 +257,19 @@ def test_smith_skips_the_lines_it_has_cleared():
     sys.settrace(lambda frame, event, arg: lines if frame.f_code is code else None)
     try:
         for rows, m, n in cases:
-            ck = cokernel(rows, m, n)
-            got.append(([M.to_rows() for M in smith_normal_form(IntMatrix.from_rows(rows))],
-                        (ck.group, ck.gen_images, ck.lifts)))
+            M = IntMatrix(m, n, tuple(v for r in rows for v in r))
+            ck = cokernel(_sparse(rows), m, n)
+            got.append(([X.to_rows() for X in smith_normal_form(M)],
+                        (ck.group, ck.gen_images, ck.lifts), ck))
     finally:
         sys.settrace(old)
-    for (rows, m, n), (snf, ck) in zip(cases, got):
+    for (rows, m, n), (snf, images, ck) in zip(cases, got):
         U, _, D, V = legacy_abelian._smith([list(r) for r in rows], m, n)
         assert snf == [U, D, V], rows
-        assert ck == legacy_abelian.cokernel(rows, m, n), rows
-    assert ran[at["dirty = True"]] > 20 and ran[at["row_add(t, bad, 1)"]] > 20, ran
+        assert images == legacy_abelian.cokernel(rows, m, n), rows
+        _matches_the_blocks(ck, rows, m, n)
+    ran_dirty, ran_fold = (ran[at[what]] for what in at)
+    assert ran_dirty > 20 and ran_fold > 20, ran
 
 
 def _braid_closure(rng, strands, crossings):
@@ -292,16 +315,20 @@ def _braid_closure(rng, strands, crossings):
 
 
 def test_cokernel_matches_legacy_at_knot_sizes(monkeypatch):
-    """cokernel's group, gen_images and lifts equal those of the cokernel
-    built on the legacy _smith for every cokernel that abelianize, quotient
-    and direct_sum build: T(2, n) Wirtinger knots for odd n <= 31, seeded
-    braid closures, relator-free handlebodies (zero columns) and their R_-
-    quotients, and direct sums with torsion."""
+    """Every cokernel that abelianize, quotient and direct_sum build matches
+    the block elimination (_matches_the_blocks), and up to 31 generators
+    the group, gen_images and lifts of the legacy full-scan cokernel too:
+    T(2, n) Wirtinger knots for odd n <= 201, seeded braid closures,
+    relator-free handlebodies (zero columns) and their R_- quotients, and
+    direct sums with torsion."""
     real, seen = abelian.cokernel, collections.Counter()
 
     def checked(rel_rows, m, n):
+        rows = [[r.get(j, 0) for j in range(n)] for r in rel_rows]
         ck = real(rel_rows, m, n)
-        assert (ck.group, ck.gen_images, ck.lifts) == legacy_abelian.cokernel(rel_rows, m, n)
+        _matches_the_blocks(ck, rows, m, n)
+        if m <= 31:
+            assert (ck.group, ck.gen_images, ck.lifts) == legacy_abelian.cokernel(rows, m, n)
         seen["calls"] += 1
         seen["largest"] = max(seen["largest"], m)
         seen["zero_columns"] += n == 0 and m > 0
@@ -309,7 +336,7 @@ def test_cokernel_matches_legacy_at_knot_sizes(monkeypatch):
         return ck
 
     monkeypatch.setattr(abelian, "cokernel", checked)
-    for n in range(3, 32, 2):
+    for n in range(3, 202, 2):
         inp = F.wirtinger_knot(F.torus_2n_pd(n))
         assert abelianize(inp.alphabet, inp.relators).group == AbelianGroup(1)
     rng = random.Random(17)
@@ -330,27 +357,29 @@ def test_cokernel_matches_legacy_at_knot_sizes(monkeypatch):
         S, _, _ = direct_sum(G1, G2)
         quotient(S, [element(S, [rng.randint(-3, 3) for _ in range(S.rank)],
                              [rng.randint(0, 11) for _ in S.torsion])])
-    assert seen["largest"] >= 31 and seen["zero_columns"] >= 5 and seen["torsion"] > 40, seen
+    assert seen["largest"] >= 201 and seen["zero_columns"] >= 5 and seen["torsion"] > 40, seen
 
 
 def test_lifts_are_derived_on_first_read(monkeypatch):
     """No cokernel built by abelianize, quotient, direct_sum, torsion or the
-    two identity checks computes its lifts; the Tietze transport reads them
-    through induced_hom."""
+    two identity checks computes its lifts or its full U; the Tietze
+    transport reads the lifts through induced_hom."""
     real, made = abelian.cokernel, []
     monkeypatch.setattr(abelian, "cokernel", lambda *a: made.append(real(*a)) or made[-1])
     alphabet = make_alphabet(["a", "b"])
     abelianize(alphabet, [parse_word("a^2 b^4", alphabet)])
     G, _, _ = direct_sum(AbelianGroup(1, (2,)), AbelianGroup(0, (4,)))
     quotient(G, [element(G, [2], [1, 1])])
-    for inp in (F.cantwell_conlon(), F.solid_torus(3), F.pretzel_odd(1, 1, 1)):
+    for inp in (F.cantwell_conlon(), F.solid_torus(3), F.pretzel_odd(1, 1, 1),
+                F.wirtinger_knot(F.TREFOIL_PD)):
         result = E.torsion(inp)
         assert E.evaluation_check(inp, result).passed
         assert E.augmentation_order_check(inp, result).passed
-    assert len(made) >= 9 and all("lifts" not in ck.__dict__ for ck in made)
+    assert len(made) >= 11
+    assert not any("lifts" in ck.__dict__ or "U" in ck.__dict__ for ck in made)
     old = E.torsion(inp)
     E.induced_hom(old, E.torsion(E.tietze_add_generator(inp, W.Word(((0, 2),)))))
-    assert "lifts" in old.abelianization.__dict__
+    assert "lifts" in old.abelianization.__dict__ and "U" not in old.abelianization.__dict__
 
 
 def check_snf(M):
@@ -414,7 +443,7 @@ def test_element_arithmetic():
 
 def test_cokernel_and_lifts():
     # Z^2 / <(2, 0)> = Z + Z/2
-    ck = cokernel([[2], [0]], 2, 1)
+    ck = cokernel([{0: 2}, {}], 2, 1)
     assert ck.group == AbelianGroup(1, (2,))
     for i in range(2):
         v = [0, 0]
@@ -438,7 +467,7 @@ def test_maps_refuse_vectors_of_the_wrong_shape():
             proj(x)
     with pytest.raises(ValueError, match="not an element"):
         quotient(Z2, [AbElement((1,), ())])
-    ck = cokernel([[2], [0]], 2, 1)
+    ck = cokernel([{0: 2}, {}], 2, 1)
     for v in ([1], [1, 0, 0], []):
         with pytest.raises(ValueError, match="coordinates for 2 generators"):
             ck.from_vector(v)
@@ -546,9 +575,9 @@ def test_order():
 
 
 def test_lifts_of_a_601_generator_cokernel_within_five_seconds():
-    """The lifts map the factor columns of the Smith transform of U through
-    its column transform, so no m x m product is formed: that product took
-    about 19 s at m = 601 on a 2-vCPU VM.  Each lift goes back to its factor."""
+    """Each lift replays the logged row operations backwards on one unit
+    vector, so no m x m matrix is formed (a product of two took about 19 s
+    at m = 601 on a 2-vCPU VM).  Each lift goes back to its factor."""
     inp = F.wirtinger_knot(F.torus_2n_pd(601))
     ck = abelianize(inp.alphabet, inp.relators)
     start = time.perf_counter()

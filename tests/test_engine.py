@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import itertools
 import json
+import os
 import random
 import re
 
@@ -395,6 +396,56 @@ def test_induced_hom_matches_per_lift_images():
             seen["extension"] += 1
             assert sim_equal(transport_tau(base, res), res.tau)
     assert seen["torsion"] >= 10 and seen["extension"] >= 40, seen
+
+
+def test_random_moves_transport_tau():
+    """Seeded chains of random Tietze extensions and Nielsen moves, on every
+    fixture with a square Fox matrix and on presentations whose H has
+    torsion: after each move, the first presentation's and the previous
+    one's determinants pushed into the new H by transport_tau (the lifts of
+    their canonical factors, through induced_hom) are +-h times the new
+    tau.  T is an invariant of the sutured manifold, so this checks the
+    lifts and the basis of H that cokernel picks against the paper, not
+    against a copy of their code."""
+    fixtures = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+    inputs = []
+    for name in sorted(os.listdir(fixtures)):
+        with open(os.path.join(fixtures, name)) as f:
+            d = json.load(f)
+        if "generators" in d:
+            inp = input_from_dict(d)
+            if not any(diag.blocking for diag in validate(inp)):
+                inputs.append(inp)
+    names = ("a", "b", "c")
+    inputs += [simple_input(["b c a", "c^2 b^-1"], names, ["a^2"]),
+               simple_input(["a b c", "c a^-1 b"], names, ["a^6 b^4"]),
+               simple_input(["c a^2 b", "a b^-1 c^3"], names, ["a^4 b^-2"]),
+               simple_input(["c b^-1"], names, ["a^2", "a^6 b^4"])]
+    rng, seen = random.Random(31), collections.Counter()
+    for inp in inputs:
+        first = old = torsion(inp)
+        seen["torsion"] += bool(first.H.torsion)
+        for _ in range(6):
+            k = len(inp.rminus)
+            if rng.random() < 0.5:
+                w = W.free_reduce([(rng.randrange(len(inp.alphabet)), rng.choice([-2, -1, 1, 2]))
+                                   for _ in range(rng.randint(0, 3))])
+                inp = tietze_add_generator(inp, w)
+                seen["tietze"] += 1
+            elif k > 1 and rng.random() < 0.5:
+                inp = nielsen_move(inp, ("multiply", *rng.sample(range(k), 2)))
+                seen["multiply"] += 1
+            else:
+                inp = nielsen_move(inp, ("invert", rng.randrange(k)))
+                seen["invert"] += 1
+            new = torsion(inp)
+            assert sim_equal(transport_tau(old, new), new.tau), input_to_dict(inp)
+            assert sim_equal(transport_tau(first, new), new.tau), input_to_dict(inp)
+            seen["nonzero"] += bool(new.tau.terms)
+            old = new
+    assert len(inputs) == 13 and seen["torsion"] == 4, seen
+    assert min(seen["tietze"], seen["multiply"], seen["invert"]) >= 10, seen
+    assert seen["nonzero"] > 60, seen
 
 
 def test_tietze_name_round_trips():
