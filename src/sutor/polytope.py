@@ -3,35 +3,38 @@ difference polytope, symmetry, extremal faces, and the disk-decomposability
 obstruction.
 
 Hulls are exact and integer: in dimension <= 1 the extreme points, in
-dimension 2 the monotone chain.  From dimension 3 on they are output
-sensitive (Clarkson): the vertex set starts from the lex-largest maximizers
-of +-e_i, which need no LP, and every other point is tested against the
-vertices found so far only.  Each test, and point_in_hull in any
-dimension, is exact linear feasibility: a small phase-1 simplex on an
+dimension 2 the monotone chain.  From dimension 3 on, a point set of
+lower affine dimension r is hulled in the r coordinates where its
+differences first reach full rank, and a full-dimensional one by one
+facet hull (_facet_hull): Quickhull's outside sets on oriented simplicial
+facets with integer normals (the cross product in dimension 3, signed
+minors above), a new facet made from a visible one by putting the new
+point in place of a vertex, so it keeps its orientation, and a vertex
+test by the rank of the facet normals at each point.  It solves no LP and
+counts its point-facet steps against words.WORK_BUDGET.  Only
+point_in_hull is a linear feasibility test: a small phase-1 simplex on an
 integer tableau with fraction-free pivots, the Bareiss step
-abelian.bareiss_pivot.  A point outside comes back with the Farkas
-certificate of the final tableau, a separating direction whose
-lex-largest maximizer is the next vertex.  A point set equal to its own
-negation, as every difference set is, has only its lex-positive half
-tested.
+abelian.bareiss_pivot.
 
 A Support hulls its points once, on first read, and keeps the vertices
 (and in the plane the counter-clockwise chain); vertices and
 difference_polytope both read that hull.  The difference polytope P - P =
 P + (-P) is built from P's vertices by its structure: a point or a segment
 gives the origin or +-d, a polygon is the merge of the edge sequences of P
-and -P by angle, and from dimension 3 on the Clarkson loop runs over the
-vertex differences with a witness that reads P's k vertices instead of
-the k^2 differences.  The support, extremal_part and the disk report read
-tau's packed keys (groupring._Packing.columns) and build no AbElement.
+and -P by angle, and from dimension 3 on the facet hull runs over the
+distinct vertex differences.  The support, extremal_part and the disk
+report read tau's packed keys (groupring._Packing.columns) and build no
+AbElement.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import cache, cached_property
+from operator import mul, sub
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from . import words as W
 from .abelian import AbelianGroup, bareiss_pivot, dot_map
 from .groupring import (
     GroupRingElement,
@@ -54,7 +57,8 @@ class Support:
 
     @cached_property
     def hull(self) -> Tuple[List[Point], Optional[List[Point]]]:
-        """The sorted vertices of conv(points) and, in the plane, the
+        """The sorted vertices of conv(points), from hull_vertices (the
+        facet hull from dimension 3 on), and, in the plane, the
         counter-clockwise chain of convex_hull_2d they are sorted from
         (else None)."""
         if self.dim == 2:
@@ -173,68 +177,258 @@ def _neg(p: Point) -> Point:
     return tuple(-x for x in p)
 
 
-def _dot(c: Sequence[int], p: Point) -> int:
-    return sum(a * x for a, x in zip(c, p))
-
-
 def hull_vertices(points: Sequence[Point]) -> List[Point]:
-    """Sorted vertex set of conv(points), by the method the dimension allows:
-    the two extreme points on a line, the monotone chain in the plane, and
-    from dimension 3 on Clarkson's output-sensitive method (_clarkson),
-    whose witness here is the lex-largest maximizer over all the points.
-    Support.hull keeps the result for a support, so it is hulled once;
-    difference_polytope runs the same loop on a difference set with a
-    witness that reads the vertices only."""
-    pts = sorted(set(points))
+    """Sorted vertex set of conv(points): the two extreme points on a line,
+    the monotone chain in the plane, and from dimension 3 on the facet hull
+    (_facet_hull) on the points' affine hull.  Support.hull keeps the
+    result for a support, so it is hulled once; difference_polytope hulls
+    a difference set through _hull."""
+    return _hull(sorted(set(points)))
+
+
+def _hull(pts: List[Point]) -> List[Point]:
+    """hull_vertices of pts, sorted and distinct.  From dimension 3 on, a
+    set of lower affine dimension r is hulled on the first r coordinates
+    where its differences have rank r: the projection onto them maps its
+    affine hull isomorphically onto R^r, so it maps vertices to vertices,
+    and the line, the chain or the facet hull runs there."""
     dim = len(pts[0]) if pts else 0
     if dim <= 1:
         return pts if len(pts) <= 1 else [pts[0], pts[-1]]
     if dim == 2:
         return sorted(convex_hull_2d(pts))
+    cols, simplex = _affine_basis(pts)
+    if len(cols) == dim:
+        return _facet_hull(pts, simplex)
+    proj = [tuple(p[k] for k in cols) for p in pts]
+    back = dict(zip(proj, pts))
+    return sorted(back[v] for v in _hull(sorted(proj)))
 
-    def top(c: Sequence[int]) -> Point:
-        return max(pts, key=lambda p: (_dot(c, p), p))
 
-    return _clarkson(pts, top, sorted(map(_neg, pts)) == pts)
-
-
-def _clarkson(pts: List[Point], top: Callable[[Sequence[int]], Point],
-              symmetric: bool) -> List[Point]:
-    """Sorted vertex set of conv(pts), pts sorted and distinct, by
-    Clarkson's output-sensitive method (More output-sensitive geometric
-    algorithms, FOCS 1994).  top(c) is the witness: the point of pts
-    maximizing <c, p>, ties broken to the lex-largest p.
-
-    V holds vertices only: top(c) is one for every c.  A point p outside
-    conv(V) comes back with a direction c that puts p above every value on
-    V, so top(c) is a vertex not yet in V; it joins V and p is tested again.
-    Each LP has at most |V| columns and there are at most N + |V| of them.
-    A symmetric set has vertices v and -v together, so each vertex joins V
-    with its negative."""
-    dim = len(pts[0])
-    V: Dict[Point, None] = {}  # insertion-ordered, so the LP columns are too
-
-    def add(v: Point) -> None:
-        V[v] = None
-        if symmetric:
-            V[_neg(v)] = None
-
-    for i in range(dim):
-        for s in (1, -1):
-            add(top([s * int(k == i) for k in range(dim)]))
-    for p in pts:
-        if symmetric and p <= _neg(p):  # the lex-positive half will do
+def _echelon(vectors: Iterable[Sequence[int]], d: int) -> Tuple[List[int], List[int]]:
+    """Fraction-free row reduction of vectors in Z^d, one at a time, until
+    their rank reaches d.  Returns the pivot columns in increasing order,
+    which are the lex-first columns of full rank, and the indices of the
+    vectors that raised the rank.  Every kept row is zero before its pivot
+    and on every other row's pivot."""
+    basis: Dict[int, List[int]] = {}
+    raised = []
+    for i, v in enumerate(vectors):
+        for c, row in basis.items():
+            f = v[c]
+            if f:
+                p = row[c]
+                v = [x * p - f * y for x, y in zip(v, row)]
+        j = next((k for k, x in enumerate(v) if x), -1)
+        if j < 0:
             continue
-        while p not in V:
-            A = [[v[k] for v in V] for k in range(dim)] + [[1] * len(V)]
-            y = _farkas(A, list(p) + [1])
-            if y is None:
-                break
-            q = top(y[:dim])
-            if q in V:  # a certificate that fails to separate would loop forever
-                raise ArithmeticError("Farkas certificate does not separate the point")
-            add(q)
-    return sorted(V)
+        for c, row in basis.items():
+            f = row[j]
+            if f:
+                basis[c] = [x * v[j] - f * y for x, y in zip(row, v)]
+        basis[j] = v
+        raised.append(i)
+        if len(basis) == d:
+            break
+    return sorted(basis), raised
+
+
+def _affine_basis(pts: List[Point]) -> Tuple[List[int], List[Point]]:
+    """The first coordinates where the differences of pts have full rank
+    r, and r + 1 affinely independent points of pts, pts[0] first."""
+    p0 = pts[0]
+    cols, raised = _echelon((list(map(sub, p, p0)) for p in pts), len(p0))
+    return cols, [p0] + [pts[i] for i in raised]
+
+
+def _minors(rows: Sequence[Sequence[int]]) -> Tuple[int, ...]:
+    """The signed maximal minors n of d - 1 rows in Z^d of rank d - 1, the
+    cofactors of the last row of [rows; y], so that <n, y> = det[rows; y]
+    for every y.  One fraction-free Gauss-Jordan pass (the Bareiss step
+    abelian.bareiss_pivot), its pivot columns taken in increasing order,
+    leaves D times the reduced echelon form, D = +-det of the pivot
+    columns.  Its kernel vector z has D at the one other column f and
+    minus row k's entry at f at row k's pivot column; n_f is (-1)^(d-1+f)
+    times that determinant, so n is z times the sign of the row swaps and
+    of (-1)^(d-1+f)."""
+    R = [list(r) for r in rows]
+    d, sign, den, c, pivots = len(R) + 1, 1, 1, 0, []
+    for k in range(d - 1):
+        r = k
+        while c < d and not R[r][c]:  # the first row from k on with an entry in column c
+            r += 1
+            if r == d - 1:
+                r, c = k, c + 1
+        if c == d:
+            return (0,) * d  # rank below d - 1
+        if r != k:
+            R[k], R[r] = R[r], R[k]
+            sign = -sign
+        bareiss_pivot(R, k, c, den)
+        den = R[k][c]
+        pivots.append(c)
+        c += 1
+    f = next(j for j in range(d) if j not in pivots)
+    if (d - 1 + f) & 1:
+        sign = -sign
+    n = [0] * d
+    n[f] = sign * den
+    for row, ck in zip(R, pivots):
+        n[ck] = -sign * row[f]
+    return tuple(n)
+
+
+def _spans(ns: List[Tuple[int, ...]], d: int) -> bool:
+    """Do the vectors ns span R^d?  In d = 3: is some vector off the plane
+    of ns[0] and the first vector not parallel to it?  Else row reduction
+    decides."""
+    if d == 3:
+        a, b, c = ns[0]
+        for x, y, z in ns:
+            u, v, w = b * z - c * y, c * x - a * z, a * y - b * x
+            if u or v or w:
+                return any(u * x + v * y + w * z for x, y, z in ns)
+        return False
+    return len(_echelon(ns, d)[0]) == d
+
+
+@cache
+def _ridges_at(d: int) -> List[List[Tuple[int, Tuple[int, ...]]]]:
+    """For a facet through a new point at place k: each other place j, with
+    the places of the d - 2 other points of the ridge opposite place j."""
+    return [[(j, tuple(t for t in range(d) if t != j and t != k))
+             for j in range(d) if j != k] for k in range(d)]
+
+
+def _facet(ws: Tuple[Point, ...], nb: list) -> list:
+    """An oriented facet of the hull, the list [ws, n, c, nb, out, mark]:
+    - ws, its d points;
+    - n, the _minors of ws[1] - ws[0], ..., ws[d-1] - ws[0] (their cross
+      product in d = 3), and c = <n, ws[0]>, so <n, y> - c = det[ws[1] -
+      ws[0], ..., ws[d-1] - ws[0], y - ws[0]]; y is above the facet when
+      that is positive, and the hull lies below;
+    - nb[k], the facet across the ridge opposite ws[k];
+    - out, the pending points assigned to it, None once it is deleted;
+    - mark, +-i once the i-th added point was found above (+) or not
+      above (-) it."""
+    if len(ws) == 3:
+        (a, b, c), (x, y, z), (u, v, w) = ws
+        x, y, z, u, v, w = x - a, y - b, z - c, u - a, v - b, w - c
+        x, y, z = y * w - z * v, z * u - x * w, x * v - y * u
+        return [ws, (x, y, z), x * a + y * b + z * c, nb, [], 0]
+    w0 = ws[0]
+    n = _minors([list(map(sub, w, w0)) for w in ws[1:]])
+    return [ws, n, sum(map(mul, n, w0)), nb, [], 0]
+
+
+def _facet_hull(pts: List[Point], simplex: List[Point]) -> List[Point]:
+    """Sorted vertex set of conv(pts), for pts sorted, distinct and of full
+    dimension d >= 3 and simplex d + 1 affinely independent points of
+    pts: an exact integer beneath-beyond hull with Quickhull's outside
+    sets (Barber, Dobkin and Huhdanpaa, ACM TOMS 22, 1996).
+
+    The simplex's facets are oriented by the vertex each leaves out, and
+    every other point is assigned to the first facet it is above.  Then,
+    while a facet has pending points, its farthest one p is added.  The
+    facets p is above are found by walking adjacency from that facet.
+    Each ridge between one of them, V, and a facet below p gives a new
+    facet: V with the ridge's opposite vertex replaced by p.  It keeps V's
+    orientation, as the replaced vertex lies below it, so no interior
+    point is needed.  The new facets' ridges through p are matched by
+    their other d - 2 points.  The deleted facets' pending points are
+    tested against the new facets only, since a point above V and above
+    none of them lies in the new hull.
+
+    Coplanar facets are not merged, so at the end a point of the
+    triangulation is a vertex when the normals of its facets span R^d.
+    Each point-facet test, and each point of each new facet, is one step.
+    words.WORK_BUDGET is read once, and the count is checked against it
+    after each pending point's tests and after each added point."""
+    d = len(pts[0])
+    if len(pts) == d + 1:
+        return pts  # a simplex
+    facets = []
+    for k, s in enumerate(simplex):
+        ws = tuple(simplex[:k] + simplex[k + 1:])
+        F = _facet(ws, [])
+        if sum(map(mul, F[1], s)) > F[2]:
+            F = _facet((ws[1], ws[0]) + ws[2:], [])
+        facets.append(F)
+    for F in facets:
+        F[3] = [facets[simplex.index(w)] for w in F[0]]
+    work, budget, steps = 0, W.WORK_BUDGET, "a facet hull of {} point-facet steps is"
+    corners = set(simplex)
+    for q in pts:
+        if q not in corners:
+            for F in facets:
+                work += 1
+                if sum(map(mul, F[1], q)) > F[2]:
+                    F[4].append(q)
+                    break
+            if work > budget:
+                W.check_budget(work, steps)
+    ridges_at = _ridges_at(d)
+    stack = [F for F in facets if F[4]]
+    stamp = 0
+    while stack:
+        F = stack.pop()
+        out = F[4]
+        if not out:  # deleted, or nothing pending
+            continue
+        n = F[1]
+        p = max(out, key=lambda q: sum(map(mul, n, q)))
+        out.remove(p)
+        stamp += 1
+        F[5] = stamp
+        visible, horizon = [F], []
+        for V in visible:
+            for k, G in enumerate(V[3]):
+                m = G[5]
+                if m == stamp:
+                    continue
+                if m != -stamp:
+                    work += 1
+                    if sum(map(mul, G[1], p)) > G[2]:
+                        G[5] = stamp
+                        visible.append(G)
+                        continue
+                    G[5] = -stamp
+                horizon.append((V, k))
+        new, open_ridges = [], {}
+        for V, k in horizon:
+            nb = V[3]
+            ws = V[0][:k] + (p,) + V[0][k + 1:]
+            N = _facet(ws, nb[:])
+            G = nb[k][3]
+            G[G.index(V)] = N
+            for j, rest in ridges_at[k]:
+                key = ws[rest[0]] if d == 3 else tuple(sorted([ws[t] for t in rest]))
+                M, i = open_ridges.setdefault(key, (N, j))
+                if M is not N:
+                    N[3][j] = M
+                    M[3][i] = N
+            new.append(N)
+        work += d * len(new)
+        for V in visible:
+            for q in V[4]:
+                for N in new:
+                    work += 1
+                    if sum(map(mul, N[1], q)) > N[2]:
+                        N[4].append(q)
+                        break
+                if work > budget:
+                    W.check_budget(work, steps)
+            V[4] = None
+        if work > budget:
+            W.check_budget(work, steps)
+        stack += [N for N in new if N[4]]
+        facets += new
+    normals: Dict[Point, List[Tuple[int, ...]]] = {}
+    for ws, n, _, _, out, _ in facets:
+        if out is not None:
+            for w in ws:
+                normals.setdefault(w, []).append(n)
+    return sorted(w for w, ns in normals.items() if _spans(ns, d))
 
 
 def vertices(S: Support) -> List[Point]:
@@ -265,11 +459,9 @@ def _difference(verts: List[Point], chain: Optional[List[Point]]) -> List[Point]
       P and -P by angle, exact integer cross products, parallel edges
       merged into one: a linear pass after P's chain, with no hull of the
       k^2 differences;
-    - from dimension 3 on, the Clarkson loop of hull_vertices over the
-      distinct differences D = V - V, which is centrally symmetric.  Its
-      witness, the lex-largest maximizer of <c, .> over D, is lexmax
-      argmax_V(c) - lexmin argmin_V(c), since lex order is a group order:
-      one pass over the k vertices instead of the k^2 differences."""
+    - from dimension 3 on, the facet hull of the distinct differences V -
+      V, through _hull, which hulls them in fewer coordinates when P is
+      flat."""
     if len(verts) == 1:
         return [(0,) * len(verts[0])]
     if chain is not None and len(chain) > 2:
@@ -279,14 +471,7 @@ def _difference(verts: List[Point], chain: Optional[List[Point]]) -> List[Point]
         d = tuple(b - a for a, b in zip(verts[0], verts[-1]))
         return [_neg(d), d]
 
-    def top(c: Sequence[int]) -> Point:
-        vals = [_dot(c, v) for v in verts]
-        hi, lo = max(vals), min(vals)
-        return tuple(a - b for a, b in zip(max(v for v, x in zip(verts, vals) if x == hi),
-                                           min(v for v, x in zip(verts, vals) if x == lo)))
-
-    diffs = sorted({tuple(a - b for a, b in zip(x, y)) for x in verts for y in verts})
-    return _clarkson(diffs, top, True)
+    return _hull(sorted({tuple(map(sub, x, y)) for x in verts for y in verts}))
 
 
 def _planar_difference(chain: List[Point]) -> List[Point]:

@@ -51,13 +51,15 @@ _MAX_DEPTH = 200
 # entries per row on average), which a 2 x 2 core or a cofactor expansion
 # (groupring._cofactor) continues; and, in a count of its own, the blocks a
 # cofactor expansion settles, each weighted by its rows, except a block
-# expanded along a line with one nonzero entry.  A front-end step that would
-# cross it ends the front end; past it anywhere else check_budget raises a
-# ValueError, which ends the CLI with exit 1.  An 800,002-term commutator and
-# the genus-8 handlebody of perfbench.corpus.handlebody_words(random.Random(108),
-# 8, 12) (866,680 term products) fit.  This is the budget's one binding: fox
-# and groupring read words.WORK_BUDGET at the call, so a program may set it
-# before one.
+# expanded along a line with one nonzero entry; and the point-facet steps of
+# a hull from dimension 3 on (polytope._facet_hull), counted as they are made.
+# A front-end step that would cross it ends the front end; past it anywhere
+# else check_budget raises a ValueError, which ends the CLI with exit 1.  An
+# 800,002-term commutator and the genus-8 handlebody of
+# perfbench.corpus.handlebody_words(random.Random(108), 8, 12) (866,680 term
+# products) fit.  This is the budget's one binding: fox, groupring and
+# polytope read words.WORK_BUDGET at the call, so a program may set it before
+# one.
 WORK_BUDGET = 1_000_000
 
 

@@ -4,13 +4,16 @@ difference_polytope hulled only vertex differences.  One exact LP per point
 against all others, over every pairwise difference of the support.  The LP
 is the phase-1 simplex over Fraction that the integer tableau of
 sutor.polytope replaced, kept here verbatim so that the oracle shares no
-arithmetic with the code under test.  Also extremal_part and the disk
+arithmetic with the code under test.  Also the output-sensitive hull that
+the facet hull replaced from dimension 3 on: Clarkson's loop (_clarkson)
+with its two witnesses, on a point set and on the vertex differences of a
+polytope, whose LPs are sutor.polytope._farkas.  Also extremal_part and the disk
 report as they were before they read packed keys: one AbElement per term,
 and normalize on every candidate.  And to_svg as it was before it read the
 support's cached hull: it hulled the points again with convex_hull_2d.  The
 faster code must agree with these on every input."""
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from sutor.abelian import AbElement
 from sutor.groupring import (
@@ -19,7 +22,16 @@ from sutor.groupring import (
     UnsupportedTorsionError,
     normalize,
 )
-from sutor.polytope import _Z, DiskCandidate, DiskReport, Point, Support, convex_hull_2d
+from sutor.polytope import (
+    _Z,
+    DiskCandidate,
+    DiskReport,
+    Point,
+    Support,
+    _farkas,
+    _neg,
+    convex_hull_2d,
+)
 
 
 def _lp_feasible(A: List[List[int]], b: List[int]) -> bool:
@@ -104,6 +116,81 @@ def difference_polytope(S: Support) -> List[Point]:
     pts = list(S.points)
     diffs = {tuple(a - b for a, b in zip(x, y)) for x in pts for y in pts}
     return hull_vertices(list(diffs))
+
+
+def _dot(c: Sequence[int], p: Point) -> int:
+    return sum(a * x for a, x in zip(c, p))
+
+
+def _clarkson(pts: List[Point], top: Callable[[Sequence[int]], Point],
+              symmetric: bool) -> List[Point]:
+    """Sorted vertex set of conv(pts), pts sorted and distinct, by
+    Clarkson's output-sensitive method (More output-sensitive geometric
+    algorithms, FOCS 1994).  top(c) is the witness: the point of pts
+    maximizing <c, p>, ties broken to the lex-largest p.
+
+    V holds vertices only: top(c) is one for every c.  A point p outside
+    conv(V) comes back with a direction c that puts p above every value on
+    V, so top(c) is a vertex not yet in V; it joins V and p is tested again.
+    Each LP has at most |V| columns and there are at most N + |V| of them.
+    A symmetric set has vertices v and -v together, so each vertex joins V
+    with its negative."""
+    dim = len(pts[0])
+    V: Dict[Point, None] = {}  # insertion-ordered, so the LP columns are too
+
+    def add(v: Point) -> None:
+        V[v] = None
+        if symmetric:
+            V[_neg(v)] = None
+
+    for i in range(dim):
+        for s in (1, -1):
+            add(top([s * int(k == i) for k in range(dim)]))
+    for p in pts:
+        if symmetric and p <= _neg(p):  # the lex-positive half will do
+            continue
+        while p not in V:
+            A = [[v[k] for v in V] for k in range(dim)] + [[1] * len(V)]
+            y = _farkas(A, list(p) + [1])
+            if y is None:
+                break
+            q = top(y[:dim])
+            if q in V:  # a certificate that fails to separate would loop forever
+                raise ArithmeticError("Farkas certificate does not separate the point")
+            add(q)
+    return sorted(V)
+
+
+def clarkson_hull_vertices(points: Sequence[Point]) -> List[Point]:
+    """Sorted vertex set of conv(points) by _clarkson, whose witness is the
+    lex-largest maximizer over all the points: hull_vertices from
+    dimension 3 on as it was, here in any dimension."""
+    pts = sorted(set(points))
+    if not pts:
+        return []
+
+    def top(c: Sequence[int]) -> Point:
+        return max(pts, key=lambda p: (_dot(c, p), p))
+
+    return _clarkson(pts, top, sorted(map(_neg, pts)) == pts)
+
+
+def clarkson_difference(verts: List[Point]) -> List[Point]:
+    """Sorted vertex set of P + (-P) for verts the sorted vertices of P, by
+    _clarkson over the distinct differences V - V, as difference_polytope
+    was from dimension 3 on.  Its witness, the lex-largest maximizer of
+    <c, .> over V - V, is lexmax argmax_V(c) - lexmin argmin_V(c), since
+    lex order is a group order: one pass over the k vertices instead of
+    the k^2 differences."""
+
+    def top(c: Sequence[int]) -> Point:
+        vals = [_dot(c, v) for v in verts]
+        hi, lo = max(vals), min(vals)
+        return tuple(a - b for a, b in zip(max(v for v, x in zip(verts, vals) if x == hi),
+                                           min(v for v, x in zip(verts, vals) if x == lo)))
+
+    diffs = sorted({tuple(a - b for a, b in zip(x, y)) for x in verts for y in verts})
+    return _clarkson(diffs, top, True)
 
 
 def extremal_part(tau: GroupRingElement, alpha: Sequence[int]) -> GroupRingElement:

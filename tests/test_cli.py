@@ -286,8 +286,10 @@ def test_polytope_three_vars_svg_refused(capsys, tmp_path):
 
 
 def test_polytope_diff_in_low_dimension_solves_no_lp(capsys, monkeypatch, tmp_path):
+    """polytope --diff in dimensions 1, 2 and 3 solves no LP: the extreme
+    points, the monotone chain and the facet hull are exact without one."""
     def no_lp(A, b):
-        raise AssertionError("hull in dimension <= 2 reached the LP")
+        raise AssertionError("a hull in dimension <= 3 reached the LP")
 
     monkeypatch.setattr(P, "_farkas", no_lp)
     code, out, err = run(capsys, "gen", "solid-torus", "200")
@@ -309,6 +311,15 @@ def test_polytope_diff_in_low_dimension_solves_no_lp(capsys, monkeypatch, tmp_pa
         "hull vertices: (0, 0) (0, 3) (3, -3) (3, 3) (6, -3) (6, 0)",
         "centrally symmetric: yes",
         "difference polytope: 6 vertices: (-6, 0) (-6, 6) (0, -6) (0, 6) (6, -6) (6, 0)",
+    ]
+    code, out, err = run(capsys, "polytope", fx("cc.json"), "--diff")
+    assert code == 0
+    assert out.splitlines() == [
+        "support: 4 points in dimension 3",
+        "hull vertices: (0, 0, 0) (1, -1, 0) (1, 0, -1) (1, 0, 0)",
+        "centrally symmetric: no",
+        "difference polytope: 12 vertices: (-1, 0, 0) (-1, 0, 1) (-1, 1, 0) (0, -1, 0) "
+        "(0, -1, 1) (0, 0, -1) (0, 0, 1) (0, 1, -1) (0, 1, 0) (1, -1, 0) (1, 0, -1) (1, 0, 0)",
     ]
 
 
@@ -719,10 +730,10 @@ def test_polytope_diff_hulls_the_support_once(capsys, monkeypatch, tmp_path):
     path.write_text(json.dumps({"generators": ["a", "b", "c"], "relators": [],
                                 "rminus": ["a b^-1", "b^2 c", "c a^2"]}))
     calls, loops = [], []
-    hull, clarkson = P.hull_vertices, P._clarkson
+    hull, facet_hull = P.hull_vertices, P._facet_hull
     monkeypatch.setattr(P, "hull_vertices", lambda pts: calls.append(len(pts)) or hull(pts))
-    monkeypatch.setattr(P, "_clarkson", lambda pts, *rest: loops.append(len(pts))
-                        or clarkson(pts, *rest))
+    monkeypatch.setattr(P, "_facet_hull", lambda pts, simplex: loops.append(len(pts))
+                        or facet_hull(pts, simplex))
     code, out, _ = run(capsys, "polytope", str(path), "--diff")
     assert code == 0
     assert out.splitlines()[0] == "support: 4 points in dimension 3"

@@ -13,7 +13,7 @@ import pytest
 
 from sutor import engine as E
 from sutor import families as F
-from sutor import fox, groupring
+from sutor import fox, groupring, polytope
 from sutor import words as W
 from sutor.abelian import (
     INFINITE,
@@ -217,10 +217,11 @@ def test_work_budget_admits_its_bound(monkeypatch):
 
 
 def test_one_work_budget_reaches_every_site(monkeypatch):
-    """Setting words.WORK_BUDGET alone moves all nine checks, each at its
-    bound: the six refusals, whose messages name the budget set (the letters
-    of a power, the Fox terms, a record's coordinates, the slots of _lift,
-    and _cofactor's term products and block rows), and the three compares
+    """Setting words.WORK_BUDGET alone moves all ten checks, each at its
+    bound: the seven refusals, whose messages name the budget set (the
+    letters of a power, the Fox terms, a record's coordinates, the slots of
+    _lift, _cofactor's term products and block rows, and the facet hull's
+    point-facet steps), and the three compares
     (the stop of _peel, the 2 x 2 gate, and the slots check of a whole
     one-variable matrix before the front end)."""
     def budget(n):
@@ -260,6 +261,11 @@ def test_one_work_budget_reaches_every_site(monkeypatch):
     refused("a cofactor expansion of at least 80 term products is", 80, groupring._cofactor, cube)
     assert not refused("a cofactor expansion of at least 16 block rows is", 16,
                        groupring._cofactor, rank_one)
+    # the 3 x 3 x 3 grid: 23 steps assign its points to the first simplex,
+    # and each of the 10 points added after it counts its tests and facets
+    grid = list(itertools.product(range(3), repeat=3))
+    assert refused("a facet hull of 272 point-facet steps is", 272, polytope.hull_vertices,
+                   grid) == sorted(itertools.product((0, 2), repeat=3))
 
     def peel():
         return groupring._peel([dict(row) for row in A.packed], A.packing, 0)

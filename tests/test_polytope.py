@@ -185,6 +185,41 @@ def test_import_leaves_fractions_out():
     assert proc.stdout.split() == ["False", "False"]
 
 
+def _cofactor_det(M):
+    if len(M) == 1:
+        return M[0][0]
+    return sum((-1) ** j * x * _cofactor_det([r[:j] + r[j + 1:] for r in M[1:]])
+               for j, x in enumerate(M[0]) if x)
+
+
+def test_facet_normals_are_the_signed_minors():
+    """_minors gives n with <n, y> = det[rows; y]: against the cofactor
+    expansion of det[rows; e_i] in d = 3-7, rows of lower rank and zero
+    columns included, and in d = 25 against perfbench's Bareiss
+    determinant at random y, which a table over the 2^d column subsets
+    could not reach."""
+    from perfbench.corpus import int_det
+
+    rng = random.Random(20261022)
+    for d, count in ((3, 60), (4, 60), (5, 60), (6, 30), (7, 8)):
+        for _ in range(count):
+            rows = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d - 1)]
+            if rng.random() < 0.3:
+                rows[-1] = [a + b for a, b in zip(rows[0], rows[-2])]
+            if rng.random() < 0.3:
+                j = rng.randrange(d)
+                for r in rows:
+                    r[j] = 0
+            assert P._minors(rows) == tuple(
+                _cofactor_det(rows + [[int(i == j) for j in range(d)]]) for i in range(d)), rows
+    rows = [[rng.randint(-5, 5) for _ in range(25)] for _ in range(24)]
+    n = P._minors(rows)
+    assert all(sum(a * x for a, x in zip(n, r)) == 0 for r in rows) and any(n)
+    for _ in range(3):
+        y = [rng.randint(-5, 5) for _ in range(25)]
+        assert sum(a * x for a, x in zip(n, y)) == int_det(rows + [y])
+
+
 def test_hull_vertices_drops_interior():
     pts = [(0, 0), (2, 0), (0, 2), (2, 2), (1, 1), (1, 0)]
     assert sorted(P.hull_vertices(pts)) == [(0, 0), (0, 2), (2, 0), (2, 2)]
@@ -225,7 +260,7 @@ def _random_point_sets(rng):
         for n in (1, 2, 4, 6, 8, 10):
             for _ in range(3):
                 yield [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(n)]
-    # centrally symmetric sets, with and without 0, which take the half path
+    # centrally symmetric sets, with and without 0
     for dim in (3, 4, 5):
         for n in (1, 2, 3, 5):
             for zero in (False, True):
@@ -309,17 +344,17 @@ def _difference_sets(rng):
 
 
 def test_difference_vertices_match_the_hull_of_all_differences_and_legacy():
-    """The planar merge, the segment and point shortcuts and the
-    difference-set witness of difference_polytope against hull_vertices of
-    every difference, against difference_polytope of the hull's vertices
-    alone and, on up to 6 distinct points, the one-LP-per-difference legacy
-    oracle.  A second read of the Support's cached hull agrees."""
+    """The planar merge, the segment and point shortcuts and the facet hull
+    of difference_polytope against Clarkson's LP hull of every difference,
+    against difference_polytope of the hull's vertices alone and, on up to
+    6 distinct points, the one-LP-per-difference legacy oracle.  A second
+    read of the Support's cached hull agrees."""
     seen = collections.Counter()
     for kind, pts in _difference_sets(random.Random(20261019)):
         dim = len(pts[0])
         S = P.Support(dim, dict.fromkeys(pts, 1))
         got = P.difference_polytope(S)
-        assert got == P.hull_vertices(_differences(pts)), (kind, pts)
+        assert got == legacy_polytope.clarkson_hull_vertices(_differences(pts)), (kind, pts)
         hull = P.Support(dim, dict.fromkeys(P.hull_vertices(pts), 1))
         assert got == P.difference_polytope(hull) == sorted(got)
         assert sorted(P._neg(v) for v in got) == got
@@ -344,7 +379,8 @@ def test_difference_vertices_match_the_hull_of_all_differences_and_legacy():
 def test_support_hull_is_computed_once(monkeypatch):
     """vertices and difference_polytope read the hull a Support keeps in its
     __dict__; it is no field, so == still compares dim and points, and
-    vertices hands out a copy."""
+    vertices hands out a copy.  The difference polytope is checked against
+    Clarkson's LP hull of every difference."""
     calls = []
     for name in ("hull_vertices", "convex_hull_2d"):
         fn = getattr(P, name)
@@ -359,19 +395,21 @@ def test_support_hull_is_computed_once(monkeypatch):
         D = P.difference_polytope(S)
         assert len(calls) == 1 and "hull" in S.__dict__
         assert S == P.Support(dim, dict.fromkeys(pts, 1))
-        assert D == P.hull_vertices(_differences(pts))
+        assert D == legacy_polytope.clarkson_hull_vertices(_differences(pts))
 
 
 def test_difference_polytopes_of_the_seed_1_polytope_corpus():
     """Every support of the polytope workload's seed-1 corpus: the planar
     pretzels, the segments of T(2,n) and the solid tori, and the genus-3
-    supports in dimension 3."""
+    supports in dimension 3, against Clarkson's LP hull of the vertex
+    differences and, on up to 6 points, the one-LP-per-difference oracle."""
     from perfbench import corpus
 
     dims = collections.Counter()
     for case in corpus.build("polytope", 1):
         S = P.support(E.torsion(E.input_from_dict(json.loads(case.text))).tau)
-        assert P.difference_polytope(S) == P.hull_vertices(_differences(P.vertices(S)))
+        D = legacy_polytope.clarkson_hull_vertices(_differences(P.vertices(S)))
+        assert P.difference_polytope(S) == D
         if len(S.points) <= 6:
             assert P.difference_polytope(S) == legacy_polytope.difference_polytope(S)
         dims[S.dim] += 1
@@ -392,38 +430,35 @@ def _support_of(inp):
 
 
 def test_hull_lps_are_output_sensitive(monkeypatch):
-    """Every LP tests a point against vertices found so far, so it has at
-    most |V| columns, and each LP either settles its point or adds a
-    vertex, so there are at most N + |V| of them."""
+    """The facet hull solves no LP: on the 5 x 5 x 5 grid and on the vertex
+    differences of seed 103 it gives the 8 and 44 vertices that Clarkson's
+    LP loop gives, without one _farkas call."""
     grid = list(itertools.product(range(-2, 3), repeat=3))
     verts = P.vertices(_support_of(HANDLEBODY_103))
     diffs = list({tuple(a - b for a, b in zip(x, y)) for x in verts for y in verts})
-    columns = []
-    kernel = P._farkas
+    oracles = [legacy_polytope.clarkson_hull_vertices(pts) for pts in (grid, diffs)]
 
-    def spy(A, b):
-        columns.append(len(A[0]))
-        return kernel(A, b)
+    def no_lp(A, b):
+        raise AssertionError("the facet hull reached the LP")
 
-    monkeypatch.setattr(P, "_farkas", spy)
-    for pts, nverts in ((grid, 8), (diffs, 44)):
-        columns.clear()
+    monkeypatch.setattr(P, "_farkas", no_lp)
+    for pts, nverts, oracle in zip((grid, diffs), (8, 44), oracles):
         V = P.hull_vertices(pts)
-        assert len(V) == nverts
-        assert columns and max(columns) <= len(V)
-        assert len(columns) <= len(pts) + len(V)
+        assert len(V) == nverts and V == oracle
     assert P.hull_vertices(grid) == sorted(itertools.product((-2, 2), repeat=3))
 
 
 def test_handlebody_difference_polytopes_and_the_witness(monkeypatch):
-    """Seed 103 against hull_vertices of all vertex differences.  On seed 104
-    every call of the Clarkson witness, over the support and over its 5,025
-    distinct vertex differences, must give the lex-largest maximizer over
-    the whole point set, so the loop runs as it would on the brute-force
-    witness and gives the same 496 vertices."""
+    """Seed 103 against Clarkson's LP hull of all vertex differences.  On
+    seed 104 the facet hull's 94 vertices and 496 difference vertices
+    against Clarkson's loop (legacy_polytope._clarkson), over the support
+    and over its 5,025 distinct vertex differences, where every call of
+    the witness must give the lex-largest maximizer over the whole point
+    set, so the loop runs as it would on the brute-force witness."""
     S = _support_of(HANDLEBODY_103)
-    assert P.difference_polytope(S) == P.hull_vertices(_differences(P.vertices(S)))
-    clarkson, checked = P._clarkson, []
+    assert P.difference_polytope(S) == legacy_polytope.clarkson_hull_vertices(
+        _differences(P.vertices(S)))
+    clarkson, checked = legacy_polytope._clarkson, []
 
     def spy(pts, top, symmetric):
         def checked_top(c):
@@ -433,11 +468,84 @@ def test_handlebody_difference_polytopes_and_the_witness(monkeypatch):
             return q
         return clarkson(pts, checked_top, symmetric)
 
-    monkeypatch.setattr(P, "_clarkson", spy)
+    monkeypatch.setattr(legacy_polytope, "_clarkson", spy)
     S = _support_of(HANDLEBODY_104)
-    D = P.difference_polytope(S)
-    assert (len(P.vertices(S)), len(D), max(checked)) == (94, 496, 5025)
+    V, D = P.vertices(S), P.difference_polytope(S)
+    assert V == legacy_polytope.clarkson_hull_vertices(list(S.points))
+    assert D == legacy_polytope.clarkson_difference(V)
+    assert (len(V), len(D), max(checked)) == (94, 496, 5025)
     assert sorted(P._neg(v) for v in D) == D
+
+
+def _facet_hull_sets(rng):
+    """(kind, points) in dimensions 3-5 with small coordinates: random sets
+    (so points repeat and four of them often lie on a plane), sets listed
+    twice, collinear and coplanar sets in 3-D and 4-D, a hyperplane's
+    points in 4-D, sets equal to their negation with and without 0,
+    lattice grids, simplices, and the lattice points of a doubled simplex,
+    whose edge midpoints lie on its boundary and are no vertices."""
+    for dim in (3, 4, 5):
+        for n in (5, 7, 10, 14):
+            for _ in range(3):
+                pts = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(n)]
+                yield "random", pts
+        yield "repeated", pts + pts[::-1]
+        half = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(5)]
+        sym = half + [P._neg(p) for p in half]
+        yield "symmetric", sym
+        yield "symmetric", sym + [(0,) * dim]
+        yield "grid", list(itertools.product(range(3 if dim < 5 else 2), repeat=dim))
+        while True:
+            simplex = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(dim + 1)]
+            if len(P._affine_basis(sorted(simplex))[0]) == dim:
+                break
+        yield "simplex", simplex
+        yield "doubled simplex", [p for p in itertools.product(range(3), repeat=dim) if sum(p) <= 2]
+    for dim in (3, 4):
+        base, u, w = ([rng.randint(-2, 2) for _ in range(dim)] for _ in range(3))
+        yield "collinear", [tuple(b + k * x for b, x in zip(base, u)) for k in range(-3, 4)]
+        for n in (4, 7, 11):
+            ijs = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(n)]
+            yield "coplanar", [tuple(b + i * x + j * y for b, x, y in zip(base, u, w))
+                               for i, j in ijs]
+    for n in (6, 10):
+        # the hyperplane x1 + x2 + x3 + x4 = 1 of Z^4
+        pts = [tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(n)]
+        yield "hyperplane", [p + (1 - sum(p),) for p in pts]
+
+
+def test_facet_hull_matches_legacy_hulls(monkeypatch):
+    """The facet hull and the difference polytope against the legacy
+    oracles in dimensions 3-5: one Fraction LP per point (per difference)
+    on the smaller sets, Clarkson's loop on the larger ones, with no
+    _farkas call from the code under test (the oracle holds its own
+    reference to it)."""
+    def no_lp(A, b):
+        raise AssertionError("the facet hull reached the LP")
+
+    monkeypatch.setattr(P, "_farkas", no_lp)
+    seen = collections.Counter()
+    for kind, pts in _facet_hull_sets(random.Random(20261022)):
+        dim, distinct = len(pts[0]), set(pts)
+        V = P.hull_vertices(pts)
+        if len(distinct) <= 16:
+            assert V == legacy_polytope.hull_vertices(pts), (kind, pts)
+        else:
+            assert V == legacy_polytope.clarkson_hull_vertices(pts), (kind, pts)
+        S = P.Support(dim, dict.fromkeys(pts, 1))
+        D = P.difference_polytope(S)
+        if len(distinct) <= 5:
+            assert D == legacy_polytope.difference_polytope(S), (kind, pts)
+        else:
+            assert D == legacy_polytope.clarkson_difference(V), (kind, pts)
+        if kind == "doubled simplex":  # the origin and 2 e_i
+            assert V == sorted([(0,) * dim] + [tuple(2 * (j == i) for j in range(dim))
+                                               for i in range(dim)])
+        seen[kind] += 1
+        seen["lower dimension"] += len(P._affine_basis(sorted(distinct))[0]) < dim
+        seen["not all vertices"] += len(V) < len(distinct)
+    assert seen["lower dimension"] >= 10 and seen["not all vertices"] >= 20, seen
+    assert len(seen) == 11, seen
 
 
 def test_genus_4_vertices_certified_by_point_in_hull():
@@ -456,7 +564,7 @@ def test_pretzel_polytopes_match_legacy(family):
         S = P.support(E.torsion(family(r, s, t)).tau)
         diffs = {tuple(a - b for a, b in zip(x, y)) for x in S.points for y in S.points}
         # every vertex of P + (-P) is a difference of two vertices of P
-        assert P.difference_polytope(S) == P.hull_vertices(list(diffs))
+        assert P.difference_polytope(S) == legacy_polytope.clarkson_hull_vertices(list(diffs))
         if r <= s <= t:
             assert P.vertices(S) == legacy_polytope.hull_vertices(list(S.points))
             if len(S.points) <= 12:
