@@ -10,8 +10,9 @@ facet hull (_facet_hull): Quickhull's outside sets on oriented simplicial
 facets with integer normals (the cross product in dimension 3, signed
 minors above), a new facet made from a visible one by putting the new
 point in place of a vertex, so it keeps its orientation, and a vertex
-test by the rank of the facet normals at each point.  It solves no LP and
-counts its point-facet steps against words.WORK_BUDGET.  Only
+test by the rank of the facet normals at each point; those normals and
+ranks come from one streaming Bareiss elimination, _echelon.  It solves
+no LP and counts its point-facet steps against words.WORK_BUDGET.  Only
 point_in_hull is a linear feasibility test: a small phase-1 simplex on an
 integer tableau with fraction-free pivots, the Bareiss step
 abelian.bareiss_pivot.
@@ -205,83 +206,80 @@ def _hull(pts: List[Point]) -> List[Point]:
     return sorted(back[v] for v in _hull(sorted(proj)))
 
 
-def _echelon(vectors: Iterable[Sequence[int]], d: int) -> Tuple[List[int], List[int]]:
-    """Fraction-free row reduction of vectors in Z^d, one at a time, until
-    their rank reaches d.  Returns the pivot columns in increasing order,
-    which are the lex-first columns of full rank, and the indices of the
-    vectors that raised the rank.  Every kept row is zero before its pivot
-    and on every other row's pivot."""
-    basis: Dict[int, List[int]] = {}
-    raised = []
+def _echelon(vectors: Iterable[Sequence[int]], d: int
+             ) -> Tuple[Dict[int, Sequence[int]], List[int], int]:
+    """Streaming fraction-free Gauss-Jordan reduction of vectors in Z^d
+    until their rank reaches d (Bareiss, Math. Comp. 22, 1968).  Each kept
+    row is D times its reduced row, D the last pivot.  A vector v becomes
+    w = D*v - sum of v[c]*row_c; its pivot j is its first nonzero column,
+    and every kept row becomes (row*w[j] - row[j]*w) // D, so every entry
+    is a minor of the vectors.  Returns the kept rows keyed by pivot
+    column, in the order found (sorted, the lex-first columns of full
+    rank); the indices of the vectors that raised the rank; and the sign
+    of the permutation that sorts the pivots."""
+    basis: Dict[int, Sequence[int]] = {}
+    raised, den, sign = [], 1, 1
     for i, v in enumerate(vectors):
+        w, s = v, den  # D*v, fused into the first subtraction
         for c, row in basis.items():
             f = v[c]
             if f:
-                p = row[c]
-                v = [x * p - f * y for x, y in zip(v, row)]
-        j = next((k for k, x in enumerate(v) if x), -1)
-        if j < 0:
+                w = [s * x - f * y for x, y in zip(w, row)]
+                s = 1
+        for j, p in enumerate(w):
+            if p:
+                break
+        else:
             continue
+        if s != 1:
+            w = [s * x for x in w]
+            p *= s
         for c, row in basis.items():
             f = row[j]
             if f:
-                basis[c] = [x * v[j] - f * y for x, y in zip(row, v)]
-        basis[j] = v
+                basis[c] = [(x * p - f * y) // den for x, y in zip(row, w)]
+            else:
+                basis[c] = [x * p // den for x in row]
+            if c > j:
+                sign = -sign
+        basis[j] = w
+        den = p
         raised.append(i)
         if len(basis) == d:
             break
-    return sorted(basis), raised
+    return basis, raised, sign
 
 
 def _affine_basis(pts: List[Point]) -> Tuple[List[int], List[Point]]:
     """The first coordinates where the differences of pts have full rank
     r, and r + 1 affinely independent points of pts, pts[0] first."""
     p0 = pts[0]
-    cols, raised = _echelon((list(map(sub, p, p0)) for p in pts), len(p0))
-    return cols, [p0] + [pts[i] for i in raised]
+    basis, raised, _ = _echelon((list(map(sub, p, p0)) for p in pts), len(p0))
+    return sorted(basis), [p0] + [pts[i] for i in raised]
 
 
 def _minors(rows: Sequence[Sequence[int]]) -> Tuple[int, ...]:
-    """The signed maximal minors n of d - 1 rows in Z^d of rank d - 1, the
-    cofactors of the last row of [rows; y], so that <n, y> = det[rows; y]
-    for every y.  One fraction-free Gauss-Jordan pass (the Bareiss step
-    abelian.bareiss_pivot), its pivot columns taken in increasing order,
-    leaves D times the reduced echelon form, D = +-det of the pivot
-    columns.  Its kernel vector z has D at the one other column f and
-    minus row k's entry at f at row k's pivot column; n_f is (-1)^(d-1+f)
-    times that determinant, so n is z times the sign of the row swaps and
-    of (-1)^(d-1+f)."""
-    R = [list(r) for r in rows]
-    d, sign, den, c, pivots = len(R) + 1, 1, 1, 0, []
-    for k in range(d - 1):
-        r = k
-        while c < d and not R[r][c]:  # the first row from k on with an entry in column c
-            r += 1
-            if r == d - 1:
-                r, c = k, c + 1
-        if c == d:
-            return (0,) * d  # rank below d - 1
-        if r != k:
-            R[k], R[r] = R[r], R[k]
-            sign = -sign
-        bareiss_pivot(R, k, c, den)
-        den = R[k][c]
-        pivots.append(c)
-        c += 1
-    f = next(j for j in range(d) if j not in pivots)
-    if (d - 1 + f) & 1:
-        sign = -sign
-    n = [0] * d
-    n[f] = sign * den
-    for row, ck in zip(R, pivots):
-        n[ck] = -sign * row[f]
-    return tuple(n)
+    """The signed maximal minors n of d - 1 rows in Z^d, the cofactors of
+    the last row of [rows; y], so <n, y> = det[rows; y] for every y; zero
+    below rank d - 1.  Read off _echelon's rows, D times the reduced ones:
+    D times their kernel vector is D at f, the one column without a pivot,
+    and -row_c[f] at each pivot c, and n_f, the pivot columns' determinant
+    times (-1)^(d-1+f), is D times s = sign * (-1)^(d-1+f)."""
+    d = len(rows) + 1
+    basis, raised, sign = _echelon(rows, d)
+    if len(raised) < d - 1:
+        return (0,) * d
+    f = d * (d - 1) // 2 - sum(basis)
+    s = -sign if (d - 1 + f) & 1 else sign
+    c = next(iter(basis))
+    D = basis[c][c]
+    return tuple([s * D if c == f else -s * basis[c][f] for c in range(d)])
 
 
 def _spans(ns: List[Tuple[int, ...]], d: int) -> bool:
     """Do the vectors ns span R^d?  In d = 3: is some vector off the plane
-    of ns[0] and the first vector not parallel to it?  Else row reduction
-    decides."""
+    of ns[0] and the first vector not parallel to it?  Else the rank that
+    _echelon reaches decides."""
     if d == 3:
         a, b, c = ns[0]
         for x, y, z in ns:
@@ -303,10 +301,10 @@ def _ridges_at(d: int) -> List[List[Tuple[int, Tuple[int, ...]]]]:
 def _facet(ws: Tuple[Point, ...], nb: list) -> list:
     """An oriented facet of the hull, the list [ws, n, c, nb, out, mark]:
     - ws, its d points;
-    - n, the _minors of ws[1] - ws[0], ..., ws[d-1] - ws[0] (their cross
-      product in d = 3), and c = <n, ws[0]>, so <n, y> - c = det[ws[1] -
-      ws[0], ..., ws[d-1] - ws[0], y - ws[0]]; y is above the facet when
-      that is positive, and the hull lies below;
+    - n, the _minors of ws[1] - ws[0], ..., ws[d-1] - ws[0] off their
+      _echelon (their cross product in d = 3), and c = <n, ws[0]>, so
+      <n, y> - c = det[ws[1] - ws[0], ..., ws[d-1] - ws[0], y - ws[0]];
+      y is above the facet when that is positive, and the hull lies below;
     - nb[k], the facet across the ridge opposite ws[k];
     - out, the pending points assigned to it, None once it is deleted;
     - mark, +-i once the i-th added point was found above (+) or not

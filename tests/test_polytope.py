@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import legacy_canonical
 import legacy_polytope
@@ -218,6 +219,138 @@ def test_facet_normals_are_the_signed_minors():
     for _ in range(3):
         y = [rng.randint(-5, 5) for _ in range(25)]
         assert sum(a * x for a, x in zip(n, y)) == int_det(rows + [y])
+
+
+def _fraction_echelon(vectors, d):
+    """Streaming Gauss-Jordan reduction over Fraction: the reduced rows
+    keyed by pivot column, and the indices of the vectors that raised the
+    rank, up to rank d."""
+    rows, raised = {}, []
+    for i, v in enumerate(vectors):
+        u = [Fraction(x) for x in v]
+        for c, r in rows.items():
+            f = u[c]
+            if f:
+                u = [x - f * y for x, y in zip(u, r)]
+        j = next((k for k, x in enumerate(u) if x), None)
+        if j is None:
+            continue
+        u = [x / u[j] for x in u]
+        for c, r in rows.items():
+            f = r[j]
+            if f:
+                rows[c] = [x - f * y for x, y in zip(r, u)]
+        rows[j] = u
+        raised.append(i)
+        if len(rows) == d:
+            break
+    return rows, raised
+
+
+def _echelon_sets(rng):
+    """(d, vectors) in d = 3-12: seeded vectors in [-3, 3]^d, some with a
+    zero prefix (so pivots come out of order), with zero vectors, sums of
+    two earlier vectors, repeats and columns that are zero throughout."""
+    for d in range(3, 13):
+        for _ in range(6):
+            vs = []
+            for _ in range(rng.randint(d - 1, d + 4)):
+                v = [rng.randint(-3, 3) for _ in range(d)]
+                if rng.random() < 0.3:
+                    k = rng.randrange(d)
+                    v[:k] = [0] * k
+                kind = rng.random()
+                if vs and kind < 0.15:
+                    v = list(rng.choice(vs))
+                elif len(vs) > 1 and kind < 0.3:
+                    a, b = rng.sample(vs, 2)
+                    v = [x + y for x, y in zip(a, b)]
+                elif kind < 0.35:
+                    v = [0] * d
+                vs.append(v)
+            if rng.random() < 0.3:
+                j = rng.randrange(d)
+                for v in vs:
+                    v[j] = 0
+            yield d, vs
+
+
+def test_echelon_is_d_times_the_reduced_rows_within_the_hadamard_bound():
+    """_echelon against a Fraction Gauss-Jordan oracle in d = 3-12: the
+    same pivots and raising vectors, every kept row D times the oracle's
+    reduced row, D the returned sign times the determinant of the raising
+    vectors on their sorted pivot columns (perfbench's Bareiss
+    determinant), and that sign the sign of sorting the pivots.  Every
+    entry is a minor of the raising vectors, so none exceeds their
+    Hadamard bound; without the Bareiss division entries exceed it from
+    d = 3 on."""
+    from perfbench.corpus import int_det
+
+    seen = collections.Counter()
+    for d, vs in _echelon_sets(random.Random(20261022)):
+        basis, raised, sign = P._echelon(vs, d)
+        rows, want = _fraction_echelon(vs, d)
+        assert list(basis) == list(rows) and raised == want, vs
+        if not raised:
+            assert sign == 1
+            continue
+        pivots = list(basis)
+        inversions = sum(a > b for a, b in itertools.combinations(pivots, 2))
+        assert sign == (-1) ** inversions
+        D = basis[pivots[-1]][pivots[-1]]
+        for c, row in basis.items():
+            assert list(row) == [D * x for x in rows[c]], vs
+        cols = sorted(pivots)
+        assert D == sign * int_det([[vs[i][c] for c in cols] for i in raised]), vs
+        hadamard = 1
+        for i in raised:
+            hadamard *= sum(x * x for x in vs[i])
+        assert all(x * x <= hadamard for row in basis.values() for x in row), vs
+        seen["unsorted"] += pivots != cols
+        seen["dependent"] += len(raised) < len(vs)
+        seen["full rank"] += len(raised) == d
+    assert seen["unsorted"] >= 10 and seen["dependent"] >= 30 and seen["full rank"] >= 10, seen
+
+
+def _general_position(rng, d, n):
+    """n seeded points in [-3, 3]^d whose affine rank is min(n - 1, d)."""
+    while True:
+        pts = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(n)]
+        diffs = [[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]
+        if len(_fraction_echelon(diffs, d)[1]) == min(n - 1, d):
+            return pts
+
+
+def test_high_dimensional_hulls_match_the_lp_oracle(monkeypatch):
+    """hull_vertices against the one-LP-per-point oracle in dimensions
+    6-10, on general-position sets of d + 1 to d + 4 points, on d + 4
+    points of the hyperplane x_1 + ... + x_d = 1, and on a doubled set of
+    d + 2 points with two of its midpoints, which lie on segments between
+    vertices and are dropped by the rank of their facet normals
+    (_echelon).  difference_polytope against its oracle in the same
+    dimensions: the difference body of a simplex in d = 6 and 7 (from d =
+    8 on it has thousands of simplicial facets), and from five points, an
+    affine 4-space hulled in its first full-rank coordinates, in d = 8-10."""
+    def no_lp(A, b):
+        raise AssertionError("the facet hull reached the LP")
+
+    monkeypatch.setattr(P, "_farkas", no_lp)
+    rng = random.Random(20261023)
+    interior = 0
+    for d in range(6, 11):
+        sets = [_general_position(rng, d, n) for n in range(d + 1, d + 5)]
+        flat = [tuple(rng.randint(-2, 2) for _ in range(d - 1)) for _ in range(d + 4)]
+        sets.append([p + (1 - sum(p),) for p in flat])
+        doubled = [tuple(2 * x for x in p) for p in sets[1]]
+        sets.append(doubled + [tuple(map(sum, zip(*sets[1][i:i + 2]))) for i in (0, 2)])
+        for pts in sets:
+            V = P.hull_vertices(pts)
+            assert V == legacy_polytope.hull_vertices(pts), pts
+            interior += len(V) < len(set(pts))
+        pts = sets[0] if d <= 7 else _general_position(rng, d, 5)
+        S = P.Support(d, dict.fromkeys(pts, 1))
+        assert P.difference_polytope(S) == legacy_polytope.difference_polytope(S), pts
+    assert interior == 5
 
 
 def test_hull_vertices_drops_interior():
