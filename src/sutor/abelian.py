@@ -175,25 +175,6 @@ def _sign(perm: Sequence[int]) -> int:
     return sign
 
 
-def bareiss_pivot(rows: List[List[int]], k: int, c: int, den: int) -> None:
-    """One fraction-free pivot on p = rows[k][c] (Edmonds 1967, Bareiss 1968).
-
-    Every row i other than k becomes (rows[i] * p - rows[i][c] * rows[k]) // den,
-    rows with a 0 in column c included; the pivot row stays as it is.  den
-    is the previous pivot (1 before the first).  The updated entries are
-    minors of the starting matrix, so every division is exact, and they
-    equal the rational elimination's entries times p."""
-    pr = rows[k]
-    p = pr[c]
-    for i, row in enumerate(rows):
-        if i != k:
-            f = row[c]
-            if f:
-                row[:] = [(v * p - f * w) // den for v, w in zip(row, pr)]
-            else:
-                row[:] = [v * p // den for v in row]
-
-
 Op = Tuple[int, int, int]  # (a, b, c), the elementary matrix I + c * e_a * e_b^T
 
 

@@ -12,10 +12,9 @@ minors above), a new facet made from a visible one by putting the new
 point in place of a vertex, so it keeps its orientation, and a vertex
 test by the rank of the facet normals at each point; those normals and
 ranks come from one streaming Bareiss elimination, _echelon.  It solves
-no LP and counts its point-facet steps against words.WORK_BUDGET.  Only
-point_in_hull is a linear feasibility test: a small phase-1 simplex on an
-integer tableau with fraction-free pivots, the Bareiss step
-abelian.bareiss_pivot.
+no LP and counts its point-facet steps against words.WORK_BUDGET as it
+makes them.  point_in_hull asks the same hull: v lies in conv(P) exactly
+when it is no vertex of the hull of P and v.
 
 A Support hulls its points once, on first read, and keeps the vertices
 (and in the plane the counter-clockwise chain); vertices and
@@ -36,7 +35,7 @@ from operator import mul, sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import words as W
-from .abelian import AbelianGroup, bareiss_pivot, dot_map
+from .abelian import AbelianGroup, dot_map
 from .groupring import (
     GroupRingElement,
     UnsupportedStructureError,
@@ -89,67 +88,16 @@ def width(S: Support, alpha: Sequence[int]) -> int:
     return max(vals) - min(vals)
 
 
-def _farkas(A: List[List[int]], b: List[int]) -> Optional[List[int]]:
-    """Exact feasibility of {x >= 0 : Ax = b} by phase-1 simplex, Bland's rule:
-    None when the set is nonempty, otherwise a Farkas certificate y with
-    y.A_j <= 0 for every column j and y.b > 0.
-
-    The tableau holds integers over one common positive denominator den:
-    each pivot is abelian.bareiss_pivot, after which den is the pivot, so
-    every sign and every ratio reads as it would over the rationals.  The
-    last row is the reduced-cost row for minimizing the sum of artificials.
-    Row i starts as s_i times row i of [A | I | b], s_i the sign of b_i,
-    and the last row as the sum of those rows less 1 on each artificial
-    column.  Pivots only add multiples of rows to it, so it stays w times
-    the starting rows less that 1, and artificial column i reads
-    den * (w_i - 1).  At the optimum no reduced cost is positive and the
-    objective is positive when infeasible, so y_i = s_i * (den + T[m][n + i])
-    is the certificate, with no second LP."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    total = n + m
-    T: List[List[int]] = []
-    signs = [-1 if v < 0 else 1 for v in b]
-    for i, s in enumerate(signs):
-        T.append([s * v for v in A[i]] + [int(j == i) for j in range(m)] + [s * b[i]])
-    # the artificial columns' reduced costs are 1 - 1 = 0
-    T.append([sum(row[j] for row in T) for j in range(n)] + [0] * m
-             + [sum(row[total] for row in T)])
-    basis = list(range(n, total))
-    den = 1
-    while True:
-        enter = next((j for j in range(total) if T[m][j] > 0), -1)
-        if enter < 0:
-            if T[m][total] == 0:
-                return None
-            return [s * (den + T[m][n + i]) for i, s in enumerate(signs)]
-        # least ratio T[i][rhs] / T[i][enter] by cross multiplication, ties
-        # to the least basic index
-        leave = -1
-        for i in range(m):
-            a = T[i][enter]
-            if a > 0 and (leave < 0 or (T[i][total] * T[leave][enter], basis[i])
-                          < (T[leave][total] * a, basis[leave])):
-                leave = i
-        if leave < 0:
-            raise ArithmeticError("phase 1 is bounded below by 0 and cannot be unbounded")
-        bareiss_pivot(T, leave, enter, den)
-        den = T[leave][enter]
-        basis[leave] = enter
-
-
 def point_in_hull(v: Point, pts: Sequence[Point]) -> bool:
-    """Is v a convex combination of pts?  Exact integer test."""
-    pts = list(pts)
+    """Is v a convex combination of pts?  Exact: v lies outside conv(pts)
+    exactly when it is a vertex of conv(pts + [v]), which _hull reads as
+    hull_vertices does, under the same work budget."""
+    pts = set(pts)
     if not pts:
         return False
-    d = len(v)
-    if any(len(p) != d for p in pts):
+    if any(len(p) != len(v) for p in pts):
         raise ValueError("point dimension does not match the hull points")
-    A = [[p[k] for p in pts] for k in range(d)]
-    A.append([1] * len(pts))
-    b = list(v) + [1]
-    return _farkas(A, b) is None
+    return v in pts or v not in _hull(sorted(pts | {v}))
 
 
 def convex_hull_2d(points: Sequence[Point]) -> List[Point]:
@@ -341,7 +289,8 @@ def _facet_hull(pts: List[Point], simplex: List[Point]) -> List[Point]:
     triangulation is a vertex when the normals of its facets span R^d.
     Each point-facet test, and each point of each new facet, is one step.
     words.WORK_BUDGET is read once, and the count is checked against it
-    after each pending point's tests and after each added point."""
+    after each test and before each new facet is made, so a refusal names
+    at most the budget plus d."""
     d = len(pts[0])
     if len(pts) == d + 1:
         return pts  # a simplex
@@ -360,11 +309,11 @@ def _facet_hull(pts: List[Point], simplex: List[Point]) -> List[Point]:
         if q not in corners:
             for F in facets:
                 work += 1
+                if work > budget:
+                    W.check_budget(work, steps)
                 if sum(map(mul, F[1], q)) > F[2]:
                     F[4].append(q)
                     break
-            if work > budget:
-                W.check_budget(work, steps)
     ridges_at = _ridges_at(d)
     stack = [F for F in facets if F[4]]
     stamp = 0
@@ -386,6 +335,8 @@ def _facet_hull(pts: List[Point], simplex: List[Point]) -> List[Point]:
                     continue
                 if m != -stamp:
                     work += 1
+                    if work > budget:
+                        W.check_budget(work, steps)
                     if sum(map(mul, G[1], p)) > G[2]:
                         G[5] = stamp
                         visible.append(G)
@@ -396,6 +347,9 @@ def _facet_hull(pts: List[Point], simplex: List[Point]) -> List[Point]:
         for V, k in horizon:
             nb = V[3]
             ws = V[0][:k] + (p,) + V[0][k + 1:]
+            work += d
+            if work > budget:
+                W.check_budget(work, steps)
             N = _facet(ws, nb[:])
             G = nb[k][3]
             G[G.index(V)] = N
@@ -406,19 +360,16 @@ def _facet_hull(pts: List[Point], simplex: List[Point]) -> List[Point]:
                     N[3][j] = M
                     M[3][i] = N
             new.append(N)
-        work += d * len(new)
         for V in visible:
             for q in V[4]:
                 for N in new:
                     work += 1
+                    if work > budget:
+                        W.check_budget(work, steps)
                     if sum(map(mul, N[1], q)) > N[2]:
                         N[4].append(q)
                         break
-                if work > budget:
-                    W.check_budget(work, steps)
             V[4] = None
-        if work > budget:
-            W.check_budget(work, steps)
         stack += [N for N in new if N[4]]
         facets += new
     normals: Dict[Point, List[Tuple[int, ...]]] = {}

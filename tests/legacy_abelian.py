@@ -64,9 +64,12 @@ def image_matrix(G: AbelianGroup, images: Sequence[AbElement]) -> ImageMatrix:
 
 def bareiss_pivot(rows: List[List[int]], k: int, c: int, den: int,
                   first: int, lo: int) -> None:
-    """abelian.bareiss_pivot on the trailing block: every row i >= first
-    other than k becomes (rows[i] * p - rows[i][c] * rows[k]) // den on the
-    columns from lo on, p = rows[k][c]; the other entries stay as they are."""
+    """One fraction-free pivot on p = rows[k][c] (Edmonds 1967, Bareiss
+    1968) on the trailing block: every row i >= first other than k becomes
+    (rows[i] * p - rows[i][c] * rows[k]) // den on the columns from lo on;
+    the other entries stay as they are.  den is the previous pivot (1
+    before the first).  With first = lo = 0 it is the whole-tableau pivot
+    of the integer LP legacy_polytope._farkas."""
     pr = rows[k]
     p = pr[c]
     tail = pr[lo:]

@@ -2,12 +2,17 @@
 were before hull_vertices chose its method by dimension and
 difference_polytope hulled only vertex differences.  One exact LP per point
 against all others, over every pairwise difference of the support.  The LP
-is the phase-1 simplex over Fraction that the integer tableau of
-sutor.polytope replaced, kept here verbatim so that the oracle shares no
-arithmetic with the code under test.  Also the output-sensitive hull that
+is the phase-1 simplex over Fraction that the integer tableau below
+replaced, kept here verbatim so that the oracle shares no arithmetic with
+the code under test.  Also the integer LP that sutor.polytope solved
+before point_in_hull read the facet hull: _farkas, the same phase-1 simplex
+on an integer tableau with fraction-free pivots
+(legacy_abelian.bareiss_pivot on the whole tableau), which returns a
+Farkas certificate, and lp_point_in_hull, the membership test on it, the
+fast oracle for point_in_hull.  Also the output-sensitive hull that
 the facet hull replaced from dimension 3 on: Clarkson's loop (_clarkson)
 with its two witnesses, on a point set and on the vertex differences of a
-polytope, whose LPs are sutor.polytope._farkas.  Also extremal_part and the disk
+polytope, whose LPs are _farkas.  Also extremal_part and the disk
 report as they were before they read packed keys: one AbElement per term,
 and normalize on every candidate.  And to_svg as it was before it read the
 support's cached hull: it hulled the points again with convex_hull_2d.  The
@@ -15,6 +20,7 @@ faster code must agree with these on every input."""
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence
 
+from legacy_abelian import bareiss_pivot
 from sutor.abelian import AbElement
 from sutor.groupring import (
     GroupRingElement,
@@ -28,7 +34,6 @@ from sutor.polytope import (
     DiskReport,
     Point,
     Support,
-    _farkas,
     _neg,
     convex_hull_2d,
 )
@@ -85,6 +90,70 @@ def _lp_feasible(A: List[List[int]], b: List[int]) -> bool:
             z = [v - f * w for v, w in zip(z, T[leave])]
         basis[leave] = enter
     return z[total] == 0
+
+
+def _farkas(A: List[List[int]], b: List[int]) -> Optional[List[int]]:
+    """Exact feasibility of {x >= 0 : Ax = b} by phase-1 simplex, Bland's rule:
+    None when the set is nonempty, otherwise a Farkas certificate y with
+    y.A_j <= 0 for every column j and y.b > 0.
+
+    The tableau holds integers over one common positive denominator den:
+    each pivot is bareiss_pivot on the whole tableau, after which den is
+    the pivot, so every sign and every ratio reads as it would over the
+    rationals.  The last row is the reduced-cost row for minimizing the
+    sum of artificials.  Row i starts as s_i times row i of [A | I | b],
+    s_i the sign of b_i, and the last row as the sum of those rows less 1
+    on each artificial column.  Pivots only add multiples of rows to it, so it stays w times
+    the starting rows less that 1, and artificial column i reads
+    den * (w_i - 1).  At the optimum no reduced cost is positive and the
+    objective is positive when infeasible, so y_i = s_i * (den + T[m][n + i])
+    is the certificate, with no second LP."""
+    m = len(A)
+    n = len(A[0]) if m else 0
+    total = n + m
+    T: List[List[int]] = []
+    signs = [-1 if v < 0 else 1 for v in b]
+    for i, s in enumerate(signs):
+        T.append([s * v for v in A[i]] + [int(j == i) for j in range(m)] + [s * b[i]])
+    # the artificial columns' reduced costs are 1 - 1 = 0
+    T.append([sum(row[j] for row in T) for j in range(n)] + [0] * m
+             + [sum(row[total] for row in T)])
+    basis = list(range(n, total))
+    den = 1
+    while True:
+        enter = next((j for j in range(total) if T[m][j] > 0), -1)
+        if enter < 0:
+            if T[m][total] == 0:
+                return None
+            return [s * (den + T[m][n + i]) for i, s in enumerate(signs)]
+        # least ratio T[i][rhs] / T[i][enter] by cross multiplication, ties
+        # to the least basic index
+        leave = -1
+        for i in range(m):
+            a = T[i][enter]
+            if a > 0 and (leave < 0 or (T[i][total] * T[leave][enter], basis[i])
+                          < (T[leave][total] * a, basis[leave])):
+                leave = i
+        if leave < 0:
+            raise ArithmeticError("phase 1 is bounded below by 0 and cannot be unbounded")
+        bareiss_pivot(T, leave, enter, den, 0, 0)
+        den = T[leave][enter]
+        basis[leave] = enter
+
+
+def lp_point_in_hull(v: Point, pts: Sequence[Point]) -> bool:
+    """Is v a convex combination of pts?  Exact integer test by _farkas,
+    as sutor.polytope.point_in_hull was before it read the facet hull."""
+    pts = list(pts)
+    if not pts:
+        return False
+    d = len(v)
+    if any(len(p) != d for p in pts):
+        raise ValueError("point dimension does not match the hull points")
+    A = [[p[k] for p in pts] for k in range(d)]
+    A.append([1] * len(pts))
+    b = list(v) + [1]
+    return _farkas(A, b) is None
 
 
 def point_in_hull(v: Point, pts: Sequence[Point]) -> bool:

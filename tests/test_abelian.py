@@ -21,7 +21,6 @@ from sutor.abelian import (
     AbelianGroup,
     IntMatrix,
     abelianize,
-    bareiss_pivot,
     cokernel,
     det_sparse,
     direct_sum,
@@ -59,10 +58,11 @@ def test_identity_is_its_unit_rows():
 
 def test_bareiss_pivot_matches_fraction_elimination():
     """After each fraction-free pivot every updated entry is the rational
-    elimination's entry times den (the last pivot): over the whole matrix
-    when every other row is eliminated (the LP's Gauss-Jordan step), over
-    the trailing block when only the rows below are (the step of the dense
-    det_int oracle, legacy_abelian.bareiss_pivot)."""
+    elimination's entry times den (the last pivot), for
+    legacy_abelian.bareiss_pivot: over the whole matrix when every other
+    row is eliminated (from row and column 0, the Gauss-Jordan step of the
+    integer LP legacy_polytope._farkas), over the trailing block when only
+    the rows below are (the step of the dense det_int oracle)."""
     rng = random.Random(6)
     zero_rows = 0
     for _ in range(60):
@@ -79,7 +79,7 @@ def test_bareiss_pivot_matches_fraction_elimination():
             k = rng.choice(cand)
             free.remove(k)
             zero_rows += sum(1 for i in range(m) if i != k and T[i][c] == 0)
-            bareiss_pivot(T, k, c, den)
+            legacy_abelian.bareiss_pivot(T, k, c, den, 0, 0)
             den = T[k][c]
             F[k] = [v / F[k][c] for v in F[k]]
             for i in range(m):

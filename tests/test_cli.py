@@ -285,13 +285,10 @@ def test_polytope_three_vars_svg_refused(capsys, tmp_path):
     assert not tsv.exists()
 
 
-def test_polytope_diff_in_low_dimension_solves_no_lp(capsys, monkeypatch, tmp_path):
-    """polytope --diff in dimensions 1, 2 and 3 solves no LP: the extreme
-    points, the monotone chain and the facet hull are exact without one."""
-    def no_lp(A, b):
-        raise AssertionError("a hull in dimension <= 3 reached the LP")
-
-    monkeypatch.setattr(P, "_farkas", no_lp)
+def test_polytope_diff_in_low_dimension_solves_no_lp(capsys, tmp_path):
+    """polytope --diff in dimensions 1, 2 and 3: the extreme points, the
+    monotone chain and the facet hull are exact without an LP, and src/
+    holds none (test_polytope.test_src_holds_no_lp)."""
     code, out, err = run(capsys, "gen", "solid-torus", "200")
     assert code == 0
     path = tmp_path / "solid_torus_200.json"

@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,8 +13,10 @@ import legacy_polytope
 import pytest
 from hull_edges import edge_lengths_2d
 
+from sutor import abelian
 from sutor import engine as E
 from sutor import polytope as P
+from sutor import words as W
 from sutor.abelian import AbElement, AbelianGroup
 from sutor.families import cantwell_conlon, goda_tau, pretzel_even, pretzel_odd, solid_torus
 from sutor.families import torus_2n_pd, wirtinger_knot
@@ -100,14 +103,16 @@ def _lp_targets(rng, dim):
                 yield pts, v
 
 
-@pytest.mark.parametrize("dim", [3, 4, 5])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
 def test_integer_lp_matches_legacy_fraction_lp(dim):
+    """The tests' integer LP and point_in_hull, which reads the hull of the
+    points and the target, both against the Fraction LP."""
     seen = {True: 0, False: 0}
     negative = 0
     for pts, v in _lp_targets(random.Random(1000 + dim), dim):
         A = [[p[k] for p in pts] for k in range(dim)] + [[1] * len(pts)]
         b = list(v) + [1]
-        got = P._farkas(A, b) is None
+        got = legacy_polytope._farkas(A, b) is None
         assert got == legacy_polytope._lp_feasible(A, b), (pts, v)
         assert P.point_in_hull(v, pts) == got
         if v in pts:
@@ -126,7 +131,7 @@ def test_infeasible_lp_returns_a_farkas_certificate(dim):
     for pts, v in _lp_targets(random.Random(2000 + dim), dim):
         A = [[p[k] for p in pts] for k in range(dim)] + [[1] * len(pts)]
         b = list(v) + [1]
-        y = P._farkas(A, b)
+        y = legacy_polytope._farkas(A, b)
         assert (y is None) == legacy_polytope._lp_feasible(A, b), (pts, v)
         if y is None:
             continue
@@ -140,8 +145,8 @@ def test_infeasible_lp_returns_a_farkas_certificate(dim):
 def test_lp_divides_by_the_previous_pivot(monkeypatch):
     """Each pivot divides by the one before it (1 at the start), which keeps
     every tableau entry a minor of the input instead of a product of
-    pivots."""
-    pivot = P.bareiss_pivot
+    pivots: the integer LP of the tests, legacy_polytope._farkas."""
+    pivot = legacy_polytope.bareiss_pivot
     last = []
     count = 0
 
@@ -152,10 +157,10 @@ def test_lp_divides_by_the_previous_pivot(monkeypatch):
         last.append((k, c))
         count += 1
 
-    monkeypatch.setattr(P, "bareiss_pivot", spy)
+    monkeypatch.setattr(legacy_polytope, "bareiss_pivot", spy)
     for pts, v in _lp_targets(random.Random(7), 4):
         last.clear()
-        P.point_in_hull(v, pts)
+        legacy_polytope.lp_point_in_hull(v, pts)
     assert count > 100
 
 
@@ -170,6 +175,50 @@ def test_point_in_hull_edge_and_face_targets():
     shifted = [tuple(x - 5 for x in p) for p in cube]
     assert P.point_in_hull((-4, -5, -3), shifted)
     assert not P.point_in_hull((-6, -4, -4), shifted)
+
+
+def test_src_holds_no_lp(monkeypatch):
+    """One geometry algorithm: polytope keeps no phase-1 simplex and
+    abelian no pivot kernel for one, and point_in_hull asks _hull for the
+    vertices of the points and the target, unless the target is one of
+    them."""
+    assert not hasattr(P, "_farkas") and not hasattr(abelian, "bareiss_pivot")
+    hull, calls = P._hull, []
+    monkeypatch.setattr(P, "_hull", lambda pts: calls.append(pts) or hull(pts))
+    cube = list(itertools.product((0, 2), repeat=3))
+    assert P.point_in_hull((1, 1, 1), cube) and not P.point_in_hull((3, 1, 1), cube)
+    assert P.point_in_hull((2, 0, 2), cube)
+    assert calls == [sorted(cube + [(1, 1, 1)]), sorted(cube + [(3, 1, 1)])]
+
+
+def test_point_in_hull_is_refused_by_the_work_budget(monkeypatch):
+    """point_in_hull runs the facet hull, so words.WORK_BUDGET refuses it
+    as it refuses hull_vertices, inside the hull or outside."""
+    grid = list(itertools.product((0, 2, 4), repeat=3))
+    monkeypatch.setattr(W, "WORK_BUDGET", 50)
+    for v in ((1, 1, 1), (5, 1, 1)):
+        with pytest.raises(ValueError, match=r"^a facet hull of 5[1-3] point-facet steps "
+                                             r"is over the work budget of 50$"):
+            P.point_in_hull(v, grid)
+
+
+def test_facet_hull_refusal_is_at_most_d_over_the_budget(monkeypatch):
+    """The facet hull checks its count after each point-facet test and
+    before each new facet, which counts d steps, so a refusal names at most
+    the budget plus d: on 40 seeded points in dimension 8 under budgets
+    from 30 to 20,000."""
+    rng, d = random.Random(15), 8
+    pts = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(40)]
+    over = set()
+    for budget in (30, 100, 1_000, 5_000, 20_000):
+        monkeypatch.setattr(W, "WORK_BUDGET", budget)
+        with pytest.raises(ValueError, match=f"over the work budget of {budget}$") as e:
+            P.hull_vertices(pts)
+        count = int(re.fullmatch(r"a facet hull of (\d+) point-facet steps is .*",
+                                 str(e.value))[1])
+        assert budget < count <= budget + d, (budget, count)
+        over.add(count - budget)
+    assert max(over) > 1  # a new facet's d steps, too, were counted at once
 
 
 def test_import_leaves_fractions_out():
@@ -321,7 +370,7 @@ def _general_position(rng, d, n):
             return pts
 
 
-def test_high_dimensional_hulls_match_the_lp_oracle(monkeypatch):
+def test_high_dimensional_hulls_match_the_lp_oracle():
     """hull_vertices against the one-LP-per-point oracle in dimensions
     6-10, on general-position sets of d + 1 to d + 4 points, on d + 4
     points of the hyperplane x_1 + ... + x_d = 1, and on a doubled set of
@@ -331,10 +380,6 @@ def test_high_dimensional_hulls_match_the_lp_oracle(monkeypatch):
     dimensions: the difference body of a simplex in d = 6 and 7 (from d =
     8 on it has thousands of simplicial facets), and from five points, an
     affine 4-space hulled in its first full-rank coordinates, in d = 8-10."""
-    def no_lp(A, b):
-        raise AssertionError("the facet hull reached the LP")
-
-    monkeypatch.setattr(P, "_farkas", no_lp)
     rng = random.Random(20261023)
     interior = 0
     for d in range(6, 11):
@@ -562,19 +607,14 @@ def _support_of(inp):
     return P.support(E.torsion(E.input_from_dict(inp)).tau)
 
 
-def test_hull_lps_are_output_sensitive(monkeypatch):
-    """The facet hull solves no LP: on the 5 x 5 x 5 grid and on the vertex
-    differences of seed 103 it gives the 8 and 44 vertices that Clarkson's
-    LP loop gives, without one _farkas call."""
+def test_hull_lps_are_output_sensitive():
+    """On the 5 x 5 x 5 grid and on the vertex differences of seed 103 the
+    facet hull gives the 8 and 44 vertices that Clarkson's LP loop gives
+    (src/ holds no LP: test_src_holds_no_lp)."""
     grid = list(itertools.product(range(-2, 3), repeat=3))
     verts = P.vertices(_support_of(HANDLEBODY_103))
     diffs = list({tuple(a - b for a, b in zip(x, y)) for x in verts for y in verts})
     oracles = [legacy_polytope.clarkson_hull_vertices(pts) for pts in (grid, diffs)]
-
-    def no_lp(A, b):
-        raise AssertionError("the facet hull reached the LP")
-
-    monkeypatch.setattr(P, "_farkas", no_lp)
     for pts, nverts, oracle in zip((grid, diffs), (8, 44), oracles):
         V = P.hull_vertices(pts)
         assert len(V) == nverts and V == oracle
@@ -647,16 +687,10 @@ def _facet_hull_sets(rng):
         yield "hyperplane", [p + (1 - sum(p),) for p in pts]
 
 
-def test_facet_hull_matches_legacy_hulls(monkeypatch):
+def test_facet_hull_matches_legacy_hulls():
     """The facet hull and the difference polytope against the legacy
     oracles in dimensions 3-5: one Fraction LP per point (per difference)
-    on the smaller sets, Clarkson's loop on the larger ones, with no
-    _farkas call from the code under test (the oracle holds its own
-    reference to it)."""
-    def no_lp(A, b):
-        raise AssertionError("the facet hull reached the LP")
-
-    monkeypatch.setattr(P, "_farkas", no_lp)
+    on the smaller sets, Clarkson's loop on the larger ones."""
     seen = collections.Counter()
     for kind, pts in _facet_hull_sets(random.Random(20261022)):
         dim, distinct = len(pts[0]), set(pts)
@@ -683,12 +717,15 @@ def test_facet_hull_matches_legacy_hulls(monkeypatch):
 
 def test_genus_4_vertices_certified_by_point_in_hull():
     """Every support point lies in conv(V), and no vertex lies in the hull
-    of the others."""
+    of the others, by the tests' integer LP (legacy_polytope.
+    lp_point_in_hull), not by point_in_hull, which reads the hull it would
+    certify."""
     S = _support_of(HANDLEBODY_104)
     V = P.vertices(S)
     assert (len(S.points), len(V)) == (276, 94)
-    assert all(P.point_in_hull(p, V) for p in S.points)
-    assert not any(P.point_in_hull(v, [w for w in V if w != v]) for v in V)
+    in_hull = legacy_polytope.lp_point_in_hull
+    assert all(in_hull(p, V) for p in S.points)
+    assert not any(in_hull(v, [w for w in V if w != v]) for v in V)
 
 
 @pytest.mark.parametrize("family", [pretzel_odd, pretzel_even])
